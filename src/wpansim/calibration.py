@@ -4,8 +4,9 @@ The source material fixes the coverage picture (gaps at the lowest level,
 gap-free at the fourth) but omits every propagation constant, so they are
 fitted: a coarse-to-fine grid search over path-loss exponent, reference
 loss, receiver sensitivity and the three stationary x positions.  Scoring a
-candidate layout is the hot loop and runs on the compiled kernel when
-available (see kernels.BACKEND).
+candidate layout (kernels.best_layout) is the hot loop.  The radii depend
+only on the exponent and the sum pl0 + sensitivity, so the targets identify
+that sum but not its split; the search reports the first split it meets.
 
 Search ranges: exponent 1.5..6.0 step 0.1, pl0 30..70 dB step 1,
 sensitivity -100..-70 dBm step 1, positions -3..18 m step 0.5.
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import kernels
 from .scenario import NodeClass
-from .scenario_file import ScenarioConfig
+from .scenario_file import ScenarioConfig, ScenarioError
 
 N_RANGE = (1.5, 6.0, 0.1)
 PL0_RANGE = (30.0, 70.0, 1.0)
@@ -54,17 +55,19 @@ class CalibrationResult:
     range_at_gap_level_m: float = 0.0
     searched: bool = True
     candidates_scored: int = 0
-    backend: str = kernels.BACKEND
 
     def report_lines(self, targets: CalibrationTargets) -> list[str]:
         lines = [
             "calibration report",
-            f"  backend: {self.backend} kernel "
-            f"({'grid search' if self.searched else 'supplied values already meet targets'})",
+            "  mode: "
+            + ("grid search" if self.searched
+               else "supplied values already meet targets"),
             f"  status: {'ok' if self.ok else 'INFEASIBLE'}",
             f"  path_loss_exponent = {self.path_loss_exponent:g}",
             f"  pl0 = {self.pl0_db:g} dB",
             f"  rx_sensitivity = {self.rx_sensitivity_dbm:g} dBm",
+            f"  pl0 + rx_sensitivity = {self.pl0_db + self.rx_sensitivity_dbm:g} dBm "
+            "(only this sum is identified by the coverage targets)",
             f"  stationary x positions = "
             + ", ".join(f"{x:g} m" for x in self.positions),
             f"  max boundary error = {self.max_boundary_error_m:.3f} m "
@@ -128,29 +131,35 @@ def layout_metrics(n: float, pl0: float, sens: float, xs, targets: CalibrationTa
     return True, err, gaps
 
 
-def search(cfg: ScenarioConfig, targets: CalibrationTargets | None = None,
-           backend=None) -> CalibrationResult:
-    """Fit propagation constants and placements to the coverage targets."""
+def search(cfg: ScenarioConfig,
+           targets: CalibrationTargets | None = None) -> CalibrationResult:
+    """Fit propagation constants and placements to the coverage targets.
+
+    Raises ScenarioError unless cfg has exactly three stationary nodes, the
+    layout the coverage targets describe.
+    """
     targets = targets or CalibrationTargets()
-    impl = backend or kernels
     bounds = cfg.trajectory.x_bounds()
     b0, b1 = targets.gap1
     b2, b3 = targets.gap2
 
     current = sorted(n.x for n in cfg.nodes
                      if n.node_class is NodeClass.STATIONARY)
-    if len(current) == 3:
-        valid, err, gaps = layout_metrics(
-            cfg.phy.path_loss_exponent, cfg.phy.pl0_db,
-            cfg.phy.rx_sensitivity_dbm, current, targets, bounds)
-        if valid and err <= targets.tolerance_m:
-            return CalibrationResult(
-                True, cfg.phy.path_loss_exponent, cfg.phy.pl0_db,
-                cfg.phy.rx_sensitivity_dbm, tuple(current), err, gaps,
-                _radius(targets.gap_level_dbm, cfg.phy.pl0_db,
-                        cfg.phy.rx_sensitivity_dbm,
-                        cfg.phy.path_loss_exponent),
-                searched=False)
+    if len(current) != 3:
+        raise ScenarioError(
+            f"calibration fits exactly 3 stationary nodes, the scenario "
+            f"defines {len(current)}")
+    valid, err, gaps = layout_metrics(
+        cfg.phy.path_loss_exponent, cfg.phy.pl0_db,
+        cfg.phy.rx_sensitivity_dbm, current, targets, bounds)
+    if valid and err <= targets.tolerance_m:
+        return CalibrationResult(
+            True, cfg.phy.path_loss_exponent, cfg.phy.pl0_db,
+            cfg.phy.rx_sensitivity_dbm, tuple(current), err, gaps,
+            _radius(targets.gap_level_dbm, cfg.phy.pl0_db,
+                    cfg.phy.rx_sensitivity_dbm,
+                    cfg.phy.path_loss_exponent),
+            searched=False)
 
     x_lo, x_hi, x_step = X_RANGE
     nx = int(round((x_hi - x_lo) / x_step)) + 1
@@ -158,6 +167,10 @@ def search(cfg: ScenarioConfig, targets: CalibrationTargets | None = None,
     best = (_INVALID, 0.0, 0.0, 0.0)  # score, x1, x2, x3
     best_params = (0.0, 0.0, 0.0)
     scored = 0
+    # The radii repeat whenever (n, pl0 + sens) does, and best_layout is a
+    # pure function of them, so each triple is scored once.  The strict "<"
+    # below still keeps the first hit in (n, pl0, sens) scan order.
+    layouts = {}
 
     def scan(n_vals, pl0_vals, sens_vals):
         nonlocal best, best_params, scored
@@ -168,9 +181,12 @@ def search(cfg: ScenarioConfig, targets: CalibrationTargets | None = None,
                     r3 = _radius(targets.must_gap_dbm, pl0, sens, n)
                     r4 = _radius(targets.gap_free_dbm, pl0, sens, n)
                     scored += 1
-                    res = impl.best_layout(r0, r3, r4, x_lo, x_step, nx,
-                                           b0, b1, b2, b3, bounds[0], bounds[1],
-                                           OVERLAP_WEIGHT)
+                    res = layouts.get((r0, r3, r4))
+                    if res is None:
+                        res = kernels.best_layout(
+                            r0, r3, r4, x_lo, x_step, nx, b0, b1, b2, b3,
+                            bounds[0], bounds[1], OVERLAP_WEIGHT)
+                        layouts[(r0, r3, r4)] = res
                     if res[0] < best[0]:
                         best = res
                         best_params = (n, pl0, sens)

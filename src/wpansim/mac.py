@@ -256,7 +256,7 @@ class MacLayer:
 
     def _transmit(self, frame: Frame, immediate: bool) -> None:
         frame.tx_power_dbm = self.node.tx_power_dbm()
-        self.sim.begin_transmission(self.node, frame, immediate=immediate)
+        self.sim.begin_transmission(self.node, frame)
         if not immediate:
             self.state = "tx"
 

@@ -72,10 +72,6 @@ class Trajectory:
         return min(xs), max(xs)
 
 
-def position_at(trajectory: Trajectory, t: SimTime) -> tuple[float, float]:
-    return trajectory.position_at(t)
-
-
 @dataclass
 class CurrentModel:
     """Radio supply currents in mA; transmit current ramps linearly in dBm."""
@@ -150,11 +146,6 @@ class EnergyLedger:
     def breakdown_mj(self, currents: CurrentModel, voltage: float) -> dict[str, float]:
         return {mode: currents.current_ma(mode) * voltage * t / 1_000_000
                 for mode, t in sorted(self.mode_times.items())}
-
-
-def accrue_energy(ledger: EnergyLedger, mode: str, t: SimTime) -> None:
-    """Record a radio mode transition (reported in time order)."""
-    ledger.transition(mode, t)
 
 
 @dataclass

@@ -142,7 +142,7 @@ class Simulation:
 
     # -- transmission lifecycle -------------------------------------------------
 
-    def begin_transmission(self, node: Node, frame: Frame, immediate: bool) -> None:
+    def begin_transmission(self, node: Node, frame: Frame) -> None:
         now = self.loop.now
         airtime = frame_airtime(self.frame_total_bytes(frame), self.band)
         tx = Transmission(node.node_id, frame, now, now + airtime,

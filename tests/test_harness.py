@@ -154,6 +154,8 @@ def test_cli_calibrate_writes_outputs(tmp_path):
     assert (out / "calibrated.scenario").exists()
     report = (out / "calibration_report.txt").read_text()
     assert "status: ok" in report
+    assert "mode: grid search" in report
+    assert "pl0 + rx_sensitivity = -19 dBm (only this sum is identified" in report
     assert "communication range" in report
 
 
@@ -169,6 +171,18 @@ def test_cli_calibrate_infeasible_exit_3(tmp_path):
     assert code == 3
     report = (tmp_path / "cal/calibration_report.txt").read_text()
     assert "INFEASIBLE" in report
+
+
+def test_cli_calibrate_two_stationary_nodes_exit_2(tmp_path):
+    cfg_text = (DATA / "uncalibrated.scenario").read_text()
+    node3 = "[node 3]\nrole = router\nclass = stationary\nx = 14 m\ny = 0 m\n"
+    assert node3 in cfg_text
+    two = tmp_path / "two.scenario"
+    two.write_text(cfg_text.replace(node3, ""))
+    code = main(["calibrate", "--scenario", str(two),
+                 "--out", str(tmp_path / "cal")])
+    assert code == 2
+    assert not (tmp_path / "cal/calibration_report.txt").exists()
 
 
 def test_cli_compare_writes_report(tmp_path):

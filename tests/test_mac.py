@@ -88,7 +88,7 @@ def test_out_of_range_unicast_noack_after_all_retries():
 def test_busy_channel_fails_after_max_csma_backoffs():
     sim = line_sim()
     blocker = Frame(FrameKind.DATA, 0, 3, 5, payload_len=1500)
-    sim.begin_transmission(sim.nodes[3], blocker, immediate=True)
+    sim.begin_transmission(sim.nodes[3], blocker)
     outcomes = []
     sim.nodes[1].mac.csma_send(data_frame(sim, 1, 2), outcomes.append)
     drive(sim)
@@ -101,7 +101,7 @@ def test_busy_channel_fails_after_max_csma_backoffs():
 def test_backoff_exponent_escalates_and_stays_bounded():
     sim = line_sim(seed=9)
     blocker = Frame(FrameKind.DATA, 0, 3, 5, payload_len=1500)
-    sim.begin_transmission(sim.nodes[3], blocker, immediate=True)
+    sim.begin_transmission(sim.nodes[3], blocker)
     sim.nodes[1].mac.csma_send(data_frame(sim, 1, 2))
     drive(sim)
     delays = [int(r.outcome.split("=")[1]) for r in rows_of(sim, "BACKOFF", node=1)]
@@ -132,7 +132,7 @@ def test_data_frames_must_be_unicast():
 def test_beacon_ignores_busy_channel_and_collides():
     sim = line_sim()
     blocker = Frame(FrameKind.DATA, 0, 2, 5, payload_len=300)
-    sim.begin_transmission(sim.nodes[2], blocker, immediate=True)
+    sim.begin_transmission(sim.nodes[2], blocker)
     beacon = Frame(FrameKind.BEACON, 0, 1, BROADCAST, payload_len=4)
     sim.nodes[1].mac.send_immediate(beacon)  # transmitted at once, no CCA
     drive(sim)
@@ -168,8 +168,8 @@ def test_deliver_overlapping_inrange_transmitters_destroy_both():
     # nodes 1 and 2 both audible at node 3; simultaneous frames collide there
     f1 = Frame(FrameKind.DATA, 0, 1, 3, payload_len=50)
     f2 = Frame(FrameKind.DATA, 0, 2, 3, payload_len=50)
-    sim.begin_transmission(sim.nodes[1], f1, immediate=True)
-    sim.begin_transmission(sim.nodes[2], f2, immediate=True)
+    sim.begin_transmission(sim.nodes[1], f1)
+    sim.begin_transmission(sim.nodes[2], f2)
     drive(sim)
     assert rows_of(sim, "RX", node=3) == []
     assert len(rows_of(sim, "COLLISION", node=3)) == 2
@@ -180,7 +180,7 @@ def test_deliver_ignores_out_of_range_interferer():
     # transmitting 48 m from the receiver, below sensitivity there
     sim = line_sim()
     interferer = Frame(FrameKind.DATA, 0, 5, 2, payload_len=200)
-    sim.begin_transmission(sim.nodes[5], interferer, immediate=True)
+    sim.begin_transmission(sim.nodes[5], interferer)
     sim.nodes[1].mac.csma_send(data_frame(sim, 1, 3))
     drive(sim)
     data_rx = [r for r in rows_of(sim, "RX", node=3) if r.frame_kind == "data"]

@@ -4,29 +4,28 @@ import pytest
 
 from wpansim.engine import SimulationError
 from wpansim.scenario import (CurrentModel, EnergyLedger, EnergyReport,
-                              Trajectory, accrue_energy, energy_delta_pct,
-                              position_at, tx_mode)
+                              Trajectory, energy_delta_pct, tx_mode)
 
 DEFAULT_TRAJ = Trajectory([(0.0, 0.0, 0), (15.0, 0.0, 15_000_000)])
 
 
 def test_position_at_start():
-    assert position_at(DEFAULT_TRAJ, 0) == (0.0, 0.0)
+    assert DEFAULT_TRAJ.position_at(0) == (0.0, 0.0)
 
 
 def test_position_linear_interpolation():
-    assert position_at(DEFAULT_TRAJ, 7_500_000) == (7.5, 0.0)
+    assert DEFAULT_TRAJ.position_at(7_500_000) == (7.5, 0.0)
 
 
 def test_position_clamps_after_end():
-    assert position_at(DEFAULT_TRAJ, 99_000_000) == (15.0, 0.0)
+    assert DEFAULT_TRAJ.position_at(99_000_000) == (15.0, 0.0)
 
 
 def test_position_multi_segment():
     traj = Trajectory([(0.0, 0.0, 0), (10.0, 0.0, 5_000_000),
                        (10.0, 4.0, 9_000_000)])
-    assert position_at(traj, 2_500_000) == (5.0, 0.0)
-    assert position_at(traj, 7_000_000) == (10.0, 2.0)
+    assert traj.position_at(2_500_000) == (5.0, 0.0)
+    assert traj.position_at(7_000_000) == (10.0, 2.0)
 
 
 def test_waypoints_must_increase():
@@ -48,8 +47,8 @@ def test_sleep_one_hour_is_32_4mj():
 
 def test_zero_length_interval_adds_nothing():
     led = EnergyLedger(0, "listen")
-    accrue_energy(led, tx_mode(0.0), 500)
-    accrue_energy(led, "listen", 500)  # zero-length tx interval
+    led.transition(tx_mode(0.0), 500)
+    led.transition("listen", 500)  # zero-length tx interval
     led.close(1_000)
     assert led.mode_times.get("tx@0.0", 0) == 0
     assert led.total_time() == 1_000
