@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .engine import EventKind, SimTime, SimulationError
-from .phy import PhyParams, in_range, link_rx_power
+from .phy import PhyParams, link_rx_power
 
 BROADCAST = 0xFFFF
 
@@ -89,6 +89,7 @@ class Transmission:
     end: SimTime
     src_pos: tuple[float, float]  # snapshot at transmit start
     gain_tx_db: float
+    src_stationary: bool  # source position is fixed for the whole run
     engaged: list[int]  # listeners put into rx mode for this frame
 
     def overlaps(self, start: SimTime, end: SimTime) -> bool:
@@ -96,41 +97,60 @@ class Transmission:
 
 
 class Channel:
-    """Shared medium: active transmission set plus a short history window.
+    """Shared medium: active transmission set plus the history still needed.
 
     History is needed because collisions are resolved at transmit end, when
-    shorter overlapping frames may already have finished.
+    shorter overlapping frames may already have finished.  `prune(now)`
+    keeps a transmission iff it ended at or after `now - longest_us`, where
+    `longest_us` is the longest frame added so far.  That drops nothing a
+    resolution can still ask for: an unresolved transmission X has
+    X.end >= now, so any t overlapping it has t.end > X.start >= now -
+    longest_us.
+
+    Listeners are nodes (`node_id`, `is_mobile`, `gain_db`, `position()`).
+    Between two stationary nodes the received power depends only on the
+    pair and the transmit power, so it is computed once per (source,
+    listener, power) and then read from `links`; a link with a mobile end is
+    computed at the current position every time.
     """
 
     def __init__(self, params: PhyParams) -> None:
         self.params = params
         self.transmissions: list[Transmission] = []
+        self.longest_us: SimTime = 0
+        self.links: dict[tuple[int, int, float], float] = {}
 
     def add(self, tx: Transmission) -> None:
         self.transmissions.append(tx)
+        self.longest_us = max(self.longest_us, tx.end - tx.start)
 
-    def prune(self, now: SimTime, horizon_us: int = 100_000) -> None:
+    def prune(self, now: SimTime) -> None:
+        oldest_end = now - self.longest_us
         self.transmissions = [t for t in self.transmissions
-                              if t.end >= now - horizon_us]
+                              if t.end >= oldest_end]
 
-    def audible(self, tx: Transmission, pos: tuple[float, float],
-                gain_rx_db: float) -> bool:
-        dx = tx.src_pos[0] - pos[0]
-        dy = tx.src_pos[1] - pos[1]
-        dist = (dx * dx + dy * dy) ** 0.5
-        return in_range(dist, tx.frame.tx_power_dbm, tx.gain_tx_db, gain_rx_db,
-                        self.params)
+    def rx_power(self, tx: Transmission, node) -> float:
+        """Received power of tx at the listener node, in dBm."""
+        key = None
+        if tx.src_stationary and not node.is_mobile:
+            key = (tx.src, node.node_id, tx.frame.tx_power_dbm)
+            rx = self.links.get(key)
+            if rx is not None:
+                return rx
+        x, y = node.position()
+        dx = tx.src_pos[0] - x
+        dy = tx.src_pos[1] - y
+        rx = link_rx_power((dx * dx + dy * dy) ** 0.5, tx.frame.tx_power_dbm,
+                           tx.gain_tx_db, node.gain_db, self.params)
+        if key is not None:
+            self.links[key] = rx
+        return rx
 
-    def rx_power(self, tx: Transmission, pos: tuple[float, float],
-                 gain_rx_db: float) -> float:
-        dx = tx.src_pos[0] - pos[0]
-        dy = tx.src_pos[1] - pos[1]
-        dist = (dx * dx + dy * dy) ** 0.5
-        return link_rx_power(dist, tx.frame.tx_power_dbm, tx.gain_tx_db,
-                             gain_rx_db, self.params)
+    def audible(self, tx: Transmission, node) -> bool:
+        """True iff tx arrives strictly above the listener's sensitivity."""
+        return self.rx_power(tx, node) > self.params.rx_sensitivity_dbm
 
-    def busy_for(self, node_id: int, pos: tuple[float, float], gain_rx_db: float,
-                 now: SimTime) -> bool:
+    def busy_for(self, node, now: SimTime) -> bool:
         """CCA result: busy while any audible transmission is in progress.
 
         The node's own in-flight frame counts as busy too: the radio is
@@ -139,20 +159,19 @@ class Channel:
         """
         for t in self.transmissions:
             if t.start <= now < t.end:
-                if t.src == node_id:
+                if t.src == node.node_id:
                     return True
-                if self.audible(t, pos, gain_rx_db):
+                if self.audible(t, node):
                     return True
         return False
 
-    def interferers(self, tx: Transmission, pos: tuple[float, float],
-                    gain_rx_db: float) -> list[Transmission]:
-        """Other transmissions overlapping tx that are audible at pos."""
+    def interferers(self, tx: Transmission, node) -> list[Transmission]:
+        """Other transmissions overlapping tx that are audible at node."""
         out = []
         for t in self.transmissions:
             if t is tx:
                 continue
-            if t.overlaps(tx.start, tx.end) and self.audible(t, pos, gain_rx_db):
+            if t.overlaps(tx.start, tx.end) and self.audible(t, node):
                 out.append(t)
         return out
 
@@ -239,10 +258,7 @@ class MacLayer:
     def on_backoff_expire(self) -> None:
         if self.current is None:
             return
-        busy = self.sim.channel.busy_for(
-            self.node.node_id, self.node.position(), self.node.gain_db,
-            self.sim.loop.now)
-        if busy:
+        if self.sim.channel.busy_for(self.node, self.sim.loop.now):
             self.nb += 1
             self.be = min(self.be + 1, self.sim.csma.mac_max_be)
             self.sim.emit(self.node, "CCA_BUSY", frame=self.current.frame,

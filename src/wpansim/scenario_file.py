@@ -32,6 +32,10 @@ Sections and keys (defaults in parentheses):
     [sweep]      powers = 0 2 3 4 5 6 dBm
     [compare]    reference_latency_delta (1.2 s),
                  reference_energy_delta (42.8 %)
+
+Range checks: duration >= 0, traffic period and move_tick > 0, and
+mac_header + payload (or the largest control payload) <= 127 B, as is
+ack_header (aMaxPHYPacketSize).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import copy
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .mac import CsmaParams
+from .mac import CONTROL_PAYLOAD, CsmaParams
 from .phy import BANDS, Band, PhyParams
 from .scenario import CurrentModel, NodeClass, NodeConfig, NodeRole, Trajectory
 
@@ -55,6 +59,13 @@ class ScenarioError(Exception):
 
 _TIME_UNITS = {"us": 1, "ms": 1_000, "s": 1_000_000}
 _CURRENT_UNITS = {"mA": 1.0, "uA": 0.001}
+
+# Smallest accepted value of these times, in us.  The period and the move
+# tick reschedule an event after themselves, so zero would stop the clock.
+_MIN_TIME_US = {("run", "duration"): 0, ("traffic", "period"): 1,
+                ("trajectory", "move_tick"): 1}
+
+MAX_FRAME_BYTES = 127  # aMaxPHYPacketSize: MAC header plus payload
 
 
 def _parse_quantity(text: str, dimension: str, key: str, line: int):
@@ -236,6 +247,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
     section: str | None = None
     node: NodeConfig | None = None
     seen_sections: set[str] = set()
+    key_lines: dict[str, int] = {}  # "section.key" -> line that set it
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -274,13 +286,14 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         if key not in schema:
             raise ScenarioError(f"unknown key '{key}' in section [{section}]", lineno)
         _apply(cfg, node, waypoints, section, key, schema[key], value, lineno)
+        key_lines[f"{section}.{key}"] = lineno
 
     if waypoints:
         try:
             cfg.trajectory = Trajectory(waypoints)
         except ValueError as exc:
             raise ScenarioError(f"trajectory: {exc}") from None
-    _validate(cfg, source)
+    _validate(cfg, source, key_lines)
     return cfg
 
 
@@ -288,6 +301,11 @@ def _apply(cfg: ScenarioConfig, node: NodeConfig | None, waypoints: list,
            section: str, key: str, tag: str, value: str, lineno: int) -> None:
     if tag == "time":
         parsed = _parse_quantity(value, "time", key, lineno)
+        floor = _MIN_TIME_US.get((section, key))
+        if floor is not None and parsed < floor:
+            raise ScenarioError(f"key '{key}': must be "
+                                f"{'positive' if floor else 'zero or more'}, "
+                                f"got {value!r}", lineno)
     elif tag in ("power", "gain", "length", "voltage", "percent", "current", "bytes"):
         parsed = _parse_quantity(value, tag, key, lineno)
     elif tag == "int":
@@ -405,7 +423,7 @@ def _apply(cfg: ScenarioConfig, node: NodeConfig | None, waypoints: list,
             cfg.reference_energy_delta_pct = parsed
 
 
-def _validate(cfg: ScenarioConfig, source: str) -> None:
+def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> None:
     coordinators = [n for n in cfg.nodes if n.role is NodeRole.COORDINATOR]
     if len(coordinators) > 1:
         raise ScenarioError(f"{source}: more than one coordinator configured")
@@ -427,6 +445,18 @@ def _validate(cfg: ScenarioConfig, source: str) -> None:
     if cfg.channel not in cfg.band.channels:
         raise ScenarioError(
             f"{source}: channel {cfg.channel} not in band {cfg.band.name}")
+    header = cfg.mac.mac_header_bytes
+    payload = max(cfg.traffic.payload_bytes, *CONTROL_PAYLOAD.values())
+    if header + payload > MAX_FRAME_BYTES:
+        line = max(key_lines.get("mac.mac_header", 0),
+                   key_lines.get("traffic.payload", 0))
+        raise ScenarioError(
+            f"{source}: largest frame, mac_header {header} B + payload "
+            f"{payload} B, exceeds the {MAX_FRAME_BYTES} B frame limit", line or None)
+    if cfg.mac.ack_header_bytes > MAX_FRAME_BYTES:
+        raise ScenarioError(
+            f"{source}: ack_header {cfg.mac.ack_header_bytes} B exceeds the "
+            f"{MAX_FRAME_BYTES} B frame limit", key_lines.get("mac.ack_header"))
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -27,6 +27,10 @@ class Node:
         self.config = config
         self.node_id = config.node_id
         self.gain_db = config.antenna_gain_db
+        self.is_mobile = config.node_class is NodeClass.MOBILE
+        # A stationary node's position; a mobile's as of time _xy_time.
+        self.xy = (config.x, config.y)
+        self._xy_time: SimTime | None = None
         self.rng = RngStream(sim.seed, config.node_id)
         start_mode = MODE_SLEEP if config.sleeps else MODE_LISTEN
         self.ledger = EnergyLedger(0, start_mode)
@@ -45,9 +49,13 @@ class Node:
     # -- geometry / radio ----------------------------------------------------
 
     def position(self) -> tuple[float, float]:
-        if self.config.node_class is NodeClass.MOBILE:
-            return self.sim.cfg.trajectory.position_at(self.sim.loop.now)
-        return (self.config.x, self.config.y)
+        if not self.is_mobile:
+            return self.xy
+        now = self.sim.loop.now
+        if now != self._xy_time:  # computed once per instant
+            self._xy_time = now
+            self.xy = self.sim.cfg.trajectory.position_at(now)
+        return self.xy
 
     def config_power_dbm(self) -> float:
         if self.config.tx_power_dbm is not None:
@@ -78,10 +86,6 @@ class Node:
     def wake(self) -> None:
         if self._mode == MODE_SLEEP:
             self.set_mode(MODE_LISTEN)
-
-    @property
-    def is_mobile(self) -> bool:
-        return self.config.node_class is NodeClass.MOBILE
 
 
 @dataclass
@@ -114,22 +118,21 @@ class Simulation:
             self.nodes[nc.node_id] = Node(self, nc)
         mobiles = [n for n in self.nodes.values() if n.is_mobile]
         self.mobile: Node | None = mobiles[0] if mobiles else None
+        self._handlers = self._event_handlers()
 
     # -- trace ----------------------------------------------------------------
 
     def emit(self, node: Node, event_kind: str, frame: Frame | None = None,
              outcome: str = "", rx_power: float | None = None,
              lq: int | None = None) -> None:
-        x, _ = node.position()
-        row = TraceRecord(self.loop.now, node.node_id, event_kind,
-                          pos_x_m=x, outcome=outcome,
-                          rx_power_dbm=rx_power, lq=lq)
-        if frame is not None:
-            row.frame_kind = frame.kind.value
-            row.src = frame.src
-            row.dst = frame.dst
-            row.seq = frame.seq
-            row.power_dbm = frame.tx_power_dbm
+        x = node.position()[0]
+        if frame is None:
+            row = TraceRecord(self.loop.now, node.node_id, event_kind, "",
+                              None, None, None, None, rx_power, lq, x, outcome)
+        else:
+            row = TraceRecord(self.loop.now, node.node_id, event_kind,
+                              frame.kind.value, frame.src, frame.dst, frame.seq,
+                              frame.tx_power_dbm, rx_power, lq, x, outcome)
         self.rows.append(row)
 
     # -- frame sizing ----------------------------------------------------------
@@ -146,7 +149,7 @@ class Simulation:
         now = self.loop.now
         airtime = frame_airtime(self.frame_total_bytes(frame), self.band)
         tx = Transmission(node.node_id, frame, now, now + airtime,
-                          node.position(), node.gain_db, [])
+                          node.position(), node.gain_db, not node.is_mobile, [])
         self.channel.prune(now)
         self.channel.add(tx)
         node.set_mode(tx_mode(frame.tx_power_dbm))
@@ -155,43 +158,44 @@ class Simulation:
             node.controller.tx_time_weighted_dbm += frame.tx_power_dbm * airtime
         # Listeners hearing this carrier switch to active reception.
         for other in self.nodes.values():
-            if other.node_id == node.node_id:
+            if other is node:
                 continue
-            if other.radio_mode() in (MODE_LISTEN, MODE_RX) and \
-                    self.channel.audible(tx, other.position(), other.gain_db):
+            mode = other._mode
+            if mode in (MODE_LISTEN, MODE_RX) and self.channel.audible(tx, other):
                 other.rx_engagements += 1
-                if other.radio_mode() == MODE_LISTEN:
+                if mode == MODE_LISTEN:
                     other.set_mode(MODE_RX)
                 tx.engaged.append(other.node_id)
         self.emit(node, "TX_START", frame=frame)
         self.loop.schedule(tx.end, EventKind.TX_END, node.node_id, tx)
 
-    def deliver(self, tx: Transmission) -> list[int]:
+    def deliver(self, tx: Transmission) -> list[tuple[Node, float, int]]:
         """Resolve reception of a completed transmission (no-capture model).
 
         A node receives iff it listened for the whole frame, the frame is
         above its sensitivity, and no other audible transmission overlapped.
+        Returns (node, rx power, LQ) per receiver, measured now.
         """
-        receivers: list[int] = []
+        phy = self.cfg.phy
+        receivers: list[tuple[Node, float, int]] = []
         for other in self.nodes.values():
             if other.node_id == tx.src:
                 continue
-            if other.radio_mode() not in (MODE_LISTEN, MODE_RX):
+            if other._mode not in (MODE_LISTEN, MODE_RX):
                 continue
             if other.listen_since is None or other.listen_since > tx.start:
                 continue
-            pos = other.position()
-            if not self.channel.audible(tx, pos, other.gain_db):
+            rx_power = self.channel.rx_power(tx, other)
+            if not rx_power > phy.rx_sensitivity_dbm:
                 continue
-            rx_power = self.channel.rx_power(tx, pos, other.gain_db)
-            lq = lq_from_rx_power(rx_power, self.cfg.phy)
-            if self.channel.interferers(tx, pos, other.gain_db):
+            lq = lq_from_rx_power(rx_power, phy)
+            if self.channel.interferers(tx, other):
                 self.emit(other, "COLLISION", frame=tx.frame,
                           rx_power=rx_power, lq=lq, outcome="collision")
                 continue
-            receivers.append(other.node_id)
+            receivers.append((other, rx_power, lq))
             self.emit(other, "RX", frame=tx.frame, rx_power=rx_power, lq=lq)
-        self.delivery_log.append((tx, tuple(receivers)))
+        self.delivery_log.append((tx, tuple(n.node_id for n, _, _ in receivers)))
         return receivers
 
     def _on_tx_end(self, node: Node, tx: Transmission) -> None:
@@ -200,19 +204,16 @@ class Simulation:
         for nid in tx.engaged:
             other = self.nodes[nid]
             other.rx_engagements -= 1
-            if other.rx_engagements == 0 and other.radio_mode() == MODE_RX:
+            if other.rx_engagements == 0 and other._mode == MODE_RX:
                 other.set_mode(MODE_LISTEN)
         node.set_mode(MODE_LISTEN)
-        for nid in receivers:
-            self._on_frame_received(self.nodes[nid], tx)
+        for other, rx_power, lq in receivers:
+            self._on_frame_received(other, tx.frame, rx_power, lq)
         node.mac.on_tx_complete(tx.frame)
         self.maybe_sleep(node)
 
-    def _on_frame_received(self, node: Node, tx: Transmission) -> None:
-        frame = tx.frame
-        pos = node.position()
-        rx_power = self.channel.rx_power(tx, pos, node.gain_db)
-        lq = lq_from_rx_power(rx_power, self.cfg.phy)
+    def _on_frame_received(self, node: Node, frame: Frame, rx_power: float,
+                           lq: int) -> None:
         if frame.kind is FrameKind.ACK:
             if frame.dst == node.node_id:
                 node.mac.on_ack_received(frame)
@@ -233,7 +234,7 @@ class Simulation:
             return
         if node.mac.busy or node.rx_engagements > 0 or node.pending_acks > 0:
             return
-        if node.radio_mode() != MODE_LISTEN:
+        if node._mode != MODE_LISTEN:
             return
         if isinstance(node.controller, MobileController) and \
                 node.controller.handover_state != "idle":
@@ -243,48 +244,55 @@ class Simulation:
     # -- event dispatch -------------------------------------------------------------
 
     def _dispatch(self, ev) -> None:
-        if ev.kind is EventKind.BACKOFF_EXPIRE:
-            self.nodes[ev.target].mac.on_backoff_expire()
-        elif ev.kind is EventKind.TX_END:
-            self._on_tx_end(self.nodes[ev.target], ev.data)
-        elif ev.kind is EventKind.ACK_TIMEOUT:
-            self.nodes[ev.target].mac.on_ack_timeout()
-        elif ev.kind is EventKind.ACK_TURNAROUND:
-            node = self.nodes[ev.target]
-            if node.radio_mode().startswith("tx@"):
-                # Radio busy with an own frame: the ack goes out right after
-                # it, still without CCA.
-                self.loop.schedule(node.mac.tx_ends_at, EventKind.ACK_TURNAROUND,
-                                   node.node_id, ev.data)
-            else:
-                node.pending_acks -= 1
-                node.mac.send_immediate(ev.data)
-        elif ev.kind is EventKind.BEACON_DUE:
-            self._on_beacon_due(self.nodes[ev.target], ev.data == "deferred")
-        elif ev.kind is EventKind.MOVE_TICK:
-            if self.mobile is not None:
-                self.emit(self.mobile, "MOVE")
-            nxt = self.loop.now + self.cfg.move_tick_us
-            if nxt <= self.cfg.duration_us:
-                self.loop.schedule(nxt, EventKind.MOVE_TICK)
-        elif ev.kind is EventKind.DATA_DUE:
-            if self.mobile is not None:
-                self.mobile.controller.on_data_due()
-            nxt = self.loop.now + self.cfg.traffic.period_us
-            if nxt <= self.cfg.duration_us:
-                self.loop.schedule(nxt, EventKind.DATA_DUE)
-        elif ev.kind is EventKind.PROBE_WINDOW_END:
-            if self.mobile is not None:
-                self.mobile.controller.on_probe_window_end(ev.data)
-        elif ev.kind is EventKind.SCAN_STEP:
-            if self.mobile is not None:
-                self.mobile.controller.on_scan_step(ev.data)
-        elif ev.kind is EventKind.PROBE_RETRY:
-            if self.mobile is not None:
-                self.mobile.controller.on_probe_retry(ev.data)
+        self._handlers[ev.kind](ev)
+
+    def _on_ack_turnaround(self, ev) -> None:
+        node = self.nodes[ev.target]
+        if node._mode.startswith("tx@"):
+            # Radio busy with an own frame: the ack goes out right after it,
+            # still without CCA.
+            self.loop.schedule(node.mac.tx_ends_at, EventKind.ACK_TURNAROUND,
+                               node.node_id, ev.data)
+        else:
+            node.pending_acks -= 1
+            node.mac.send_immediate(ev.data)
+
+    def _on_move_tick(self, ev) -> None:
+        if self.mobile is not None:
+            self.emit(self.mobile, "MOVE")
+        nxt = self.loop.now + self.cfg.move_tick_us
+        if nxt <= self.cfg.duration_us:
+            self.loop.schedule(nxt, EventKind.MOVE_TICK)
+
+    def _on_data_due(self, ev) -> None:
+        if self.mobile is not None:
+            self.mobile.controller.on_data_due()
+        nxt = self.loop.now + self.cfg.traffic.period_us
+        if nxt <= self.cfg.duration_us:
+            self.loop.schedule(nxt, EventKind.DATA_DUE)
+
+    def _event_handlers(self) -> dict:
+        nodes = self.nodes
+        return {
+            EventKind.BACKOFF_EXPIRE:
+                lambda ev: nodes[ev.target].mac.on_backoff_expire(),
+            EventKind.TX_END: lambda ev: self._on_tx_end(nodes[ev.target], ev.data),
+            EventKind.ACK_TIMEOUT: lambda ev: nodes[ev.target].mac.on_ack_timeout(),
+            EventKind.ACK_TURNAROUND: self._on_ack_turnaround,
+            EventKind.BEACON_DUE: lambda ev: self._on_beacon_due(
+                nodes[ev.target], ev.data == "deferred"),
+            EventKind.MOVE_TICK: self._on_move_tick,
+            EventKind.DATA_DUE: self._on_data_due,
+            # Handover timers are only ever set by the mobile's controller.
+            EventKind.PROBE_WINDOW_END:
+                lambda ev: self.mobile.controller.on_probe_window_end(ev.data),
+            EventKind.SCAN_STEP: lambda ev: self.mobile.controller.on_scan_step(ev.data),
+            EventKind.PROBE_RETRY:
+                lambda ev: self.mobile.controller.on_probe_retry(ev.data),
+        }
 
     def _on_beacon_due(self, node: Node, deferred: bool) -> None:
-        if node.radio_mode().startswith("tx@"):
+        if node._mode.startswith("tx@"):
             # Radio busy with its own frame: send right after, keep cadence.
             self.loop.schedule(node.mac.tx_ends_at, EventKind.BEACON_DUE,
                                node.node_id, "deferred")

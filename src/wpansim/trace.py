@@ -16,7 +16,7 @@ COLUMNS = ("time_us", "node_id", "event_kind", "frame_kind", "src", "dst",
 HEADER = ",".join(COLUMNS)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     time_us: int
     node_id: int

@@ -1,0 +1,82 @@
+"""Eight stationary nodes, beacons and 20 ms traffic: links repeat.
+
+The digests were recorded before the stationary-pair link cache existed,
+so they pin its output to the uncached computation.  `golden_tiny` has a
+single stationary pair and barely exercises the cache.
+"""
+
+import hashlib
+
+import pytest
+
+from conftest import DATA
+from wpansim import mac, phy
+from wpansim.harness import run_simulation
+from wpansim.scenario import NodeClass
+from wpansim.scenario_file import load_scenario
+
+# sha256 of (trace.csv, energy.csv) per compare arm on contention.scenario.
+GOLDEN = {
+    "broadcast+tpc": (
+        "df5aeebec16fe1ed8c295487d84a65b0b097dc5fdd4c719da0c0c9ea7fbc5da1",
+        "d048ef0e3eef909ca235db2d6aaaa4ca6a27a51ca4b2f09a9ab602e7bc1805ea"),
+    "broadcast+fixed": (
+        "d59e7bb025204cd8053193579c720f6349e09ccedff233f51630219f519ca5b4",
+        "7497cd38117db099b3f20966a9b9a9b68d2d60d91472f5c672ab0ae2655bbe75"),
+    "scan+tpc": (
+        "098b09d0af52ad330e682fbe88172416e91b6508242c947322d0f8f433372daa",
+        "aa815cc38a4a310d78587d4a224ed759b86ecdbb3067631b3ccf24c137401ac6"),
+    "scan+fixed": (
+        "9ab1d37f879e89d7e59342e76536b3746d755a94800801414de85a3a97a7a156",
+        "6194524e1489757a2cc5cbefd1800b70730f8dfb34bc5c8824c8c66282bb2549"),
+}
+
+# Link budgets computed by the broadcast+tpc arm before the cache existed
+# (8,158 through phy.in_range plus 1,800 through Channel.rx_power).
+UNCACHED_LINK_BUDGETS = 9_958
+
+
+def arm_cfg(name):
+    """The scenario as harness.compare configures the named arm."""
+    cfg = load_scenario(DATA / "contention.scenario")
+    mode, power = name.split("+")
+    tpc = power == "tpc"
+    return cfg.clone(handover_mode=mode, tpc_enabled=tpc,
+                     mobile_power=None if tpc else max(cfg.phy.power_levels_dbm))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_compare_arm_outputs_match_golden_digests(name, tmp_path):
+    run_simulation(arm_cfg(name), outdir=tmp_path)
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("trace.csv", "energy.csv"))
+    assert got == GOLDEN[name]
+
+
+def test_each_stationary_link_budget_is_computed_once(monkeypatch):
+    cfg = arm_cfg("broadcast+tpc")
+    stationary = {n.node_id for n in cfg.nodes if n.node_class is NodeClass.STATIONARY}
+    link = []  # (src, rx, power) of the Channel.rx_power call in progress
+    computed = []
+    original_link, original_rx_power = mac.link_rx_power, mac.Channel.rx_power
+
+    def counting_link(*args):
+        computed.append(link[-1] if link else None)
+        return original_link(*args)
+
+    def tracking_rx_power(channel, tx, node):
+        link.append((tx.src, node.node_id, tx.frame.tx_power_dbm))
+        try:
+            return original_rx_power(channel, tx, node)
+        finally:
+            link.pop()
+
+    monkeypatch.setattr(mac, "link_rx_power", counting_link)
+    monkeypatch.setattr(phy, "link_rx_power", counting_link)
+    monkeypatch.setattr(mac.Channel, "rx_power", tracking_rx_power)
+    run_simulation(cfg)
+    assert None not in computed, "link budget computed outside Channel.rx_power"
+    fixed = [k for k in computed if k[0] in stationary and k[1] in stationary]
+    assert fixed, "no stationary pair was evaluated"
+    assert len(fixed) == len(set(fixed))
+    assert len(computed) <= UNCACHED_LINK_BUDGETS // 2

@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import DATA, tiny_cfg
+from conftest import DATA, TINY, tiny_cfg
+from wpansim import cli
 from wpansim.cli import main
 from wpansim.harness import compare, run_simulation, sweep
 from wpansim.scenario import MODE_SLEEP
@@ -198,3 +199,38 @@ def test_cli_sweep_default_and_summary(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "OPTIMAL" in printed
+
+
+
+def _cli_run_rejects(text, bad_line, tmp_path, capsys, monkeypatch):
+    """`wpansim run` exits 2 naming the line of the scenario that holds bad_line."""
+    def no_run(*args, **kwargs):  # fail fast where the run would never end
+        raise AssertionError("scenario accepted")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    path = tmp_path / "bad.scenario"
+    path.write_text(text)
+    lineno = text.splitlines().index(bad_line) + 1
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"scenario error: line {lineno}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_zero_traffic_period_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to run forever: DATA_DUE rescheduled itself at the same instant.
+    text = TINY.format(duration="500 ms", seed=7) + "\n[traffic]\nperiod = 0 ms\n"
+    _cli_run_rejects(text, "period = 0 ms", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_zero_move_tick_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to run forever: MOVE_TICK rescheduled itself at the same instant.
+    text = TINY.format(duration="500 ms", seed=7).replace(
+        "waypoint = 1 m, 0 m, 0 s", "waypoint = 1 m, 0 m, 0 s\nmove_tick = 0 ms")
+    _cli_run_rejects(text, "move_tick = 0 ms", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_negative_duration_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to end in a SimulationError traceback from the energy ledger.
+    text = TINY.format(duration="-1 s", seed=7)
+    _cli_run_rejects(text, "duration = -1 s", tmp_path, capsys, monkeypatch)

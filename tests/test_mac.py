@@ -246,3 +246,27 @@ def test_beacon_order_15_schedules_no_beacons():
     cfg.duration_us = 200_000
     res = Simulation(cfg).run()
     assert all(r.frame_kind != "beacon" for r in res.rows)
+
+
+def test_collision_resolved_after_longer_than_100ms_frame():
+    # At 868 MHz (20 kb/s) a 300 B payload stays on air for 126 ms.  The short
+    # frame from node 2 overlaps its start at node 3 and has left the air
+    # long before the long frame ends; the channel must still remember it.
+    sim = Simulation(make_cfg(LINE.format(seed=1).replace(
+        "[phy]\n", "[phy]\nband = 868\nchannel = 0\n")))
+    long_frame = Frame(FrameKind.DATA, 0, 1, 3, payload_len=300)
+    sim.begin_transmission(sim.nodes[1], long_frame)
+    short_frame = Frame(FrameKind.DATA, 0, 2, 5, payload_len=5)
+    sim.begin_transmission(sim.nodes[2], short_frame)
+    short_end = rows_of(sim, "TX_START", node=2)[0].time_us + 8_000
+    drive(sim, until=short_end + 107_000)
+    assert sim.loop.now == 115_000
+    # Node 5, out of range of node 3, transmits: the channel prunes its
+    # history 107 ms after the short frame ended, 11 ms before the long
+    # frame ends.
+    far = Frame(FrameKind.DATA, 0, 5, 2, payload_len=5)
+    sim.begin_transmission(sim.nodes[5], far)
+    drive(sim)
+    heard = [r for r in sim.rows if r.node_id == 3 and r.src == 1]
+    assert [r.event_kind for r in heard] == ["COLLISION"]
+    assert heard[0].time_us == 126_000

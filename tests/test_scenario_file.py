@@ -152,3 +152,18 @@ def test_node_defaults():
 def test_mobile_sleeps_by_default(default_cfg):
     assert default_cfg.mobile_node().sleeps
     assert not default_cfg.stationary_nodes()[0].sleeps
+
+
+def test_frame_longer_than_127_bytes_rejected():
+    # mac_header 9 B + payload 118 B is exactly aMaxPHYPacketSize.
+    assert make_cfg("[traffic]\npayload = 118 B\n").traffic.payload_bytes == 118
+    with pytest.raises(ScenarioError) as err:
+        make_cfg("[traffic]\npayload = 119 B\n")
+    assert err.value.line == 2 and "127 B" in str(err.value)
+    with pytest.raises(ScenarioError) as err:
+        make_cfg("[traffic]\npayload = 100 B\n\n[mac]\nmac_header = 28 B\n")
+    assert err.value.line == 5
+    with pytest.raises(ScenarioError) as err:
+        make_cfg("[mac]\nack_header = 128 B\n")
+    assert err.value.line == 2
+
