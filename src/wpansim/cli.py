@@ -1,7 +1,7 @@
 """Command line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 scenario error, 3 calibration
-infeasible.
+infeasible, 4 simulation error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from pathlib import Path
 from . import __version__
 from .calibration import CalibrationTargets
 from .coverage import gap_analysis
+from .engine import SimulationError
 from .harness import calibrate, compare, run_simulation, sweep
 from .scenario_file import ScenarioError, load_scenario
 from .trace import read_trace
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SCENARIO = 2
 EXIT_INFEASIBLE = 3
+EXIT_SIMULATION = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,6 +84,9 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
+    except SimulationError as exc:
+        print(f"simulation error: {exc}", file=sys.stderr)
+        return EXIT_SIMULATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

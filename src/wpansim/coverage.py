@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .phy import PhyParams, comm_range_m, in_range
 from .scenario import NodeClass
+from .scenario_file import ScenarioError
 from .trace import TraceRecord
 
 CELL_M = 0.1
@@ -143,20 +144,30 @@ def overlap_intervals(cfg, power_dbm: float,
                       min_len: float = CELL_M) -> list[tuple[float, float]]:
     """x-intervals where two or more stationary nodes are in range at once.
 
-    Computed analytically from the link budget (coverage circles cut by the
-    trajectory line, assumed y = 0 here as in the shipped layouts).
-    Intervals shorter than the 0.1 m reporting resolution are dropped.
+    Computed analytically from the link budget: coverage circles cut by the
+    trajectory's line y = const.  A trajectory whose waypoints differ in y
+    is rejected with a ScenarioError.  Intervals shorter than the 0.1 m
+    reporting resolution are dropped.
     """
     params: PhyParams = cfg.phy
     mobile = cfg.mobile_node()
     gain_rx = mobile.antenna_gain_db if mobile else 0.0
+    waypoints = cfg.trajectory.waypoints
+    line_y = waypoints[0][1]
+    for k, (wx, wy, _) in enumerate(waypoints[1:], start=2):
+        if wy != line_y:
+            raise ScenarioError(
+                f"trajectory waypoint {k} ({wx:g} m, {wy:g} m) leaves the line "
+                f"y = {line_y:g} m of waypoint 1; overlap geometry needs every "
+                f"waypoint at the same y")
     x_lo, x_hi = cfg.trajectory.x_bounds()
     spans: list[tuple[float, float]] = []
     for sx, sy, sgain in _stationary_geometry(cfg):
+        dy = sy - line_y
         r = comm_range_m(power_dbm, sgain + gain_rx, params)
-        if r <= abs(sy):
+        if r <= abs(dy):
             continue
-        half = (r * r - sy * sy) ** 0.5
+        half = (r * r - dy * dy) ** 0.5
         lo, hi = max(x_lo, sx - half), min(x_hi, sx + half)
         if lo < hi:
             spans.append((lo, hi))

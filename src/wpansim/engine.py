@@ -33,6 +33,10 @@ class EventKind(Enum):
     PROBE_RETRY = "probe_retry"
     SCAN_STEP = "scan_step"
 
+    # Members are singletons and no code iterates a set of them, so identity
+    # hashing is exact and skips Enum's Python-level hash of the name.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class Event:

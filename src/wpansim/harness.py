@@ -110,12 +110,13 @@ def sweep(cfg: ScenarioConfig, powers=None,
     x_lo, x_hi = cfg.trajectory.x_bounds()
     for power in powers:
         run_cfg = cfg.clone(power_override=power, tpc_enabled=False)
+        overlaps = overlap_intervals(run_cfg, power)  # rejects before the run
         run = Simulation(run_cfg).run()
         gaps = gap_analysis(run.rows, x_lo, x_hi, run.mobile_id)
         report = CoverageReport(
             power_dbm=power,
             gaps=gaps,
-            overlaps=overlap_intervals(run_cfg, power),
+            overlaps=overlaps,
             associations=(association_map(run.rows, run.mobile_id)
                           if run.mobile_id is not None else []),
         )

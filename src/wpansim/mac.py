@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .engine import EventKind, SimTime, SimulationError
-from .phy import PhyParams, link_rx_power
+from .phy import PhyParams, link_rx_power, lq_from_rx_power
 
 BROADCAST = 0xFFFF
 
@@ -28,6 +28,10 @@ class FrameKind(Enum):
     ASSOC_RESP = "assoc_resp"
     DISASSOC = "disassoc"
 
+    # Members are singletons and no code iterates a set of them, so identity
+    # hashing is exact and skips Enum's Python-level hash of the name.
+    __hash__ = object.__hash__
+
 
 # MAC payload bytes for control frames; data payload comes from the scenario.
 CONTROL_PAYLOAD = {
@@ -41,9 +45,13 @@ CONTROL_PAYLOAD = {
 }
 
 CSMA_EXEMPT = (FrameKind.BEACON, FrameKind.ACK)
+NO_ACK_KINDS = (FrameKind.ACK, FrameKind.BEACON, FrameKind.DISASSOC)
+
+# Trace text of each frame kind, read without Enum's `.value` property.
+FRAME_KIND_TEXT = {kind: kind.value for kind in FrameKind}
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     kind: FrameKind
     seq: int
@@ -59,9 +67,7 @@ class Frame:
         return self.dst == BROADCAST
 
     def wants_ack(self) -> bool:
-        return (not self.is_broadcast
-                and self.kind not in (FrameKind.ACK, FrameKind.BEACON,
-                                      FrameKind.DISASSOC))
+        return not self.is_broadcast and self.kind not in NO_ACK_KINDS
 
 
 @dataclass
@@ -81,7 +87,7 @@ class SendOutcome(Enum):
     CHANNEL_ACCESS_FAILURE = "cca_fail"
 
 
-@dataclass
+@dataclass(slots=True)
 class Transmission:
     src: int
     frame: Frame
@@ -91,6 +97,11 @@ class Transmission:
     gain_tx_db: float
     src_stationary: bool  # source position is fixed for the whole run
     engaged: list[int]  # listeners put into rx mode for this frame
+    # Fixed by Channel.add: node id -> (node, rx power, LQ) per listener that
+    # hears the frame, in node order; a mobile listener is a (node, None,
+    # None) placeholder, measured live because it moves during the frame.
+    # Channel.prune drops it when the frame leaves the history.
+    audience: dict | None = None
 
     def overlaps(self, start: SimTime, end: SimTime) -> bool:
         return self.start < end and start < self.end
@@ -107,48 +118,82 @@ class Channel:
     X.end >= now, so any t overlapping it has t.end > X.start >= now -
     longest_us.
 
-    Listeners are nodes (`node_id`, `is_mobile`, `gain_db`, `position()`).
-    Between two stationary nodes the received power depends only on the
-    pair and the transmit power, so it is computed once per (source,
-    listener, power) and then read from `links`; a link with a mobile end is
-    computed at the current position every time.
+    Listeners are nodes (`node_id`, `is_mobile`, `gain_db`, `position()`),
+    given in node order.  `add` fixes each frame's audience at transmit
+    start.  A stationary listener's received power is then final: the
+    source position is a snapshot and the listener does not move.  So it is
+    computed once per frame, and once per (source, transmit power) when the
+    source is stationary too.  The mobile listener is measured live.
     """
 
-    def __init__(self, params: PhyParams) -> None:
+    def __init__(self, params: PhyParams, listeners) -> None:
         self.params = params
+        self.listeners = list(listeners)
         self.transmissions: list[Transmission] = []
         self.longest_us: SimTime = 0
-        self.links: dict[tuple[int, int, float], float] = {}
+        self._first_end: SimTime | None = None  # earliest end in history
+        self.audiences: dict[tuple[int, float], dict] = {}
 
     def add(self, tx: Transmission) -> None:
+        """Put tx on the air and fix its audience."""
+        tx.audience = self.audience(tx)
         self.transmissions.append(tx)
-        self.longest_us = max(self.longest_us, tx.end - tx.start)
+        airtime = tx.end - tx.start
+        if airtime > self.longest_us:
+            self.longest_us = airtime
+        if self._first_end is None or tx.end < self._first_end:
+            self._first_end = tx.end
 
     def prune(self, now: SimTime) -> None:
         oldest_end = now - self.longest_us
-        self.transmissions = [t for t in self.transmissions
-                              if t.end >= oldest_end]
+        if self._first_end is None or self._first_end >= oldest_end:
+            return  # nothing has expired
+        kept = []
+        for t in self.transmissions:
+            if t.end >= oldest_end:
+                kept.append(t)
+            else:
+                # Only the history reads an audience; a run's delivery log
+                # keeps every frame, so do not let it keep the audiences.
+                t.audience = None
+        self.transmissions = kept
+        self._first_end = min((t.end for t in kept), default=None)
+
+    def audience(self, tx: Transmission) -> dict:
+        """Listeners that hear tx: node id -> (node, rx power, LQ), in node order."""
+        key = (tx.src, tx.frame.tx_power_dbm) if tx.src_stationary else None
+        if key is not None:
+            heard = self.audiences.get(key)
+            if heard is not None:
+                return heard
+        params = self.params
+        heard = {}
+        for node in self.listeners:
+            if node.node_id == tx.src:
+                continue
+            if node.is_mobile:
+                heard[node.node_id] = (node, None, None)
+                continue
+            rx = self.rx_power(tx, node)
+            if rx > params.rx_sensitivity_dbm:
+                heard[node.node_id] = (node, rx, lq_from_rx_power(rx, params))
+        if key is not None:
+            self.audiences[key] = heard
+        return heard
 
     def rx_power(self, tx: Transmission, node) -> float:
         """Received power of tx at the listener node, in dBm."""
-        key = None
-        if tx.src_stationary and not node.is_mobile:
-            key = (tx.src, node.node_id, tx.frame.tx_power_dbm)
-            rx = self.links.get(key)
-            if rx is not None:
-                return rx
         x, y = node.position()
         dx = tx.src_pos[0] - x
         dy = tx.src_pos[1] - y
-        rx = link_rx_power((dx * dx + dy * dy) ** 0.5, tx.frame.tx_power_dbm,
-                           tx.gain_tx_db, node.gain_db, self.params)
-        if key is not None:
-            self.links[key] = rx
-        return rx
+        return link_rx_power((dx * dx + dy * dy) ** 0.5, tx.frame.tx_power_dbm,
+                             tx.gain_tx_db, node.gain_db, self.params)
 
     def audible(self, tx: Transmission, node) -> bool:
         """True iff tx arrives strictly above the listener's sensitivity."""
-        return self.rx_power(tx, node) > self.params.rx_sensitivity_dbm
+        if node.is_mobile:
+            return self.rx_power(tx, node) > self.params.rx_sensitivity_dbm
+        return node.node_id in tx.audience
 
     def busy_for(self, node, now: SimTime) -> bool:
         """CCA result: busy while any audible transmission is in progress.

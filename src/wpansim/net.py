@@ -10,6 +10,7 @@ sequentially and is therefore linear in node count.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .engine import EventKind, SimTime
@@ -104,7 +105,7 @@ class MobileController:
         self.tpc = TpcState(start_power, cfg.tpc.lq_target, cfg.tpc.lq_hysteresis)
         self.stats = HandoverStats()
         self.traffic = TrafficStats()
-        self.samples: list[LinkSample] = []
+        self.samples: deque[LinkSample] = deque()  # oldest first
         self.ack_fail_streak = 0
         self.handover_state = "idle"  # idle | probing | scanning | associating
         self.handover_epoch = 0
@@ -177,7 +178,9 @@ class MobileController:
         self.samples.append(LinkSample(rx_power, lq, now, frame.src,
                                        frame.tx_power_dbm))
         window = self.sim.cfg.tpc.window_us
-        self.samples = [s for s in self.samples if now - s.time <= window]
+        samples = self.samples
+        while samples and now - samples[0].time > window:
+            samples.popleft()
         if self.tpc_enabled and self.assoc.parent is not None:
             self.tpc_update()
 
@@ -192,11 +195,15 @@ class MobileController:
         """
         now = self.sim.loop.now
         window = self.sim.cfg.tpc.window_us
-        recent = [s for s in self.samples
-                  if s.src == self.assoc.parent and now - s.time <= window]
-        if not recent:
+        sample = None
+        for s in reversed(self.samples):  # newest first
+            if now - s.time > window:
+                break  # every older sample is outside the window too
+            if s.src == self.assoc.parent:
+                sample = s
+                break
+        if sample is None:
             return  # keep current level
-        sample = recent[-1]
         params = self.sim.cfg.phy
         levels = sorted(self.sim.cfg.phy.power_levels_dbm)
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import EventKind, EventLoop, RngStream, RunSummary, SimTime
-from .mac import (BROADCAST, CONTROL_PAYLOAD, Channel, CsmaParams, Frame,
-                  FrameKind, MacLayer, Transmission)
+from .mac import (BROADCAST, CONTROL_PAYLOAD, FRAME_KIND_TEXT, Channel,
+                  CsmaParams, Frame, FrameKind, MacLayer, Transmission)
 from .net import MobileController, StationaryController
 from .phy import NO_BEACONS, beacon_interval, frame_airtime, lq_from_rx_power
 from .scenario import (EnergyLedger, EnergyReport, MODE_LISTEN, MODE_RX,
@@ -108,7 +108,6 @@ class Simulation:
         self.cfg = cfg
         self.seed = cfg.seed if seed is None else seed
         self.loop = EventLoop()
-        self.channel = Channel(cfg.phy)
         self.csma: CsmaParams = cfg.csma
         self.band = cfg.band
         self.rows: list[TraceRecord] = []
@@ -118,6 +117,8 @@ class Simulation:
             self.nodes[nc.node_id] = Node(self, nc)
         mobiles = [n for n in self.nodes.values() if n.is_mobile]
         self.mobile: Node | None = mobiles[0] if mobiles else None
+        self.channel = Channel(cfg.phy, self.nodes.values())
+        self._airtimes: dict[tuple[FrameKind, int], SimTime] = {}
         self._handlers = self._event_handlers()
 
     # -- trace ----------------------------------------------------------------
@@ -131,8 +132,9 @@ class Simulation:
                               None, None, None, None, rx_power, lq, x, outcome)
         else:
             row = TraceRecord(self.loop.now, node.node_id, event_kind,
-                              frame.kind.value, frame.src, frame.dst, frame.seq,
-                              frame.tx_power_dbm, rx_power, lq, x, outcome)
+                              FRAME_KIND_TEXT[frame.kind], frame.src, frame.dst,
+                              frame.seq, frame.tx_power_dbm, rx_power, lq, x,
+                              outcome)
         self.rows.append(row)
 
     # -- frame sizing ----------------------------------------------------------
@@ -145,9 +147,18 @@ class Simulation:
 
     # -- transmission lifecycle -------------------------------------------------
 
+    def airtime(self, frame: Frame) -> SimTime:
+        """Frame airtime, computed once per (kind, payload length) in a run."""
+        key = (frame.kind, frame.payload_len)
+        airtime = self._airtimes.get(key)
+        if airtime is None:
+            airtime = frame_airtime(self.frame_total_bytes(frame), self.band)
+            self._airtimes[key] = airtime
+        return airtime
+
     def begin_transmission(self, node: Node, frame: Frame) -> None:
         now = self.loop.now
-        airtime = frame_airtime(self.frame_total_bytes(frame), self.band)
+        airtime = self.airtime(frame)
         tx = Transmission(node.node_id, frame, now, now + airtime,
                           node.position(), node.gain_db, not node.is_mobile, [])
         self.channel.prune(now)
@@ -157,11 +168,10 @@ class Simulation:
         if node.is_mobile:
             node.controller.tx_time_weighted_dbm += frame.tx_power_dbm * airtime
         # Listeners hearing this carrier switch to active reception.
-        for other in self.nodes.values():
-            if other is node:
-                continue
+        for other, rx_power, _ in tx.audience.values():
             mode = other._mode
-            if mode in (MODE_LISTEN, MODE_RX) and self.channel.audible(tx, other):
+            if mode in (MODE_LISTEN, MODE_RX) and (
+                    rx_power is not None or self.channel.audible(tx, other)):
                 other.rx_engagements += 1
                 if mode == MODE_LISTEN:
                     other.set_mode(MODE_RX)
@@ -174,21 +184,21 @@ class Simulation:
 
         A node receives iff it listened for the whole frame, the frame is
         above its sensitivity, and no other audible transmission overlapped.
-        Returns (node, rx power, LQ) per receiver, measured now.
+        Returns (node, rx power, LQ) per receiver: fixed at transmit start
+        for a stationary receiver, measured now for the mobile.
         """
         phy = self.cfg.phy
         receivers: list[tuple[Node, float, int]] = []
-        for other in self.nodes.values():
-            if other.node_id == tx.src:
-                continue
+        for other, rx_power, lq in tx.audience.values():
             if other._mode not in (MODE_LISTEN, MODE_RX):
                 continue
             if other.listen_since is None or other.listen_since > tx.start:
                 continue
-            rx_power = self.channel.rx_power(tx, other)
-            if not rx_power > phy.rx_sensitivity_dbm:
-                continue
-            lq = lq_from_rx_power(rx_power, phy)
+            if rx_power is None:
+                rx_power = self.channel.rx_power(tx, other)
+                if not rx_power > phy.rx_sensitivity_dbm:
+                    continue
+                lq = lq_from_rx_power(rx_power, phy)
             if self.channel.interferers(tx, other):
                 self.emit(other, "COLLISION", frame=tx.frame,
                           rx_power=rx_power, lq=lq, outcome="collision")

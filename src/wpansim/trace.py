@@ -48,9 +48,52 @@ class TraceRecord:
         ))
 
 
+WRITE_CHUNK_ROWS = 4096
+
+
+class _Formatted(dict):
+    """Text of each value under one formatter, formatted once per value.
+
+    Zero is never stored: -0.0 == 0.0, but the two print differently.
+    """
+
+    def __init__(self, formatter) -> None:
+        super().__init__()
+        self.formatter = formatter
+
+    def __missing__(self, value) -> str:
+        text = self.formatter(value)
+        if value:
+            self[value] = text
+        return text
+
+
 def write_trace(path: str | Path, rows: list[TraceRecord]) -> None:
-    text = HEADER + "\n" + "".join(r.to_csv() + "\n" for r in rows)
-    Path(path).write_bytes(text.encode("ascii"))
+    """Write the rows as `TraceRecord.to_csv` formats them, in chunks.
+
+    Ids, sequence numbers, powers and positions repeat across rows, so each
+    distinct value is formatted once per call.
+    """
+    num = _Formatted(str)
+    power = _Formatted("{:.1f}".format)
+    pos = _Formatted("{:.2f}".format)
+    with open(path, "wb") as fh:
+        fh.write((HEADER + "\n").encode("ascii"))
+        for first in range(0, len(rows), WRITE_CHUNK_ROWS):
+            fh.write("".join(",".join((
+                str(r.time_us),
+                num[r.node_id],
+                r.event_kind,
+                r.frame_kind,
+                "" if r.src is None else num[r.src],
+                "" if r.dst is None else num[r.dst],
+                "" if r.seq is None else num[r.seq],
+                "" if r.power_dbm is None else power[r.power_dbm],
+                "" if r.rx_power_dbm is None else power[r.rx_power_dbm],
+                "" if r.lq is None else num[r.lq],
+                pos[r.pos_x_m],
+                r.outcome,
+            )) + "\n" for r in rows[first:first + WRITE_CHUNK_ROWS]).encode("ascii"))
 
 
 def read_trace(path: str | Path) -> list[TraceRecord]:

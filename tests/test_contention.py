@@ -80,3 +80,37 @@ def test_each_stationary_link_budget_is_computed_once(monkeypatch):
     assert fixed, "no stationary pair was evaluated"
     assert len(fixed) == len(set(fixed))
     assert len(computed) <= UNCACHED_LINK_BUDGETS // 2
+
+
+def test_each_frame_reaches_each_stationary_listener_once(monkeypatch):
+    # A stationary listener's received power is final at transmit start,
+    # also when the mobile sent the frame: the source position is a
+    # snapshot.  So no (frame, stationary listener) budget is computed twice.
+    cfg = arm_cfg("broadcast+tpc")
+    stationary = {n.node_id for n in cfg.nodes if n.node_class is NodeClass.STATIONARY}
+    mobile = cfg.mobile_node().node_id
+    link = []  # the (frame, listener) of the Channel.rx_power call in progress
+    computed = []
+    frames = []  # keeps every evaluated transmission alive, so ids stay unique
+    original_link, original_rx_power = mac.link_rx_power, mac.Channel.rx_power
+
+    def counting_link(*args):
+        computed.append(link[-1] if link else None)
+        return original_link(*args)
+
+    def tracking_rx_power(channel, tx, node):
+        frames.append(tx)
+        link.append((id(tx), tx.src, node.node_id))
+        try:
+            return original_rx_power(channel, tx, node)
+        finally:
+            link.pop()
+
+    monkeypatch.setattr(mac, "link_rx_power", counting_link)
+    monkeypatch.setattr(phy, "link_rx_power", counting_link)
+    monkeypatch.setattr(mac.Channel, "rx_power", tracking_rx_power)
+    run_simulation(cfg)
+    assert None not in computed, "link budget computed outside Channel.rx_power"
+    heard = [k for k in computed if k[2] in stationary]
+    assert any(src == mobile for _, src, _ in heard), "no mobile frame evaluated"
+    assert len(heard) == len(set(heard))

@@ -1,8 +1,12 @@
+import copy
+
 import pytest
 
 from conftest import make_cfg
 from wpansim.coverage import (boundaries_match, gap_analysis, overlap_intervals,
                               static_gap_oracle)
+from wpansim.scenario import Trajectory
+from wpansim.scenario_file import ScenarioError
 from wpansim.trace import TraceRecord, read_trace, write_trace
 
 
@@ -138,3 +142,31 @@ def test_overlap_drops_subresolution_slivers(default_cfg):
     # at 4 dBm the calibrated layout overlaps by ~0.08 m, under the 0.1 m floor
     assert overlap_intervals(default_cfg, 4.0) == []
     assert overlap_intervals(default_cfg, 4.0, min_len=0.0) != []
+
+
+def _shifted_y(cfg, dy):
+    """cfg with every stationary node and every waypoint moved dy metres in y."""
+    moved = copy.deepcopy(cfg)
+    for node in moved.nodes:
+        node.y += dy
+    moved.trajectory = Trajectory([(x, y + dy, t)
+                                   for x, y, t in cfg.trajectory.waypoints])
+    return moved
+
+
+def test_overlap_intervals_cut_at_the_trajectory_line(default_cfg):
+    # Moving the layout and the walk together leaves the geometry unchanged;
+    # cutting the circles at y = 0 instead would shrink both overlaps away.
+    moved = _shifted_y(default_cfg, 2.0)
+    for power in (4.0, 6.0):
+        assert overlap_intervals(moved, power, min_len=0.0) == \
+            overlap_intervals(default_cfg, power, min_len=0.0)
+    assert len(overlap_intervals(moved, 6.0)) == 2
+
+
+def test_overlap_intervals_reject_a_trajectory_off_one_line(default_cfg):
+    sloped = copy.deepcopy(default_cfg)
+    (x0, y0, t0), (x1, _, t1) = default_cfg.trajectory.waypoints
+    sloped.trajectory = Trajectory([(x0, y0, t0), (x1, 1.0, t1)])
+    with pytest.raises(ScenarioError, match="waypoint 2 "):
+        overlap_intervals(sloped, 6.0)

@@ -3,6 +3,7 @@ import pytest
 from conftest import DATA, TINY, tiny_cfg
 from wpansim import cli
 from wpansim.cli import main
+from wpansim.engine import SimulationError
 from wpansim.harness import compare, run_simulation, sweep
 from wpansim.scenario import MODE_SLEEP
 from wpansim.sim import Simulation
@@ -234,3 +235,27 @@ def test_cli_negative_duration_exit_2(tmp_path, capsys, monkeypatch):
     # Used to end in a SimulationError traceback from the energy ledger.
     text = TINY.format(duration="-1 s", seed=7)
     _cli_run_rejects(text, "duration = -1 s", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_simulation_error_exit_4(tmp_path, capsys, monkeypatch):
+    def failing_run(*args, **kwargs):
+        raise SimulationError("energy ledger already closed")
+
+    monkeypatch.setattr(cli, "run_simulation", failing_run)
+    code = main(["run", "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_SIMULATION == 4
+    err = capsys.readouterr().err
+    assert err == "simulation error: energy ledger already closed\n"
+
+
+def test_cli_sweep_trajectory_off_one_line_exit_2(tmp_path, capsys):
+    text = cli.default_scenario_path().read_text()
+    assert "waypoint = 15 m, 0 m, 15 s" in text
+    path = tmp_path / "sloped.scenario"
+    path.write_text(text.replace("waypoint = 15 m, 0 m, 15 s",
+                                 "waypoint = 15 m, 1 m, 15 s"))
+    code = main(["sweep", "--scenario", str(path), "--powers", "0",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "trajectory waypoint 2 (15 m, 1 m)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -1,4 +1,7 @@
+from collections import deque
+
 from conftest import make_cfg
+from wpansim.mac import Frame, FrameKind
 from wpansim.phy import LinkSample, lq_from_rx_power
 from wpansim.sim import Simulation
 
@@ -244,3 +247,39 @@ def test_tpc_average_power_never_exceeds_fixed_max(default_cfg):
     assert max(tx_powers(tpc_run)) <= 6.0
     # time-weighted average over transmissions stays at or below the fixed arm
     assert tpc_run.tx_time_weighted_dbm <= fixed_run.tx_time_weighted_dbm
+
+
+def _parent_sample(sim, src, rx, p_used, t):
+    return LinkSample(rx, lq_from_rx_power(rx, sim.cfg.phy), t, src, p_used)
+
+
+def test_tpc_uses_newest_sample_of_the_new_parent():
+    sim, ctrl = tpc_sim()
+    sim.loop.now = now = 2_000_000
+    # Handover from node 2 back to node 1: node 2's sample is the newest and
+    # still inside the window, but it is no longer the parent's.
+    ctrl.samples = deque([
+        _parent_sample(sim, 1, -66.0, 0.0, now - 500_000),  # would pick 4 dBm
+        _parent_sample(sim, 1, -54.0, 6.0, now - 300_000),  # picks 0 dBm
+        _parent_sample(sim, 2, -69.0, 6.0, now - 100_000),  # would keep 6 dBm
+    ])
+    ctrl.assoc.parent = 1
+    ctrl.tpc_update()
+    assert ctrl.tpc.current_power_dbm == 0.0
+
+
+def test_tpc_window_includes_a_sample_exactly_window_old():
+    sim, ctrl = tpc_sim()
+    window = sim.cfg.tpc.window_us
+    sim.loop.now = now = 3 * window
+    for age, level in ((window, 6.0), (window + 1, 3.0)):
+        ctrl.tpc.current_power_dbm = 3.0
+        ctrl.samples = deque([_parent_sample(sim, 1, -69.0, 6.0, now - age)])
+        ctrl.tpc_update()
+        assert ctrl.tpc.current_power_dbm == level, age
+    # Recording a sample drops exactly the older ones.
+    ctrl.samples = deque([_parent_sample(sim, 1, -69.0, 6.0, now - window - 1),
+                          _parent_sample(sim, 1, -69.0, 6.0, now - window)])
+    frame = Frame(FrameKind.DATA, 0, 1, ctrl.node.node_id, tx_power_dbm=6.0)
+    ctrl._record_sample(frame, -69.0, lq_from_rx_power(-69.0, sim.cfg.phy))
+    assert [s.time for s in ctrl.samples] == [now - window, now]
