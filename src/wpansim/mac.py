@@ -366,7 +366,7 @@ class MacLayer:
         if self.queue and self.state == "idle":
             self._start_attempt()
         elif self.state == "idle":
-            self.sim.on_mac_idle(self.node)
+            self.sim.maybe_sleep(self.node)
 
     @property
     def busy(self) -> bool:

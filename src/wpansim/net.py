@@ -118,11 +118,6 @@ class MobileController:
         self._lq_block_until: SimTime = 0
         self.tx_time_weighted_dbm = 0.0  # sum of power*us over tx time
 
-    # -- power --------------------------------------------------------------
-
-    def current_power_dbm(self) -> float:
-        return self.tpc.current_power_dbm
-
     # -- traffic ------------------------------------------------------------
 
     def on_data_due(self) -> None:

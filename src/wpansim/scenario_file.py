@@ -33,8 +33,9 @@ Sections and keys (defaults in parentheses):
     [compare]    reference_latency_delta (1.2 s),
                  reference_energy_delta (42.8 %)
 
-Range checks: duration >= 0, traffic period and move_tick > 0, and
-mac_header + payload (or the largest control payload) <= 127 B, as is
+Range checks: every time is zero or more and the traffic period and
+move_tick are positive (waypoint arrival times need only strictly increase),
+and mac_header + payload (or the largest control payload) <= 127 B, as is
 ack_header (aMaxPHYPacketSize).
 """
 
@@ -42,7 +43,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .mac import CONTROL_PAYLOAD, CsmaParams
 from .phy import BANDS, Band, PhyParams
@@ -57,38 +60,7 @@ class ScenarioError(Exception):
         self.line = line
 
 
-_TIME_UNITS = {"us": 1, "ms": 1_000, "s": 1_000_000}
-_CURRENT_UNITS = {"mA": 1.0, "uA": 0.001}
-
-# Smallest accepted value of these times, in us.  The period and the move
-# tick reschedule an event after themselves, so zero would stop the clock.
-_MIN_TIME_US = {("run", "duration"): 0, ("traffic", "period"): 1,
-                ("trajectory", "move_tick"): 1}
-
 MAX_FRAME_BYTES = 127  # aMaxPHYPacketSize: MAC header plus payload
-
-
-def _parse_quantity(text: str, dimension: str, key: str, line: int):
-    parts = text.split()
-    if dimension == "time":
-        if len(parts) != 2 or parts[1] not in _TIME_UNITS:
-            raise ScenarioError(
-                f"key '{key}': expected '<number> us|ms|s', got {text!r}", line)
-        return int(round(_number(parts[0], key, line) * _TIME_UNITS[parts[1]]))
-    if dimension in ("power", "gain", "length", "voltage", "percent", "current", "bytes"):
-        unit = {"power": "dBm", "gain": "dB", "length": "m", "voltage": "V",
-                "percent": "%", "bytes": "B"}.get(dimension)
-        if dimension == "current":
-            if len(parts) != 2 or parts[1] not in _CURRENT_UNITS:
-                raise ScenarioError(
-                    f"key '{key}': expected '<number> mA|uA', got {text!r}", line)
-            return _number(parts[0], key, line) * _CURRENT_UNITS[parts[1]]
-        if len(parts) != 2 or parts[1] != unit:
-            raise ScenarioError(
-                f"key '{key}': expected '<number> {unit}', got {text!r}", line)
-        value = _number(parts[0], key, line)
-        return int(value) if dimension == "bytes" else value
-    raise AssertionError(dimension)
 
 
 def _number(text: str, key: str, line: int) -> float:
@@ -120,6 +92,15 @@ def _parse_power_list(text: str, key: str, line: int) -> tuple[float, ...]:
         raise ScenarioError(
             f"key '{key}': expected '<numbers...> dBm', got {text!r}", line)
     return tuple(_number(p, key, line) for p in parts[:-1])
+
+
+def _scaled(text: str, units: dict[str, float], key: str, line: int) -> float:
+    """'<number> <unit>' with a unit from `units`, times that unit's scale."""
+    parts = text.split()
+    if len(parts) != 2 or parts[1] not in units:
+        raise ScenarioError(
+            f"key '{key}': expected '<number> {'|'.join(units)}', got {text!r}", line)
+    return _number(parts[0], key, line) * units[parts[1]]
 
 
 @dataclass
@@ -185,13 +166,10 @@ class ScenarioConfig:
 
     def clone(self, *, seed: int | None = None, power_override: float | None = None,
               tpc_enabled: bool | None = None, handover_mode: str | None = None,
-              duration_us: int | None = None,
               mobile_power: float | None = None) -> "ScenarioConfig":
         cfg = copy.deepcopy(self)
         if seed is not None:
             cfg.seed = seed
-        if duration_us is not None:
-            cfg.duration_us = duration_us
         if power_override is not None:
             cfg.phy.tx_power_dbm = power_override
             for node in cfg.nodes:
@@ -207,42 +185,146 @@ class ScenarioConfig:
         return cfg
 
 
-_ROLES = {r.value: r for r in NodeRole}
-_CLASSES = {c.value: c for c in NodeClass}
+class _Kind(NamedTuple):
+    """How values of one kind are read from and written to a scenario file."""
 
-# section -> key -> handler tag
-_SCHEMA: dict[str, dict[str, str]] = {
-    "run": {"duration": "time", "seed": "int"},
-    "phy": {"band": "band", "channel": "int", "tx_power": "power",
-            "power_levels": "power_list", "rx_sensitivity": "power",
-            "pl0": "gain", "path_loss_exponent": "float",
-            "lq_saturation_margin": "gain", "phy_overhead": "bytes"},
-    "csma": {"mac_min_be": "int", "mac_max_be": "int", "max_csma_backoffs": "int",
-             "max_frame_retries": "int", "unit_backoff": "time",
-             "ack_wait": "time", "turnaround": "time"},
-    "mac": {"beacon_order": "int", "mac_header": "bytes", "ack_header": "bytes"},
-    "node": {"role": "role", "class": "class", "x": "length", "y": "length",
-             "antenna_gain": "gain", "tx_power": "power", "sleep": "bool"},
-    "trajectory": {"waypoint": "waypoint", "move_tick": "time"},
-    "traffic": {"period": "time", "payload": "bytes"},
-    "tpc": {"enabled": "bool", "lq_target": "int", "lq_hysteresis": "int",
-            "window": "time"},
-    "handover": {"mode": "handover_mode", "probe_window": "time",
-                 "probe_retry": "time", "scan_response_timeout": "time",
-                 "lq_retrigger_cooldown": "time", "ack_fail_threshold": "int",
-                 "degraded_ack_fail_threshold": "int"},
-    "energy": {"supply_voltage": "voltage", "tx_current_0dbm": "current",
-               "tx_current_per_dbm": "current", "rx_current": "current",
-               "idle_current": "current", "sleep_current": "current"},
-    "sweep": {"powers": "power_list"},
-    "compare": {"reference_latency_delta": "time",
-                "reference_energy_delta": "percent"},
+    parse: Callable[[str, str, int], Any]  # (text, key, line) -> value
+    render: Callable[[Any], str]
+
+
+_TIME_UNITS = {"us": 1, "ms": 1_000, "s": 1_000_000}
+
+
+def _fmt_time(us: int) -> str:
+    if us % 1_000_000 == 0:
+        return f"{us // 1_000_000} s"
+    if us % 1_000 == 0:
+        return f"{us // 1_000} ms"
+    return f"{us} us"
+
+
+def _time(floor: int | None) -> _Kind:
+    """A time in whole us, at least `floor` us unless `floor` is None."""
+    def parse(text: str, key: str, line: int) -> int:
+        us = int(round(_scaled(text, _TIME_UNITS, key, line)))
+        if floor is not None and us < floor:
+            raise ScenarioError(f"key '{key}': must be "
+                                f"{'positive' if floor else 'zero or more'}, "
+                                f"got {text!r}", line)
+        return us
+    return _Kind(parse, _fmt_time)
+
+
+def _quantity(unit: str) -> _Kind:
+    return _Kind(lambda text, key, line: _scaled(text, {unit: 1}, key, line),
+                 lambda value: f"{value:g} {unit}")
+
+
+def _choice(choices: dict[str, Any], error: str) -> _Kind:
+    """One of the names in `choices`; `error` formats a rejected name."""
+    names = {value: name for name, value in choices.items()}
+
+    def parse(text: str, key: str, line: int) -> Any:
+        if text not in choices:
+            raise ScenarioError(f"key '{key}': " + error.format(text), line)
+        return choices[text]
+    return _Kind(parse, names.__getitem__)
+
+
+_TIME = _time(0)  # a time key is zero or more unless it uses one of the two below
+_POSITIVE_TIME = _time(1)  # rescheduled after itself: zero would stop the clock
+_ANY_TIME = _time(None)  # waypoint arrival times need only strictly increase
+_DBM, _DB, _METRES, _VOLTS, _PERCENT = map(_quantity, ("dBm", "dB", "m", "V", "%"))
+_CURRENT = _Kind(
+    lambda text, key, line: _scaled(text, {"mA": 1.0, "uA": 0.001}, key, line),
+    lambda value: f"{value:g} mA")
+_BYTES = _Kind(lambda text, key, line: int(_scaled(text, {"B": 1}, key, line)),
+               lambda value: f"{value} B")
+_INT = _Kind(_parse_int, str)
+_FLOAT = _Kind(_number, lambda value: f"{value:g}")
+_BOOL = _Kind(_parse_bool, lambda value: "on" if value else "off")
+_POWERS = _Kind(_parse_power_list,
+                lambda value: " ".join(f"{p:g}" for p in value) + " dBm")
+_BAND = _choice(BANDS, f"unknown band {{!r}} (choices: {', '.join(BANDS)})")
+_ROLE = _choice({r.value: r for r in NodeRole}, "unknown role {!r}")
+_CLASS = _choice({c.value: c for c in NodeClass}, "unknown class {!r}")
+_MODE = _choice({"broadcast": "broadcast", "scan": "scan"},
+                "expected broadcast|scan, got {!r}")
+
+
+def _parse_waypoint(text: str, key: str, line: int) -> tuple[float, float, int]:
+    fields = [f.strip() for f in text.split(",")]
+    if len(fields) != 3:
+        raise ScenarioError("key 'waypoint': expected '<x> m, <y> m, <t> s'", line)
+    return (_METRES.parse(fields[0], "waypoint.x", line),
+            _METRES.parse(fields[1], "waypoint.y", line),
+            _ANY_TIME.parse(fields[2], "waypoint.t", line))
+
+
+_WAYPOINT = _Kind(_parse_waypoint,
+                  lambda w: f"{w[0]:g} m, {w[1]:g} m, {_fmt_time(w[2])}")
+
+# The whole schema, in file order: section -> key -> (attribute path, kind).
+# Paths are dotted attributes of ScenarioConfig, or of NodeConfig for
+# [node <id>]; `waypoint` repeats, one line per entry of its list.
+_SCHEMA: dict[str, dict[str, tuple[str, _Kind]]] = {
+    "run": {"duration": ("duration_us", _TIME), "seed": ("seed", _INT)},
+    "phy": {"band": ("band", _BAND), "channel": ("channel", _INT),
+            "tx_power": ("phy.tx_power_dbm", _DBM),
+            "power_levels": ("phy.power_levels_dbm", _POWERS),
+            "rx_sensitivity": ("phy.rx_sensitivity_dbm", _DBM),
+            "pl0": ("phy.pl0_db", _DB),
+            "path_loss_exponent": ("phy.path_loss_exponent", _FLOAT),
+            "lq_saturation_margin": ("phy.lq_saturation_margin_db", _DB),
+            "phy_overhead": ("phy.phy_overhead_bytes", _BYTES)},
+    "csma": {"mac_min_be": ("csma.mac_min_be", _INT),
+             "mac_max_be": ("csma.mac_max_be", _INT),
+             "max_csma_backoffs": ("csma.max_csma_backoffs", _INT),
+             "max_frame_retries": ("csma.max_frame_retries", _INT),
+             "unit_backoff": ("csma.unit_backoff_us", _TIME),
+             "ack_wait": ("csma.ack_wait_us", _TIME),
+             "turnaround": ("csma.turnaround_us", _TIME)},
+    "mac": {"beacon_order": ("mac.beacon_order", _INT),
+            "mac_header": ("mac.mac_header_bytes", _BYTES),
+            "ack_header": ("mac.ack_header_bytes", _BYTES)},
+    "node": {"role": ("role", _ROLE), "class": ("node_class", _CLASS),
+             "x": ("x", _METRES), "y": ("y", _METRES),
+             "antenna_gain": ("antenna_gain_db", _DB),
+             "tx_power": ("tx_power_dbm", _DBM), "sleep": ("sleep_when_idle", _BOOL)},
+    "trajectory": {"waypoint": ("trajectory.waypoints", _WAYPOINT),
+                   "move_tick": ("move_tick_us", _POSITIVE_TIME)},
+    "traffic": {"period": ("traffic.period_us", _POSITIVE_TIME),
+                "payload": ("traffic.payload_bytes", _BYTES)},
+    "tpc": {"enabled": ("tpc.enabled", _BOOL), "lq_target": ("tpc.lq_target", _INT),
+            "lq_hysteresis": ("tpc.lq_hysteresis", _INT),
+            "window": ("tpc.window_us", _TIME)},
+    "handover": {"mode": ("handover.mode", _MODE),
+                 "probe_window": ("handover.probe_window_us", _TIME),
+                 "probe_retry": ("handover.probe_retry_us", _TIME),
+                 "scan_response_timeout": ("handover.scan_response_timeout_us", _TIME),
+                 "lq_retrigger_cooldown": ("handover.lq_retrigger_cooldown_us", _TIME),
+                 "ack_fail_threshold": ("handover.ack_fail_threshold", _INT),
+                 "degraded_ack_fail_threshold":
+                     ("handover.degraded_ack_fail_threshold", _INT)},
+    "energy": {"supply_voltage": ("supply_voltage", _VOLTS),
+               "tx_current_0dbm": ("currents.tx_current_0dbm_ma", _CURRENT),
+               "tx_current_per_dbm": ("currents.tx_current_per_dbm_ma", _CURRENT),
+               "rx_current": ("currents.rx_current_ma", _CURRENT),
+               "idle_current": ("currents.idle_current_ma", _CURRENT),
+               "sleep_current": ("currents.sleep_current_ma", _CURRENT)},
+    "sweep": {"powers": ("sweep_powers", _POWERS)},
+    "compare": {"reference_latency_delta": ("reference_latency_delta_us", _TIME),
+                "reference_energy_delta": ("reference_energy_delta_pct", _PERCENT)},
 }
+
+
+def _set(target: Any, path: str, value: Any) -> None:
+    owner, _, attr = path.rpartition(".")
+    setattr(attrgetter(owner)(target) if owner else target, attr, value)
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
     cfg = ScenarioConfig()
-    cfg.nodes = []
     waypoints: list[tuple[float, float, int]] = []
     section: str | None = None
     node: NodeConfig | None = None
@@ -285,7 +367,12 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         schema = _SCHEMA[section]
         if key not in schema:
             raise ScenarioError(f"unknown key '{key}' in section [{section}]", lineno)
-        _apply(cfg, node, waypoints, section, key, schema[key], value, lineno)
+        path, kind = schema[key]
+        parsed = kind.parse(value, key, lineno)
+        if kind is _WAYPOINT:
+            waypoints.append(parsed)
+        else:
+            _set(cfg if node is None else node, path, parsed)
         key_lines[f"{section}.{key}"] = lineno
 
     if waypoints:
@@ -295,132 +382,6 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
             raise ScenarioError(f"trajectory: {exc}") from None
     _validate(cfg, source, key_lines)
     return cfg
-
-
-def _apply(cfg: ScenarioConfig, node: NodeConfig | None, waypoints: list,
-           section: str, key: str, tag: str, value: str, lineno: int) -> None:
-    if tag == "time":
-        parsed = _parse_quantity(value, "time", key, lineno)
-        floor = _MIN_TIME_US.get((section, key))
-        if floor is not None and parsed < floor:
-            raise ScenarioError(f"key '{key}': must be "
-                                f"{'positive' if floor else 'zero or more'}, "
-                                f"got {value!r}", lineno)
-    elif tag in ("power", "gain", "length", "voltage", "percent", "current", "bytes"):
-        parsed = _parse_quantity(value, tag, key, lineno)
-    elif tag == "int":
-        parsed = _parse_int(value, key, lineno)
-    elif tag == "float":
-        parsed = _number(value, key, lineno)
-    elif tag == "bool":
-        parsed = _parse_bool(value, key, lineno)
-    elif tag == "power_list":
-        parsed = _parse_power_list(value, key, lineno)
-    elif tag == "band":
-        if value not in BANDS:
-            raise ScenarioError(f"key 'band': unknown band {value!r} "
-                                f"(choices: {', '.join(BANDS)})", lineno)
-        parsed = BANDS[value]
-    elif tag == "role":
-        if value not in _ROLES:
-            raise ScenarioError(f"key 'role': unknown role {value!r}", lineno)
-        parsed = _ROLES[value]
-    elif tag == "class":
-        if value not in _CLASSES:
-            raise ScenarioError(f"key 'class': unknown class {value!r}", lineno)
-        parsed = _CLASSES[value]
-    elif tag == "handover_mode":
-        if value not in ("broadcast", "scan"):
-            raise ScenarioError(f"key 'mode': expected broadcast|scan, got {value!r}",
-                                lineno)
-        parsed = value
-    elif tag == "waypoint":
-        fields = [f.strip() for f in value.split(",")]
-        if len(fields) != 3:
-            raise ScenarioError("key 'waypoint': expected '<x> m, <y> m, <t> s'", lineno)
-        x = _parse_quantity(fields[0], "length", "waypoint.x", lineno)
-        y = _parse_quantity(fields[1], "length", "waypoint.y", lineno)
-        t = _parse_quantity(fields[2], "time", "waypoint.t", lineno)
-        waypoints.append((x, y, t))
-        return
-    else:
-        raise AssertionError(tag)
-
-    if section == "run":
-        setattr(cfg, {"duration": "duration_us", "seed": "seed"}[key], parsed)
-    elif section == "phy":
-        if key == "band":
-            cfg.band = parsed
-        elif key == "channel":
-            cfg.channel = parsed
-        else:
-            attr = {"tx_power": "tx_power_dbm", "power_levels": "power_levels_dbm",
-                    "rx_sensitivity": "rx_sensitivity_dbm", "pl0": "pl0_db",
-                    "path_loss_exponent": "path_loss_exponent",
-                    "lq_saturation_margin": "lq_saturation_margin_db",
-                    "phy_overhead": "phy_overhead_bytes"}[key]
-            setattr(cfg.phy, attr, parsed)
-    elif section == "csma":
-        attr = {"mac_min_be": "mac_min_be", "mac_max_be": "mac_max_be",
-                "max_csma_backoffs": "max_csma_backoffs",
-                "max_frame_retries": "max_frame_retries",
-                "unit_backoff": "unit_backoff_us", "ack_wait": "ack_wait_us",
-                "turnaround": "turnaround_us"}[key]
-        setattr(cfg.csma, attr, parsed)
-    elif section == "mac":
-        attr = {"beacon_order": "beacon_order", "mac_header": "mac_header_bytes",
-                "ack_header": "ack_header_bytes"}[key]
-        setattr(cfg.mac, attr, parsed)
-    elif section == "node":
-        assert node is not None
-        if key == "role":
-            node.role = parsed
-        elif key == "class":
-            node.node_class = parsed
-        elif key == "x":
-            node.x = parsed
-        elif key == "y":
-            node.y = parsed
-        elif key == "antenna_gain":
-            node.antenna_gain_db = parsed
-        elif key == "tx_power":
-            node.tx_power_dbm = parsed
-        elif key == "sleep":
-            node.sleep_when_idle = parsed
-    elif section == "trajectory":
-        cfg.move_tick_us = parsed
-    elif section == "traffic":
-        setattr(cfg.traffic, {"period": "period_us", "payload": "payload_bytes"}[key],
-                parsed)
-    elif section == "tpc":
-        setattr(cfg.tpc, {"enabled": "enabled", "lq_target": "lq_target",
-                          "lq_hysteresis": "lq_hysteresis", "window": "window_us"}[key],
-                parsed)
-    elif section == "handover":
-        setattr(cfg.handover,
-                {"mode": "mode", "probe_window": "probe_window_us",
-                 "probe_retry": "probe_retry_us",
-                 "scan_response_timeout": "scan_response_timeout_us",
-                 "lq_retrigger_cooldown": "lq_retrigger_cooldown_us",
-                 "ack_fail_threshold": "ack_fail_threshold",
-                 "degraded_ack_fail_threshold": "degraded_ack_fail_threshold"}[key],
-                parsed)
-    elif section == "energy":
-        if key == "supply_voltage":
-            cfg.supply_voltage = parsed
-        else:
-            attr = {"tx_current_0dbm": "tx_current_0dbm_ma",
-                    "tx_current_per_dbm": "tx_current_per_dbm_ma",
-                    "rx_current": "rx_current_ma", "idle_current": "idle_current_ma",
-                    "sleep_current": "sleep_current_ma"}[key]
-            setattr(cfg.currents, attr, parsed)
-    elif section == "sweep":
-        cfg.sweep_powers = parsed
-    elif section == "compare":
-        if key == "reference_latency_delta":
-            cfg.reference_latency_delta_us = parsed
-        else:
-            cfg.reference_energy_delta_pct = parsed
 
 
 def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> None:
@@ -468,119 +429,35 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     return parse_scenario(text, source=str(p))
 
 
-def _fmt_time(us: int) -> str:
-    if us % 1_000_000 == 0:
-        return f"{us // 1_000_000} s"
-    if us % 1_000 == 0:
-        return f"{us // 1_000} ms"
-    return f"{us} us"
+def _node_shows(node: NodeConfig, key: str, value: Any) -> bool:
+    """x/y only for stationary nodes, antenna_gain only when nonzero, and the
+    optional overrides only when set."""
+    if key in ("x", "y"):
+        return node.node_class is NodeClass.STATIONARY
+    if key == "antenna_gain":
+        return bool(value)
+    return value is not None
 
 
 def render_scenario(cfg: ScenarioConfig, header: str = "",
                     notes: dict[str, str] | None = None) -> str:
     """Serialize a config back to scenario-file text (round-trips parse)."""
     notes = notes or {}
-
-    def line(section: str, key: str, value: str) -> str:
-        note = notes.get(f"{section}.{key}")
-        return f"{key} = {value}" + (f"    # {note}" if note else "")
-
-    out: list[str] = []
+    out = [f"# {h}" for h in header.splitlines()]
     if header:
-        out.extend(f"# {h}" for h in header.splitlines())
         out.append("")
-    out.append("[run]")
-    out.append(line("run", "duration", _fmt_time(cfg.duration_us)))
-    out.append(line("run", "seed", str(cfg.seed)))
-    out.append("")
-    out.append("[phy]")
-    out.append(line("phy", "band", cfg.band.name))
-    out.append(line("phy", "channel", str(cfg.channel)))
-    out.append(line("phy", "tx_power", f"{cfg.phy.tx_power_dbm:g} dBm"))
-    levels = " ".join(f"{p:g}" for p in cfg.phy.power_levels_dbm)
-    out.append(line("phy", "power_levels", f"{levels} dBm"))
-    out.append(line("phy", "rx_sensitivity", f"{cfg.phy.rx_sensitivity_dbm:g} dBm"))
-    out.append(line("phy", "pl0", f"{cfg.phy.pl0_db:g} dB"))
-    out.append(line("phy", "path_loss_exponent", f"{cfg.phy.path_loss_exponent:g}"))
-    out.append(line("phy", "lq_saturation_margin",
-                    f"{cfg.phy.lq_saturation_margin_db:g} dB"))
-    out.append(line("phy", "phy_overhead", f"{cfg.phy.phy_overhead_bytes} B"))
-    out.append("")
-    out.append("[csma]")
-    out.append(line("csma", "mac_min_be", str(cfg.csma.mac_min_be)))
-    out.append(line("csma", "mac_max_be", str(cfg.csma.mac_max_be)))
-    out.append(line("csma", "max_csma_backoffs", str(cfg.csma.max_csma_backoffs)))
-    out.append(line("csma", "max_frame_retries", str(cfg.csma.max_frame_retries)))
-    out.append(line("csma", "unit_backoff", _fmt_time(cfg.csma.unit_backoff_us)))
-    out.append(line("csma", "ack_wait", _fmt_time(cfg.csma.ack_wait_us)))
-    out.append(line("csma", "turnaround", _fmt_time(cfg.csma.turnaround_us)))
-    out.append("")
-    out.append("[mac]")
-    out.append(line("mac", "beacon_order", str(cfg.mac.beacon_order)))
-    out.append(line("mac", "mac_header", f"{cfg.mac.mac_header_bytes} B"))
-    out.append(line("mac", "ack_header", f"{cfg.mac.ack_header_bytes} B"))
-    out.append("")
-    for node in cfg.nodes:
-        out.append(f"[node {node.node_id}]")
-        out.append(line("node", "role", node.role.value))
-        out.append(line("node", "class", node.node_class.value))
-        if node.node_class is NodeClass.STATIONARY:
-            out.append(line("node", "x", f"{node.x:g} m"))
-            out.append(line("node", "y", f"{node.y:g} m"))
-        if node.antenna_gain_db:
-            out.append(line("node", "antenna_gain", f"{node.antenna_gain_db:g} dB"))
-        if node.tx_power_dbm is not None:
-            out.append(line("node", "tx_power", f"{node.tx_power_dbm:g} dBm"))
-        if node.sleep_when_idle is not None:
-            out.append(line("node", "sleep", "on" if node.sleep_when_idle else "off"))
-        out.append("")
-    out.append("[trajectory]")
-    for x, y, t in cfg.trajectory.waypoints:
-        out.append(line("trajectory", "waypoint",
-                        f"{x:g} m, {y:g} m, {_fmt_time(t)}"))
-    out.append(line("trajectory", "move_tick", _fmt_time(cfg.move_tick_us)))
-    out.append("")
-    out.append("[traffic]")
-    out.append(line("traffic", "period", _fmt_time(cfg.traffic.period_us)))
-    out.append(line("traffic", "payload", f"{cfg.traffic.payload_bytes} B"))
-    out.append("")
-    out.append("[tpc]")
-    out.append(line("tpc", "enabled", "on" if cfg.tpc.enabled else "off"))
-    out.append(line("tpc", "lq_target", str(cfg.tpc.lq_target)))
-    out.append(line("tpc", "lq_hysteresis", str(cfg.tpc.lq_hysteresis)))
-    out.append(line("tpc", "window", _fmt_time(cfg.tpc.window_us)))
-    out.append("")
-    out.append("[handover]")
-    out.append(line("handover", "mode", cfg.handover.mode))
-    out.append(line("handover", "probe_window", _fmt_time(cfg.handover.probe_window_us)))
-    out.append(line("handover", "probe_retry", _fmt_time(cfg.handover.probe_retry_us)))
-    out.append(line("handover", "scan_response_timeout",
-                    _fmt_time(cfg.handover.scan_response_timeout_us)))
-    out.append(line("handover", "lq_retrigger_cooldown",
-                    _fmt_time(cfg.handover.lq_retrigger_cooldown_us)))
-    out.append(line("handover", "ack_fail_threshold",
-                    str(cfg.handover.ack_fail_threshold)))
-    out.append(line("handover", "degraded_ack_fail_threshold",
-                    str(cfg.handover.degraded_ack_fail_threshold)))
-    out.append("")
-    out.append("[energy]")
-    out.append(line("energy", "supply_voltage", f"{cfg.supply_voltage:g} V"))
-    out.append(line("energy", "tx_current_0dbm",
-                    f"{cfg.currents.tx_current_0dbm_ma:g} mA"))
-    out.append(line("energy", "tx_current_per_dbm",
-                    f"{cfg.currents.tx_current_per_dbm_ma:g} mA"))
-    out.append(line("energy", "rx_current", f"{cfg.currents.rx_current_ma:g} mA"))
-    out.append(line("energy", "idle_current", f"{cfg.currents.idle_current_ma:g} mA"))
-    out.append(line("energy", "sleep_current", f"{cfg.currents.sleep_current_ma:g} mA"))
-    out.append("")
-    out.append("[sweep]")
-    powers = " ".join(f"{p:g}" for p in cfg.sweep_powers)
-    out.append(line("sweep", "powers", f"{powers} dBm"))
-    out.append("")
-    out.append("[compare]")
-    out.append(line("compare", "reference_latency_delta",
-                    _fmt_time(cfg.reference_latency_delta_us)))
-    out.append(line("compare", "reference_energy_delta",
-                    f"{cfg.reference_energy_delta_pct:g} %"))
-    out.append("")
+    for section, schema in _SCHEMA.items():
+        blocks = ([(f"node {n.node_id}", n) for n in cfg.nodes] if section == "node"
+                  else [(section, cfg)])
+        for title, target in blocks:
+            out.append(f"[{title}]")
+            for key, (path, kind) in schema.items():
+                value = attrgetter(path)(target)
+                if section == "node" and not _node_shows(target, key, value):
+                    continue
+                note = notes.get(f"{section}.{key}")
+                suffix = f"    # {note}" if note else ""
+                for v in value if kind is _WAYPOINT else [value]:  # a line per waypoint
+                    out.append(f"{key} = {kind.render(v)}{suffix}")
+            out.append("")
     return "\n".join(out)

@@ -64,7 +64,7 @@ class Node:
 
     def tx_power_dbm(self) -> float:
         if isinstance(self.controller, MobileController):
-            return self.controller.current_power_dbm()
+            return self.controller.tpc.current_power_dbm
         return self.config_power_dbm()
 
     def radio_mode(self) -> str:
@@ -235,9 +235,6 @@ class Simulation:
         node.controller.on_frame(frame, rx_power, lq)
 
     # -- radio idling ------------------------------------------------------------
-
-    def on_mac_idle(self, node: Node) -> None:
-        self.maybe_sleep(node)
 
     def maybe_sleep(self, node: Node) -> None:
         if not node.config.sleeps:

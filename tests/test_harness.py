@@ -4,7 +4,7 @@ from conftest import DATA, TINY, tiny_cfg
 from wpansim import cli
 from wpansim.cli import main
 from wpansim.engine import SimulationError
-from wpansim.harness import compare, run_simulation, sweep
+from wpansim.harness import calibrate, compare, run_simulation, sweep
 from wpansim.scenario import MODE_SLEEP
 from wpansim.sim import Simulation
 from wpansim.trace import HEADER, write_trace
@@ -161,6 +161,22 @@ def test_cli_calibrate_writes_outputs(tmp_path):
     assert "communication range" in report
 
 
+def _body(text):
+    """The text after its leading block of `#` comment lines."""
+    lines = text.splitlines(keepends=True)
+    while lines and lines[0].startswith("#"):
+        lines.pop(0)
+    return "".join(lines)
+
+
+def test_calibrate_writes_the_shipped_default_scenario(uncalibrated_cfg, tmp_path):
+    calibrate(uncalibrated_cfg, outdir=tmp_path)
+    written = (tmp_path / "calibrated.scenario").read_text()
+    shipped = cli.default_scenario_path().read_text()
+    assert _body(written) == _body(shipped)
+    assert _body(written).startswith("\n[run]\n")
+
+
 def test_cli_calibrate_infeasible_exit_3(tmp_path):
     # trajectory too short to ever contain the (11, 13) m gap
     cfg_text = (DATA / "uncalibrated.scenario").read_text()
@@ -235,6 +251,19 @@ def test_cli_negative_duration_exit_2(tmp_path, capsys, monkeypatch):
     # Used to end in a SimulationError traceback from the energy ledger.
     text = TINY.format(duration="-1 s", seed=7)
     _cli_run_rejects(text, "duration = -1 s", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_negative_probe_window_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to end in "simulation error: ... scheduled in the past" (exit 4).
+    text = TINY.format(duration="500 ms", seed=7) + "\n[handover]\nprobe_window = -1 ms\n"
+    _cli_run_rejects(text, "probe_window = -1 ms", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_negative_tpc_window_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to run to exit 0 with every TPC sample dropped, so TPC never acted.
+    text = TINY.format(duration="500 ms", seed=7).replace(
+        "enabled = off", "enabled = on\nwindow = -1 s")
+    _cli_run_rejects(text, "window = -1 s", tmp_path, capsys, monkeypatch)
 
 
 def test_cli_simulation_error_exit_4(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_cfg, tiny_cfg
-from wpansim.scenario import NodeClass, NodeRole
-from wpansim.scenario_file import ScenarioError, parse_scenario, render_scenario
+from conftest import DATA, make_cfg, tiny_cfg
+from wpansim import scenario_file as sf
+from wpansim.cli import default_scenario_path
+from wpansim.phy import BANDS
+from wpansim.scenario import NodeClass, NodeConfig, NodeRole
+from wpansim.scenario_file import (ScenarioConfig, ScenarioError, load_scenario,
+                                   parse_scenario, render_scenario)
 
 
 def test_defaults_parse(default_cfg):
@@ -115,17 +121,13 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.seed == 9
 
 
-def test_render_round_trips(default_cfg):
-    text = render_scenario(default_cfg, header="round trip")
-    cfg2 = parse_scenario(text)
-    assert cfg2.duration_us == default_cfg.duration_us
-    assert cfg2.phy == default_cfg.phy
-    assert cfg2.csma == default_cfg.csma
-    assert cfg2.handover == default_cfg.handover
-    assert cfg2.trajectory.waypoints == default_cfg.trajectory.waypoints
-    assert [n.node_id for n in cfg2.nodes] == [n.node_id for n in default_cfg.nodes]
-    assert [n.x for n in cfg2.stationary_nodes()] == \
-           [n.x for n in default_cfg.stationary_nodes()]
+SCENARIOS = [default_scenario_path(), *sorted(DATA.glob("*.scenario"))]
+
+
+@pytest.mark.parametrize("cfg", [*(load_scenario(p) for p in SCENARIOS), ScenarioConfig()],
+                         ids=[*(p.name for p in SCENARIOS), "ScenarioConfig()"])
+def test_render_round_trips(cfg):
+    assert parse_scenario(render_scenario(cfg, header="round trip")) == cfg
 
 
 def test_clone_power_override(default_cfg):
@@ -167,3 +169,69 @@ def test_frame_longer_than_127_bytes_rejected():
         make_cfg("[mac]\nack_header = 128 B\n")
     assert err.value.line == 2
 
+
+# -- render -> parse property, with values drawn per kind of the schema table ----
+
+_G_EXACT = st.integers(-99_999, 99_999).map(lambda i: i / 100)  # ":g" prints exactly
+
+
+@st.composite
+def _waypoints(draw):
+    times = sorted(draw(st.sets(st.integers(0, 10**8), min_size=1, max_size=3)))
+    return [(draw(_G_EXACT), draw(_G_EXACT), t) for t in times]
+
+
+KIND_VALUES = {
+    sf._TIME: st.integers(0, 10**8), sf._POSITIVE_TIME: st.integers(1, 10**8),
+    sf._DBM: _G_EXACT, sf._DB: _G_EXACT, sf._METRES: _G_EXACT, sf._VOLTS: _G_EXACT,
+    sf._PERCENT: _G_EXACT, sf._CURRENT: _G_EXACT, sf._FLOAT: _G_EXACT,
+    sf._BYTES: st.integers(0, 60),  # header + payload stays under 127 B
+    sf._INT: st.integers(0, 1000), sf._BOOL: st.booleans(),
+    sf._POWERS: st.lists(_G_EXACT, min_size=1, max_size=6).map(tuple),
+    sf._BAND: st.sampled_from(list(BANDS.values())),
+    sf._ROLE: st.sampled_from(list(NodeRole)), sf._CLASS: st.sampled_from(list(NodeClass)),
+    sf._MODE: st.sampled_from(["broadcast", "scan"]), sf._WAYPOINT: _waypoints(),
+}
+
+
+@st.composite
+def _configs(draw):
+    """A valid config with every table key drawn from its kind, then fixed up
+    where `_validate` ties keys together."""
+    cfg = ScenarioConfig()
+    for section, schema in sf._SCHEMA.items():
+        if section != "node":
+            for path, kind in schema.values():
+                sf._set(cfg, path, draw(KIND_VALUES[kind]))
+    for node_id in draw(st.lists(st.integers(0, 99), max_size=4, unique=True)):
+        node = NodeConfig(node_id, NodeRole.ROUTER)
+        for key, (path, kind) in sf._SCHEMA["node"].items():
+            value = draw(KIND_VALUES[kind])
+            optional = key in ("tx_power", "sleep")
+            sf._set(node, path, None if optional and draw(st.booleans()) else value)
+        cfg.nodes.append(node)
+    mobiles = [n for n in cfg.nodes if n.node_class is NodeClass.MOBILE]
+    for n in mobiles[1:]:
+        n.node_class = NodeClass.STATIONARY
+    for n in mobiles[:1]:  # its position comes from the trajectory
+        n.role, n.x, n.y = NodeRole.END_DEVICE, 0.0, 0.0
+    coordinators = [n for n in cfg.nodes if n.role is NodeRole.COORDINATOR]
+    for n in coordinators[1:]:
+        n.role = NodeRole.ROUTER
+    if cfg.stationary_nodes() and not coordinators:
+        cfg.stationary_nodes()[0].role = NodeRole.COORDINATOR
+    cfg.csma.mac_min_be, cfg.csma.mac_max_be = sorted(
+        (cfg.csma.mac_min_be, cfg.csma.mac_max_be))
+    cfg.phy.tx_power_dbm = draw(st.sampled_from(cfg.phy.power_levels_dbm))
+    cfg.mac.beacon_order = draw(st.integers(0, 15))
+    cfg.channel = draw(st.sampled_from(cfg.band.channels))
+    return cfg
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(_configs())
+def test_render_parse_is_the_identity(cfg):
+    text = render_scenario(cfg)
+    again = parse_scenario(text)
+    assert again == cfg
+    assert render_scenario(again) == text
