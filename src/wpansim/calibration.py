@@ -136,7 +136,8 @@ def search(cfg: ScenarioConfig,
     """Fit propagation constants and placements to the coverage targets.
 
     Raises ScenarioError unless cfg has exactly three stationary nodes, the
-    layout the coverage targets describe.
+    layout the coverage targets describe, and the geometry the kernel
+    models: no node with an antenna gain and a trajectory on the line y = 0.
     """
     targets = targets or CalibrationTargets()
     bounds = cfg.trajectory.x_bounds()
@@ -149,6 +150,16 @@ def search(cfg: ScenarioConfig,
         raise ScenarioError(
             f"calibration fits exactly 3 stationary nodes, the scenario "
             f"defines {len(current)}")
+    for node in cfg.nodes:
+        if node.antenna_gain_db:
+            raise ScenarioError(
+                f"calibration fits nodes without antenna gain, node "
+                f"{node.node_id} has antenna_gain = {node.antenna_gain_db:g} dB")
+    for k, (wx, wy, _) in enumerate(cfg.trajectory.waypoints, start=1):
+        if wy:
+            raise ScenarioError(
+                f"calibration fits a trajectory on the line y = 0, waypoint "
+                f"{k} ({wx:g} m, {wy:g} m) is off it")
     valid, err, gaps = layout_metrics(
         cfg.phy.path_loss_exponent, cfg.phy.pl0_db,
         cfg.phy.rx_sensitivity_dbm, current, targets, bounds)

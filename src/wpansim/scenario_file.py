@@ -33,15 +33,16 @@ Sections and keys (defaults in parentheses):
     [compare]    reference_latency_delta (1.2 s),
                  reference_energy_delta (42.8 %)
 
-Range checks: every time is zero or more and the traffic period and
-move_tick are positive (waypoint arrival times need only strictly increase),
-and mac_header + payload (or the largest control payload) <= 127 B, as is
-ack_header (aMaxPHYPacketSize).
+Range checks: every number is finite, every time is zero or more and the
+traffic period and move_tick are positive (waypoint arrival times need only
+strictly increase), and mac_header + payload (or the largest control
+payload) <= 127 B, as is ack_header (aMaxPHYPacketSize).
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -63,11 +64,16 @@ class ScenarioError(Exception):
 MAX_FRAME_BYTES = 127  # aMaxPHYPacketSize: MAC header plus payload
 
 
-def _number(text: str, key: str, line: int) -> float:
+def _number(text: str, key: str, line: int, scale: float = 1.0) -> float:
+    """float(text) times scale; nan, inf and an overflowing product are errors."""
     try:
-        return float(text)
+        value = float(text) * scale
     except ValueError:
         raise ScenarioError(f"key '{key}': {text!r} is not a number", line) from None
+    if not math.isfinite(value):
+        raise ScenarioError(
+            f"key '{key}': {text!r} is nan, infinite or out of range", line)
+    return value
 
 
 def _parse_int(text: str, key: str, line: int) -> int:
@@ -100,7 +106,7 @@ def _scaled(text: str, units: dict[str, float], key: str, line: int) -> float:
     if len(parts) != 2 or parts[1] not in units:
         raise ScenarioError(
             f"key '{key}': expected '<number> {'|'.join(units)}', got {text!r}", line)
-    return _number(parts[0], key, line) * units[parts[1]]
+    return _number(parts[0], key, line, units[parts[1]])
 
 
 @dataclass
@@ -338,6 +344,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         if stripped.startswith("[") and stripped.endswith("]"):
             header = stripped[1:-1].strip()
             parts = header.split()
+            if not parts:
+                raise ScenarioError("empty section name []", lineno)
             name = parts[0]
             if name == "node":
                 if len(parts) != 2:

@@ -203,6 +203,41 @@ def test_cli_calibrate_two_stationary_nodes_exit_2(tmp_path):
     assert not (tmp_path / "cal/calibration_report.txt").exists()
 
 
+def _cli_calibrate_rejects(tmp_path, capsys, old, new, message):
+    """`wpansim calibrate` on uncalibrated.scenario with old replaced by new
+    exits 2 with message and writes no report."""
+    cfg_text = (DATA / "uncalibrated.scenario").read_text()
+    assert old in cfg_text
+    path = tmp_path / "bad.scenario"
+    path.write_text(cfg_text.replace(old, new))
+    code = main(["calibrate", "--scenario", str(path),
+                 "--out", str(tmp_path / "cal")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "cal/calibration_report.txt").exists()
+
+
+def test_cli_calibrate_trajectory_off_y0_exit_2(tmp_path, capsys):
+    # Used to report "status: ok" for a fit that ignores the 2 m offset: the
+    # independent oracle puts the 0 dBm gaps at (1.37, 4.63) and (10.37, 13.63).
+    _cli_calibrate_rejects(
+        tmp_path, capsys,
+        "waypoint = 0 m, 0 m, 0 s\nwaypoint = 15 m, 0 m, 15 s",
+        "waypoint = 0 m, 2 m, 0 s\nwaypoint = 15 m, 2 m, 15 s",
+        "waypoint 1 (0 m, 2 m) is off it")
+
+
+def test_cli_calibrate_antenna_gain_exit_2(tmp_path, capsys):
+    # Used to report "status: ok" for a fit that ignores the gain: the
+    # independent oracle finds no gap left at 3 dBm.
+    _cli_calibrate_rejects(
+        tmp_path, capsys,
+        "[node 2]\nrole = router\nclass = stationary\nx = 7 m\ny = 0 m\n",
+        "[node 2]\nrole = router\nclass = stationary\nx = 7 m\ny = 0 m\n"
+        "antenna_gain = 2 dB\n",
+        "node 2 has antenna_gain = 2 dB")
+
+
 def test_cli_compare_writes_report(tmp_path):
     out = tmp_path / "cmp"
     code = main(["compare", "--out", str(out)])
@@ -264,6 +299,30 @@ def test_cli_negative_tpc_window_exit_2(tmp_path, capsys, monkeypatch):
     text = TINY.format(duration="500 ms", seed=7).replace(
         "enabled = off", "enabled = on\nwindow = -1 s")
     _cli_run_rejects(text, "window = -1 s", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_nan_probe_window_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to end in "cannot convert float NaN to integer" (exit 1).
+    text = TINY.format(duration="500 ms", seed=7) + "\n[handover]\nprobe_window = nan ms\n"
+    _cli_run_rejects(text, "probe_window = nan ms", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_inf_probe_window_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to escape as an OverflowError traceback.
+    text = TINY.format(duration="500 ms", seed=7) + "\n[handover]\nprobe_window = inf ms\n"
+    _cli_run_rejects(text, "probe_window = inf ms", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_inf_duration_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to escape as an OverflowError traceback.
+    text = TINY.format(duration="inf s", seed=7)
+    _cli_run_rejects(text, "duration = inf s", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_empty_section_header_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to escape as an IndexError from parse_scenario.
+    text = TINY.format(duration="500 ms", seed=7) + "\n[]\n"
+    _cli_run_rejects(text, "[]", tmp_path, capsys, monkeypatch)
 
 
 def test_cli_simulation_error_exit_4(tmp_path, capsys, monkeypatch):
