@@ -7,6 +7,8 @@ loss, receiver sensitivity and the three stationary x positions.  Scoring a
 candidate layout (kernels.best_layout) is the hot loop.  The radii depend
 only on the exponent and the sum pl0 + sensitivity, so the targets identify
 that sum but not its split; the search reports the first split it meets.
+The verdict on a fit drops the kernel's equal radii: layout_metrics scores
+the scenario apply_to_config writes through coverage.line_spans.
 
 Search ranges: exponent 1.5..6.0 step 0.1, pl0 30..70 dB step 1,
 sensitivity -100..-70 dBm step 1, positions -3..18 m step 0.5.
@@ -18,7 +20,7 @@ import copy
 from dataclasses import dataclass, field
 
 from . import kernels
-from .scenario import NodeClass
+from .coverage import line_spans, uncovered_intervals
 from .scenario_file import ScenarioConfig, ScenarioError
 
 N_RANGE = (1.5, 6.0, 0.1)
@@ -95,35 +97,20 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(count + 1)]
 
 
-def _coverage_gaps(xs, radius, lo, hi):
-    """Uncovered intervals of [lo, hi] for equal-radius nodes on the line."""
-    spans = sorted((x - radius, x + radius) for x in xs)
-    gaps = []
-    cursor = lo
-    for a, b in spans:
-        if a > cursor:
-            gaps.append((cursor, min(a, hi)))
-        cursor = max(cursor, b)
-        if cursor >= hi:
-            break
-    if cursor < hi:
-        gaps.append((cursor, hi))
-    return [(a, b) for a, b in gaps if b > a]
+def layout_metrics(cfg: ScenarioConfig, targets: CalibrationTargets):
+    """(valid, max boundary error, achieved gaps) for the scenario as configured,
+    scored through coverage.line_spans, so y offsets and antenna gains count."""
+    lo, hi = cfg.trajectory.x_bounds()
 
+    def gaps_at(level):
+        return uncovered_intervals(line_spans(cfg, level), lo, hi)
 
-def layout_metrics(n: float, pl0: float, sens: float, xs, targets: CalibrationTargets,
-                   bounds: tuple[float, float]):
-    """(valid, max boundary error, achieved gaps) for one concrete layout."""
-    lo, hi = bounds
-    r_gap = _radius(targets.gap_level_dbm, pl0, sens, n)
-    r_must = _radius(targets.must_gap_dbm, pl0, sens, n)
-    r_free = _radius(targets.gap_free_dbm, pl0, sens, n)
-    gaps = _coverage_gaps(xs, r_gap, lo, hi)
+    gaps = gaps_at(targets.gap_level_dbm)
     if len(gaps) != 2:
         return False, float("inf"), gaps
-    if _coverage_gaps(xs, r_free, lo, hi):
+    if gaps_at(targets.gap_free_dbm):
         return False, float("inf"), gaps
-    if not _coverage_gaps(xs, r_must, lo, hi):
+    if not gaps_at(targets.must_gap_dbm):
         return False, float("inf"), gaps
     want = (*targets.gap1, *targets.gap2)
     got = (*gaps[0], *gaps[1])
@@ -131,21 +118,36 @@ def layout_metrics(n: float, pl0: float, sens: float, xs, targets: CalibrationTa
     return True, err, gaps
 
 
+def _verdict(cfg: ScenarioConfig, n: float, pl0: float, sens: float, xs,
+             targets: CalibrationTargets, searched: bool,
+             scored: int) -> CalibrationResult:
+    """The result for one fit, scored on the scenario apply_to_config writes."""
+    fit = CalibrationResult(
+        False, n, pl0, sens, tuple(xs),
+        range_at_gap_level_m=_radius(targets.gap_level_dbm, pl0, sens, n),
+        searched=searched, candidates_scored=scored)
+    valid, fit.max_boundary_error_m, fit.achieved_gaps = layout_metrics(
+        apply_to_config(cfg, fit, targets), targets)
+    fit.ok = valid and fit.max_boundary_error_m <= targets.tolerance_m
+    return fit
+
+
 def search(cfg: ScenarioConfig,
            targets: CalibrationTargets | None = None) -> CalibrationResult:
     """Fit propagation constants and placements to the coverage targets.
 
     Raises ScenarioError unless cfg has exactly three stationary nodes, the
-    layout the coverage targets describe, and the geometry the kernel
-    models: no node with an antenna gain and a trajectory on the line y = 0.
+    layout the coverage targets describe, no antenna gain (the kernel's radii
+    are equal) and a trajectory on one line (checked by coverage.line_spans).
+    The search is skipped if the scenario as configured, and as written back,
+    already meets the targets.  "ok" always describes the written scenario.
     """
     targets = targets or CalibrationTargets()
     bounds = cfg.trajectory.x_bounds()
     b0, b1 = targets.gap1
     b2, b3 = targets.gap2
 
-    current = sorted(n.x for n in cfg.nodes
-                     if n.node_class is NodeClass.STATIONARY)
+    current = sorted(n.x for n in cfg.stationary_nodes())
     if len(current) != 3:
         raise ScenarioError(
             f"calibration fits exactly 3 stationary nodes, the scenario "
@@ -155,22 +157,13 @@ def search(cfg: ScenarioConfig,
             raise ScenarioError(
                 f"calibration fits nodes without antenna gain, node "
                 f"{node.node_id} has antenna_gain = {node.antenna_gain_db:g} dB")
-    for k, (wx, wy, _) in enumerate(cfg.trajectory.waypoints, start=1):
-        if wy:
-            raise ScenarioError(
-                f"calibration fits a trajectory on the line y = 0, waypoint "
-                f"{k} ({wx:g} m, {wy:g} m) is off it")
-    valid, err, gaps = layout_metrics(
-        cfg.phy.path_loss_exponent, cfg.phy.pl0_db,
-        cfg.phy.rx_sensitivity_dbm, current, targets, bounds)
+    valid, err, _ = layout_metrics(cfg, targets)
     if valid and err <= targets.tolerance_m:
-        return CalibrationResult(
-            True, cfg.phy.path_loss_exponent, cfg.phy.pl0_db,
-            cfg.phy.rx_sensitivity_dbm, tuple(current), err, gaps,
-            _radius(targets.gap_level_dbm, cfg.phy.pl0_db,
-                    cfg.phy.rx_sensitivity_dbm,
-                    cfg.phy.path_loss_exponent),
-            searched=False)
+        supplied = _verdict(cfg, cfg.phy.path_loss_exponent, cfg.phy.pl0_db,
+                            cfg.phy.rx_sensitivity_dbm, current, targets,
+                            searched=False, scored=0)
+        if supplied.ok:
+            return supplied
 
     x_lo, x_hi, x_step = X_RANGE
     nx = int(round((x_hi - x_lo) / x_step)) + 1
@@ -209,42 +202,36 @@ def search(cfg: ScenarioConfig,
          _grid(SENS_RANGE[0], SENS_RANGE[1], 3.0))
     if best[0] < _INVALID:
         n0, pl00, s0 = best_params
-        scan([v for v in _grid(max(N_RANGE[0], n0 - 0.5),
-                               min(N_RANGE[1], n0 + 0.5), N_RANGE[2])],
-             [v for v in _grid(max(PL0_RANGE[0], pl00 - 4.0),
-                               min(PL0_RANGE[1], pl00 + 4.0), PL0_RANGE[2])],
-             [v for v in _grid(max(SENS_RANGE[0], s0 - 3.0),
-                               min(SENS_RANGE[1], s0 + 3.0), SENS_RANGE[2])])
+        scan(_grid(max(N_RANGE[0], n0 - 0.5), min(N_RANGE[1], n0 + 0.5),
+                   N_RANGE[2]),
+             _grid(max(PL0_RANGE[0], pl00 - 4.0), min(PL0_RANGE[1], pl00 + 4.0),
+                   PL0_RANGE[2]),
+             _grid(max(SENS_RANGE[0], s0 - 3.0), min(SENS_RANGE[1], s0 + 3.0),
+                   SENS_RANGE[2]))
 
     if best[0] >= _INVALID:
         return CalibrationResult(False, candidates_scored=scored)
 
-    n, pl0, sens = best_params
-    xs = (best[1], best[2], best[3])
-    valid, err, gaps = layout_metrics(n, pl0, sens, xs, targets, bounds)
-    ok = valid and err <= targets.tolerance_m
-    return CalibrationResult(
-        ok, n, pl0, sens, xs, err, gaps,
-        _radius(targets.gap_level_dbm, pl0, sens, n),
-        searched=True, candidates_scored=scored)
+    return _verdict(cfg, *best_params, best[1:], targets, searched=True,
+                    scored=scored)
 
 
 def apply_to_config(cfg: ScenarioConfig, result: CalibrationResult,
                     targets: CalibrationTargets) -> ScenarioConfig:
-    """Return a copy of cfg carrying the calibrated constants and layout."""
+    """Return a copy of cfg carrying the calibrated constants, with the
+    stationary nodes at the fitted x positions on the trajectory's line."""
     out = copy.deepcopy(cfg)
     out.phy.path_loss_exponent = result.path_loss_exponent
     out.phy.pl0_db = result.pl0_db
     out.phy.rx_sensitivity_dbm = result.rx_sensitivity_dbm
     out.phy.tx_power_dbm = targets.gap_free_dbm
-    stationary = sorted(
-        (node for node in out.nodes if node.node_class is NodeClass.STATIONARY),
-        key=lambda node: node.node_id)
+    stationary = sorted(out.stationary_nodes(), key=lambda node: node.node_id)
     if len(stationary) != len(result.positions):
         raise ValueError(
             f"calibrated layout has {len(result.positions)} positions but the "
             f"scenario defines {len(stationary)} stationary nodes")
+    line_y = cfg.trajectory.waypoints[0][1]
     for node, x in zip(stationary, sorted(result.positions)):
         node.x = x
-        node.y = 0.0
+        node.y = line_y
     return out

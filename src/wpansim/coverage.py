@@ -5,11 +5,14 @@ trace shows the mobile failing every exchange there (failed unicast sends,
 probe rounds with no responses, ticks with no parent) and succeeding in
 none.  Boundaries are reported at 0.1 m resolution.  The independent check
 is a brute-force in_range sampler along the trajectory at 0.01 m.
+line_spans owns the static geometry, each station's chord of the trajectory's
+line; calibration's gaps and the sweep's overlaps read it, the sampler does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .phy import PhyParams, comm_range_m, in_range
 from .scenario import NodeClass
@@ -140,14 +143,12 @@ def _trajectory_y_at(trajectory, x: float) -> float:
     return wp[-1][1]
 
 
-def overlap_intervals(cfg, power_dbm: float,
-                      min_len: float = CELL_M) -> list[tuple[float, float]]:
-    """x-intervals where two or more stationary nodes are in range at once.
+def line_spans(cfg, power_dbm: float) -> list[tuple[float, float]]:
+    """Each stationary node's chord (x - h, x + h) of the trajectory's line.
 
-    Computed analytically from the link budget: coverage circles cut by the
-    trajectory's line y = const.  A trajectory whose waypoints differ in y
-    is rejected with a ScenarioError.  Intervals shorter than the 0.1 m
-    reporting resolution are dropped.
+    h = sqrt(r^2 - dy^2) for range r (both antenna gains) and offset dy from
+    the line; chords are clipped to the trajectory's x bounds, empty ones
+    dropped.  Waypoints that differ in y raise a ScenarioError.
     """
     params: PhyParams = cfg.phy
     mobile = cfg.mobile_node()
@@ -158,7 +159,7 @@ def overlap_intervals(cfg, power_dbm: float,
         if wy != line_y:
             raise ScenarioError(
                 f"trajectory waypoint {k} ({wx:g} m, {wy:g} m) leaves the line "
-                f"y = {line_y:g} m of waypoint 1; overlap geometry needs every "
+                f"y = {line_y:g} m of waypoint 1; coverage geometry needs every "
                 f"waypoint at the same y")
     x_lo, x_hi = cfg.trajectory.x_bounds()
     spans: list[tuple[float, float]] = []
@@ -171,14 +172,31 @@ def overlap_intervals(cfg, power_dbm: float,
         lo, hi = max(x_lo, sx - half), min(x_hi, sx + half)
         if lo < hi:
             spans.append((lo, hi))
-    overlaps: list[tuple[float, float]] = []
-    for i in range(len(spans)):
-        for j in range(i + 1, len(spans)):
-            lo = max(spans[i][0], spans[j][0])
-            hi = min(spans[i][1], spans[j][1])
-            if lo < hi:
-                overlaps.append((lo, hi))
-    return [(a, b) for a, b in _merge(overlaps) if b - a >= min_len]
+    return spans
+
+
+def uncovered_intervals(spans, lo: float,
+                        hi: float) -> list[tuple[float, float]]:
+    """Intervals of [lo, hi] that no span covers; spans may differ in length."""
+    gaps, cursor = [], lo
+    for a, b in sorted(spans):
+        if min(a, hi) > cursor:
+            gaps.append((cursor, min(a, hi)))
+        cursor = max(cursor, b)
+    if cursor < hi:
+        gaps.append((cursor, hi))
+    return gaps
+
+
+def overlap_intervals(cfg, power_dbm: float,
+                      min_len: float = CELL_M) -> list[tuple[float, float]]:
+    """x-intervals where two or more stationary nodes are in range at once:
+    pairwise overlaps of line_spans, merged, without those shorter than the
+    0.1 m reporting resolution."""
+    pairs = [(max(s[0], t[0]), min(s[1], t[1]))
+             for s, t in combinations(line_spans(cfg, power_dbm), 2)]
+    return [(a, b) for a, b in _merge([p for p in pairs if p[0] < p[1]])
+            if b - a >= min_len]
 
 
 def _merge(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:

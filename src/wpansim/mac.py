@@ -258,7 +258,7 @@ class MacLayer:
     # -- submission ---------------------------------------------------------
 
     def csma_send(self, frame: Frame, on_outcome=None) -> None:
-        if self.node.radio_mode() == "sleep":
+        if self.node._mode == "sleep":
             raise SimulationError(
                 f"node {self.node.node_id} cannot csma_send while asleep")
         if frame.kind in CSMA_EXEMPT:
@@ -274,7 +274,7 @@ class MacLayer:
         if frame.kind not in CSMA_EXEMPT:
             raise SimulationError(
                 f"send_immediate only accepts beacon/ack, got {frame.kind.value}")
-        if self.node.radio_mode() == "sleep":
+        if self.node._mode == "sleep":
             raise SimulationError(
                 f"node {self.node.node_id} cannot transmit while asleep")
         self._transmit(frame, immediate=True)

@@ -63,10 +63,6 @@ class Trajectory:
                         y0 + (y1 - y0) * frac_num / frac_den)
         return wp[-1][0], wp[-1][1]
 
-    @property
-    def end_time(self) -> SimTime:
-        return self.waypoints[-1][2]
-
     def x_bounds(self) -> tuple[float, float]:
         xs = [w[0] for w in self.waypoints]
         return min(xs), max(xs)
@@ -103,7 +99,9 @@ MODE_RX = "rx"
 
 
 def tx_mode(power_dbm: float) -> str:
-    return f"tx@{power_dbm:.1f}"
+    """Transmit mode keyed by the exact power: repr round-trips, so
+    current_ma charges that power, and levels never merge."""
+    return f"tx@{power_dbm!r}"
 
 
 class EnergyLedger:
@@ -115,10 +113,6 @@ class EnergyLedger:
         self._since: SimTime = start
         self._start: SimTime = start
         self._closed = False
-
-    @property
-    def mode(self) -> str:
-        return self._mode
 
     def transition(self, mode: str, t: SimTime) -> None:
         """Close the current mode interval at t and switch to `mode`."""

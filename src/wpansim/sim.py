@@ -67,9 +67,6 @@ class Node:
             return self.controller.tpc.current_power_dbm
         return self.config_power_dbm()
 
-    def radio_mode(self) -> str:
-        return self._mode
-
     def set_mode(self, mode: str) -> None:
         if mode == self._mode:
             return

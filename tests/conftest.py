@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from wpansim.cli import default_scenario_path
+from wpansim.coverage import boundaries_match, static_gap_oracle
 from wpansim.scenario_file import load_scenario, parse_scenario
 
 DATA = Path(__file__).parent / "data"
@@ -16,6 +17,14 @@ def default_cfg():
 @pytest.fixture(scope="session")
 def uncalibrated_cfg():
     return load_scenario(DATA / "uncalibrated.scenario")
+
+
+def oracle_meets_targets(cfg, targets) -> bool:
+    """static_gap_oracle on cfg shows the calibration targets within tolerance."""
+    return (boundaries_match(static_gap_oracle(cfg, targets.gap_level_dbm),
+                             [targets.gap1, targets.gap2], targets.tolerance_m)
+            and static_gap_oracle(cfg, targets.must_gap_dbm) != []
+            and static_gap_oracle(cfg, targets.gap_free_dbm) == [])
 
 
 def make_cfg(text: str):

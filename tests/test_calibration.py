@@ -1,3 +1,4 @@
+import copy
 import csv
 import itertools
 import math
@@ -14,6 +15,7 @@ from wpansim.coverage import static_gap_oracle
 from wpansim.scenario_file import load_scenario
 
 import kernel_reference
+from conftest import oracle_meets_targets
 
 DATA = Path(__file__).parent / "data"
 
@@ -63,17 +65,45 @@ def test_infeasible_targets_reported(uncalibrated_cfg):
     assert not res.ok
 
 
-def test_layout_metrics_validity_conditions():
+def _layout(cfg, n, pl0, sens, xs):
+    out = copy.deepcopy(cfg)
+    out.phy.path_loss_exponent = n
+    out.phy.pl0_db = pl0
+    out.phy.rx_sensitivity_dbm = sens
+    for node, x in zip(out.stationary_nodes(), xs):
+        node.x = x
+    return out
+
+
+def test_layout_metrics_validity_conditions(default_cfg):
     targets = CalibrationTargets()
-    bounds = (0.0, 15.0)
+    assert default_cfg.trajectory.x_bounds() == (0.0, 15.0)
     # the shipped layout: valid and tight
-    valid, err, gaps = layout_metrics(3.5, 54.0, -73.0, [-1.5, 7.5, 16.5],
-                                      targets, bounds)
+    valid, err, gaps = layout_metrics(
+        _layout(default_cfg, 3.5, 54.0, -73.0, [-1.5, 7.5, 16.5]), targets)
     assert valid and err < 0.05 and len(gaps) == 2
     # radius too large: no gaps at 0 dBm -> invalid
-    valid, err, _ = layout_metrics(1.5, 30.0, -100.0, [-1.5, 7.5, 16.5],
-                                   targets, bounds)
+    valid, err, _ = layout_metrics(
+        _layout(default_cfg, 1.5, 30.0, -100.0, [-1.5, 7.5, 16.5]), targets)
     assert not valid and math.isinf(err)
+
+
+def test_search_scores_station_offsets_from_the_line(default_cfg):
+    # Node 2 two metres off the line shrinks its chord: the oracle puts the
+    # 0 dBm gaps at (2.0, 4.63) and (10.37, 13.0), so the supplied layout
+    # misses the targets and the search must run.  It used to take the early
+    # exit on the x positions alone.
+    offset = copy.deepcopy(default_cfg)
+    next(n for n in offset.nodes if n.node_id == 2).y = 2.0
+    targets = CalibrationTargets()
+    assert not oracle_meets_targets(offset, targets)
+    valid, err, _ = layout_metrics(offset, targets)
+    assert not (valid and err <= targets.tolerance_m)
+    res = search(offset, targets)
+    assert res.searched and res.ok
+    fitted = apply_to_config(offset, res, targets)
+    assert [n.y for n in fitted.stationary_nodes()] == [0.0, 0.0, 0.0]
+    assert oracle_meets_targets(fitted, targets)
 
 
 def test_apply_to_config_rewrites_phy_and_positions(uncalibrated_cfg):

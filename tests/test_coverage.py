@@ -1,11 +1,16 @@
 import copy
+from itertools import pairwise
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_cfg
-from wpansim.coverage import (boundaries_match, gap_analysis, overlap_intervals,
-                              static_gap_oracle)
-from wpansim.scenario import Trajectory
+from wpansim import coverage
+from wpansim.coverage import (ORACLE_STEP_M, boundaries_match, gap_analysis,
+                              line_spans, overlap_intervals, static_gap_oracle,
+                              uncovered_intervals)
+from wpansim.scenario import NodeClass, NodeConfig, NodeRole, Trajectory
 from wpansim.scenario_file import ScenarioError
 from wpansim.trace import TraceRecord, read_trace, write_trace
 
@@ -170,3 +175,50 @@ def test_overlap_intervals_reject_a_trajectory_off_one_line(default_cfg):
     sloped.trajectory = Trajectory([(x0, y0, t0), (x1, 1.0, t1)])
     with pytest.raises(ScenarioError, match="waypoint 2 "):
         overlap_intervals(sloped, 6.0)
+
+
+def _gain():
+    return st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _line_layouts(draw, base):
+    """A scenario with 2-6 stations around one horizontal trajectory line."""
+    cfg = copy.deepcopy(base)
+    line_y = draw(st.floats(-5.0, 5.0))
+    cfg.nodes = [NodeConfig(k, NodeRole.ROUTER, NodeClass.STATIONARY,
+                            x=draw(st.floats(-3.0, 13.0)),
+                            y=line_y + draw(st.floats(-4.0, 4.0)),
+                            antenna_gain_db=draw(_gain()))
+                 for k in range(1, draw(st.integers(2, 6)) + 1)]
+    cfg.nodes.append(NodeConfig(9, NodeRole.END_DEVICE, NodeClass.MOBILE,
+                                antenna_gain_db=draw(_gain())))
+    cfg.trajectory = Trajectory([(0.0, line_y, 0), (10.0, line_y, 10_000_000)])
+    return cfg, draw(st.sampled_from(cfg.phy.power_levels_dbm))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_shared_spans_agree_with_the_oracle(default_cfg, data):
+    cfg, power = data.draw(_line_layouts(default_cfg))
+    lo, hi = cfg.trajectory.x_bounds()
+    gaps = uncovered_intervals(line_spans(cfg, power), lo, hi)
+    # The sampler cannot resolve a gap or a covered island under two steps.
+    edges = [lo, *(b for gap in gaps for b in gap), hi]
+    assume(all(b - a == 0.0 or b - a >= 2 * ORACLE_STEP_M
+               for a, b in pairwise(edges)))
+    assert boundaries_match(gaps, static_gap_oracle(cfg, power), ORACLE_STEP_M)
+
+
+def test_static_gap_oracle_does_not_use_the_shared_spans(default_cfg,
+                                                         monkeypatch):
+    want = {power: static_gap_oracle(default_cfg, power) for power in (0.0, 4.0)}
+    assert len(want[0.0]) == 2 and want[4.0] == []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("static_gap_oracle read the shared geometry")
+
+    monkeypatch.setattr(coverage, "line_spans", refuse)
+    monkeypatch.setattr(coverage, "uncovered_intervals", refuse)
+    for power, gaps in want.items():
+        assert static_gap_oracle(default_cfg, power) == gaps

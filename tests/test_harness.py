@@ -1,11 +1,13 @@
 import pytest
 
-from conftest import DATA, TINY, tiny_cfg
+from conftest import DATA, TINY, oracle_meets_targets, tiny_cfg
 from wpansim import cli
+from wpansim.calibration import CalibrationTargets
 from wpansim.cli import main
 from wpansim.engine import SimulationError
 from wpansim.harness import calibrate, compare, run_simulation, sweep
 from wpansim.scenario import MODE_SLEEP
+from wpansim.scenario_file import load_scenario
 from wpansim.sim import Simulation
 from wpansim.trace import HEADER, write_trace
 
@@ -217,14 +219,34 @@ def _cli_calibrate_rejects(tmp_path, capsys, old, new, message):
     assert not (tmp_path / "cal/calibration_report.txt").exists()
 
 
-def test_cli_calibrate_trajectory_off_y0_exit_2(tmp_path, capsys):
-    # Used to report "status: ok" for a fit that ignores the 2 m offset: the
-    # independent oracle puts the 0 dBm gaps at (1.37, 4.63) and (10.37, 13.63).
+def test_cli_calibrate_trajectory_off_y0_fits_on_its_line(uncalibrated_cfg,
+                                                          tmp_path):
+    # Fitting as if the line were y = 0 and leaving the stations there used to
+    # put the oracle's 0 dBm gaps at (1.37, 4.63) and (10.37, 13.63).  The
+    # stations are now written on the trajectory's line.
+    cfg_text = (DATA / "uncalibrated.scenario").read_text()
+    old = "waypoint = 0 m, 0 m, 0 s\nwaypoint = 15 m, 0 m, 15 s"
+    assert old in cfg_text
+    path = tmp_path / "lifted.scenario"
+    path.write_text(cfg_text.replace(
+        old, "waypoint = 0 m, 2 m, 0 s\nwaypoint = 15 m, 2 m, 15 s"))
+    code = main(["calibrate", "--scenario", str(path),
+                 "--out", str(tmp_path / "cal")])
+    assert code == 0
+    fitted = load_scenario(tmp_path / "cal/calibrated.scenario")
+    assert [n.y for n in fitted.stationary_nodes()] == [2.0, 2.0, 2.0]
+    assert oracle_meets_targets(fitted, CalibrationTargets())
+    # the kernel sees only the line's x axis: the same fit as on y = 0
+    calibrate(uncalibrated_cfg, outdir=tmp_path / "y0")
+    assert (tmp_path / "cal/calibration_report.txt").read_text() == \
+        (tmp_path / "y0/calibration_report.txt").read_text()
+
+
+def test_cli_calibrate_sloped_trajectory_exit_2(tmp_path, capsys):
     _cli_calibrate_rejects(
         tmp_path, capsys,
-        "waypoint = 0 m, 0 m, 0 s\nwaypoint = 15 m, 0 m, 15 s",
-        "waypoint = 0 m, 2 m, 0 s\nwaypoint = 15 m, 2 m, 15 s",
-        "waypoint 1 (0 m, 2 m) is off it")
+        "waypoint = 15 m, 0 m, 15 s", "waypoint = 15 m, 1 m, 15 s",
+        "trajectory waypoint 2 (15 m, 1 m) leaves the line")
 
 
 def test_cli_calibrate_antenna_gain_exit_2(tmp_path, capsys):

@@ -196,7 +196,7 @@ def test_sleeping_node_receives_nothing():
     beacon = Frame(FrameKind.BEACON, 0, 1, BROADCAST, payload_len=4)
     sim.nodes[1].mac.send_immediate(beacon)
     drive(sim)
-    assert sim.nodes[9].radio_mode() == "sleep"
+    assert sim.nodes[9]._mode == "sleep"
     assert rows_of(sim, "RX", node=9) == []
 
 

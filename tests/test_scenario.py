@@ -102,6 +102,18 @@ def test_tx_current_ramp():
     assert model.current_ma(tx_mode(4.0)) == 36.0
 
 
+def test_off_grid_power_is_charged_exactly():
+    # Keyed by the power rounded to 0.1 dBm, 3.25 dBm was charged as 3.2
+    # (34.8 mA), and 3.2 and 3.25 dBm merged into one energy.csv row.
+    assert tx_mode(4.0) == "tx@4.0"
+    assert CurrentModel().current_ma(tx_mode(3.25)) == 34.875
+    led = EnergyLedger(0, tx_mode(3.2))
+    led.transition(tx_mode(3.25), 100)
+    led.close(300)
+    assert led.mode_times == {tx_mode(3.2): 100, tx_mode(3.25): 200}
+    assert len(led.mode_times) == 2
+
+
 def _report(seed, duration, total):
     rep = EnergyReport(seed=seed, duration_us=duration,
                        trajectory_key=tuple(DEFAULT_TRAJ.waypoints))
