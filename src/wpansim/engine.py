@@ -13,9 +13,6 @@ from enum import Enum
 
 SimTime = int  # microseconds since run start
 
-US_PER_MS = 1_000
-US_PER_S = 1_000_000
-
 
 class SimulationError(RuntimeError):
     """Fatal misuse of the simulator (scheduling in the past, bad frame kind)."""
@@ -136,8 +133,6 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int) -> None:
-        self.seed = seed
-        self.stream_id = stream_id
         self._state = _mix((seed ^ _mix((stream_id + 1) * _GOLDEN)) & _MASK)
 
     def _next_u64(self) -> int:
@@ -146,8 +141,8 @@ class RngStream:
 
     def draw_uniform(self, n: int) -> int:
         """Uniform integer in [0, n-1]; rejection sampling avoids modulo bias."""
-        if n < 1:
-            raise SimulationError(f"draw_uniform range must be >= 1, got {n}")
+        if not 1 <= n <= 1 << 64:  # above 2**64 no draw is ever accepted
+            raise SimulationError(f"draw_uniform range must be 1..2**64, got {n}")
         if n == 1:
             return 0  # no state consumed for the degenerate range
         limit = (1 << 64) - ((1 << 64) % n)

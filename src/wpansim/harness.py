@@ -13,7 +13,7 @@ from pathlib import Path
 from .calibration import CalibrationResult, CalibrationTargets, apply_to_config, search
 from .coverage import (CoverageReport, association_map, gap_analysis,
                        overlap_intervals)
-from .scenario import MODE_SLEEP, EnergyReport, energy_delta_pct
+from .scenario import SLEEP, EnergyReport, energy_delta_pct
 from .scenario_file import ScenarioConfig, render_scenario
 from .sim import RunResult, Simulation
 from .trace import write_trace
@@ -45,7 +45,7 @@ def _write_energy_csv(path: Path, energy: EnergyReport) -> None:
     for node_id in sorted(energy.per_node_mj):
         for mode, t in energy.per_node_mode_times[node_id].items():
             mj = energy.per_node_modes[node_id][mode]
-            lines.append(f"{node_id},{mode},{t},{mj:.6f}")
+            lines.append(f"{node_id},{mode.name},{t},{mj:.6f}")
         lines.append(f"{node_id},total,{energy.duration_us},"
                      f"{energy.per_node_mj[node_id]:.6f}")
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -166,8 +166,6 @@ def _write_sweep_files(out: Path, result: SweepResult) -> None:
 @dataclass
 class CompareArm:
     name: str
-    handover_mode: str
-    tpc: bool
     run: RunResult
 
     @property
@@ -185,7 +183,7 @@ class CompareArm:
     @property
     def radio_on_s(self) -> float:
         times = self.run.energy.per_node_mode_times[self.run.mobile_id]
-        on = sum(t for mode, t in times.items() if mode != MODE_SLEEP)
+        on = sum(t for mode, t in times.items() if mode != SLEEP)
         return on / 1e6
 
 
@@ -221,7 +219,7 @@ def compare(cfg: ScenarioConfig, outdir: str | Path | None = None) -> CompareRes
             run = Simulation(arm_cfg).run()
             if run.mobile_id is None:
                 raise ValueError("compare needs a mobile node in the scenario")
-            result.arms[name] = CompareArm(name, mode, tpc, run)
+            result.arms[name] = CompareArm(name, run)
     prop, base = result.proposed, result.baseline
     result.latency_delta_s = base.mean_latency_s - prop.mean_latency_s
     result.outage_delta_s = base.outage_s - prop.outage_s

@@ -14,6 +14,7 @@ from enum import Enum
 
 from .engine import EventKind, SimTime, SimulationError
 from .phy import PhyParams, link_rx_power, lq_from_rx_power
+from .scenario import SLEEP
 
 BROADCAST = 0xFFFF
 
@@ -57,7 +58,6 @@ class Frame:
     seq: int
     src: int
     dst: int
-    pan_id: int = 0
     payload_len: int = 0
     tx_power_dbm: float = 0.0
     lq_report: int | None = None  # probe responses carry the measured LQ
@@ -255,10 +255,15 @@ class MacLayer:
         self.seq_counter = (self.seq_counter + 1) % 256
         return seq
 
+    def control_frame(self, kind: FrameKind, dst: int, **fields) -> Frame:
+        """A control frame from this node, with the next sequence number."""
+        return Frame(kind, self.next_seq(), self.node.node_id, dst,
+                     payload_len=CONTROL_PAYLOAD[kind], **fields)
+
     # -- submission ---------------------------------------------------------
 
     def csma_send(self, frame: Frame, on_outcome=None) -> None:
-        if self.node._mode == "sleep":
+        if self.node._mode == SLEEP:
             raise SimulationError(
                 f"node {self.node.node_id} cannot csma_send while asleep")
         if frame.kind in CSMA_EXEMPT:
@@ -274,7 +279,7 @@ class MacLayer:
         if frame.kind not in CSMA_EXEMPT:
             raise SimulationError(
                 f"send_immediate only accepts beacon/ack, got {frame.kind.value}")
-        if self.node._mode == "sleep":
+        if self.node._mode == SLEEP:
             raise SimulationError(
                 f"node {self.node.node_id} cannot transmit while asleep")
         self._transmit(frame, immediate=True)

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .engine import EventKind, SimTime
-from .mac import BROADCAST, CONTROL_PAYLOAD, Frame, FrameKind, SendOutcome
+from .mac import BROADCAST, Frame, FrameKind, SendOutcome
 from .phy import LinkSample, lq_from_rx_power
 from .scenario import NodeRole
 
@@ -23,7 +23,6 @@ from .scenario import NodeRole
 class Association:
     parent: int | None = None
     last_lq: int = 0
-    last_contact: SimTime = 0
 
 
 @dataclass
@@ -68,27 +67,15 @@ class StationaryController:
     def __init__(self, sim, node) -> None:
         self.sim = sim
         self.node = node
-        self.children: set[int] = set()
-        self.data_received = 0
 
     def on_frame(self, frame: Frame, rx_power: float, lq: int) -> None:
+        mac = self.node.mac
         if frame.kind is FrameKind.PROBE_REQ and (
                 frame.is_broadcast or frame.dst == self.node.node_id):
-            reply = Frame(FrameKind.PROBE_RESP, self.node.mac.next_seq(),
-                          self.node.node_id, frame.src,
-                          payload_len=CONTROL_PAYLOAD[FrameKind.PROBE_RESP],
-                          lq_report=lq)
-            self.node.mac.csma_send(reply)
+            mac.csma_send(mac.control_frame(FrameKind.PROBE_RESP, frame.src,
+                                            lq_report=lq))
         elif frame.kind is FrameKind.ASSOC_REQ and frame.dst == self.node.node_id:
-            self.children.add(frame.src)
-            reply = Frame(FrameKind.ASSOC_RESP, self.node.mac.next_seq(),
-                          self.node.node_id, frame.src,
-                          payload_len=CONTROL_PAYLOAD[FrameKind.ASSOC_RESP])
-            self.node.mac.csma_send(reply)
-        elif frame.kind is FrameKind.DATA and frame.dst == self.node.node_id:
-            self.data_received += 1
-        elif frame.kind is FrameKind.DISASSOC and frame.dst == self.node.node_id:
-            self.children.discard(frame.src)
+            mac.csma_send(mac.control_frame(FrameKind.ASSOC_RESP, frame.src))
 
 
 class MobileController:
@@ -116,7 +103,6 @@ class MobileController:
         self.candidate: int | None = None
         self.orphan_since: SimTime | None = 0  # starts unassociated
         self._lq_block_until: SimTime = 0
-        self.tx_time_weighted_dbm = 0.0  # sum of power*us over tx time
 
     # -- traffic ------------------------------------------------------------
 
@@ -156,7 +142,6 @@ class MobileController:
     def on_frame(self, frame: Frame, rx_power: float, lq: int) -> None:
         if frame.src == self.assoc.parent:
             self.assoc.last_lq = lq
-            self.assoc.last_contact = self.sim.loop.now
             self._record_sample(frame, rx_power, lq)
         if frame.kind is FrameKind.PROBE_RESP and frame.lq_report is not None:
             if self.handover_state in ("probing", "scanning"):
@@ -245,9 +230,7 @@ class MobileController:
     def _start_broadcast_probe(self) -> None:
         epoch = self.handover_epoch
         self.handover_state = "probing"
-        probe = Frame(FrameKind.PROBE_REQ, self.node.mac.next_seq(),
-                      self.node.node_id, BROADCAST,
-                      payload_len=CONTROL_PAYLOAD[FrameKind.PROBE_REQ])
+        probe = self.node.mac.control_frame(FrameKind.PROBE_REQ, BROADCAST)
 
         def on_probe_out(outcome: SendOutcome) -> None:
             if self.handover_epoch != epoch:
@@ -280,9 +263,7 @@ class MobileController:
     def _scan_poll_next(self) -> None:
         epoch = self.handover_epoch
         target = self.scan_targets[self.scan_index]
-        probe = Frame(FrameKind.PROBE_REQ, self.node.mac.next_seq(),
-                      self.node.node_id, target,
-                      payload_len=CONTROL_PAYLOAD[FrameKind.PROBE_REQ])
+        probe = self.node.mac.control_frame(FrameKind.PROBE_REQ, target)
 
         def on_poll_out(outcome: SendOutcome) -> None:
             if self.handover_epoch != epoch:
@@ -313,9 +294,7 @@ class MobileController:
         self.candidate = best_id
         self.handover_state = "associating"
         epoch = self.handover_epoch
-        req = Frame(FrameKind.ASSOC_REQ, self.node.mac.next_seq(),
-                    self.node.node_id, best_id,
-                    payload_len=CONTROL_PAYLOAD[FrameKind.ASSOC_REQ])
+        req = self.node.mac.control_frame(FrameKind.ASSOC_REQ, best_id)
 
         def on_req_out(outcome: SendOutcome) -> None:
             if self.handover_epoch != epoch:
@@ -337,7 +316,6 @@ class MobileController:
         old = self.assoc.parent
         now = self.sim.loop.now
         self.assoc.parent = parent
-        self.assoc.last_contact = now
         self.handover_state = "idle"
         self.candidate = None
         self.ack_fail_streak = 0
@@ -351,9 +329,7 @@ class MobileController:
                       outcome=f"parent={parent};latency_us={latency}")
         self._lq_block_until = now + self.sim.cfg.handover.lq_retrigger_cooldown_us
         if old is not None and old != parent:
-            bye = Frame(FrameKind.DISASSOC, self.node.mac.next_seq(),
-                        self.node.node_id, old,
-                        payload_len=CONTROL_PAYLOAD[FrameKind.DISASSOC])
+            bye = self.node.mac.control_frame(FrameKind.DISASSOC, old)
             self.node.mac.csma_send(bye)  # best effort, no ack
         self.sim.maybe_sleep(self.node)
 

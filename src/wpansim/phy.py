@@ -26,12 +26,11 @@ class Band:
     name: str
     data_rate_kbps: int
     channels: range
-    channel_spacing_mhz: int
 
 
-B2400 = Band("2400", 250, range(11, 27), 5)
-B915 = Band("915", 40, range(1, 11), 2)
-B868 = Band("868", 20, range(0, 1), 0)
+B2400 = Band("2400", 250, range(11, 27))
+B915 = Band("915", 40, range(1, 11))
+B868 = Band("868", 20, range(0, 1))
 
 BANDS = {"2400": B2400, "915": B915, "868": B868}
 
@@ -44,7 +43,6 @@ NO_BEACONS = 15  # beacon order value meaning non-beacon mode
 @dataclass
 class PhyParams:
     tx_power_dbm: float = 0.0
-    antenna_gain_db: float = 0.0
     rx_sensitivity_dbm: float = -70.0
     pl0_db: float = 52.0
     path_loss_exponent: float = 3.3

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .engine import SimTime, SimulationError
 
@@ -68,6 +69,31 @@ class Trajectory:
         return min(xs), max(xs)
 
 
+class RadioMode(NamedTuple):
+    """A radio state; modes compare, hash and sort by value (`name` first)."""
+
+    name: str  # the mode's text in energy.csv
+    hears: bool = False  # listening or receiving
+    tx_power_dbm: float | None = None  # None unless transmitting
+
+
+SLEEP = RadioMode("sleep")
+LISTEN = RadioMode("listen", hears=True)
+RX = RadioMode("rx", hears=True)
+
+
+_TX_MODES: dict[str, RadioMode] = {}  # built once per name, not per frame; immutable
+
+
+def tx_mode(power_dbm: float) -> RadioMode:
+    """Transmit mode keyed by the exact power: repr round-trips, so each
+    power keeps its own ledger row and levels never merge."""
+    name = f"tx@{power_dbm!r}"
+    if name not in _TX_MODES:
+        _TX_MODES[name] = RadioMode(name, tx_power_dbm=power_dbm)
+    return _TX_MODES[name]
+
+
 @dataclass
 class CurrentModel:
     """Radio supply currents in mA; transmit current ramps linearly in dBm."""
@@ -81,40 +107,23 @@ class CurrentModel:
     def tx_current_ma(self, power_dbm: float) -> float:
         return self.tx_current_0dbm_ma + self.tx_current_per_dbm_ma * power_dbm
 
-    def current_ma(self, mode: str) -> float:
-        if mode.startswith("tx@"):
-            return self.tx_current_ma(float(mode[3:]))
-        if mode == "rx":
-            return self.rx_current_ma
-        if mode == "listen":
-            return self.idle_current_ma
-        if mode == "sleep":
-            return self.sleep_current_ma
-        raise ValueError(f"unknown radio mode {mode!r}")
-
-
-MODE_SLEEP = "sleep"
-MODE_LISTEN = "listen"
-MODE_RX = "rx"
-
-
-def tx_mode(power_dbm: float) -> str:
-    """Transmit mode keyed by the exact power: repr round-trips, so
-    current_ma charges that power, and levels never merge."""
-    return f"tx@{power_dbm!r}"
+    def current_ma(self, mode: RadioMode) -> float:
+        if mode.tx_power_dbm is not None:
+            return self.tx_current_ma(mode.tx_power_dbm)
+        return {SLEEP: self.sleep_current_ma, LISTEN: self.idle_current_ma,
+                RX: self.rx_current_ma}[mode]
 
 
 class EnergyLedger:
     """Accumulates per-mode radio time for one node, exact in microseconds."""
 
-    def __init__(self, start: SimTime = 0, mode: str = MODE_LISTEN) -> None:
-        self.mode_times: dict[str, int] = {}
+    def __init__(self, start: SimTime = 0, mode: RadioMode = LISTEN) -> None:
+        self.mode_times: dict[RadioMode, int] = {}
         self._mode = mode
         self._since: SimTime = start
-        self._start: SimTime = start
         self._closed = False
 
-    def transition(self, mode: str, t: SimTime) -> None:
+    def transition(self, mode: RadioMode, t: SimTime) -> None:
         """Close the current mode interval at t and switch to `mode`."""
         if self._closed:
             raise SimulationError("energy ledger already closed")
@@ -134,10 +143,10 @@ class EnergyLedger:
         return sum(self.mode_times.values())
 
     def energy_mj(self, currents: CurrentModel, voltage: float) -> float:
-        return sum(currents.current_ma(mode) * voltage * t / 1_000_000
-                   for mode, t in sorted(self.mode_times.items()))
+        return sum(self.breakdown_mj(currents, voltage).values())
 
-    def breakdown_mj(self, currents: CurrentModel, voltage: float) -> dict[str, float]:
+    def breakdown_mj(self, currents: CurrentModel,
+                     voltage: float) -> dict[RadioMode, float]:
         return {mode: currents.current_ma(mode) * voltage * t / 1_000_000
                 for mode, t in sorted(self.mode_times.items())}
 
@@ -150,8 +159,8 @@ class EnergyReport:
     duration_us: SimTime
     trajectory_key: tuple
     per_node_mj: dict[int, float] = field(default_factory=dict)
-    per_node_modes: dict[int, dict[str, float]] = field(default_factory=dict)
-    per_node_mode_times: dict[int, dict[str, int]] = field(default_factory=dict)
+    per_node_modes: dict[int, dict[RadioMode, float]] = field(default_factory=dict)
+    per_node_mode_times: dict[int, dict[RadioMode, int]] = field(default_factory=dict)
 
 
 def build_energy_report(seed: int, duration_us: SimTime, trajectory: Trajectory,

@@ -33,10 +33,13 @@ Sections and keys (defaults in parentheses):
     [compare]    reference_latency_delta (1.2 s),
                  reference_energy_delta (42.8 %)
 
-Range checks: every number is finite, every time is zero or more and the
-traffic period and move_tick are positive (waypoint arrival times need only
-strictly increase), and mac_header + payload (or the largest control
-payload) <= 127 B, as is ack_header (aMaxPHYPacketSize).
+Range checks: every number is finite, every time and byte count is zero or
+more and the traffic period, move_tick and probe_retry are positive
+(waypoint arrival times need only strictly increase); mac_max_be is 3..8
+and mac_min_be 0..mac_max_be (IEEE 802.15.4-2006, Table 86); mac_header +
+payload (or the largest control payload) <= 127 B, as is ack_header
+(aMaxPHYPacketSize); and no frame is empty: phy_overhead + ack_header and
+phy_overhead + mac_header + payload are at least 1 B.
 """
 
 from __future__ import annotations
@@ -107,6 +110,13 @@ def _scaled(text: str, units: dict[str, float], key: str, line: int) -> float:
         raise ScenarioError(
             f"key '{key}': expected '<number> {'|'.join(units)}', got {text!r}", line)
     return _number(parts[0], key, line, units[parts[1]])
+
+
+def _parse_bytes(text: str, key: str, line: int) -> int:
+    count = int(_scaled(text, {"B": 1}, key, line))
+    if count < 0:
+        raise ScenarioError(f"key '{key}': must be zero or more, got {text!r}", line)
+    return count
 
 
 @dataclass
@@ -244,8 +254,7 @@ _DBM, _DB, _METRES, _VOLTS, _PERCENT = map(_quantity, ("dBm", "dB", "m", "V", "%
 _CURRENT = _Kind(
     lambda text, key, line: _scaled(text, {"mA": 1.0, "uA": 0.001}, key, line),
     lambda value: f"{value:g} mA")
-_BYTES = _Kind(lambda text, key, line: int(_scaled(text, {"B": 1}, key, line)),
-               lambda value: f"{value} B")
+_BYTES = _Kind(_parse_bytes, lambda value: f"{value} B")
 _INT = _Kind(_parse_int, str)
 _FLOAT = _Kind(_number, lambda value: f"{value:g}")
 _BOOL = _Kind(_parse_bool, lambda value: "on" if value else "off")
@@ -306,7 +315,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Kind]]] = {
             "window": ("tpc.window_us", _TIME)},
     "handover": {"mode": ("handover.mode", _MODE),
                  "probe_window": ("handover.probe_window_us", _TIME),
-                 "probe_retry": ("handover.probe_retry_us", _TIME),
+                 "probe_retry": ("handover.probe_retry_us", _POSITIVE_TIME),
                  "scan_response_timeout": ("handover.scan_response_timeout_us", _TIME),
                  "lq_retrigger_cooldown": ("handover.lq_retrigger_cooldown_us", _TIME),
                  "ack_fail_threshold": ("handover.ack_fail_threshold", _INT),
@@ -404,8 +413,12 @@ def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> No
     for n in mobiles:
         if n.role is not NodeRole.END_DEVICE:
             raise ScenarioError(f"{source}: mobile node {n.node_id} must be an end_device")
-    if cfg.csma.mac_min_be > cfg.csma.mac_max_be:
-        raise ScenarioError(f"{source}: mac_min_be exceeds mac_max_be")
+    max_be = cfg.csma.mac_max_be  # ranges of IEEE 802.15.4-2006, Table 86
+    for key, value, lo, hi in (("mac_max_be", max_be, 3, 8),
+                               ("mac_min_be", cfg.csma.mac_min_be, 0, max_be)):
+        if not lo <= value <= hi:
+            raise ScenarioError(f"{source}: {key} {value} outside {lo}..{hi}",
+                                key_lines.get(f"csma.{key}"))
     if cfg.phy.tx_power_dbm not in cfg.phy.power_levels_dbm:
         raise ScenarioError(
             f"{source}: tx_power {cfg.phy.tx_power_dbm} dBm not in power_levels")
@@ -414,18 +427,31 @@ def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> No
     if cfg.channel not in cfg.band.channels:
         raise ScenarioError(
             f"{source}: channel {cfg.channel} not in band {cfg.band.name}")
+
+    def last_line(*keys: str) -> int | None:
+        return max(key_lines.get(k, 0) for k in keys) or None
+
     header = cfg.mac.mac_header_bytes
     payload = max(cfg.traffic.payload_bytes, *CONTROL_PAYLOAD.values())
     if header + payload > MAX_FRAME_BYTES:
-        line = max(key_lines.get("mac.mac_header", 0),
-                   key_lines.get("traffic.payload", 0))
         raise ScenarioError(
             f"{source}: largest frame, mac_header {header} B + payload "
-            f"{payload} B, exceeds the {MAX_FRAME_BYTES} B frame limit", line or None)
+            f"{payload} B, exceeds the {MAX_FRAME_BYTES} B frame limit",
+            last_line("mac.mac_header", "traffic.payload"))
     if cfg.mac.ack_header_bytes > MAX_FRAME_BYTES:
         raise ScenarioError(
             f"{source}: ack_header {cfg.mac.ack_header_bytes} B exceeds the "
             f"{MAX_FRAME_BYTES} B frame limit", key_lines.get("mac.ack_header"))
+    # Byte counts are never negative and control payloads are 1 B or more,
+    # so only an ack or a data frame can be empty.
+    overhead = cfg.phy.phy_overhead_bytes
+    for frame, size, keys in (
+            ("ack", cfg.mac.ack_header_bytes, ["mac.ack_header"]),
+            ("data", header + cfg.traffic.payload_bytes,
+             ["mac.mac_header", "traffic.payload"])):
+        if overhead + size < 1:
+            raise ScenarioError(f"{source}: {frame} frame of 0 B, phy_overhead "
+                                f"included", last_line("phy.phy_overhead", *keys))
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -10,13 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import EventKind, EventLoop, RngStream, RunSummary, SimTime
-from .mac import (BROADCAST, CONTROL_PAYLOAD, FRAME_KIND_TEXT, Channel,
-                  CsmaParams, Frame, FrameKind, MacLayer, Transmission)
+from .mac import (BROADCAST, FRAME_KIND_TEXT, Channel, CsmaParams, Frame,
+                  FrameKind, MacLayer, Transmission)
 from .net import MobileController, StationaryController
 from .phy import NO_BEACONS, beacon_interval, frame_airtime, lq_from_rx_power
-from .scenario import (EnergyLedger, EnergyReport, MODE_LISTEN, MODE_RX,
-                       MODE_SLEEP, NodeClass, NodeConfig, NodeRole,
-                       build_energy_report, tx_mode)
+from .scenario import (LISTEN, RX, SLEEP, EnergyLedger, EnergyReport, NodeClass,
+                       NodeConfig, NodeRole, RadioMode, build_energy_report,
+                       tx_mode)
 from .scenario_file import ScenarioConfig
 from .trace import TraceRecord
 
@@ -32,10 +32,10 @@ class Node:
         self.xy = (config.x, config.y)
         self._xy_time: SimTime | None = None
         self.rng = RngStream(sim.seed, config.node_id)
-        start_mode = MODE_SLEEP if config.sleeps else MODE_LISTEN
+        start_mode = SLEEP if config.sleeps else LISTEN
         self.ledger = EnergyLedger(0, start_mode)
         self._mode = start_mode
-        self.listen_since: SimTime | None = 0 if start_mode == MODE_LISTEN else None
+        self.listen_since: SimTime | None = 0 if start_mode.hears else None
         self.rx_engagements = 0
         self.pending_acks = 0
         self.mac = MacLayer(sim, self)
@@ -67,22 +67,22 @@ class Node:
             return self.controller.tpc.current_power_dbm
         return self.config_power_dbm()
 
-    def set_mode(self, mode: str) -> None:
+    def set_mode(self, mode: RadioMode) -> None:
         if mode == self._mode:
             return
         now = self.sim.loop.now
-        was_listening = self._mode in (MODE_LISTEN, MODE_RX)
+        was_listening = self._mode.hears
         self.ledger.transition(mode, now)
         self._mode = mode
-        if mode in (MODE_LISTEN, MODE_RX):
+        if mode.hears:
             if not was_listening:
                 self.listen_since = now
         else:
             self.listen_since = None
 
     def wake(self) -> None:
-        if self._mode == MODE_SLEEP:
-            self.set_mode(MODE_LISTEN)
+        if self._mode == SLEEP:
+            self.set_mode(LISTEN)
 
 
 @dataclass
@@ -96,7 +96,6 @@ class RunResult:
     mobile_id: int | None
     handover_stats: object = None
     traffic_stats: object = None
-    tx_time_weighted_dbm: float = 0.0
     delivery_log: list = field(default_factory=list)
 
 
@@ -134,14 +133,6 @@ class Simulation:
                               outcome)
         self.rows.append(row)
 
-    # -- frame sizing ----------------------------------------------------------
-
-    def frame_total_bytes(self, frame: Frame) -> int:
-        phy = self.cfg.phy.phy_overhead_bytes
-        if frame.kind is FrameKind.ACK:
-            return phy + self.cfg.mac.ack_header_bytes
-        return phy + self.cfg.mac.mac_header_bytes + frame.payload_len
-
     # -- transmission lifecycle -------------------------------------------------
 
     def airtime(self, frame: Frame) -> SimTime:
@@ -149,7 +140,10 @@ class Simulation:
         key = (frame.kind, frame.payload_len)
         airtime = self._airtimes.get(key)
         if airtime is None:
-            airtime = frame_airtime(self.frame_total_bytes(frame), self.band)
+            size = self.cfg.phy.phy_overhead_bytes + (
+                self.cfg.mac.ack_header_bytes if frame.kind is FrameKind.ACK
+                else self.cfg.mac.mac_header_bytes + frame.payload_len)
+            airtime = frame_airtime(size, self.band)
             self._airtimes[key] = airtime
         return airtime
 
@@ -162,16 +156,14 @@ class Simulation:
         self.channel.add(tx)
         node.set_mode(tx_mode(frame.tx_power_dbm))
         node.mac.tx_ends_at = tx.end
-        if node.is_mobile:
-            node.controller.tx_time_weighted_dbm += frame.tx_power_dbm * airtime
         # Listeners hearing this carrier switch to active reception.
         for other, rx_power, _ in tx.audience.values():
             mode = other._mode
-            if mode in (MODE_LISTEN, MODE_RX) and (
+            if mode.hears and (
                     rx_power is not None or self.channel.audible(tx, other)):
                 other.rx_engagements += 1
-                if mode == MODE_LISTEN:
-                    other.set_mode(MODE_RX)
+                if mode == LISTEN:
+                    other.set_mode(RX)
                 tx.engaged.append(other.node_id)
         self.emit(node, "TX_START", frame=frame)
         self.loop.schedule(tx.end, EventKind.TX_END, node.node_id, tx)
@@ -187,7 +179,7 @@ class Simulation:
         phy = self.cfg.phy
         receivers: list[tuple[Node, float, int]] = []
         for other, rx_power, lq in tx.audience.values():
-            if other._mode not in (MODE_LISTEN, MODE_RX):
+            if not other._mode.hears:
                 continue
             if other.listen_since is None or other.listen_since > tx.start:
                 continue
@@ -211,9 +203,9 @@ class Simulation:
         for nid in tx.engaged:
             other = self.nodes[nid]
             other.rx_engagements -= 1
-            if other.rx_engagements == 0 and other._mode == MODE_RX:
-                other.set_mode(MODE_LISTEN)
-        node.set_mode(MODE_LISTEN)
+            if other.rx_engagements == 0 and other._mode == RX:
+                other.set_mode(LISTEN)
+        node.set_mode(LISTEN)
         for other, rx_power, lq in receivers:
             self._on_frame_received(other, tx.frame, rx_power, lq)
         node.mac.on_tx_complete(tx.frame)
@@ -238,12 +230,12 @@ class Simulation:
             return
         if node.mac.busy or node.rx_engagements > 0 or node.pending_acks > 0:
             return
-        if node._mode != MODE_LISTEN:
+        if node._mode != LISTEN:
             return
         if isinstance(node.controller, MobileController) and \
                 node.controller.handover_state != "idle":
             return
-        node.set_mode(MODE_SLEEP)
+        node.set_mode(SLEEP)
 
     # -- event dispatch -------------------------------------------------------------
 
@@ -252,7 +244,7 @@ class Simulation:
 
     def _on_ack_turnaround(self, ev) -> None:
         node = self.nodes[ev.target]
-        if node._mode.startswith("tx@"):
+        if node._mode.tx_power_dbm is not None:
             # Radio busy with an own frame: the ack goes out right after it,
             # still without CCA.
             self.loop.schedule(node.mac.tx_ends_at, EventKind.ACK_TURNAROUND,
@@ -296,14 +288,14 @@ class Simulation:
         }
 
     def _on_beacon_due(self, node: Node, deferred: bool) -> None:
-        if node._mode.startswith("tx@"):
+        if node._mode.tx_power_dbm is not None:
             # Radio busy with its own frame: send right after, keep cadence.
             self.loop.schedule(node.mac.tx_ends_at, EventKind.BEACON_DUE,
                                node.node_id, "deferred")
         else:
-            beacon = Frame(FrameKind.BEACON, node.mac.next_seq(), node.node_id,
-                           BROADCAST, payload_len=CONTROL_PAYLOAD[FrameKind.BEACON])
-            node.mac.send_immediate(beacon)
+            node.wake()  # a sleeping node goes back to sleep after the frame
+            node.mac.send_immediate(
+                node.mac.control_frame(FrameKind.BEACON, BROADCAST))
         if deferred:
             return
         interval = beacon_interval(self.cfg.mac.beacon_order, self.band)
@@ -343,18 +335,15 @@ class Simulation:
             ledgers[nid] = node.ledger
         mobile_id = self.mobile.node_id if self.mobile is not None else None
         handover = traffic = None
-        tx_weighted = 0.0
         if self.mobile is not None:
             ctrl = self.mobile.controller
             ctrl.close(end)
             handover = ctrl.stats
             traffic = ctrl.traffic
-            tx_weighted = ctrl.tx_time_weighted_dbm
         energy = build_energy_report(self.seed, end, self.cfg.trajectory, ledgers,
                                      self.cfg.currents, self.cfg.supply_voltage)
         return RunResult(self.cfg, self.seed, self.rows, summary, ledgers, energy,
-                         mobile_id, handover, traffic, tx_weighted,
-                         self.delivery_log)
+                         mobile_id, handover, traffic, self.delivery_log)
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunResult:

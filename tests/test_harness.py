@@ -6,10 +6,10 @@ from wpansim.calibration import CalibrationTargets
 from wpansim.cli import main
 from wpansim.engine import SimulationError
 from wpansim.harness import calibrate, compare, run_simulation, sweep
-from wpansim.scenario import MODE_SLEEP
+from wpansim.scenario import SLEEP
 from wpansim.scenario_file import load_scenario
 from wpansim.sim import Simulation
-from wpansim.trace import HEADER, write_trace
+from wpansim.trace import HEADER, read_trace, write_trace
 
 
 def test_run_writes_trace_energy_and_summary(tmp_path):
@@ -83,7 +83,7 @@ def test_compare_reports_all_four_arms(default_cfg, tmp_path):
     assert result.proposed.radio_on_s > 0
     for arm in result.arms.values():
         times = arm.run.energy.per_node_mode_times[arm.run.mobile_id]
-        assert MODE_SLEEP in times
+        assert SLEEP in times
 
 
 # -- command line ----------------------------------------------------------------
@@ -345,6 +345,45 @@ def test_cli_empty_section_header_exit_2(tmp_path, capsys, monkeypatch):
     # Used to escape as an IndexError from parse_scenario.
     text = TINY.format(duration="500 ms", seed=7) + "\n[]\n"
     _cli_run_rejects(text, "[]", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_zero_probe_retry_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to run forever: a scan with no stationary node to poll fails at
+    # once, and PROBE_RETRY rescheduled it at the same instant.
+    text = ("[node 4]\nrole = end_device\nclass = mobile\n\n"
+            "[handover]\nmode = scan\nprobe_retry = 0 ms\n")
+    _cli_run_rejects(text, "probe_retry = 0 ms", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_backoff_exponent_above_8_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to hang: draw_uniform(2**65) could accept no 64-bit draw.
+    text = (TINY.format(duration="500 ms", seed=7)
+            + "\n[csma]\nmac_min_be = 65\nmac_max_be = 65\n")
+    _cli_run_rejects(text, "mac_max_be = 65", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_negative_backoff_exponent_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to end in "error: negative shift count" (exit 1).
+    text = TINY.format(duration="500 ms", seed=7) + "\n[csma]\nmac_min_be = -1\n"
+    _cli_run_rejects(text, "mac_min_be = -1", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_empty_ack_frame_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to end in "error: frame must be at least 1 byte" (exit 1).
+    text = (TINY.format(duration="500 ms", seed=7).replace(
+        "[phy]\n", "[phy]\nphy_overhead = 0 B\n") + "\n[mac]\nack_header = 0 B\n")
+    _cli_run_rejects(text, "ack_header = 0 B", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_sleeping_node_wakes_to_beacon(tmp_path):
+    # Used to exit 4: "node 1 cannot transmit while asleep".
+    text = (TINY.format(duration="2 s", seed=7).replace(
+        "y = 0 m\n", "y = 0 m\nsleep = on\n") + "\n[mac]\nbeacon_order = 6\n")
+    path = tmp_path / "beacon.scenario"
+    path.write_text(text)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert any(r.node_id == 1 and r.event_kind == "TX_START" and r.frame_kind == "beacon"
+               for r in read_trace(tmp_path / "o" / "trace.csv"))
 
 
 def test_cli_simulation_error_exit_4(tmp_path, capsys, monkeypatch):

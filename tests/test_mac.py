@@ -3,6 +3,7 @@ import pytest
 from conftest import make_cfg
 from wpansim.engine import SimulationError
 from wpansim.mac import BROADCAST, Frame, FrameKind, SendOutcome
+from wpansim.scenario import SLEEP
 from wpansim.sim import Simulation
 
 # Communication range at these settings is ~3.49 m; node 3 sits in range of
@@ -196,7 +197,7 @@ def test_sleeping_node_receives_nothing():
     beacon = Frame(FrameKind.BEACON, 0, 1, BROADCAST, payload_len=4)
     sim.nodes[1].mac.send_immediate(beacon)
     drive(sim)
-    assert sim.nodes[9]._mode == "sleep"
+    assert sim.nodes[9]._mode == SLEEP
     assert rows_of(sim, "RX", node=9) == []
 
 

@@ -246,7 +246,12 @@ def test_tpc_average_power_never_exceeds_fixed_max(default_cfg):
     assert set(tx_powers(fixed_run)) == {6.0}
     assert max(tx_powers(tpc_run)) <= 6.0
     # time-weighted average over transmissions stays at or below the fixed arm
-    assert tpc_run.tx_time_weighted_dbm <= fixed_run.tx_time_weighted_dbm
+    def tx_time_weighted_dbm(run):
+        times = run.energy.per_node_mode_times[run.mobile_id]
+        return sum(mode.tx_power_dbm * t for mode, t in times.items()
+                   if mode.tx_power_dbm is not None)
+
+    assert tx_time_weighted_dbm(tpc_run) <= tx_time_weighted_dbm(fixed_run)
 
 
 def _parent_sample(sim, src, rx, p_used, t):

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from conftest import DATA, make_cfg, tiny_cfg
@@ -9,6 +11,7 @@ from wpansim.phy import BANDS
 from wpansim.scenario import NodeClass, NodeConfig, NodeRole
 from wpansim.scenario_file import (ScenarioConfig, ScenarioError, load_scenario,
                                    parse_scenario, render_scenario)
+from wpansim.sim import Simulation
 
 
 def test_defaults_parse(default_cfg):
@@ -220,8 +223,11 @@ def _configs(draw):
         n.role = NodeRole.ROUTER
     if cfg.stationary_nodes() and not coordinators:
         cfg.stationary_nodes()[0].role = NodeRole.COORDINATOR
-    cfg.csma.mac_min_be, cfg.csma.mac_max_be = sorted(
-        (cfg.csma.mac_min_be, cfg.csma.mac_max_be))
+    cfg.csma.mac_max_be = draw(st.integers(3, 8))
+    cfg.csma.mac_min_be = draw(st.integers(0, cfg.csma.mac_max_be))
+    if not cfg.phy.phy_overhead_bytes and 0 in (
+            cfg.mac.ack_header_bytes, cfg.mac.mac_header_bytes + cfg.traffic.payload_bytes):
+        cfg.phy.phy_overhead_bytes = 1  # no frame may be empty
     cfg.phy.tx_power_dbm = draw(st.sampled_from(cfg.phy.power_levels_dbm))
     cfg.mac.beacon_order = draw(st.integers(0, 15))
     cfg.channel = draw(st.sampled_from(cfg.band.channels))
@@ -235,3 +241,35 @@ def test_render_parse_is_the_identity(cfg):
     again = parse_scenario(text)
     assert again == cfg
     assert render_scenario(again) == text
+
+
+# -- parse -> run -> render -> parse: every accepted scenario runs to its end ----
+
+EVENT_BUDGET = 200_000  # a run that needs more is taken for a hang
+
+
+def _runnable(cfg):
+    cfg.duration_us = min(cfg.duration_us, 300_000)
+    cfg.traffic.period_us = max(cfg.traffic.period_us, 1_000)
+    cfg.move_tick_us = max(cfg.move_tick_us, 1_000)
+    return cfg
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_configs().map(_runnable))
+def test_parse_run_render_parse(cfg):
+    text = render_scenario(cfg)
+    note(text)
+    parsed = parse_scenario(text)
+    sim = Simulation(parsed)
+    dispatch, events = sim._dispatch, itertools.count(1)
+
+    def budgeted(ev):
+        if next(events) > EVENT_BUDGET:
+            raise AssertionError(f"more than {EVENT_BUDGET} events")
+        dispatch(ev)
+
+    sim._dispatch = budgeted
+    sim.run()
+    assert render_scenario(parsed) == text  # the run leaves its config alone
+    assert parse_scenario(text) == parsed
