@@ -4,9 +4,13 @@ The source material fixes the coverage picture (gaps at the lowest level,
 gap-free at the fourth) but omits every propagation constant, so they are
 fitted: a coarse-to-fine grid search over path-loss exponent, reference
 loss, receiver sensitivity and the three stationary x positions.  Scoring a
-candidate layout (kernels.best_layout) is the hot loop.  The radii depend
-only on the exponent and the sum pl0 + sensitivity, so the targets identify
-that sum but not its split; the search reports the first split it meets.
+candidate layout (kernels.best_layout) is the hot loop.  The search is a
+branch and bound: a floor on the score from the gap-level radius alone
+skips every candidate that cannot beat the best fit so far, and the kernel
+gets that best as its bound; the result is the exhaustive scan's, field for
+field.  The radii depend only on the exponent and the sum pl0 +
+sensitivity, so the targets identify that sum but not its split; the
+search reports the first split it meets.
 The verdict on a fit drops the kernel's equal radii: layout_metrics scores
 the scenario apply_to_config writes through coverage.line_spans.
 
@@ -97,6 +101,44 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(count + 1)]
 
 
+def _score_floor(x_lo: float, x_last: float, b1: float, b2: float):
+    """floor(r0): a lower bound on every score best_layout can return for
+    gap-level radius r0 on the grid x_lo..x_last with middle-node targets
+    (b1, b2); 1e300 if it can return no layout.
+
+    x2 is a grid point x_lo + i * x_step and x_last the last one, as the
+    kernel computes them.  In exact arithmetic:
+
+    - No layout exists if 4 r0 > x_last - x_lo: the middle node needs a
+      gap at the gap level against a left node at x_lo or later and a
+      right node at x_last or earlier, so x2 - x_lo > 2 r0 and
+      x_last - x2 > 2 r0.
+    - Every score is at least the kernel's e2 =
+      max(|x2 - r0 - b1|, |x2 + r0 - b2|) for its x2, and the larger of
+      two magnitudes is at least half their difference, so
+      e2 >= |2 r0 - (b2 - b1)| / 2.
+
+    Both are computed less a slack of 1e-9 * (scale + r0), with scale =
+    1 + |x_lo| + |x_last| + |b1| + |b2|.  With unit roundoff u = 2**-53
+    and M = scale + r0, which bounds every magnitude involved, the
+    kernel's x +- r0 and e2 are within 4 u M of their exact values and
+    the floors as computed here within 3 u M (r0 + r0, 4 r0 and * 0.5 are
+    exact; every other operation rounds once): together under 1e-15 M, a
+    millionth of the slack.  So no score the kernel computes is below the
+    floor computed here.  A non-finite r0 gives nan, which is no floor.
+    """
+    width = x_last - x_lo
+    span = b2 - b1
+    scale = 1.0 + abs(x_lo) + abs(x_last) + abs(b1) + abs(b2)
+
+    def floor(r0: float) -> float:
+        slack = 1e-9 * (scale + r0)
+        if r0 * 4.0 > width + slack:
+            return _INVALID
+        return abs(r0 + r0 - span) * 0.5 - slack
+    return floor
+
+
 def layout_metrics(cfg: ScenarioConfig, targets: CalibrationTargets):
     """(valid, max boundary error, achieved gaps) for the scenario as configured,
     scored through coverage.line_spans, so y offsets and antenna gains count."""
@@ -141,6 +183,20 @@ def search(cfg: ScenarioConfig,
     are equal) and a trajectory on one line (checked by coverage.line_spans).
     The search is skipped if the scenario as configured, and as written back,
     already meets the targets.  "ok" always describes the written scenario.
+
+    The grid search is a branch and bound with the same result, field for
+    field, as scoring every candidate in scan order under the strict "<":
+    a candidate is skipped if _score_floor, which needs only its gap-level
+    radius, shows that no score best_layout could return for it is below
+    best[0], the least score returned so far; that score would not have
+    replaced best.
+
+    The kernel is called at most once per distinct radius triple, with
+    bound = best[0], so it returns a layout only if it beats the best.
+    A set of the triples seen is enough: after a triple's call best[0] is
+    at most its score (the kernel either returned that score and it
+    replaced a worse best, or found nothing below best[0]), and best[0]
+    only falls, so the triple can never win again.
     """
     targets = targets or CalibrationTargets()
     bounds = cfg.trajectory.x_bounds()
@@ -167,30 +223,31 @@ def search(cfg: ScenarioConfig,
 
     x_lo, x_hi, x_step = X_RANGE
     nx = int(round((x_hi - x_lo) / x_step)) + 1
+    x_last = x_lo + (nx - 1) * x_step  # the kernel's last grid point
 
     best = (_INVALID, 0.0, 0.0, 0.0)  # score, x1, x2, x3
     best_params = (0.0, 0.0, 0.0)
     scored = 0
-    # The radii repeat whenever (n, pl0 + sens) does, and best_layout is a
-    # pure function of them, so each triple is scored once.  The strict "<"
-    # below still keeps the first hit in (n, pl0, sens) scan order.
-    layouts = {}
+    floor = _score_floor(x_lo, x_last, b1, b2)
+    seen = set()
 
     def scan(n_vals, pl0_vals, sens_vals):
         nonlocal best, best_params, scored
         for n in n_vals:
             for pl0 in pl0_vals:
                 for sens in sens_vals:
+                    scored += 1
                     r0 = _radius(targets.gap_level_dbm, pl0, sens, n)
+                    if floor(r0) >= best[0]:
+                        continue
                     r3 = _radius(targets.must_gap_dbm, pl0, sens, n)
                     r4 = _radius(targets.gap_free_dbm, pl0, sens, n)
-                    scored += 1
-                    res = layouts.get((r0, r3, r4))
-                    if res is None:
-                        res = kernels.best_layout(
-                            r0, r3, r4, x_lo, x_step, nx, b0, b1, b2, b3,
-                            bounds[0], bounds[1], OVERLAP_WEIGHT)
-                        layouts[(r0, r3, r4)] = res
+                    if (r0, r3, r4) in seen:
+                        continue
+                    seen.add((r0, r3, r4))
+                    res = kernels.best_layout(
+                        r0, r3, r4, x_lo, x_step, nx, b0, b1, b2, b3,
+                        bounds[0], bounds[1], OVERLAP_WEIGHT, best[0])
                     if res[0] < best[0]:
                         best = res
                         best_params = (n, pl0, sens)

@@ -1,9 +1,11 @@
 """Layout-scoring kernel: the hot loop of the calibration grid search.
 
-The output is pinned bit for bit by tests/data/best_layout_golden.csv and
-by a differential test against the full scan (tests/kernel_reference.py),
-so keep the evaluation order of every expression (IEEE binary64) when
-editing.
+The search passes the best score found so far as `bound`, so a call only
+looks for a layout that beats it.  The output is pinned bit for bit by
+tests/data/best_layout_golden.csv and by a differential test against the
+full scan (tests/kernel_reference.py), with the default bound and with
+drawn ones, so keep the evaluation order of every expression (IEEE
+binary64) when editing.
 """
 
 from bisect import bisect_left, bisect_right
@@ -15,7 +17,7 @@ _INVALID = 1e300
 
 
 def best_layout(r0, r3, r4, x_lo, x_step, nx,
-                b0, b1, b2, b3, lo, hi, w):
+                b0, b1, b2, b3, lo, hi, w, bound=_INVALID):
     """Grid-score three stationary positions against coverage targets.
 
     r0/r3/r4: communication radii at the gap level, the highest level that
@@ -28,6 +30,11 @@ def best_layout(r0, r3, r4, x_lo, x_step, nx,
     lowest score wins, first hit wins ties.
 
     Returns (score, x1, x2, x3); score >= 1e300 means no valid layout.
+    Only scores strictly below `bound` (at most 1e300, the default) count:
+    the scan's best score starts at `bound`, and a layout replaces it only
+    if it scores strictly less.  So the result is the one the default
+    bound gives, ties included, if that scores below `bound`, and
+    (bound, 0.0, 0.0, 0.0) otherwise.
 
     Only each x2's feasible window of x1 and x3 is scored.  The grid is
     xs[i] = x_lo + i * x_step with x_step > 0, so xs is non-decreasing in
@@ -43,6 +50,14 @@ def best_layout(r0, r3, r4, x_lo, x_step, nx,
     ((x1 + r4) - (x2 - r4) is p4[i1] - m4[i2]), scanned in the same order
     with the same strict "<", so the result is bit-identical, ties
     included, for finite arguments.
+
+    Pruning by the best score: every layout with middle x2 scores at
+    least e2, at least l_any (sa >= l_g3 >= l_any, as the g3 window is
+    part of the left one, and sb >= l_any) and likewise at least r_any.
+    So an x2 whose e2, l_any or r_any is already >= best_score cannot win
+    under the strict "<" and is skipped; l_any is known before the right
+    window is scanned.  With bound <= 1e300 this also skips an x2 whose
+    left or right window scored nothing (l_any or r_any still 1e300).
     """
     xs = [x_lo + i * x_step for i in range(nx)]
     p0 = [x + r0 for x in xs]
@@ -52,7 +67,7 @@ def best_layout(r0, r3, r4, x_lo, x_step, nx,
     p4 = [x + r4 for x in xs]
     m4 = [x - r4 for x in xs]
 
-    best_score = _INVALID
+    best_score = bound
     best_x1 = 0.0
     best_x2 = 0.0
     best_x3 = 0.0
@@ -100,7 +115,7 @@ def best_layout(r0, r3, r4, x_lo, x_step, nx,
             if i1 < g and s < l_g3:
                 l_g3 = s
                 l_g3_x = xs[i1]
-        if l_any >= _INVALID:
+        if l_any >= best_score:
             continue
 
         # Right node: boundary target b3, must cover the hi edge.  Window
@@ -124,7 +139,7 @@ def best_layout(r0, r3, r4, x_lo, x_step, nx,
             if i3 >= h and s < r_g3:
                 r_g3 = s
                 r_g3_x = xs[i3]
-        if r_any >= _INVALID:
+        if r_any >= best_score:
             continue
 
         # The level below the gap-free one must keep a gap on at least one

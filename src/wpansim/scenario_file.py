@@ -231,6 +231,13 @@ def _time(floor: int | None) -> _Kind:
     return _Kind(parse, _fmt_time)
 
 
+def _parse_positive(text: str, key: str, line: int) -> float:
+    value = _number(text, key, line)
+    if value <= 0:
+        raise ScenarioError(f"key '{key}': must be positive, got {text!r}", line)
+    return value
+
+
 def _quantity(unit: str) -> _Kind:
     return _Kind(lambda text, key, line: _scaled(text, {unit: 1}, key, line),
                  lambda value: f"{value:g} {unit}")
@@ -256,7 +263,9 @@ _CURRENT = _Kind(
     lambda value: f"{value:g} mA")
 _BYTES = _Kind(_parse_bytes, lambda value: f"{value} B")
 _INT = _Kind(_parse_int, str)
-_FLOAT = _Kind(_number, lambda value: f"{value:g}")
+# A path-loss exponent of zero divides by zero in phy.comm_range_m, and a
+# negative one makes the loss fall with distance.
+_POSITIVE_FLOAT = _Kind(_parse_positive, lambda value: f"{value:g}")
 _BOOL = _Kind(_parse_bool, lambda value: "on" if value else "off")
 _POWERS = _Kind(_parse_power_list,
                 lambda value: " ".join(f"{p:g}" for p in value) + " dBm")
@@ -289,7 +298,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Kind]]] = {
             "power_levels": ("phy.power_levels_dbm", _POWERS),
             "rx_sensitivity": ("phy.rx_sensitivity_dbm", _DBM),
             "pl0": ("phy.pl0_db", _DB),
-            "path_loss_exponent": ("phy.path_loss_exponent", _FLOAT),
+            "path_loss_exponent": ("phy.path_loss_exponent", _POSITIVE_FLOAT),
             "lq_saturation_margin": ("phy.lq_saturation_margin_db", _DB),
             "phy_overhead": ("phy.phy_overhead_bytes", _BYTES)},
     "csma": {"mac_min_be": ("csma.mac_min_be", _INT),

@@ -1,11 +1,22 @@
-"""Reference layout-scoring kernel: the full scan over every x1 and x3.
+"""Reference calibration code, kept only as the oracles of the
+differential tests in test_calibration.py.  Do not edit them: the
+optimised code must match them bit for bit, ties included.
 
-This is the body of ``wpansim.kernels.best_layout`` before it learned to
-score only each x2's feasible window.  It scores all nx positions on each
-side for every x2, and is kept only as the oracle of the differential test
-in test_calibration.py.  Do not edit it: the kernel must match it bit for
-bit, ties included.
+``best_layout`` is the body of ``wpansim.kernels.best_layout`` before it
+learned to score only each x2's feasible window.  It scores all nx
+positions on each side for every x2.
+
+``search`` is the body of ``wpansim.calibration.search`` before it learned
+to prune by the best fit so far.  It memoises each radius triple's layout
+and calls the kernel with its default bound for every new triple.
 """
+
+from wpansim import kernels
+from wpansim.calibration import (N_RANGE, OVERLAP_WEIGHT, PL0_RANGE,
+                                 SENS_RANGE, X_RANGE, CalibrationResult,
+                                 CalibrationTargets, _grid, _radius, _verdict,
+                                 layout_metrics)
+from wpansim.scenario_file import ScenarioConfig, ScenarioError
 
 _INVALID = 1e300
 
@@ -114,3 +125,87 @@ def best_layout(r0, r3, r4, x_lo, x_step, nx,
                 best_x3 = r_g3_x
 
     return best_score, best_x1, best_x2, best_x3
+
+
+def search(cfg: ScenarioConfig,
+           targets: CalibrationTargets | None = None) -> CalibrationResult:
+    """Fit propagation constants and placements to the coverage targets.
+
+    Raises ScenarioError unless cfg has exactly three stationary nodes, the
+    layout the coverage targets describe, no antenna gain (the kernel's radii
+    are equal) and a trajectory on one line (checked by coverage.line_spans).
+    The search is skipped if the scenario as configured, and as written back,
+    already meets the targets.  "ok" always describes the written scenario.
+    """
+    targets = targets or CalibrationTargets()
+    bounds = cfg.trajectory.x_bounds()
+    b0, b1 = targets.gap1
+    b2, b3 = targets.gap2
+
+    current = sorted(n.x for n in cfg.stationary_nodes())
+    if len(current) != 3:
+        raise ScenarioError(
+            f"calibration fits exactly 3 stationary nodes, the scenario "
+            f"defines {len(current)}")
+    for node in cfg.nodes:
+        if node.antenna_gain_db:
+            raise ScenarioError(
+                f"calibration fits nodes without antenna gain, node "
+                f"{node.node_id} has antenna_gain = {node.antenna_gain_db:g} dB")
+    valid, err, _ = layout_metrics(cfg, targets)
+    if valid and err <= targets.tolerance_m:
+        supplied = _verdict(cfg, cfg.phy.path_loss_exponent, cfg.phy.pl0_db,
+                            cfg.phy.rx_sensitivity_dbm, current, targets,
+                            searched=False, scored=0)
+        if supplied.ok:
+            return supplied
+
+    x_lo, x_hi, x_step = X_RANGE
+    nx = int(round((x_hi - x_lo) / x_step)) + 1
+
+    best = (_INVALID, 0.0, 0.0, 0.0)  # score, x1, x2, x3
+    best_params = (0.0, 0.0, 0.0)
+    scored = 0
+    # The radii repeat whenever (n, pl0 + sens) does, and best_layout is a
+    # pure function of them, so each triple is scored once.  The strict "<"
+    # below still keeps the first hit in (n, pl0, sens) scan order.
+    layouts = {}
+
+    def scan(n_vals, pl0_vals, sens_vals):
+        nonlocal best, best_params, scored
+        for n in n_vals:
+            for pl0 in pl0_vals:
+                for sens in sens_vals:
+                    r0 = _radius(targets.gap_level_dbm, pl0, sens, n)
+                    r3 = _radius(targets.must_gap_dbm, pl0, sens, n)
+                    r4 = _radius(targets.gap_free_dbm, pl0, sens, n)
+                    scored += 1
+                    res = layouts.get((r0, r3, r4))
+                    if res is None:
+                        res = kernels.best_layout(
+                            r0, r3, r4, x_lo, x_step, nx, b0, b1, b2, b3,
+                            bounds[0], bounds[1], OVERLAP_WEIGHT)
+                        layouts[(r0, r3, r4)] = res
+                    if res[0] < best[0]:
+                        best = res
+                        best_params = (n, pl0, sens)
+
+    # Coarse pass on a decimated grid, then a fine pass around the winner
+    # at the full resolution of the search ranges.
+    scan(_grid(N_RANGE[0], N_RANGE[1], 0.5),
+         _grid(PL0_RANGE[0], PL0_RANGE[1], 4.0),
+         _grid(SENS_RANGE[0], SENS_RANGE[1], 3.0))
+    if best[0] < _INVALID:
+        n0, pl00, s0 = best_params
+        scan(_grid(max(N_RANGE[0], n0 - 0.5), min(N_RANGE[1], n0 + 0.5),
+                   N_RANGE[2]),
+             _grid(max(PL0_RANGE[0], pl00 - 4.0), min(PL0_RANGE[1], pl00 + 4.0),
+                   PL0_RANGE[2]),
+             _grid(max(SENS_RANGE[0], s0 - 3.0), min(SENS_RANGE[1], s0 + 3.0),
+                   SENS_RANGE[2]))
+
+    if best[0] >= _INVALID:
+        return CalibrationResult(False, candidates_scored=scored)
+
+    return _verdict(cfg, *best_params, best[1:], targets, searched=True,
+                    scored=scored)

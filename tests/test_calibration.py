@@ -1,5 +1,6 @@
 import copy
 import csv
+import functools
 import itertools
 import math
 import random
@@ -8,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from wpansim import kernels
-from wpansim.calibration import (CalibrationTargets, apply_to_config,
-                                 layout_metrics, search)
+from wpansim.calibration import (CalibrationTargets, _score_floor,
+                                 apply_to_config, layout_metrics, search)
 from wpansim.cli import default_scenario_path
 from wpansim.coverage import static_gap_oracle
 from wpansim.scenario_file import load_scenario
@@ -169,17 +170,74 @@ def _random_kernel_case(rng):
     return (*radii, x_lo, x_step, nx, b0, b1, b2, b3, lo, hi, w)
 
 
+@functools.cache
+def _kernel_cases():
+    """2,000 seeded best_layout argument tuples with the full scan's result."""
+    rng = random.Random(20100611)
+    cases = []
+    for _ in range(2000):
+        args = _random_kernel_case(rng)
+        cases.append((args, kernel_reference.best_layout(*args)))
+    return cases
+
+
 def test_best_layout_matches_full_scan_reference():
     # The windowed kernel against the full scan it replaced, compared with
     # ==: score and positions bit for bit, ties included.
-    rng = random.Random(20100611)
     feasible = 0
-    for _ in range(2000):
-        args = _random_kernel_case(rng)
-        want = kernel_reference.best_layout(*args)
+    for args, want in _kernel_cases():
         assert kernels.best_layout(*args) == want, args
         feasible += want[0] < 1e300
     assert feasible >= 800  # the cases exercise the scoring, not only skips
+
+
+def test_bounded_best_layout_matches_full_scan_reference():
+    # With a bound, the kernel returns the full scan's result if it scores
+    # below the bound, else (bound, 0, 0, 0).  Bounds equal to the score
+    # and one ulp either side of it pin the strict "<".
+    rng = random.Random(19)
+    for args, want in _kernel_cases():
+        score = want[0]
+        if score < 1e300:
+            bounds = [score, math.nextafter(score, math.inf),
+                      math.nextafter(score, -math.inf),
+                      rng.uniform(0.0, 2.0 * score)]
+        else:
+            bounds = [rng.uniform(0.0, 5.0), 1e300]
+        for bound in bounds:
+            expect = want if score < bound else (bound, 0.0, 0.0, 0.0)
+            assert kernels.best_layout(*args, bound) == expect, (args, bound)
+
+
+def test_score_floor_is_below_every_kernel_score():
+    # The floor that search prunes by is never above the full scan's score,
+    # so it is 1e300 only where the full scan finds no layout.  The cases
+    # snapped to the 0.25 m grid meet the e2 floor exactly, at its edge.
+    tight = infeasible = 0
+    for args, want in _kernel_cases():
+        r0, _, _, x_lo, x_step, nx, _, b1, b2 = args[:9]
+        floor = _score_floor(x_lo, x_lo + (nx - 1) * x_step, b1, b2)(r0)
+        assert want[0] >= floor, args
+        tight += 0.0 <= want[0] - floor < 1e-6
+        infeasible += floor == 1e300
+    assert tight >= 20 and infeasible >= 20
+
+
+def test_score_floor_at_the_no_layout_edge():
+    # A gap-level radius just under a quarter of the grid's width still
+    # fits three nodes (x1 at the first grid point, x2 mid-grid, x3 at the
+    # last), so the floor must not claim that no layout exists there.
+    for x_lo, x_step, nx in [(-3.0, 0.5, 43), (-3.0, 0.25, 85), (-1.0, 0.5, 41)]:
+        x_last = x_lo + (nx - 1) * x_step
+        quarter = (x_last - x_lo) / 4.0
+        floor = _score_floor(x_lo, x_last, 4.0, 11.0)
+        for r0 in [quarter - 1e-3, quarter - 1e-9, quarter, quarter + 1e-3]:
+            args = (r0, r0 - 0.5, r0 + 1.0, x_lo, x_step, nx,
+                    2.0, 4.0, 11.0, 13.0, 0.0, 15.0, 1e-3)
+            score = kernels.best_layout(*args)[0]
+            assert (score < 1e300) == (r0 < quarter)
+            assert score >= floor(r0), args
+        assert floor(quarter + 1e-3) == 1e300
 
 
 def detuned_cfg():
@@ -199,8 +257,13 @@ DEFAULT_FIT = (
     3.4902548789595804, True, 1903)
 
 
-# Every CalibrationResult field, recorded before the layouts were memoised.
-@pytest.mark.parametrize("make_cfg, targets, want", [
+def _fields(res):
+    return (res.ok, res.path_loss_exponent, res.pl0_db, res.rx_sensitivity_dbm,
+            res.positions, res.max_boundary_error_m, res.achieved_gaps,
+            res.range_at_gap_level_m, res.searched, res.candidates_scored)
+
+
+FIXTURE_CASES = [
     (lambda: load_scenario(DATA / "uncalibrated.scenario"),
      CalibrationTargets(), DEFAULT_FIT),
     (detuned_cfg, CalibrationTargets(), DEFAULT_FIT),
@@ -209,18 +272,66 @@ DEFAULT_FIT = (
       [(1.4810717055349722, 3.5189282944650278),
        (11.481071705534973, 13.518928294465027)],
       3.9810717055349722, True, 1606)),
-], ids=["uncalibrated", "detuned", "detuned-off-default-gaps"])
+]
+
+
+# Every CalibrationResult field, recorded before the layouts were memoised.
+@pytest.mark.parametrize("make_cfg, targets, want", FIXTURE_CASES,
+                         ids=["uncalibrated", "detuned", "detuned-off-default-gaps"])
 def test_search_fit_is_unchanged(make_cfg, targets, want):
-    res = search(make_cfg(), targets)
-    got = (res.ok, res.path_loss_exponent, res.pl0_db, res.rx_sensitivity_dbm,
-           res.positions, res.max_boundary_error_m, res.achieved_gaps,
-           res.range_at_gap_level_m, res.searched, res.candidates_scored)
-    assert got == want
+    assert _fields(search(make_cfg(), targets)) == want
+
+
+def _random_targets(rng):
+    """Coverage targets around the default ones; about a third can be met."""
+    start = rng.uniform(0.0, 4.0)
+    width1 = rng.uniform(0.5, 3.0)
+    between = rng.uniform(2.0, 10.0)
+    width2 = rng.uniform(0.5, 3.0)
+    if rng.random() < 0.5:
+        start, width1, between, width2 = (
+            round(v * 2.0) / 2.0 for v in (start, width1, between, width2))
+    gap2_start = start + width1 + between
+    return CalibrationTargets(gap1=(start, start + width1),
+                              gap2=(gap2_start, gap2_start + width2),
+                              tolerance_m=rng.choice([0.5, 0.25, 0.1]))
+
+
+def long_track_cfg():
+    # A 40 m trajectory: no grid layout of three nodes covers both ends
+    # and still leaves two gaps, so no radius triple gives a valid layout.
+    cfg = detuned_cfg()
+    *_, (x, y, t) = cfg.trajectory.waypoints
+    cfg.trajectory.waypoints[-1] = (40.0, y, t)
+    return cfg
+
+
+def test_search_matches_memo_only_reference():
+    # The pruned search against the search that scored every new radius
+    # triple (tests/kernel_reference.py), on the benchmark's nine target
+    # sets, the fixture cases above, a trajectory no layout fits and 36
+    # seeded random target sets.
+    cases = [(detuned_cfg, CalibrationTargets(gap1=g1, gap2=g2))
+             for g1, g2 in BENCH_TARGETS]
+    cases += [(make_cfg, targets) for make_cfg, targets, _ in FIXTURE_CASES]
+    cases.append((long_track_cfg, CalibrationTargets()))
+    rng = random.Random(1105)
+    cases += [(detuned_cfg, _random_targets(rng)) for _ in range(36)]
+    verdicts = []
+    for make_cfg, targets in cases:
+        want = _fields(kernel_reference.search(make_cfg(), targets))
+        assert _fields(search(make_cfg(), targets)) == want, targets
+        verdicts.append("met" if want[0] else "missed" if want[4] else "none")
+    assert verdicts.count("met") >= 10
+    assert verdicts.count("missed") >= 10
+    assert verdicts.count("none") == 1
 
 
 def test_search_scores_each_radius_triple_once(uncalibrated_cfg, monkeypatch):
     # search must look best_layout up on the kernels module at call time
     # (the benchmark's tracer wraps it there) and skip repeated triples.
+    # Of the 1,903 candidates, only 11 distinct radius triples have a score
+    # floor below the best fit found before them (770 distinct triples in all).
     calls = []
     original = kernels.best_layout
 
@@ -231,6 +342,5 @@ def test_search_scores_each_radius_triple_once(uncalibrated_cfg, monkeypatch):
     monkeypatch.setattr(kernels, "best_layout", counting)
     res = search(uncalibrated_cfg)
     assert res.candidates_scored == 1903
-    assert len(calls) == 770
-    assert len(set(calls)) == 770
-
+    assert len(calls) == 11
+    assert len(set(calls)) == 11

@@ -375,6 +375,25 @@ def test_cli_empty_ack_frame_exit_2(tmp_path, capsys, monkeypatch):
     _cli_run_rejects(text, "ack_header = 0 B", tmp_path, capsys, monkeypatch)
 
 
+@pytest.mark.parametrize("exponent", ["0", "-2"])
+@pytest.mark.parametrize("command", ["sweep", "calibrate"])
+def test_cli_non_positive_path_loss_exponent_exit_2(command, exponent, tmp_path,
+                                                    capsys):
+    # 0 used to end in a ZeroDivisionError traceback (exit 1) from
+    # phy.comm_range_m; -2 ran with a path loss that falls with distance.
+    lines = cli.default_scenario_path().read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1)
+                  if line.startswith("path_loss_exponent = "))
+    lines[lineno - 1] = f"path_loss_exponent = {exponent}"
+    path = tmp_path / "exponent.scenario"
+    path.write_text("\n".join(lines) + "\n")
+    code = main([command, "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert (f"scenario error: line {lineno}: key 'path_loss_exponent': must be "
+            f"positive, got '{exponent}'") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_sleeping_node_wakes_to_beacon(tmp_path):
     # Used to exit 4: "node 1 cannot transmit while asleep".
     text = (TINY.format(duration="2 s", seed=7).replace(

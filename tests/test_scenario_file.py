@@ -187,7 +187,8 @@ def _waypoints(draw):
 KIND_VALUES = {
     sf._TIME: st.integers(0, 10**8), sf._POSITIVE_TIME: st.integers(1, 10**8),
     sf._DBM: _G_EXACT, sf._DB: _G_EXACT, sf._METRES: _G_EXACT, sf._VOLTS: _G_EXACT,
-    sf._PERCENT: _G_EXACT, sf._CURRENT: _G_EXACT, sf._FLOAT: _G_EXACT,
+    sf._PERCENT: _G_EXACT, sf._CURRENT: _G_EXACT,
+    sf._POSITIVE_FLOAT: st.integers(1, 99_999).map(lambda i: i / 100),
     sf._BYTES: st.integers(0, 60),  # header + payload stays under 127 B
     sf._INT: st.integers(0, 1000), sf._BOOL: st.booleans(),
     sf._POWERS: st.lists(_G_EXACT, min_size=1, max_size=6).map(tuple),
