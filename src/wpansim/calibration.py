@@ -5,12 +5,14 @@ gap-free at the fourth) but omits every propagation constant, so they are
 fitted: a coarse-to-fine grid search over path-loss exponent, reference
 loss, receiver sensitivity and the three stationary x positions.  Scoring a
 candidate layout (kernels.best_layout) is the hot loop.  The search is a
-branch and bound: a floor on the score from the gap-level radius alone
-skips every candidate that cannot beat the best fit so far, and the kernel
-gets that best as its bound; the result is the exhaustive scan's, field for
-field.  The radii depend only on the exponent and the sum pl0 +
-sensitivity, so the targets identify that sum but not its split; the
-search reports the first split it meets.
+branch and bound: a floor on the score from the gap-level radius and the
+position grid skips every candidate that cannot beat the best fit so far,
+and the kernel gets that best as its bound; the result is the exhaustive
+scan's, field for field.  The radii depend only on the exponent and the
+numerators level - pl0 - sensitivity, so the targets identify pl0 +
+sensitivity but not its split; each scan pass evaluates the radii once per
+exponent and distinct triple of numerators, and reports the first split it
+meets.
 The verdict on a fit drops the kernel's equal radii: layout_metrics scores
 the scenario apply_to_config writes through coverage.line_spans.
 
@@ -101,41 +103,52 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(count + 1)]
 
 
-def _score_floor(x_lo: float, x_last: float, b1: float, b2: float):
+def _score_floor(x_lo: float, x_step: float, nx: int, b1: float, b2: float):
     """floor(r0): a lower bound on every score best_layout can return for
-    gap-level radius r0 on the grid x_lo..x_last with middle-node targets
-    (b1, b2); 1e300 if it can return no layout.
+    gap-level radius r0 on the grid x_lo + i * x_step (i < nx) with
+    middle-node targets (b1, b2); 1e300 if it can return no layout.
 
-    x2 is a grid point x_lo + i * x_step and x_last the last one, as the
-    kernel computes them.  In exact arithmetic:
+    The grid points X = x_lo + i * x_step are computed as the kernel
+    computes them, and x_last is the last one.  In exact arithmetic, with
+    c = (b1 + b2) / 2 and h = (b2 - b1) / 2:
 
     - No layout exists if 4 r0 > x_last - x_lo: the middle node needs a
       gap at the gap level against a left node at x_lo or later and a
       right node at x_last or earlier, so x2 - x_lo > 2 r0 and
       x_last - x2 > 2 r0.
     - Every score is at least the kernel's e2 =
-      max(|x2 - r0 - b1|, |x2 + r0 - b2|) for its x2, and the larger of
-      two magnitudes is at least half their difference, so
-      e2 >= |2 r0 - (b2 - b1)| / 2.
+      max(|x2 - r0 - b1|, |x2 + r0 - b2|) for its x2.  The two arguments
+      are (x2 - c) -+ (r0 - h), and max(|a - d|, |a + d|) = |a| + |d|, so
+      e2 = |x2 - c| + |2 r0 - (b2 - b1)| / 2.  x2 is a grid point, so
+      |x2 - c| >= delta, the least |X - c| over the grid: the floor is
+      delta + |2 r0 - (b2 - b1)| / 2.  delta is 0 when c is a grid point.
 
     Both are computed less a slack of 1e-9 * (scale + r0), with scale =
     1 + |x_lo| + |x_last| + |b1| + |b2|.  With unit roundoff u = 2**-53
-    and M = scale + r0, which bounds every magnitude involved, the
-    kernel's x +- r0 and e2 are within 4 u M of their exact values and
-    the floors as computed here within 3 u M (r0 + r0, 4 r0 and * 0.5 are
-    exact; every other operation rounds once): together under 1e-15 M, a
-    millionth of the slack.  So no score the kernel computes is below the
-    floor computed here.  A non-finite r0 gives nan, which is no floor.
+    and M = scale + r0, |X| <= |x_lo| + |x_last|, |c| + |h| <= |b1| + |b2|
+    and every value involved is at most 2 M in magnitude.  The kernel's
+    x +- r0 and e2 are within 4 u M of their exact values for its X.
+    Here c is within u M of exact (b1 + b2 rounds once, * 0.5 is exact),
+    each X - c within 3 u M, so delta within 3 u M; the e2 term within
+    3 u M (b2 - b1 and the subtraction round, r0 + r0, 4 r0 and * 0.5
+    are exact); their sum and the slack's subtraction round once each,
+    within 2 u M apiece.  Together under 14 u M < 2e-15 M, a millionth of
+    the slack, which is itself computed within a relative 7 u.  So no
+    score the kernel computes is below the floor computed here.  A
+    non-finite r0 gives nan, which is no floor.
     """
+    x_last = x_lo + (nx - 1) * x_step
     width = x_last - x_lo
     span = b2 - b1
+    mid = (b1 + b2) * 0.5
+    delta = min(abs(x_lo + i * x_step - mid) for i in range(nx))
     scale = 1.0 + abs(x_lo) + abs(x_last) + abs(b1) + abs(b2)
 
     def floor(r0: float) -> float:
         slack = 1e-9 * (scale + r0)
         if r0 * 4.0 > width + slack:
             return _INVALID
-        return abs(r0 + r0 - span) * 0.5 - slack
+        return abs(r0 + r0 - span) * 0.5 + delta - slack
     return floor
 
 
@@ -197,6 +210,17 @@ def search(cfg: ScenarioConfig,
     at most its score (the kernel either returned that score and it
     replaced a worse best, or found nothing below best[0]), and best[0]
     only falls, so the triple can never win again.
+
+    Each pass groups its (pl0, sens) pairs by the three _radius numerators
+    level - pl0 - sens, computed as _radius computes them, and scores only
+    the first pair of each group in scan order, with the same expressions.
+    A later pair of a group has the same radius triple for every n: where
+    the first pair was skipped by the floor, best[0] has only fallen since,
+    so the floor skips the later one too; otherwise the triple is in seen
+    by then.  So the kernel is called on the same triples, in the same
+    order, as when every pair is scored.  candidates_scored still counts
+    every pair.  Keying on pl0 + sens would not do: at a level that is not
+    a whole dBm, pairs with one sum can round to different numerators.
     """
     targets = targets or CalibrationTargets()
     bounds = cfg.trajectory.x_bounds()
@@ -223,34 +247,43 @@ def search(cfg: ScenarioConfig,
 
     x_lo, x_hi, x_step = X_RANGE
     nx = int(round((x_hi - x_lo) / x_step)) + 1
-    x_last = x_lo + (nx - 1) * x_step  # the kernel's last grid point
 
     best = (_INVALID, 0.0, 0.0, 0.0)  # score, x1, x2, x3
     best_params = (0.0, 0.0, 0.0)
     scored = 0
-    floor = _score_floor(x_lo, x_last, b1, b2)
+    floor = _score_floor(x_lo, x_step, nx, b1, b2)
     seen = set()
+    gap, must, free = (targets.gap_level_dbm, targets.must_gap_dbm,
+                       targets.gap_free_dbm)
 
     def scan(n_vals, pl0_vals, sens_vals):
         nonlocal best, best_params, scored
+        # The _radius numerators of each distinct split, with the first
+        # (pl0, sens) pair in scan order that gives them.
+        splits = {}
+        for pl0 in pl0_vals:
+            for sens in sens_vals:
+                key = (gap - pl0 - sens, must - pl0 - sens, free - pl0 - sens)
+                if key not in splits:
+                    splits[key] = (*key, pl0, sens)
+        scored += len(n_vals) * len(pl0_vals) * len(sens_vals)
         for n in n_vals:
-            for pl0 in pl0_vals:
-                for sens in sens_vals:
-                    scored += 1
-                    r0 = _radius(targets.gap_level_dbm, pl0, sens, n)
-                    if floor(r0) >= best[0]:
-                        continue
-                    r3 = _radius(targets.must_gap_dbm, pl0, sens, n)
-                    r4 = _radius(targets.gap_free_dbm, pl0, sens, n)
-                    if (r0, r3, r4) in seen:
-                        continue
-                    seen.add((r0, r3, r4))
-                    res = kernels.best_layout(
-                        r0, r3, r4, x_lo, x_step, nx, b0, b1, b2, b3,
-                        bounds[0], bounds[1], OVERLAP_WEIGHT, best[0])
-                    if res[0] < best[0]:
-                        best = res
-                        best_params = (n, pl0, sens)
+            ten_n = 10.0 * n
+            for e0, e3, e4, pl0, sens in splits.values():
+                r0 = 10.0 ** (e0 / ten_n)
+                if floor(r0) >= best[0]:
+                    continue
+                r3 = 10.0 ** (e3 / ten_n)
+                r4 = 10.0 ** (e4 / ten_n)
+                if (r0, r3, r4) in seen:
+                    continue
+                seen.add((r0, r3, r4))
+                res = kernels.best_layout(
+                    r0, r3, r4, x_lo, x_step, nx, b0, b1, b2, b3,
+                    bounds[0], bounds[1], OVERLAP_WEIGHT, best[0])
+                if res[0] < best[0]:
+                    best = res
+                    best_params = (n, pl0, sens)
 
     # Coarse pass on a decimated grid, then a fine pass around the winner
     # at the full resolution of the search ranges.

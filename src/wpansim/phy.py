@@ -127,7 +127,12 @@ def comm_range_m(tx_dbm: float, gain_total_db: float, params: PhyParams) -> floa
     """Distance at which received power equals sensitivity exactly.
 
     Reception requires strictly more than sensitivity, so this radius is an
-    open bound: a receiver exactly here is out of range.
+    open bound: a receiver exactly here is out of range.  A radius past the
+    largest float (a tiny path-loss exponent) is math.inf: it covers the
+    whole line.
     """
     margin = tx_dbm + gain_total_db - params.pl0_db - params.rx_sensitivity_dbm
-    return 10.0 ** (margin / (10.0 * params.path_loss_exponent))
+    try:
+        return 10.0 ** (margin / (10.0 * params.path_loss_exponent))
+    except OverflowError:
+        return math.inf

@@ -394,6 +394,43 @@ def test_cli_non_positive_path_loss_exponent_exit_2(command, exponent, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+def _tiny_exponent_scenario(tmp_path):
+    # 10 ** (margin / (10 * n)) overflows in phy.comm_range_m for n = 1e-5.
+    text = cli.default_scenario_path().read_text()
+    lines = [("path_loss_exponent = 1e-5"
+              if line.startswith("path_loss_exponent = ") else line)
+             for line in text.splitlines()]
+    path = tmp_path / "tiny_exponent.scenario"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_cli_sweep_tiny_path_loss_exponent_covers_the_line(tmp_path, capsys):
+    # Used to end in an OverflowError traceback (exit 1) from
+    # phy.comm_range_m.  A range past every float covers the whole line.
+    path = _tiny_exponent_scenario(tmp_path)
+    code = main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "        0 | - | (0.00,15.00) | OPTIMAL,OVERPROVISIONED" in out
+    assert "minimum gap-free level: 0 dBm" in out
+
+
+def test_cli_calibrate_tiny_path_loss_exponent_searches(tmp_path, capsys):
+    # Used to end in an OverflowError traceback (exit 1) from
+    # phy.comm_range_m while scoring the supplied layout.  That layout has
+    # no gap, so the grid search runs, and it does not start from the
+    # supplied exponent: it finds the default scenario's fit.
+    path = _tiny_exponent_scenario(tmp_path)
+    code = main(["calibrate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert "  mode: grid search" in captured.out
+    assert "  path_loss_exponent = 3.5" in captured.out
+    assert (tmp_path / "o" / "calibrated.scenario").exists()
+
+
 def test_cli_sleeping_node_wakes_to_beacon(tmp_path):
     # Used to exit 4: "node 1 cannot transmit while asleep".
     text = (TINY.format(duration="2 s", seed=7).replace(
