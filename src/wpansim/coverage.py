@@ -14,16 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .mac import SendOutcome
 from .phy import PhyParams, comm_range_m, in_range
 from .scenario import NodeClass
 from .scenario_file import ScenarioError
-from .trace import TraceRecord
+from .trace import TraceKind, TraceRecord
 
 CELL_M = 0.1
 ORACLE_STEP_M = 0.01
 
-_SUCCESS_KINDS = ("RX",)
-_FAIL_KINDS = ("OUTAGE_LOSS", "HANDOVER_FAIL")
+_FAIL_KINDS = (TraceKind.OUTAGE_LOSS, TraceKind.HANDOVER_FAIL)
 
 
 def gap_analysis(rows: list[TraceRecord], x_lo: float, x_hi: float,
@@ -38,7 +38,7 @@ def gap_analysis(rows: list[TraceRecord], x_lo: float, x_hi: float,
     outermost failing cells.
     """
     if mobile_id is None:
-        movers = {r.node_id for r in rows if r.event_kind == "MOVE"}
+        movers = {r.node_id for r in rows if r.event_kind == TraceKind.MOVE}
         if not movers:
             return []
         mobile_id = min(movers)
@@ -53,10 +53,10 @@ def gap_analysis(rows: list[TraceRecord], x_lo: float, x_hi: float,
     for r in rows:
         if r.node_id != mobile_id:
             continue
-        if r.event_kind in _SUCCESS_KINDS:
+        if r.event_kind == TraceKind.RX:
             cells[cell_of(r.pos_x_m)] = 1
-        elif r.event_kind in _FAIL_KINDS or (
-                r.event_kind == "SEND_OUTCOME" and r.outcome == "no_ack"):
+        elif r.event_kind in _FAIL_KINDS or (r.event_kind == TraceKind.SEND_OUTCOME
+                                             and r.detail == SendOutcome.NO_ACK):
             i = cell_of(r.pos_x_m)
             if cells[i] == 0:
                 cells[i] = 2
@@ -220,9 +220,8 @@ def association_map(rows: list[TraceRecord],
         if r.node_id != mobile_id:
             continue
         last_x = r.pos_x_m
-        if r.event_kind == "HANDOVER_DONE":
-            parent = int(r.outcome.split(";")[0].split("=")[1])
-            changes.append((r.pos_x_m, parent))
+        if r.event_kind == TraceKind.HANDOVER_DONE:
+            changes.append((r.pos_x_m, r.detail[0]))  # detail: (parent, latency)
     if not changes or last_x is None:
         return []
     segments: list[tuple[float, float, int]] = []

@@ -7,9 +7,7 @@ Time is kept in integer microseconds so MAC timings (320 us backoff unit,
 from __future__ import annotations
 
 import heapq
-from collections import Counter
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 SimTime = int  # microseconds since run start
 
@@ -18,7 +16,8 @@ class SimulationError(RuntimeError):
     """Fatal misuse of the simulator (scheduling in the past, bad frame kind)."""
 
 
-class EventKind(Enum):
+class EventKind:
+    """Kinds of scheduled event; each constant is its name in messages."""
     BACKOFF_EXPIRE = "backoff_expire"
     TX_END = "tx_end"
     ACK_TURNAROUND = "ack_turnaround"
@@ -30,16 +29,12 @@ class EventKind(Enum):
     PROBE_RETRY = "probe_retry"
     SCAN_STEP = "scan_step"
 
-    # Members are singletons and no code iterates a set of them, so identity
-    # hashing is exact and skips Enum's Python-level hash of the name.
-    __hash__ = object.__hash__
-
 
 @dataclass
 class Event:
     time: SimTime
     seq: int
-    kind: EventKind
+    kind: str  # an EventKind
     target: int | None = None  # node id, or None for global events
     data: object = None
     cancelled: bool = False
@@ -47,15 +42,11 @@ class Event:
 
 @dataclass
 class RunSummary:
-    processed: Counter = field(default_factory=Counter)
-    scheduled: int = 0
-    cancelled: int = 0
-    unprocessed: int = 0
-    clock: SimTime = 0
-
-    @property
-    def total_processed(self) -> int:
-        return sum(self.processed.values())
+    total_processed: int
+    scheduled: int
+    cancelled: int
+    unprocessed: int
+    clock: SimTime
 
 
 class EventLoop:
@@ -68,11 +59,11 @@ class EventLoop:
         self._scheduled = 0
         self._cancelled = 0
 
-    def schedule(self, time: SimTime, kind: EventKind, target: int | None = None,
+    def schedule(self, time: SimTime, kind: str, target: int | None = None,
                  data: object = None) -> Event:
         if time < self.now:
             raise SimulationError(
-                f"event {kind.value} scheduled at t={time} us in the past "
+                f"event {kind} scheduled at t={time} us in the past "
                 f"(clock is {self.now} us)")
         ev = Event(time, self._seq, kind, target, data)
         self._seq += 1
@@ -91,25 +82,22 @@ class EventLoop:
         `dispatch(event)` is called for each live event.  The clock ends at
         `end`, or at the last processed event when the queue drains early.
         """
-        summary = RunSummary()
-        last_time = 0
+        processed = last_time = 0
         while self._heap and self._heap[0][0] <= end:
             _, _, ev = heapq.heappop(self._heap)
             if ev.cancelled:
                 continue
             self.now = ev.time
             last_time = ev.time
-            summary.processed[ev.kind] += 1
+            processed += 1
             dispatch(ev)
         if self._heap:
             self.now = end
         else:
-            self.now = min(end, last_time) if summary.processed else min(end, self.now)
-        summary.clock = self.now
-        summary.scheduled = self._scheduled
-        summary.cancelled = self._cancelled
-        summary.unprocessed = sum(1 for _, _, ev in self._heap if not ev.cancelled)
-        return summary
+            self.now = min(end, last_time) if processed else min(end, self.now)
+        unprocessed = sum(1 for _, _, ev in self._heap if not ev.cancelled)
+        return RunSummary(processed, self._scheduled, self._cancelled,
+                          unprocessed, self.now)
 
 
 _GOLDEN = 0x9E3779B97F4A7C15

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 from .engine import EventKind, SimTime, SimulationError
 from .phy import PhyParams, link_rx_power, lq_from_rx_power
 from .scenario import SLEEP
+from .trace import TraceKind
 
 BROADCAST = 0xFFFF
 
 
-class FrameKind(Enum):
+class FrameKind:
+    """Kinds of frame; each constant is its `frame_kind` trace text."""
     BEACON = "beacon"
     DATA = "data"
     ACK = "ack"
@@ -28,10 +29,6 @@ class FrameKind(Enum):
     ASSOC_REQ = "assoc_req"
     ASSOC_RESP = "assoc_resp"
     DISASSOC = "disassoc"
-
-    # Members are singletons and no code iterates a set of them, so identity
-    # hashing is exact and skips Enum's Python-level hash of the name.
-    __hash__ = object.__hash__
 
 
 # MAC payload bytes for control frames; data payload comes from the scenario.
@@ -48,13 +45,10 @@ CONTROL_PAYLOAD = {
 CSMA_EXEMPT = (FrameKind.BEACON, FrameKind.ACK)
 NO_ACK_KINDS = (FrameKind.ACK, FrameKind.BEACON, FrameKind.DISASSOC)
 
-# Trace text of each frame kind, read without Enum's `.value` property.
-FRAME_KIND_TEXT = {kind: kind.value for kind in FrameKind}
-
 
 @dataclass(slots=True)
 class Frame:
-    kind: FrameKind
+    kind: str  # a FrameKind
     seq: int
     src: int
     dst: int
@@ -81,7 +75,8 @@ class CsmaParams:
     turnaround_us: SimTime = 192
 
 
-class SendOutcome(Enum):
+class SendOutcome:
+    """How a queued send ended; each constant is its SEND_OUTCOME trace text."""
     DELIVERED = "delivered"
     NO_ACK = "no_ack"
     CHANNEL_ACCESS_FAILURE = "cca_fail"
@@ -100,7 +95,6 @@ class Transmission:
     # Fixed by Channel.add: node id -> (node, rx power, LQ) per listener that
     # hears the frame, in node order; a mobile listener is a (node, None,
     # None) placeholder, measured live because it moves during the frame.
-    # Channel.prune drops it when the frame leaves the history.
     audience: dict | None = None
 
     def overlaps(self, start: SimTime, end: SimTime) -> bool:
@@ -148,14 +142,7 @@ class Channel:
         oldest_end = now - self.longest_us
         if self._first_end is None or self._first_end >= oldest_end:
             return  # nothing has expired
-        kept = []
-        for t in self.transmissions:
-            if t.end >= oldest_end:
-                kept.append(t)
-            else:
-                # Only the history reads an audience; a run's delivery log
-                # keeps every frame, so do not let it keep the audiences.
-                t.audience = None
+        kept = [t for t in self.transmissions if t.end >= oldest_end]
         self.transmissions = kept
         self._first_end = min((t.end for t in kept), default=None)
 
@@ -255,7 +242,7 @@ class MacLayer:
         self.seq_counter = (self.seq_counter + 1) % 256
         return seq
 
-    def control_frame(self, kind: FrameKind, dst: int, **fields) -> Frame:
+    def control_frame(self, kind: str, dst: int, **fields) -> Frame:
         """A control frame from this node, with the next sequence number."""
         return Frame(kind, self.next_seq(), self.node.node_id, dst,
                      payload_len=CONTROL_PAYLOAD[kind], **fields)
@@ -267,8 +254,8 @@ class MacLayer:
             raise SimulationError(
                 f"node {self.node.node_id} cannot csma_send while asleep")
         if frame.kind in CSMA_EXEMPT:
-            raise SimulationError(f"{frame.kind.value} frames do not use CSMA")
-        if frame.kind is FrameKind.DATA and frame.is_broadcast:
+            raise SimulationError(f"{frame.kind} frames do not use CSMA")
+        if frame.kind == FrameKind.DATA and frame.is_broadcast:
             raise SimulationError("data frames must be unicast")
         self.queue.append(_Outgoing(frame, frame.wants_ack(), on_outcome))
         if self.state == "idle":
@@ -278,7 +265,7 @@ class MacLayer:
         """Transmit a beacon or ack now, skipping CCA and any queue."""
         if frame.kind not in CSMA_EXEMPT:
             raise SimulationError(
-                f"send_immediate only accepts beacon/ack, got {frame.kind.value}")
+                f"send_immediate only accepts beacon/ack, got {frame.kind}")
         if self.node._mode == SLEEP:
             raise SimulationError(
                 f"node {self.node.node_id} cannot transmit while asleep")
@@ -300,8 +287,7 @@ class MacLayer:
         self.state = "backoff"
         draw = self.node.rng.draw_uniform(1 << self.be)
         delay = draw * self.sim.csma.unit_backoff_us
-        self.sim.emit(self.node, "BACKOFF", frame=self.current.frame,
-                      outcome=f"delay={delay}")
+        self.sim.emit(self.node, TraceKind.BACKOFF, self.current.frame, detail=delay)
         self._backoff_event = self.sim.loop.schedule(
             self.sim.loop.now + delay, EventKind.BACKOFF_EXPIRE, self.node.node_id)
 
@@ -311,8 +297,8 @@ class MacLayer:
         if self.sim.channel.busy_for(self.node, self.sim.loop.now):
             self.nb += 1
             self.be = min(self.be + 1, self.sim.csma.mac_max_be)
-            self.sim.emit(self.node, "CCA_BUSY", frame=self.current.frame,
-                          outcome=f"nb={self.nb}")
+            self.sim.emit(self.node, TraceKind.CCA_BUSY, self.current.frame,
+                          detail=self.nb)
             if self.nb >= self.sim.csma.max_csma_backoffs:
                 self._finish(SendOutcome.CHANNEL_ACCESS_FAILURE)
             else:
@@ -352,20 +338,18 @@ class MacLayer:
             return
         self.retries += 1
         if self.retries > self.sim.csma.max_frame_retries:
-            self.sim.emit(self.node, "ACK_TIMEOUT", frame=self.current.frame,
-                          outcome="exhausted")
+            self.sim.emit(self.node, TraceKind.ACK_TIMEOUT, self.current.frame)
             self._finish(SendOutcome.NO_ACK)
         else:
-            self.sim.emit(self.node, "ACK_TIMEOUT", frame=self.current.frame,
-                          outcome=f"retry={self.retries}")
+            self.sim.emit(self.node, TraceKind.ACK_TIMEOUT, self.current.frame,
+                          detail=self.retries)
             self._begin_csma()  # retransmission keeps the original seq
 
-    def _finish(self, outcome: SendOutcome) -> None:
+    def _finish(self, outcome: str) -> None:
         done = self.current
         self.current = None
         self.state = "idle"
-        self.sim.emit(self.node, "SEND_OUTCOME", frame=done.frame,
-                      outcome=outcome.value)
+        self.sim.emit(self.node, TraceKind.SEND_OUTCOME, done.frame, detail=outcome)
         if done.on_outcome is not None:
             done.on_outcome(outcome)
         if self.queue and self.state == "idle":

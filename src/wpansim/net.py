@@ -17,6 +17,7 @@ from .engine import EventKind, SimTime
 from .mac import BROADCAST, Frame, FrameKind, SendOutcome
 from .phy import LinkSample, lq_from_rx_power
 from .scenario import NodeRole
+from .trace import TraceKind
 
 
 @dataclass
@@ -70,11 +71,11 @@ class StationaryController:
 
     def on_frame(self, frame: Frame, rx_power: float, lq: int) -> None:
         mac = self.node.mac
-        if frame.kind is FrameKind.PROBE_REQ and (
+        if frame.kind == FrameKind.PROBE_REQ and (
                 frame.is_broadcast or frame.dst == self.node.node_id):
             mac.csma_send(mac.control_frame(FrameKind.PROBE_RESP, frame.src,
                                             lq_report=lq))
-        elif frame.kind is FrameKind.ASSOC_REQ and frame.dst == self.node.node_id:
+        elif frame.kind == FrameKind.ASSOC_REQ and frame.dst == self.node.node_id:
             mac.csma_send(mac.control_frame(FrameKind.ASSOC_RESP, frame.src))
 
 
@@ -110,7 +111,7 @@ class MobileController:
         cfg = self.sim.cfg
         if self.assoc.parent is None:
             self.traffic.outage_losses += 1
-            self.sim.emit(self.node, "OUTAGE_LOSS", outcome="no_parent")
+            self.sim.emit(self.node, TraceKind.OUTAGE_LOSS)
             self.start_handover("orphan")
             return
         self.node.wake()
@@ -119,11 +120,11 @@ class MobileController:
         self.traffic.attempts += 1
         self.node.mac.csma_send(frame, self._on_data_outcome)
 
-    def _on_data_outcome(self, outcome: SendOutcome) -> None:
-        if outcome is SendOutcome.DELIVERED:
+    def _on_data_outcome(self, outcome: str) -> None:
+        if outcome == SendOutcome.DELIVERED:
             self.traffic.delivered += 1
             self.ack_fail_streak = 0
-        elif outcome is SendOutcome.NO_ACK:
+        elif outcome == SendOutcome.NO_ACK:
             self.traffic.no_ack += 1
             self.ack_fail_streak += 1
             cfg = self.sim.cfg.handover
@@ -143,10 +144,10 @@ class MobileController:
         if frame.src == self.assoc.parent:
             self.assoc.last_lq = lq
             self._record_sample(frame, rx_power, lq)
-        if frame.kind is FrameKind.PROBE_RESP and frame.lq_report is not None:
+        if frame.kind == FrameKind.PROBE_RESP and frame.lq_report is not None:
             if self.handover_state in ("probing", "scanning"):
                 self.responses.append((frame.lq_report, frame.src))
-        elif frame.kind is FrameKind.ASSOC_RESP and frame.src == self.candidate:
+        elif frame.kind == FrameKind.ASSOC_RESP and frame.src == self.candidate:
             self._commit_parent(frame.src)
         # A degraded parent link triggers a new search.
         if (frame.src == self.assoc.parent and self.handover_state == "idle"
@@ -203,7 +204,7 @@ class MobileController:
                 return  # hold: not enough margin to step down
         if chosen != self.tpc.current_power_dbm:
             self.tpc.current_power_dbm = chosen
-            self.sim.emit(self.node, "TPC_SET", outcome=f"level={chosen:.1f}")
+            self.sim.emit(self.node, TraceKind.TPC_SET, detail=chosen)
 
     # -- handover ------------------------------------------------------------
 
@@ -220,7 +221,7 @@ class MobileController:
         self.handover_started = now
         self.responses = []
         self.candidate = None
-        self.sim.emit(self.node, "HANDOVER_START", outcome=f"trigger={reason}")
+        self.sim.emit(self.node, TraceKind.HANDOVER_START, detail=reason)
         self.node.wake()
         if self.sim.cfg.handover.mode == "scan":
             self._start_scan()
@@ -232,10 +233,10 @@ class MobileController:
         self.handover_state = "probing"
         probe = self.node.mac.control_frame(FrameKind.PROBE_REQ, BROADCAST)
 
-        def on_probe_out(outcome: SendOutcome) -> None:
+        def on_probe_out(outcome: str) -> None:
             if self.handover_epoch != epoch:
                 return
-            if outcome is SendOutcome.CHANNEL_ACCESS_FAILURE:
+            if outcome == SendOutcome.CHANNEL_ACCESS_FAILURE:
                 self._handover_failed("probe_cca_fail")
             else:
                 self.sim.loop.schedule(
@@ -265,7 +266,7 @@ class MobileController:
         target = self.scan_targets[self.scan_index]
         probe = self.node.mac.control_frame(FrameKind.PROBE_REQ, target)
 
-        def on_poll_out(outcome: SendOutcome) -> None:
+        def on_poll_out(outcome: str) -> None:
             if self.handover_epoch != epoch:
                 return
             # Full response window per polled node, answered or not.
@@ -296,10 +297,10 @@ class MobileController:
         epoch = self.handover_epoch
         req = self.node.mac.control_frame(FrameKind.ASSOC_REQ, best_id)
 
-        def on_req_out(outcome: SendOutcome) -> None:
+        def on_req_out(outcome: str) -> None:
             if self.handover_epoch != epoch:
                 return
-            if outcome is not SendOutcome.DELIVERED:
+            if outcome != SendOutcome.DELIVERED:
                 self._handover_failed("assoc_req_lost")
             else:
                 # Guard against a lost AssocResponse.
@@ -325,8 +326,7 @@ class MobileController:
         latency = now - self.handover_started
         self.stats.completions += 1
         self.stats.latencies_us.append(latency)
-        self.sim.emit(self.node, "HANDOVER_DONE",
-                      outcome=f"parent={parent};latency_us={latency}")
+        self.sim.emit(self.node, TraceKind.HANDOVER_DONE, detail=(parent, latency))
         self._lq_block_until = now + self.sim.cfg.handover.lq_retrigger_cooldown_us
         if old is not None and old != parent:
             bye = self.node.mac.control_frame(FrameKind.DISASSOC, old)
@@ -346,8 +346,8 @@ class MobileController:
             top = max(self.sim.cfg.phy.power_levels_dbm)
             if self.tpc.current_power_dbm != top:
                 self.tpc.current_power_dbm = top
-                self.sim.emit(self.node, "TPC_SET", outcome=f"level={top:.1f}")
-        self.sim.emit(self.node, "HANDOVER_FAIL", outcome=why)
+                self.sim.emit(self.node, TraceKind.TPC_SET, detail=top)
+        self.sim.emit(self.node, TraceKind.HANDOVER_FAIL, detail=why)
         epoch = self.handover_epoch
         self.sim.loop.schedule(
             self.sim.loop.now + self.sim.cfg.handover.probe_retry_us,

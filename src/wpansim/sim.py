@@ -7,18 +7,18 @@ seed reproduces the trace byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import EventKind, EventLoop, RngStream, RunSummary, SimTime
-from .mac import (BROADCAST, FRAME_KIND_TEXT, Channel, CsmaParams, Frame,
-                  FrameKind, MacLayer, Transmission)
+from .mac import (BROADCAST, Channel, CsmaParams, Frame, FrameKind, MacLayer,
+                  Transmission)
 from .net import MobileController, StationaryController
 from .phy import NO_BEACONS, beacon_interval, frame_airtime, lq_from_rx_power
 from .scenario import (LISTEN, RX, SLEEP, EnergyLedger, EnergyReport, NodeClass,
                        NodeConfig, NodeRole, RadioMode, build_energy_report,
                        tx_mode)
 from .scenario_file import ScenarioConfig
-from .trace import TraceRecord
+from .trace import TraceKind, TraceRecord
 
 
 class Node:
@@ -96,7 +96,6 @@ class RunResult:
     mobile_id: int | None
     handover_stats: object = None
     traffic_stats: object = None
-    delivery_log: list = field(default_factory=list)
 
 
 class Simulation:
@@ -107,30 +106,28 @@ class Simulation:
         self.csma: CsmaParams = cfg.csma
         self.band = cfg.band
         self.rows: list[TraceRecord] = []
-        self.delivery_log: list[tuple[Transmission, tuple[int, ...]]] = []
         self.nodes: dict[int, Node] = {}
         for nc in cfg.nodes:
             self.nodes[nc.node_id] = Node(self, nc)
         mobiles = [n for n in self.nodes.values() if n.is_mobile]
         self.mobile: Node | None = mobiles[0] if mobiles else None
         self.channel = Channel(cfg.phy, self.nodes.values())
-        self._airtimes: dict[tuple[FrameKind, int], SimTime] = {}
+        self._airtimes: dict[tuple[str, int], SimTime] = {}
         self._handlers = self._event_handlers()
 
     # -- trace ----------------------------------------------------------------
 
     def emit(self, node: Node, event_kind: str, frame: Frame | None = None,
-             outcome: str = "", rx_power: float | None = None,
+             detail: object = None, rx_power: float | None = None,
              lq: int | None = None) -> None:
         x = node.position()[0]
         if frame is None:
             row = TraceRecord(self.loop.now, node.node_id, event_kind, "",
-                              None, None, None, None, rx_power, lq, x, outcome)
+                              None, None, None, None, rx_power, lq, x, detail)
         else:
-            row = TraceRecord(self.loop.now, node.node_id, event_kind,
-                              FRAME_KIND_TEXT[frame.kind], frame.src, frame.dst,
-                              frame.seq, frame.tx_power_dbm, rx_power, lq, x,
-                              outcome)
+            row = TraceRecord(self.loop.now, node.node_id, event_kind, frame.kind,
+                              frame.src, frame.dst, frame.seq, frame.tx_power_dbm,
+                              rx_power, lq, x, detail)
         self.rows.append(row)
 
     # -- transmission lifecycle -------------------------------------------------
@@ -141,7 +138,7 @@ class Simulation:
         airtime = self._airtimes.get(key)
         if airtime is None:
             size = self.cfg.phy.phy_overhead_bytes + (
-                self.cfg.mac.ack_header_bytes if frame.kind is FrameKind.ACK
+                self.cfg.mac.ack_header_bytes if frame.kind == FrameKind.ACK
                 else self.cfg.mac.mac_header_bytes + frame.payload_len)
             airtime = frame_airtime(size, self.band)
             self._airtimes[key] = airtime
@@ -165,7 +162,7 @@ class Simulation:
                 if mode == LISTEN:
                     other.set_mode(RX)
                 tx.engaged.append(other.node_id)
-        self.emit(node, "TX_START", frame=frame)
+        self.emit(node, TraceKind.TX_START, frame)
         self.loop.schedule(tx.end, EventKind.TX_END, node.node_id, tx)
 
     def deliver(self, tx: Transmission) -> list[tuple[Node, float, int]]:
@@ -189,17 +186,16 @@ class Simulation:
                     continue
                 lq = lq_from_rx_power(rx_power, phy)
             if self.channel.interferers(tx, other):
-                self.emit(other, "COLLISION", frame=tx.frame,
-                          rx_power=rx_power, lq=lq, outcome="collision")
+                self.emit(other, TraceKind.COLLISION, tx.frame,
+                          rx_power=rx_power, lq=lq)
                 continue
             receivers.append((other, rx_power, lq))
-            self.emit(other, "RX", frame=tx.frame, rx_power=rx_power, lq=lq)
-        self.delivery_log.append((tx, tuple(n.node_id for n, _, _ in receivers)))
+            self.emit(other, TraceKind.RX, tx.frame, rx_power=rx_power, lq=lq)
         return receivers
 
     def _on_tx_end(self, node: Node, tx: Transmission) -> None:
         receivers = self.deliver(tx)
-        self.emit(node, "TX_END", frame=tx.frame)
+        self.emit(node, TraceKind.TX_END, tx.frame)
         for nid in tx.engaged:
             other = self.nodes[nid]
             other.rx_engagements -= 1
@@ -213,7 +209,7 @@ class Simulation:
 
     def _on_frame_received(self, node: Node, frame: Frame, rx_power: float,
                            lq: int) -> None:
-        if frame.kind is FrameKind.ACK:
+        if frame.kind == FrameKind.ACK:
             if frame.dst == node.node_id:
                 node.mac.on_ack_received(frame)
         elif frame.wants_ack() and frame.dst == node.node_id:
@@ -255,7 +251,7 @@ class Simulation:
 
     def _on_move_tick(self, ev) -> None:
         if self.mobile is not None:
-            self.emit(self.mobile, "MOVE")
+            self.emit(self.mobile, TraceKind.MOVE)
         nxt = self.loop.now + self.cfg.move_tick_us
         if nxt <= self.cfg.duration_us:
             self.loop.schedule(nxt, EventKind.MOVE_TICK)
@@ -343,7 +339,7 @@ class Simulation:
         energy = build_energy_report(self.seed, end, self.cfg.trajectory, ledgers,
                                      self.cfg.currents, self.cfg.supply_voltage)
         return RunResult(self.cfg, self.seed, self.rows, summary, ledgers, energy,
-                         mobile_id, handover, traffic, self.delivery_log)
+                         mobile_id, handover, traffic)
 
 
 def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunResult:

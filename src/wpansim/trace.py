@@ -2,7 +2,9 @@
 
 Columns: time_us,node_id,event_kind,frame_kind,src,dst,seq,power_dbm,
 rx_power_dbm,lq,pos_x_m,outcome.  Times are integer microseconds, powers
-one decimal, positions two decimals; inapplicable fields stay empty.
+one decimal, positions two decimals; inapplicable fields stay empty.  A
+record holds its outcome as a typed `detail`; `_OUTCOMES` is the only place
+that spells it as text, for writing and for reading back.
 """
 
 from __future__ import annotations
@@ -14,6 +16,24 @@ COLUMNS = ("time_us", "node_id", "event_kind", "frame_kind", "src", "dst",
            "seq", "power_dbm", "rx_power_dbm", "lq", "pos_x_m", "outcome")
 
 HEADER = ",".join(COLUMNS)
+
+
+class TraceKind:
+    """The `event_kind` of a trace row; each constant is its trace text."""
+    TX_START = "TX_START"
+    TX_END = "TX_END"
+    RX = "RX"
+    COLLISION = "COLLISION"
+    BACKOFF = "BACKOFF"
+    CCA_BUSY = "CCA_BUSY"
+    ACK_TIMEOUT = "ACK_TIMEOUT"
+    SEND_OUTCOME = "SEND_OUTCOME"
+    MOVE = "MOVE"
+    OUTAGE_LOSS = "OUTAGE_LOSS"
+    TPC_SET = "TPC_SET"
+    HANDOVER_START = "HANDOVER_START"
+    HANDOVER_DONE = "HANDOVER_DONE"
+    HANDOVER_FAIL = "HANDOVER_FAIL"
 
 
 @dataclass(slots=True)
@@ -29,7 +49,11 @@ class TraceRecord:
     rx_power_dbm: float | None = None
     lq: int | None = None
     pos_x_m: float = 0.0
-    outcome: str = ""
+    detail: object = None  # see _OUTCOMES for each kind's type
+
+    @property
+    def outcome(self) -> str:
+        return _OUTCOMES[self.event_kind][0](self.detail)
 
     def to_csv(self) -> str:
         return ",".join((
@@ -48,13 +72,74 @@ class TraceRecord:
         ))
 
 
+def _fixed(text: str):
+    """A kind whose outcome text never varies; its detail is None."""
+    return (lambda detail: text), (lambda outcome: None)
+
+
+def _field(prefix: str, parse, fmt=str):
+    """A kind whose outcome is `prefix` then the formatted detail."""
+    return (lambda detail: prefix + fmt(detail)), (
+        lambda text: parse(text.removeprefix(prefix)))
+
+
+def _word(text: str) -> str:
+    if not text.isidentifier():
+        raise ValueError(text)
+    return text
+
+
+def _parse_done(text: str) -> tuple[int, int]:
+    parent, _, latency = text.removeprefix("parent=").partition(";latency_us=")
+    return int(parent), int(latency)
+
+
+# event_kind -> (detail -> outcome text, outcome text -> detail).
+_OUTCOMES = {
+    TraceKind.TX_START: _fixed(""),
+    TraceKind.TX_END: _fixed(""),
+    TraceKind.RX: _fixed(""),
+    TraceKind.MOVE: _fixed(""),
+    TraceKind.COLLISION: _fixed("collision"),
+    TraceKind.OUTAGE_LOSS: _fixed("no_parent"),
+    TraceKind.BACKOFF: _field("delay=", int),  # backoff delay, us
+    TraceKind.CCA_BUSY: _field("nb=", int),  # busy CCAs of this attempt
+    # Retry number, or None once the retries are exhausted.
+    TraceKind.ACK_TIMEOUT: (
+        lambda retry: "exhausted" if retry is None else f"retry={retry}",
+        lambda text: None if text == "exhausted"
+        else int(text.removeprefix("retry="))),
+    TraceKind.SEND_OUTCOME: _field("", _word),  # a mac.SendOutcome
+    TraceKind.TPC_SET: _field("level=", float, "{:.1f}".format),  # dBm
+    TraceKind.HANDOVER_START: _field("trigger=", _word),
+    TraceKind.HANDOVER_DONE: (  # (parent, latency_us)
+        lambda done: f"parent={done[0]};latency_us={done[1]}", _parse_done),
+    TraceKind.HANDOVER_FAIL: _field("", _word),  # the reason
+}
+
+
+def _parse_outcome(kind: str, text: str) -> object:
+    """The detail of an outcome text; only text the writer can produce parses."""
+    if kind not in _OUTCOMES:
+        raise ValueError(f"unknown event kind {kind!r}")
+    fmt, parse = _OUTCOMES[kind]
+    try:
+        detail = parse(text)
+        if fmt(detail) == text:
+            return detail
+    except ValueError:
+        pass
+    raise ValueError(f"malformed {kind} outcome {text!r}")
+
+
 WRITE_CHUNK_ROWS = 4096
 
 
 class _Formatted(dict):
     """Text of each value under one formatter, formatted once per value.
 
-    Zero is never stored: -0.0 == 0.0, but the two print differently.
+    A value equal to zero is never stored: -0.0 == 0.0, but the two print
+    differently.
     """
 
     def __init__(self, formatter) -> None:
@@ -63,7 +148,7 @@ class _Formatted(dict):
 
     def __missing__(self, value) -> str:
         text = self.formatter(value)
-        if value:
+        if value != 0:
             self[value] = text
         return text
 
@@ -71,12 +156,13 @@ class _Formatted(dict):
 def write_trace(path: str | Path, rows: list[TraceRecord]) -> None:
     """Write the rows as `TraceRecord.to_csv` formats them, in chunks.
 
-    Ids, sequence numbers, powers and positions repeat across rows, so each
-    distinct value is formatted once per call.
+    Ids, sequence numbers, powers, positions and outcomes repeat across
+    rows, so each distinct value is formatted once per call.
     """
     num = _Formatted(str)
     power = _Formatted("{:.1f}".format)
     pos = _Formatted("{:.2f}".format)
+    outcome = {kind: _Formatted(fmt) for kind, (fmt, _) in _OUTCOMES.items()}
     with open(path, "wb") as fh:
         fh.write((HEADER + "\n").encode("ascii"))
         for first in range(0, len(rows), WRITE_CHUNK_ROWS):
@@ -92,31 +178,29 @@ def write_trace(path: str | Path, rows: list[TraceRecord]) -> None:
                 "" if r.rx_power_dbm is None else power[r.rx_power_dbm],
                 "" if r.lq is None else num[r.lq],
                 pos[r.pos_x_m],
-                r.outcome,
+                outcome[r.event_kind][r.detail],
             )) + "\n" for r in rows[first:first + WRITE_CHUNK_ROWS]).encode("ascii"))
 
 
+def _opt(conv, text: str):
+    return conv(text) if text else None
+
+
 def read_trace(path: str | Path) -> list[TraceRecord]:
+    """The records of a trace file; a bad row raises ValueError naming its line."""
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != HEADER:
         raise ValueError(f"{path}: not a trace file (bad or missing header)")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         f = line.split(",")
-        if len(f) != len(COLUMNS):
-            raise ValueError(f"{path}: malformed trace row {line!r}")
-        rows.append(TraceRecord(
-            time_us=int(f[0]),
-            node_id=int(f[1]),
-            event_kind=f[2],
-            frame_kind=f[3],
-            src=int(f[4]) if f[4] else None,
-            dst=int(f[5]) if f[5] else None,
-            seq=int(f[6]) if f[6] else None,
-            power_dbm=float(f[7]) if f[7] else None,
-            rx_power_dbm=float(f[8]) if f[8] else None,
-            lq=int(f[9]) if f[9] else None,
-            pos_x_m=float(f[10]),
-            outcome=f[11],
-        ))
+        try:
+            if len(f) != len(COLUMNS):
+                raise ValueError(f"malformed trace row {line!r}")
+            rows.append(TraceRecord(
+                int(f[0]), int(f[1]), f[2], f[3], _opt(int, f[4]), _opt(int, f[5]),
+                _opt(int, f[6]), _opt(float, f[7]), _opt(float, f[8]),
+                _opt(int, f[9]), float(f[10]), _parse_outcome(f[2], f[11])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return rows

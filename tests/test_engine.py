@@ -47,7 +47,6 @@ def test_run_until_single_event_clock_stops_at_last():
     loop.schedule(1_000_000, EventKind.MOVE_TICK)
     summary = loop.run_until(10_000_000, _noop)
     assert summary.total_processed == 1
-    assert summary.processed[EventKind.MOVE_TICK] == 1
     assert summary.clock == 1_000_000
 
 

@@ -68,7 +68,7 @@ def test_sole_node_transmits_after_short_backoff():
     drive(sim)
     backoffs = rows_of(sim, "BACKOFF", node=1)
     assert len(backoffs) == 1
-    delay = int(backoffs[0].outcome.split("=")[1])
+    delay = backoffs[0].detail
     assert delay in {k * 320 for k in range(8)}  # BE=3 -> draw in 0..7
     tx = rows_of(sim, "TX_START", node=1)[0]
     assert tx.time_us == delay
@@ -105,7 +105,7 @@ def test_backoff_exponent_escalates_and_stays_bounded():
     sim.begin_transmission(sim.nodes[3], blocker)
     sim.nodes[1].mac.csma_send(data_frame(sim, 1, 2))
     drive(sim)
-    delays = [int(r.outcome.split("=")[1]) for r in rows_of(sim, "BACKOFF", node=1)]
+    delays = [r.detail for r in rows_of(sim, "BACKOFF", node=1)]
     assert len(delays) == 4
     assert all(d <= (2 ** 5 - 1) * 320 for d in delays)
 

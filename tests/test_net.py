@@ -167,8 +167,7 @@ def test_single_pair_delivery_ratio_is_one():
 
 def test_parent_is_always_router_or_coordinator(default_cfg):
     res = Simulation(default_cfg).run()
-    parents = {int(r.outcome.split(";")[0].split("=")[1])
-               for r in res.rows if r.event_kind == "HANDOVER_DONE"}
+    parents = {r.detail[0] for r in res.rows if r.event_kind == "HANDOVER_DONE"}
     stationary_ids = {n.node_id for n in default_cfg.stationary_nodes()}
     assert parents and parents <= stationary_ids
 

@@ -1,0 +1,57 @@
+"""Source guard: only trace.py spells or parses outcome text.
+
+Readers use a record's typed `detail` and the TraceKind, FrameKind and
+SendOutcome constants; the hot-path kinds are plain class attributes, not
+Enum members; test-only state stays out of the simulator.
+"""
+
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "wpansim"
+
+# (pattern, what it means, files it is allowed in)
+RULES = [
+    (r"outcome\.split", "parses outcome text", ()),
+    (r"event_kind\s*(==|!=)\s*[rbuf]?[\"']|[\"']\s*(==|!=)\s*[\w.]*event_kind",
+     "compares event_kind with a string literal", ()),
+    (r"event_kind\s+(not\s+)?in\s*[(\[{]\s*[rbuf]?[\"']",
+     "tests event_kind against string literals", ()),
+    (r"\b(delay|nb|retry|level|trigger|parent|latency_us)=",
+     "spells an outcome prefix", ("trace.py",)),
+    (r"\bFRAME_KIND_TEXT\b", "keeps a frame-kind text table", ()),
+    (r"\bdelivery_log\b", "keeps test-only delivery state", ()),
+]
+ENUM_FREE = ("engine.py", "mac.py")
+
+
+def _violations(name: str, text: str) -> list[str]:
+    found = [f"{name}: {meaning}" for pattern, meaning, allowed in RULES
+             if name not in allowed and re.search(pattern, text)]
+    if name in ENUM_FREE and re.search(r"^\s*(from enum import|import enum)",
+                                       text, re.M):
+        found.append(f"{name}: imports enum")
+    return found
+
+
+def test_only_trace_py_knows_the_outcome_text():
+    sources = sorted(SRC.glob("*.py"))
+    assert {"trace.py", "engine.py", "mac.py", "coverage.py"} <= \
+        {p.name for p in sources}
+    found = [v for p in sources for v in _violations(p.name, p.read_text())]
+    assert found == []
+
+
+def test_the_guard_catches_the_old_spellings():
+    old = {
+        "coverage.py": 'parent = int(r.outcome.split(";")[0].split("=")[1])',
+        "sim.py": 'if r.event_kind == "MOVE":',
+        "net.py": "elif r.event_kind in ('OUTAGE_LOSS', 'HANDOVER_FAIL'):",
+        "mac.py": 'self.sim.emit(node, kind, outcome=f"delay={delay}")',
+        "engine.py": "from enum import Enum",
+        "harness.py": "FRAME_KIND_TEXT[frame.kind]",
+        "phy.py": "self.delivery_log.append(tx)",
+    }
+    for name, line in old.items():
+        assert _violations(name, line), (name, line)
+    assert _violations("trace.py", 'TraceKind.BACKOFF: _field("delay=", int)') == []

@@ -82,14 +82,27 @@ def random_scenario(index: int):
     return parse_scenario(text, source=f"<prop-{index}>")
 
 
-def check_invariants(result, cfg) -> None:
+class LoggedSimulation(Simulation):
+    """A run that also logs each transmission with the ids of its receivers."""
+
+    def __init__(self, cfg) -> None:
+        super().__init__(cfg)
+        self.delivery_log: list[tuple] = []
+
+    def deliver(self, tx):
+        receivers = super().deliver(tx)
+        self.delivery_log.append((tx, tuple(n.node_id for n, _, _ in receivers)))
+        return receivers
+
+
+def check_invariants(result, cfg, log) -> None:
+    """Check a run's result; `log` is its LoggedSimulation.delivery_log."""
     rows = result.rows
 
     # Backoff delays never exceed (2^macMaxBE - 1) unit backoffs.
     for r in rows:
         if r.event_kind == "BACKOFF":
-            delay = int(r.outcome.split("=")[1])
-            assert delay <= MAX_BACKOFF_US, f"backoff {delay} us over bound"
+            assert r.detail <= MAX_BACKOFF_US, f"backoff {r.detail} us over bound"
 
     # Beacons and acks never enter CSMA (no backoff or CCA rows).
     for r in rows:
@@ -98,7 +111,6 @@ def check_invariants(result, cfg) -> None:
                 f"{r.frame_kind} went through CSMA"
 
     # No capture: transmissions overlapping in time share no receiver.
-    log = result.delivery_log
     for i in range(len(log)):
         tx_a, recv_a = log[i]
         for j in range(i + 1, len(log)):
@@ -150,7 +162,8 @@ def run_property_suite(count: int, offset: int = 0) -> int:
     total_events = 0
     for index in range(offset, offset + count):
         cfg = random_scenario(index)
-        result = Simulation(cfg).run()
-        check_invariants(result, cfg)
+        sim = LoggedSimulation(cfg)
+        result = sim.run()
+        check_invariants(result, cfg, sim.delivery_log)
         total_events += result.summary.total_processed
     return total_events
