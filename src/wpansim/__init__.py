@@ -9,7 +9,7 @@ compare / gaps).
 __version__ = "0.1.0"
 
 from .scenario_file import ScenarioConfig, ScenarioError, load_scenario, parse_scenario
-from .sim import RunResult, Simulation, run_scenario
+from .sim import RunResult, Simulation
 
 __all__ = [
     "__version__",
@@ -19,5 +19,4 @@ __all__ = [
     "parse_scenario",
     "RunResult",
     "Simulation",
-    "run_scenario",
 ]

@@ -25,9 +25,7 @@ class EventKind:
     BEACON_DUE = "beacon_due"
     MOVE_TICK = "move_tick"
     DATA_DUE = "data_due"
-    PROBE_WINDOW_END = "probe_window_end"
-    PROBE_RETRY = "probe_retry"
-    SCAN_STEP = "scan_step"
+    HANDOVER_TIMER = "handover_timer"
 
 
 @dataclass

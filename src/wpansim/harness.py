@@ -14,7 +14,8 @@ from .calibration import CalibrationResult, CalibrationTargets, apply_to_config,
 from .coverage import (CoverageReport, association_map, gap_analysis,
                        overlap_intervals)
 from .scenario import SLEEP, EnergyReport, energy_delta_pct
-from .scenario_file import ScenarioConfig, render_scenario
+from .scenario_file import (DEFAULT_SWEEP_POWERS, ScenarioConfig, ScenarioError,
+                            render_scenario)
 from .sim import RunResult, Simulation
 from .trace import write_trace
 
@@ -99,9 +100,14 @@ def sweep(cfg: ScenarioConfig, powers=None,
     TPC is disabled and every node is pinned to the level under test, so
     coverage differences come from power alone.
     """
-    powers = list(powers if powers is not None else cfg.sweep_powers)
+    if powers is None:
+        powers = (cfg.sweep_powers if cfg.sweep_powers is not None
+                  else DEFAULT_SWEEP_POWERS)
+    powers = list(powers)
     if not powers:
         raise ValueError("sweep needs at least one power level")
+    # `_validate` checked a [sweep] powers line; this catches --powers and
+    # the default levels, which no scenario line names.
     unknown = [p for p in powers if p not in cfg.phy.power_levels_dbm]
     if unknown:
         raise ValueError(f"power levels {unknown} not in the configured set "
@@ -209,6 +215,8 @@ def compare(cfg: ScenarioConfig, outdir: str | Path | None = None) -> CompareRes
     The proposed configuration is broadcast handover with TPC; the baseline
     is a sequential scan at the maximum fixed power.  One seed throughout.
     """
+    if cfg.mobile_node() is None:
+        raise ScenarioError("compare needs a mobile node in the scenario")
     max_power = max(cfg.phy.power_levels_dbm)
     result = CompareResult()
     for mode in ("broadcast", "scan"):
@@ -216,10 +224,7 @@ def compare(cfg: ScenarioConfig, outdir: str | Path | None = None) -> CompareRes
             arm_cfg = cfg.clone(handover_mode=mode, tpc_enabled=tpc,
                                 mobile_power=None if tpc else max_power)
             name = f"{mode}+{'tpc' if tpc else 'fixed'}"
-            run = Simulation(arm_cfg).run()
-            if run.mobile_id is None:
-                raise ValueError("compare needs a mobile node in the scenario")
-            result.arms[name] = CompareArm(name, run)
+            result.arms[name] = CompareArm(name, Simulation(arm_cfg).run())
     prop, base = result.proposed, result.baseline
     result.latency_delta_s = base.mean_latency_s - prop.mean_latency_s
     result.outage_delta_s = base.outage_s - prop.outage_s

@@ -233,7 +233,6 @@ class MacLayer:
         self.be = 0
         self.retries = 0
         self.seq_counter = 0
-        self._backoff_event = None
         self._ack_timeout_event = None
         self.tx_ends_at: SimTime = 0
 
@@ -288,8 +287,8 @@ class MacLayer:
         draw = self.node.rng.draw_uniform(1 << self.be)
         delay = draw * self.sim.csma.unit_backoff_us
         self.sim.emit(self.node, TraceKind.BACKOFF, self.current.frame, detail=delay)
-        self._backoff_event = self.sim.loop.schedule(
-            self.sim.loop.now + delay, EventKind.BACKOFF_EXPIRE, self.node.node_id)
+        self.sim.loop.schedule(self.sim.loop.now + delay, EventKind.BACKOFF_EXPIRE,
+                               self.node.node_id)
 
     def on_backoff_expire(self) -> None:
         if self.current is None:

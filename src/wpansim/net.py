@@ -1,4 +1,4 @@
-"""Association, MAC-broadcast handover, scan baseline and LQ-driven TPC.
+"""Parent association, MAC-broadcast handover, scan baseline and LQ-driven TPC.
 
 The mobile end device keeps exactly one parent (a router or the
 coordinator).  Handover triggers: link quality from the parent dropping
@@ -10,27 +10,13 @@ sequentially and is therefore linear in node count.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .engine import EventKind, SimTime
 from .mac import BROADCAST, Frame, FrameKind, SendOutcome
-from .phy import LinkSample, lq_from_rx_power
+from .phy import lq_from_rx_power
 from .scenario import NodeRole
 from .trace import TraceKind
-
-
-@dataclass
-class Association:
-    parent: int | None = None
-    last_lq: int = 0
-
-
-@dataclass
-class TpcState:
-    current_power_dbm: float
-    lq_target: int = 64
-    lq_hysteresis: int = 16
 
 
 @dataclass
@@ -86,14 +72,12 @@ class MobileController:
         self.sim = sim
         self.node = node
         cfg = sim.cfg
-        self.assoc = Association()
-        self.tpc_enabled = cfg.tpc.enabled
-        start_power = (max(cfg.phy.power_levels_dbm) if self.tpc_enabled
-                       else node.config_power_dbm())
-        self.tpc = TpcState(start_power, cfg.tpc.lq_target, cfg.tpc.lq_hysteresis)
+        self.parent: int | None = None
+        self.last_lq = 0  # LQ of the parent's latest frame
+        self.power_dbm = (max(cfg.phy.power_levels_dbm) if cfg.tpc.enabled
+                          else node.config_power_dbm())
         self.stats = HandoverStats()
         self.traffic = TrafficStats()
-        self.samples: deque[LinkSample] = deque()  # oldest first
         self.ack_fail_streak = 0
         self.handover_state = "idle"  # idle | probing | scanning | associating
         self.handover_epoch = 0
@@ -105,18 +89,22 @@ class MobileController:
         self.orphan_since: SimTime | None = 0  # starts unassociated
         self._lq_block_until: SimTime = 0
 
+    def _degraded(self, lq: int) -> bool:
+        tpc = self.sim.cfg.tpc
+        return lq < tpc.lq_target - tpc.lq_hysteresis
+
     # -- traffic ------------------------------------------------------------
 
     def on_data_due(self) -> None:
         cfg = self.sim.cfg
-        if self.assoc.parent is None:
+        if self.parent is None:
             self.traffic.outage_losses += 1
             self.sim.emit(self.node, TraceKind.OUTAGE_LOSS)
             self.start_handover("orphan")
             return
         self.node.wake()
         frame = Frame(FrameKind.DATA, self.node.mac.next_seq(), self.node.node_id,
-                      self.assoc.parent, payload_len=cfg.traffic.payload_bytes)
+                      self.parent, payload_len=cfg.traffic.payload_bytes)
         self.traffic.attempts += 1
         self.node.mac.csma_send(frame, self._on_data_outcome)
 
@@ -129,7 +117,7 @@ class MobileController:
             self.ack_fail_streak += 1
             cfg = self.sim.cfg.handover
             threshold = cfg.ack_fail_threshold
-            if self.assoc.last_lq < self.tpc.lq_target - self.tpc.lq_hysteresis:
+            if self._degraded(self.last_lq):
                 # Link already known degraded: one dead frame is proof enough.
                 threshold = cfg.degraded_ack_fail_threshold
             if self.ack_fail_streak >= threshold:
@@ -141,69 +129,50 @@ class MobileController:
     # -- reception ----------------------------------------------------------
 
     def on_frame(self, frame: Frame, rx_power: float, lq: int) -> None:
-        if frame.src == self.assoc.parent:
-            self.assoc.last_lq = lq
-            self._record_sample(frame, rx_power, lq)
+        if frame.src == self.parent:
+            self.last_lq = lq
+            if self.sim.cfg.tpc.enabled:
+                self.tpc_update(rx_power, frame.tx_power_dbm)
         if frame.kind == FrameKind.PROBE_RESP and frame.lq_report is not None:
             if self.handover_state in ("probing", "scanning"):
                 self.responses.append((frame.lq_report, frame.src))
         elif frame.kind == FrameKind.ASSOC_RESP and frame.src == self.candidate:
             self._commit_parent(frame.src)
-        # A degraded parent link triggers a new search.
-        if (frame.src == self.assoc.parent and self.handover_state == "idle"
-                and lq < self.tpc.lq_target - self.tpc.lq_hysteresis):
+        # A degraded parent link triggers a new search (the parent may be
+        # the one just committed).
+        if (frame.src == self.parent and self.handover_state == "idle"
+                and self._degraded(lq)):
             self.start_handover("low_lq")
-
-    def _record_sample(self, frame: Frame, rx_power: float, lq: int) -> None:
-        now = self.sim.loop.now
-        self.samples.append(LinkSample(rx_power, lq, now, frame.src,
-                                       frame.tx_power_dbm))
-        window = self.sim.cfg.tpc.window_us
-        samples = self.samples
-        while samples and now - samples[0].time > window:
-            samples.popleft()
-        if self.tpc_enabled and self.assoc.parent is not None:
-            self.tpc_update()
 
     # -- transmission power control ------------------------------------------
 
-    def tpc_update(self) -> None:
+    def tpc_update(self, rx_power: float, tx_power: float) -> None:
         """Pick the lowest configured level whose predicted LQ meets target.
 
-        Prediction shifts the latest parent sample by the candidate/actual
-        power difference (exact under the deterministic log-distance model).
-        Decreases are gated by hysteresis; increases apply immediately.
+        The parent's frame just heard, sent at `tx_power` and received at
+        `rx_power`, predicts each candidate level by the power difference
+        (exact under the deterministic log-distance model).  Decreases are
+        gated by hysteresis; increases apply immediately.
         """
-        now = self.sim.loop.now
-        window = self.sim.cfg.tpc.window_us
-        sample = None
-        for s in reversed(self.samples):  # newest first
-            if now - s.time > window:
-                break  # every older sample is outside the window too
-            if s.src == self.assoc.parent:
-                sample = s
-                break
-        if sample is None:
-            return  # keep current level
         params = self.sim.cfg.phy
-        levels = sorted(self.sim.cfg.phy.power_levels_dbm)
+        tpc = self.sim.cfg.tpc
+        levels = sorted(params.power_levels_dbm)
 
         def predicted_lq(level: float) -> int:
-            rx = sample.rx_power_dbm + (level - sample.tx_power_dbm)
-            return lq_from_rx_power(rx, params)
+            return lq_from_rx_power(rx_power + (level - tx_power), params)
 
         chosen = None
         for level in levels:
-            if predicted_lq(level) >= self.tpc.lq_target:
+            if predicted_lq(level) >= tpc.lq_target:
                 chosen = level
                 break
         if chosen is None:
             chosen = levels[-1]
-        if chosen < self.tpc.current_power_dbm:
-            if predicted_lq(chosen) < self.tpc.lq_target + self.tpc.lq_hysteresis:
+        if chosen < self.power_dbm:
+            if predicted_lq(chosen) < tpc.lq_target + tpc.lq_hysteresis:
                 return  # hold: not enough margin to step down
-        if chosen != self.tpc.current_power_dbm:
-            self.tpc.current_power_dbm = chosen
+        if chosen != self.power_dbm:
+            self.power_dbm = chosen
             self.sim.emit(self.node, TraceKind.TPC_SET, detail=chosen)
 
     # -- handover ------------------------------------------------------------
@@ -228,6 +197,42 @@ class MobileController:
         else:
             self._start_broadcast_probe()
 
+    def _set_timer(self, delay: SimTime) -> None:
+        """Fire on_handover_timer after `delay`, tagged with this epoch."""
+        self.sim.loop.schedule(self.sim.loop.now + delay, EventKind.HANDOVER_TIMER,
+                               self.node.node_id, self.handover_epoch)
+
+    def on_handover_timer(self, epoch: int) -> None:
+        """The one handover timer; the state it meets says what it was set for.
+
+        At most one timer of the current epoch is pending at a time:
+        probing sets the response window, scanning the polled node's
+        response timeout, associating the guard against a lost
+        AssocResponse, and a failure, which leaves the mobile idle, the
+        retry (as Simulation.setup does for the first search).  A timer
+        from an earlier epoch is stale.  A live one meets the state that
+        set it: only the timer moves probing or scanning on, and idle is
+        left only through start_handover, which starts a new epoch.  The
+        one exception is a guard that fires after the commit: it finds
+        the mobile idle with a parent, and the idle branch acts only on
+        an orphan, so it does nothing.
+        """
+        if epoch != self.handover_epoch:
+            return
+        state = self.handover_state
+        if state == "probing":  # the response window has closed
+            self._select_candidate()
+        elif state == "scanning":  # the polled node's response window has closed
+            self.scan_index += 1
+            if self.scan_index < len(self.scan_targets):
+                self._scan_poll_next()
+            else:
+                self._select_candidate()
+        elif state == "associating":  # no AssocResponse within the guard
+            self._handover_failed("assoc_resp_lost")
+        elif self.parent is None:  # retry after a failure, or the first search
+            self.start_handover("orphan")
+
     def _start_broadcast_probe(self) -> None:
         epoch = self.handover_epoch
         self.handover_state = "probing"
@@ -239,16 +244,9 @@ class MobileController:
             if outcome == SendOutcome.CHANNEL_ACCESS_FAILURE:
                 self._handover_failed("probe_cca_fail")
             else:
-                self.sim.loop.schedule(
-                    self.sim.loop.now + self.sim.cfg.handover.probe_window_us,
-                    EventKind.PROBE_WINDOW_END, self.node.node_id, epoch)
+                self._set_timer(self.sim.cfg.handover.probe_window_us)
 
         self.node.mac.csma_send(probe, on_probe_out)
-
-    def on_probe_window_end(self, epoch: int) -> None:
-        if epoch != self.handover_epoch or self.handover_state != "probing":
-            return
-        self._select_candidate()
 
     def _start_scan(self) -> None:
         self.handover_state = "scanning"
@@ -270,20 +268,9 @@ class MobileController:
             if self.handover_epoch != epoch:
                 return
             # Full response window per polled node, answered or not.
-            self.sim.loop.schedule(
-                self.sim.loop.now + self.sim.cfg.handover.scan_response_timeout_us,
-                EventKind.SCAN_STEP, self.node.node_id, epoch)
+            self._set_timer(self.sim.cfg.handover.scan_response_timeout_us)
 
         self.node.mac.csma_send(probe, on_poll_out)
-
-    def on_scan_step(self, epoch: int) -> None:
-        if epoch != self.handover_epoch or self.handover_state != "scanning":
-            return
-        self.scan_index += 1
-        if self.scan_index < len(self.scan_targets):
-            self._scan_poll_next()
-        else:
-            self._select_candidate()
 
     def _select_candidate(self) -> None:
         if not self.responses:
@@ -304,19 +291,16 @@ class MobileController:
                 self._handover_failed("assoc_req_lost")
             else:
                 # Guard against a lost AssocResponse.
-                self.sim.loop.schedule(
-                    self.sim.loop.now + self.sim.cfg.handover.probe_window_us,
-                    EventKind.PROBE_RETRY, self.node.node_id,
-                    ("assoc_guard", epoch))
+                self._set_timer(self.sim.cfg.handover.probe_window_us)
 
         self.node.mac.csma_send(req, on_req_out)
 
     def _commit_parent(self, parent: int) -> None:
         if self.handover_state != "associating":
             return
-        old = self.assoc.parent
+        old = self.parent
         now = self.sim.loop.now
-        self.assoc.parent = parent
+        self.parent = parent
         self.handover_state = "idle"
         self.candidate = None
         self.ack_fail_streak = 0
@@ -336,34 +320,19 @@ class MobileController:
     def _handover_failed(self, why: str) -> None:
         self.handover_state = "idle"
         self.stats.failures += 1
-        if self.assoc.parent is not None:
-            # The old parent could not be reached either: we are orphaned.
-            self.assoc.parent = None
+        # The old parent could not be reached either: we are orphaned.
+        self.parent = None
         if self.orphan_since is None:
             self.orphan_since = self.sim.loop.now
-        if self.tpc_enabled:
+        if self.sim.cfg.tpc.enabled:
             # Reacquire conservatively: probe at the highest level.
             top = max(self.sim.cfg.phy.power_levels_dbm)
-            if self.tpc.current_power_dbm != top:
-                self.tpc.current_power_dbm = top
+            if self.power_dbm != top:
+                self.power_dbm = top
                 self.sim.emit(self.node, TraceKind.TPC_SET, detail=top)
         self.sim.emit(self.node, TraceKind.HANDOVER_FAIL, detail=why)
-        epoch = self.handover_epoch
-        self.sim.loop.schedule(
-            self.sim.loop.now + self.sim.cfg.handover.probe_retry_us,
-            EventKind.PROBE_RETRY, self.node.node_id, ("retry", epoch))
+        self._set_timer(self.sim.cfg.handover.probe_retry_us)
         self.sim.maybe_sleep(self.node)
-
-    def on_probe_retry(self, data) -> None:
-        tag, epoch = data
-        if tag == "assoc_guard":
-            if epoch == self.handover_epoch and self.handover_state == "associating":
-                self._handover_failed("assoc_resp_lost")
-            return
-        if epoch != self.handover_epoch or self.handover_state != "idle":
-            return
-        if self.assoc.parent is None:
-            self.start_handover("orphan")
 
     def close(self, end: SimTime) -> None:
         if self.orphan_since is not None:

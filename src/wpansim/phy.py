@@ -51,15 +51,6 @@ class PhyParams:
     power_levels_dbm: tuple[float, ...] = (0.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 
 
-@dataclass
-class LinkSample:
-    rx_power_dbm: float
-    lq: int
-    time: SimTime
-    src: int
-    tx_power_dbm: float  # power the sampled frame was sent at
-
-
 def channel_center_frequency(ch: int) -> float:
     """Center frequency in MHz for a 2.4 GHz band channel: 2350 + 5*ch."""
     if not 11 <= ch <= 26:

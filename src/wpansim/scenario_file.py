@@ -21,7 +21,7 @@ Sections and keys (defaults in parentheses):
     [trajectory] waypoint = <x> m, <y> m, <t> s   (repeatable, ordered),
                  move_tick (100 ms)
     [traffic]    period (100 ms), payload (20 B)
-    [tpc]        enabled, lq_target (64), lq_hysteresis (16), window (1 s)
+    [tpc]        enabled, lq_target (64), lq_hysteresis (16)
     [handover]   mode (broadcast|scan), probe_window (50 ms),
                  probe_retry (200 ms), scan_response_timeout (50 ms),
                  lq_retrigger_cooldown (500 ms), ack_fail_threshold (2),
@@ -29,7 +29,7 @@ Sections and keys (defaults in parentheses):
     [energy]     supply_voltage (3.0 V), tx_current_0dbm (30 mA),
                  tx_current_per_dbm (1.5 mA), rx_current (30 mA),
                  idle_current (30 mA), sleep_current (0.003 mA)
-    [sweep]      powers = 0 2 3 4 5 6 dBm
+    [sweep]      powers (0 2 3 4 5 6 dBm, DEFAULT_SWEEP_POWERS)
     [compare]    reference_latency_delta (1.2 s),
                  reference_energy_delta (42.8 %)
 
@@ -39,7 +39,9 @@ more and the traffic period, move_tick and probe_retry are positive
 and mac_min_be 0..mac_max_be (IEEE 802.15.4-2006, Table 86); mac_header +
 payload (or the largest control payload) <= 127 B, as is ack_header
 (aMaxPHYPacketSize); and no frame is empty: phy_overhead + ack_header and
-phy_overhead + mac_header + payload are at least 1 B.
+phy_overhead + mac_header + payload are at least 1 B; tx_power and every
+level of a [sweep] powers line are among power_levels.  A file without that
+line leaves sweep_powers None, so custom power_levels need no [sweep] section.
 """
 
 from __future__ import annotations
@@ -131,7 +133,6 @@ class TpcConfig:
     enabled: bool = True
     lq_target: int = 64
     lq_hysteresis: int = 16
-    window_us: int = 1_000_000
 
 
 @dataclass
@@ -149,6 +150,10 @@ class HandoverConfig:
 class TrafficConfig:
     period_us: int = 100_000
     payload_bytes: int = 20
+
+
+# The levels `sweep` runs when neither --powers nor a [sweep] line names any.
+DEFAULT_SWEEP_POWERS = (0.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 
 
 @dataclass
@@ -169,7 +174,7 @@ class ScenarioConfig:
     handover: HandoverConfig = field(default_factory=HandoverConfig)
     currents: CurrentModel = field(default_factory=CurrentModel)
     supply_voltage: float = 3.0
-    sweep_powers: tuple[float, ...] = (0.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    sweep_powers: tuple[float, ...] | None = None  # None: DEFAULT_SWEEP_POWERS
     reference_latency_delta_us: int = 1_200_000
     reference_energy_delta_pct: float = 42.8
 
@@ -320,8 +325,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Kind]]] = {
     "traffic": {"period": ("traffic.period_us", _POSITIVE_TIME),
                 "payload": ("traffic.payload_bytes", _BYTES)},
     "tpc": {"enabled": ("tpc.enabled", _BOOL), "lq_target": ("tpc.lq_target", _INT),
-            "lq_hysteresis": ("tpc.lq_hysteresis", _INT),
-            "window": ("tpc.window_us", _TIME)},
+            "lq_hysteresis": ("tpc.lq_hysteresis", _INT)},
     "handover": {"mode": ("handover.mode", _MODE),
                  "probe_window": ("handover.probe_window_us", _TIME),
                  "probe_retry": ("handover.probe_retry_us", _POSITIVE_TIME),
@@ -428,17 +432,25 @@ def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> No
         if not lo <= value <= hi:
             raise ScenarioError(f"{source}: {key} {value} outside {lo}..{hi}",
                                 key_lines.get(f"csma.{key}"))
-    if cfg.phy.tx_power_dbm not in cfg.phy.power_levels_dbm:
+
+    def last_line(*keys: str) -> int | None:
+        return max(key_lines.get(k, 0) for k in keys) or None
+
+    levels = cfg.phy.power_levels_dbm
+    if cfg.phy.tx_power_dbm not in levels:
         raise ScenarioError(
-            f"{source}: tx_power {cfg.phy.tx_power_dbm} dBm not in power_levels")
+            f"{source}: tx_power {cfg.phy.tx_power_dbm} dBm not in power_levels",
+            last_line("phy.tx_power", "phy.power_levels"))
+    unknown = [p for p in cfg.sweep_powers or () if p not in levels]
+    if unknown:
+        raise ScenarioError(
+            f"{source}: sweep powers {unknown} not in power_levels",
+            last_line("sweep.powers", "phy.power_levels"))
     if not 0 <= cfg.mac.beacon_order <= 15:
         raise ScenarioError(f"{source}: beacon_order must be 0..15")
     if cfg.channel not in cfg.band.channels:
         raise ScenarioError(
             f"{source}: channel {cfg.channel} not in band {cfg.band.name}")
-
-    def last_line(*keys: str) -> int | None:
-        return max(key_lines.get(k, 0) for k in keys) or None
 
     header = cfg.mac.mac_header_bytes
     payload = max(cfg.traffic.payload_bytes, *CONTROL_PAYLOAD.values())
@@ -496,7 +508,8 @@ def render_scenario(cfg: ScenarioConfig, header: str = "",
             out.append(f"[{title}]")
             for key, (path, kind) in schema.items():
                 value = attrgetter(path)(target)
-                if section == "node" and not _node_shows(target, key, value):
+                if (not _node_shows(target, key, value) if section == "node"
+                        else value is None):  # an unset [sweep] powers
                     continue
                 note = notes.get(f"{section}.{key}")
                 suffix = f"    # {note}" if note else ""

@@ -31,7 +31,7 @@ class Node:
         # A stationary node's position; a mobile's as of time _xy_time.
         self.xy = (config.x, config.y)
         self._xy_time: SimTime | None = None
-        self.rng = RngStream(sim.seed, config.node_id)
+        self.rng = RngStream(sim.cfg.seed, config.node_id)
         start_mode = SLEEP if config.sleeps else LISTEN
         self.ledger = EnergyLedger(0, start_mode)
         self._mode = start_mode
@@ -64,7 +64,7 @@ class Node:
 
     def tx_power_dbm(self) -> float:
         if isinstance(self.controller, MobileController):
-            return self.controller.tpc.current_power_dbm
+            return self.controller.power_dbm
         return self.config_power_dbm()
 
     def set_mode(self, mode: RadioMode) -> None:
@@ -99,9 +99,8 @@ class RunResult:
 
 
 class Simulation:
-    def __init__(self, cfg: ScenarioConfig, seed: int | None = None) -> None:
+    def __init__(self, cfg: ScenarioConfig) -> None:
         self.cfg = cfg
-        self.seed = cfg.seed if seed is None else seed
         self.loop = EventLoop()
         self.csma: CsmaParams = cfg.csma
         self.band = cfg.band
@@ -275,12 +274,9 @@ class Simulation:
                 nodes[ev.target], ev.data == "deferred"),
             EventKind.MOVE_TICK: self._on_move_tick,
             EventKind.DATA_DUE: self._on_data_due,
-            # Handover timers are only ever set by the mobile's controller.
-            EventKind.PROBE_WINDOW_END:
-                lambda ev: self.mobile.controller.on_probe_window_end(ev.data),
-            EventKind.SCAN_STEP: lambda ev: self.mobile.controller.on_scan_step(ev.data),
-            EventKind.PROBE_RETRY:
-                lambda ev: self.mobile.controller.on_probe_retry(ev.data),
+            # Handover timers are only ever set for the mobile's controller.
+            EventKind.HANDOVER_TIMER:
+                lambda ev: self.mobile.controller.on_handover_timer(ev.data),
         }
 
     def _on_beacon_due(self, node: Node, deferred: bool) -> None:
@@ -305,9 +301,10 @@ class Simulation:
         if self.cfg.duration_us <= 0:
             return
         if self.mobile is not None:
-            # Initial association attempt, then periodic machinery.
-            self.loop.schedule(0, EventKind.PROBE_RETRY, self.mobile.node_id,
-                               ("retry", self.mobile.controller.handover_epoch))
+            # Initial association attempt (an idle orphan's handover timer),
+            # then periodic machinery.
+            self.loop.schedule(0, EventKind.HANDOVER_TIMER, self.mobile.node_id,
+                               self.mobile.controller.handover_epoch)
             if self.cfg.traffic.period_us <= self.cfg.duration_us:
                 self.loop.schedule(self.cfg.traffic.period_us, EventKind.DATA_DUE)
             if self.cfg.move_tick_us <= self.cfg.duration_us:
@@ -336,12 +333,7 @@ class Simulation:
             ctrl.close(end)
             handover = ctrl.stats
             traffic = ctrl.traffic
-        energy = build_energy_report(self.seed, end, self.cfg.trajectory, ledgers,
+        energy = build_energy_report(self.cfg.seed, end, self.cfg.trajectory, ledgers,
                                      self.cfg.currents, self.cfg.supply_voltage)
-        return RunResult(self.cfg, self.seed, self.rows, summary, ledgers, energy,
+        return RunResult(self.cfg, self.cfg.seed, self.rows, summary, ledgers, energy,
                          mobile_id, handover, traffic)
-
-
-def run_scenario(cfg: ScenarioConfig, seed: int | None = None) -> RunResult:
-    sim = Simulation(cfg if seed is None else cfg.clone(seed=seed))
-    return sim.run()

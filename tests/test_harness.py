@@ -277,7 +277,8 @@ def test_cli_sweep_default_and_summary(tmp_path, capsys):
 
 
 def _cli_run_rejects(text, bad_line, tmp_path, capsys, monkeypatch):
-    """`wpansim run` exits 2 naming the line of the scenario that holds bad_line."""
+    """`wpansim run` exits 2 naming the line of the scenario that holds
+    bad_line; returns what it printed to stderr."""
     def no_run(*args, **kwargs):  # fail fast where the run would never end
         raise AssertionError("scenario accepted")
 
@@ -287,8 +288,10 @@ def _cli_run_rejects(text, bad_line, tmp_path, capsys, monkeypatch):
     lineno = text.splitlines().index(bad_line) + 1
     code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert f"scenario error: line {lineno}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"scenario error: line {lineno}: " in err
     assert not (tmp_path / "o").exists()
+    return err
 
 
 def test_cli_zero_traffic_period_exit_2(tmp_path, capsys, monkeypatch):
@@ -316,11 +319,13 @@ def test_cli_negative_probe_window_exit_2(tmp_path, capsys, monkeypatch):
     _cli_run_rejects(text, "probe_window = -1 ms", tmp_path, capsys, monkeypatch)
 
 
-def test_cli_negative_tpc_window_exit_2(tmp_path, capsys, monkeypatch):
-    # Used to run to exit 0 with every TPC sample dropped, so TPC never acted.
+def test_cli_tpc_window_key_exit_2(tmp_path, capsys, monkeypatch):
+    # [tpc] window changed no run (TPC acts on the parent frame just heard),
+    # so the key is gone; a file that still sets it is told so at its line.
     text = TINY.format(duration="500 ms", seed=7).replace(
-        "enabled = off", "enabled = on\nwindow = -1 s")
-    _cli_run_rejects(text, "window = -1 s", tmp_path, capsys, monkeypatch)
+        "enabled = off", "enabled = on\nwindow = 1 s")
+    err = _cli_run_rejects(text, "window = 1 s", tmp_path, capsys, monkeypatch)
+    assert "unknown key 'window' in section [tpc]" in err
 
 
 def test_cli_nan_probe_window_exit_2(tmp_path, capsys, monkeypatch):
@@ -349,10 +354,59 @@ def test_cli_empty_section_header_exit_2(tmp_path, capsys, monkeypatch):
 
 def test_cli_zero_probe_retry_exit_2(tmp_path, capsys, monkeypatch):
     # Used to run forever: a scan with no stationary node to poll fails at
-    # once, and PROBE_RETRY rescheduled it at the same instant.
+    # once, and the retry timer restarted it at the same instant.
     text = ("[node 4]\nrole = end_device\nclass = mobile\n\n"
             "[handover]\nmode = scan\nprobe_retry = 0 ms\n")
     _cli_run_rejects(text, "probe_retry = 0 ms", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_tx_power_outside_power_levels_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to exit 2 without a line number.
+    text = TINY.format(duration="500 ms", seed=7).replace(
+        "tx_power = 0 dBm", "tx_power = 1 dBm")
+    _cli_run_rejects(text, "tx_power = 1 dBm", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_sweep_powers_outside_power_levels_exit_2(tmp_path, capsys):
+    # Used to be accepted, so `sweep` exited 1 with a usage error and no line.
+    text = TINY.format(duration="500 ms", seed=7) + "\n[sweep]\npowers = 0 7 dBm\n"
+    path = tmp_path / "bad.scenario"
+    path.write_text(text)
+    lineno = text.splitlines().index("powers = 0 7 dBm") + 1
+    code = main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"scenario error: line {lineno}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_custom_power_levels_without_sweep_line(tmp_path, capsys):
+    # Only a [sweep] powers line is checked at parse time, so a file with its
+    # own power_levels and no [sweep] section runs, and sweeps with --powers.
+    text = TINY.format(duration="500 ms", seed=7).replace(
+        "tx_power = 0 dBm", "tx_power = 0 dBm\npower_levels = 0 5 10 dBm")
+    path = tmp_path / "levels.scenario"
+    path.write_text(text)
+    args = ["--scenario", str(path), "--out"]
+    assert main(["run", *args, str(tmp_path / "run")]) == 0
+    assert main(["sweep", *args, str(tmp_path / "s1"), "--powers", "0 5"]) == 0
+    assert (tmp_path / "s1" / "power_5dBm").is_dir()
+    capsys.readouterr()
+    # the default levels 2, 3, 4 and 6 dBm are not among them: a usage error
+    assert main(["sweep", *args, str(tmp_path / "s2")]) == 1
+    assert "[2.0, 3.0, 4.0, 6.0] not in the configured set" in capsys.readouterr().err
+
+
+def test_cli_compare_without_mobile_exit_2(tmp_path, capsys):
+    # Used to run a whole arm first, then exit 1 with a ValueError.
+    mobile = "[node 4]\nrole = end_device\nclass = mobile\n"
+    text = TINY.format(duration="500 ms", seed=7)
+    assert mobile in text
+    path = tmp_path / "nomobile.scenario"
+    path.write_text(text.replace(mobile, ""))
+    code = main(["compare", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "compare needs a mobile node" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_backoff_exponent_above_8_exit_2(tmp_path, capsys, monkeypatch):

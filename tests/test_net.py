@@ -1,8 +1,9 @@
-from collections import deque
+import pytest
 
 from conftest import make_cfg
-from wpansim.mac import Frame, FrameKind
-from wpansim.phy import LinkSample, lq_from_rx_power
+from wpansim.engine import EventKind
+from wpansim.mac import BROADCAST, Frame, FrameKind
+from wpansim.phy import lq_from_rx_power
 from wpansim.sim import Simulation
 
 PARKED = """
@@ -74,7 +75,7 @@ def test_single_responder_association_in_four_frames():
     sim = parked_sim(x=1.0)
     res = sim.run()
     ctrl = sim.mobile.controller
-    assert ctrl.assoc.parent == 1
+    assert ctrl.parent == 1
     assert ctrl.stats.completions == 1
     assert len(protocol_frames(res.rows)) == 4  # probe, response, req, resp
 
@@ -89,7 +90,7 @@ def test_equal_lq_tie_goes_to_lowest_id():
                  if r.event_kind == "RX" and r.frame_kind == "probe_resp"
                  and r.node_id == 9}
     assert responses == {1, 2}
-    assert ctrl.assoc.parent == 1
+    assert ctrl.parent == 1
     assert len(protocol_frames(res.rows)) == 5  # 4 + (responders - 1)
 
 
@@ -98,7 +99,7 @@ def test_higher_lq_beats_lower_id():
              "[node 2]\nrole = router\nclass = stationary\nx = 1 m\n")
     sim = parked_sim(x=0.0, nodes=nodes)
     sim.run()
-    assert sim.mobile.controller.assoc.parent == 2
+    assert sim.mobile.controller.parent == 2
 
 
 def test_mobile_in_coverage_gap_stays_orphaned():
@@ -106,7 +107,7 @@ def test_mobile_in_coverage_gap_stays_orphaned():
     sim = parked_sim(x=3.0, power=0.0, duration="1 s", period="100 ms")
     res = sim.run()
     ctrl = sim.mobile.controller
-    assert ctrl.assoc.parent is None
+    assert ctrl.parent is None
     assert ctrl.stats.completions == 0
     assert ctrl.stats.total_outage_us == 1_000_000  # orphan for the whole run
     assert ctrl.traffic.outage_losses == 10
@@ -129,8 +130,8 @@ def test_scan_finds_same_parent_but_slower_than_broadcast():
     b_res = b.run()
     s = parked_sim(x=1.0, mode="scan", seed=11)
     s_res = s.run()
-    assert b.mobile.controller.assoc.parent == 1
-    assert s.mobile.controller.assoc.parent == 1
+    assert b.mobile.controller.parent == 1
+    assert s.mobile.controller.parent == 1
     b_lat = b.mobile.controller.stats.latencies_us[0]
     s_lat = s.mobile.controller.stats.latencies_us[0]
     assert s_lat > b_lat
@@ -143,7 +144,7 @@ def test_scan_with_zero_stationary_nodes_fails_immediately():
     assert rows[0].event_kind == "HANDOVER_START"
     assert rows[1].event_kind == "HANDOVER_FAIL"
     assert rows[1].time_us == rows[0].time_us
-    assert sim.mobile.controller.assoc.parent is None
+    assert sim.mobile.controller.parent is None
 
 
 def test_orphan_outage_accrues_with_data_pending():
@@ -182,55 +183,51 @@ def tpc_sim():
     cfg.tpc.enabled = True
     sim = Simulation(cfg)
     ctrl = sim.mobile.controller
-    ctrl.tpc_enabled = True
-    ctrl.assoc.parent = 1
+    ctrl.parent = 1
     return sim, ctrl
-
-
-def _sample(sim, rx, p_used, t=0):
-    return LinkSample(rx, lq_from_rx_power(rx, sim.cfg.phy), t, 1, p_used)
 
 
 def test_tpc_steps_down_to_minimum_sufficient_level():
     sim, ctrl = tpc_sim()
-    assert ctrl.tpc.current_power_dbm == 6.0  # starts at the top
-    ctrl.samples = [_sample(sim, -54.0, 6.0)]
-    ctrl.tpc_update()
+    assert ctrl.power_dbm == 6.0  # starts at the top
+    ctrl.tpc_update(-54.0, 6.0)
     # predicted margin at 0 dBm is 13 dB -> LQ 83, above target + hysteresis
-    assert ctrl.tpc.current_power_dbm == 0.0
+    assert ctrl.power_dbm == 0.0
 
 
 def test_tpc_falls_back_to_max_when_no_level_reaches_target():
     sim, ctrl = tpc_sim()
-    ctrl.tpc.current_power_dbm = 3.0
-    ctrl.samples = [_sample(sim, -69.0, 6.0)]
-    ctrl.tpc_update()
-    assert ctrl.tpc.current_power_dbm == 6.0
+    ctrl.power_dbm = 3.0
+    ctrl.tpc_update(-69.0, 6.0)
+    assert ctrl.power_dbm == 6.0
 
 
 def test_tpc_hysteresis_holds_current_level():
     sim, ctrl = tpc_sim()
-    ctrl.samples = [_sample(sim, -59.5, 6.0)]
     # minimum qualifying level is 3 dBm (predicted LQ 67) but 67 < 64+16
-    ctrl.tpc_update()
-    assert ctrl.tpc.current_power_dbm == 6.0
+    ctrl.tpc_update(-59.5, 6.0)
+    assert ctrl.power_dbm == 6.0
 
 
 def test_tpc_idempotent_on_unchanged_samples():
     sim, ctrl = tpc_sim()
-    ctrl.samples = [_sample(sim, -54.0, 6.0)]
-    ctrl.tpc_update()
-    first = ctrl.tpc.current_power_dbm
-    ctrl.tpc_update()
-    assert ctrl.tpc.current_power_dbm == first
+    ctrl.tpc_update(-54.0, 6.0)
+    first = ctrl.power_dbm
+    ctrl.tpc_update(-54.0, 6.0)
+    assert ctrl.power_dbm == first
 
 
-def test_tpc_keeps_level_without_recent_samples():
+def test_tpc_acts_only_on_a_frame_from_the_parent():
     sim, ctrl = tpc_sim()
-    ctrl.tpc.current_power_dbm = 3.0
-    ctrl.samples = []
-    ctrl.tpc_update()
-    assert ctrl.tpc.current_power_dbm == 3.0
+    lq = lq_from_rx_power(-54.0, sim.cfg.phy)  # strong enough for 0 dBm
+    for src in (2, 3):
+        ctrl.on_frame(Frame(FrameKind.BEACON, 0, src, BROADCAST, tx_power_dbm=6.0),
+                      -54.0, lq)
+    assert ctrl.power_dbm == 6.0
+    assert not sim.rows
+    ctrl.on_frame(Frame(FrameKind.BEACON, 0, 1, BROADCAST, tx_power_dbm=6.0),
+                  -54.0, lq)
+    assert ctrl.power_dbm == 0.0
 
 
 def test_tpc_average_power_never_exceeds_fixed_max(default_cfg):
@@ -253,37 +250,49 @@ def test_tpc_average_power_never_exceeds_fixed_max(default_cfg):
     assert tx_time_weighted_dbm(tpc_run) <= tx_time_weighted_dbm(fixed_run)
 
 
-def _parent_sample(sim, src, rx, p_used, t):
-    return LinkSample(rx, lq_from_rx_power(rx, sim.cfg.phy), t, src, p_used)
+# -- the handover timer -------------------------------------------------------
 
 
-def test_tpc_uses_newest_sample_of_the_new_parent():
-    sim, ctrl = tpc_sim()
-    sim.loop.now = now = 2_000_000
-    # Handover from node 2 back to node 1: node 2's sample is the newest and
-    # still inside the window, but it is no longer the parent's.
-    ctrl.samples = deque([
-        _parent_sample(sim, 1, -66.0, 0.0, now - 500_000),  # would pick 4 dBm
-        _parent_sample(sim, 1, -54.0, 6.0, now - 300_000),  # picks 0 dBm
-        _parent_sample(sim, 2, -69.0, 6.0, now - 100_000),  # would keep 6 dBm
-    ])
-    ctrl.assoc.parent = 1
-    ctrl.tpc_update()
-    assert ctrl.tpc.current_power_dbm == 0.0
+def _in_state(state):
+    """A mobile in `state` of epoch 2, where a live timer would act."""
+    sim = parked_sim(x=1.0)
+    ctrl = sim.mobile.controller
+    ctrl.handover_epoch = 2
+    ctrl.handover_state = state
+    ctrl.responses = [(200, 1)]  # probing/scanning: a candidate to select
+    ctrl.scan_targets, ctrl.scan_index = [1, 2, 3], 0
+    ctrl.candidate = 1
+    ctrl.node.wake()  # as start_handover leaves it
+    return sim, ctrl
 
 
-def test_tpc_window_includes_a_sample_exactly_window_old():
-    sim, ctrl = tpc_sim()
-    window = sim.cfg.tpc.window_us
-    sim.loop.now = now = 3 * window
-    for age, level in ((window, 6.0), (window + 1, 3.0)):
-        ctrl.tpc.current_power_dbm = 3.0
-        ctrl.samples = deque([_parent_sample(sim, 1, -69.0, 6.0, now - age)])
-        ctrl.tpc_update()
-        assert ctrl.tpc.current_power_dbm == level, age
-    # Recording a sample drops exactly the older ones.
-    ctrl.samples = deque([_parent_sample(sim, 1, -69.0, 6.0, now - window - 1),
-                          _parent_sample(sim, 1, -69.0, 6.0, now - window)])
-    frame = Frame(FrameKind.DATA, 0, 1, ctrl.node.node_id, tx_power_dbm=6.0)
-    ctrl._record_sample(frame, -69.0, lq_from_rx_power(-69.0, sim.cfg.phy))
-    assert [s.time for s in ctrl.samples] == [now - window, now]
+def _queue(sim):
+    """The loop's counts, read by running it to the current time."""
+    return sim.loop.run_until(sim.loop.now, sim._dispatch)
+
+
+@pytest.mark.parametrize("state", ["idle", "probing", "scanning", "associating"])
+def test_stale_handover_timer_is_ignored(state):
+    sim, ctrl = _in_state(state)
+    ctrl.on_handover_timer(1)
+    assert ctrl.handover_state == state
+    assert ctrl.parent is None and ctrl.stats.attempts == ctrl.stats.failures == 0
+    queue = _queue(sim)
+    assert not sim.rows and queue.scheduled == queue.total_processed == 0
+    ctrl.on_handover_timer(2)  # the same timer, live, acts
+    assert sim.rows
+
+
+def test_assoc_guard_after_the_commit_is_a_no_op():
+    sim, ctrl = _in_state("associating")
+    ctrl.on_frame(Frame(FrameKind.ASSOC_RESP, 0, 1, ctrl.node.node_id), -54.0, 200)
+    assert (ctrl.handover_state, ctrl.parent) == ("idle", 1)
+    rows, before = len(sim.rows), _queue(sim)
+    ev = sim.loop.schedule(sim.cfg.handover.probe_window_us,
+                           EventKind.HANDOVER_TIMER, ctrl.node.node_id, 2)
+    after = sim.loop.run_until(ev.time, sim._dispatch)
+    assert (ctrl.handover_state, ctrl.parent) == ("idle", 1)
+    assert ctrl.stats.failures == 0 and ctrl.stats.completions == 1
+    assert len(sim.rows) == rows and after.total_processed == 1  # the guard alone
+    assert after.scheduled == before.scheduled + 1  # the guard scheduled nothing
+    assert after.unprocessed == before.unprocessed

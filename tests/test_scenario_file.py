@@ -66,6 +66,22 @@ def test_power_list_requires_unit():
     assert "powers" in str(err.value)
 
 
+def test_custom_power_levels_need_no_sweep_line():
+    # The default sweep levels are not checked against power_levels: only a
+    # [sweep] powers line the file writes is.
+    cfg = parse_scenario("[phy]\ntx_power = 0 dBm\npower_levels = 0 5 10 dBm\n")
+    assert cfg.sweep_powers is None
+    text = render_scenario(cfg)
+    assert "powers =" not in text.split("[sweep]")[1]
+    assert parse_scenario(text) == cfg
+
+
+def test_sweep_line_outside_power_levels_names_its_line():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario("[phy]\npower_levels = 0 5 dBm\n\n[sweep]\npowers = 0 2 dBm\n")
+    assert err.value.line == 5 and "[2.0]" in str(err.value)
+
+
 def test_duplicate_node_id_rejected():
     text = "[node 1]\nrole = coordinator\n[node 1]\nrole = router\n"
     with pytest.raises(ScenarioError) as err:
@@ -230,6 +246,8 @@ def _configs(draw):
             cfg.mac.ack_header_bytes, cfg.mac.mac_header_bytes + cfg.traffic.payload_bytes):
         cfg.phy.phy_overhead_bytes = 1  # no frame may be empty
     cfg.phy.tx_power_dbm = draw(st.sampled_from(cfg.phy.power_levels_dbm))
+    cfg.sweep_powers = draw(st.none() | st.lists(  # None: no [sweep] powers line
+        st.sampled_from(cfg.phy.power_levels_dbm), min_size=1, max_size=6).map(tuple))
     cfg.mac.beacon_order = draw(st.integers(0, 15))
     cfg.channel = draw(st.sampled_from(cfg.band.channels))
     return cfg
