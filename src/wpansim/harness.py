@@ -13,7 +13,7 @@ from pathlib import Path
 from .calibration import CalibrationResult, CalibrationTargets, apply_to_config, search
 from .coverage import (CoverageReport, association_map, gap_analysis,
                        overlap_intervals)
-from .scenario import SLEEP, EnergyReport, energy_delta_pct
+from .scenario import SLEEP
 from .scenario_file import (DEFAULT_SWEEP_POWERS, ScenarioConfig, ScenarioError,
                             render_scenario)
 from .sim import RunResult, Simulation
@@ -35,26 +35,30 @@ def run_simulation(cfg: ScenarioConfig, outdir: str | Path | None = None,
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         write_trace(out / "trace.csv", result.rows)
-        _write_energy_csv(out / "energy.csv", result.energy)
+        _write_energy_csv(out / "energy.csv", result)
         (out / "summary.txt").write_text(
             "\n".join(_run_summary_lines(result)) + "\n", encoding="ascii")
     return result
 
 
-def _write_energy_csv(path: Path, energy: EnergyReport) -> None:
+def _energy_mj(run: RunResult, node_id: int) -> float:
+    return run.ledgers[node_id].energy_mj(run.cfg.currents, run.cfg.supply_voltage)
+
+
+def _write_energy_csv(path: Path, run: RunResult) -> None:
     lines = ["node_id,mode,time_us,energy_mj"]
-    for node_id in sorted(energy.per_node_mj):
-        for mode, t in energy.per_node_mode_times[node_id].items():
-            mj = energy.per_node_modes[node_id][mode]
-            lines.append(f"{node_id},{mode.name},{t},{mj:.6f}")
-        lines.append(f"{node_id},total,{energy.duration_us},"
-                     f"{energy.per_node_mj[node_id]:.6f}")
+    for node_id, ledger in run.ledgers.items():
+        modes = ledger.breakdown_mj(run.cfg.currents, run.cfg.supply_voltage)
+        for mode, mj in modes.items():
+            lines.append(f"{node_id},{mode.name},{ledger.mode_times[mode]},{mj:.6f}")
+        lines.append(f"{node_id},total,{run.cfg.duration_us},"
+                     f"{sum(modes.values()):.6f}")
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def _run_summary_lines(result: RunResult) -> list[str]:
     lines = [
-        f"seed {result.seed}, duration {result.cfg.duration_us} us, "
+        f"seed {result.cfg.seed}, duration {result.cfg.duration_us} us, "
         f"{result.summary.total_processed} events processed",
     ]
     if result.traffic_stats is not None:
@@ -69,8 +73,8 @@ def _run_summary_lines(result: RunResult) -> list[str]:
                      f"{h.failures} failed, mean latency "
                      f"{h.mean_latency_us() / 1e6:.4f} s, total outage "
                      f"{h.total_outage_us / 1e6:.4f} s")
-    for node_id, mj in result.energy.per_node_mj.items():
-        lines.append(f"energy node {node_id}: {mj:.3f} mJ")
+    for node_id in result.ledgers:
+        lines.append(f"energy node {node_id}: {_energy_mj(result, node_id):.3f} mJ")
     return lines
 
 
@@ -100,6 +104,8 @@ def sweep(cfg: ScenarioConfig, powers=None,
     TPC is disabled and every node is pinned to the level under test, so
     coverage differences come from power alone.
     """
+    if cfg.mobile_node() is None:
+        raise ScenarioError("sweep needs a mobile node in the scenario")
     if powers is None:
         powers = (cfg.sweep_powers if cfg.sweep_powers is not None
                   else DEFAULT_SWEEP_POWERS)
@@ -123,8 +129,7 @@ def sweep(cfg: ScenarioConfig, powers=None,
             power_dbm=power,
             gaps=gaps,
             overlaps=overlaps,
-            associations=(association_map(run.rows, run.mobile_id)
-                          if run.mobile_id is not None else []),
+            associations=association_map(run.rows, run.mobile_id),
         )
         result.levels.append(SweepLevel(power, report, run))
         if outdir is not None:
@@ -184,11 +189,11 @@ class CompareArm:
 
     @property
     def mobile_energy_mj(self) -> float:
-        return self.run.energy.per_node_mj[self.run.mobile_id]
+        return _energy_mj(self.run, self.run.mobile_id)
 
     @property
     def radio_on_s(self) -> float:
-        times = self.run.energy.per_node_mode_times[self.run.mobile_id]
+        times = self.run.ledgers[self.run.mobile_id].mode_times
         on = sum(t for mode, t in times.items() if mode != SLEEP)
         return on / 1e6
 
@@ -228,8 +233,7 @@ def compare(cfg: ScenarioConfig, outdir: str | Path | None = None) -> CompareRes
     prop, base = result.proposed, result.baseline
     result.latency_delta_s = base.mean_latency_s - prop.mean_latency_s
     result.outage_delta_s = base.outage_s - prop.outage_s
-    result.energy_delta_pct = energy_delta_pct(
-        base.run.energy, prop.run.energy, prop.run.mobile_id)
+    result.energy_delta_pct = energy_delta_pct(base.run, prop.run)
     if outdir is not None:
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
@@ -240,6 +244,24 @@ def compare(cfg: ScenarioConfig, outdir: str | Path | None = None) -> CompareRes
             "\n".join(compare_report_lines(cfg, result)) + "\n", encoding="ascii")
         _write_compare_csv(out / "compare.csv", result)
     return result
+
+
+def energy_delta_pct(baseline: RunResult, proposed: RunResult) -> float:
+    """The mobile's energy saving of proposed vs baseline,
+    (base - prop) / base * 100.
+
+    Refuses to compare runs that do not share seed, duration and trajectory.
+    """
+    a, b = baseline.cfg, proposed.cfg
+    if (a.seed != b.seed or a.duration_us != b.duration_us
+            or a.trajectory.waypoints != b.trajectory.waypoints):
+        raise ValueError("energy comparison requires paired runs "
+                         "(same seed, duration and trajectory)")
+    base = _energy_mj(baseline, baseline.mobile_id)
+    prop = _energy_mj(proposed, proposed.mobile_id)
+    if base == 0.0:
+        return 0.0
+    return (base - prop) / base * 100.0
 
 
 def _write_compare_csv(path: Path, result: CompareResult) -> None:
@@ -259,7 +281,7 @@ def compare_report_lines(cfg: ScenarioConfig, result: CompareResult) -> list[str
     lines = [
         "paired comparison (proposed = broadcast handover + TPC, "
         "baseline = sequential scan + fixed max power)",
-        f"seed {result.proposed.run.seed}, "
+        f"seed {cfg.seed}, "
         f"duration {cfg.duration_us / 1e6:g} s",
         "",
         "arm             handovers  mean_latency_s  outage_s  radio_on_s  "

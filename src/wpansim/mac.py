@@ -249,7 +249,7 @@ class MacLayer:
     # -- submission ---------------------------------------------------------
 
     def csma_send(self, frame: Frame, on_outcome=None) -> None:
-        if self.node._mode == SLEEP:
+        if self.node.ledger.mode == SLEEP:
             raise SimulationError(
                 f"node {self.node.node_id} cannot csma_send while asleep")
         if frame.kind in CSMA_EXEMPT:
@@ -265,7 +265,7 @@ class MacLayer:
         if frame.kind not in CSMA_EXEMPT:
             raise SimulationError(
                 f"send_immediate only accepts beacon/ack, got {frame.kind}")
-        if self.node._mode == SLEEP:
+        if self.node.ledger.mode == SLEEP:
             raise SimulationError(
                 f"node {self.node.node_id} cannot transmit while asleep")
         self._transmit(frame, immediate=True)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -115,11 +115,12 @@ class CurrentModel:
 
 
 class EnergyLedger:
-    """Accumulates per-mode radio time for one node, exact in microseconds."""
+    """A node's radio: its current mode and its time per mode, exact in
+    microseconds.  The only record of either; energy is derived from it."""
 
     def __init__(self, start: SimTime = 0, mode: RadioMode = LISTEN) -> None:
         self.mode_times: dict[RadioMode, int] = {}
-        self._mode = mode
+        self.mode = mode
         self._since: SimTime = start
         self._closed = False
 
@@ -130,13 +131,13 @@ class EnergyLedger:
         if t < self._since:
             raise SimulationError(
                 f"energy transition at t={t} precedes open interval start {self._since}")
-        self.mode_times[self._mode] = self.mode_times.get(self._mode, 0) + (t - self._since)
-        self._mode = mode
+        self.mode_times[self.mode] = self.mode_times.get(self.mode, 0) + (t - self._since)
+        self.mode = mode
         self._since = t
 
     def close(self, t: SimTime) -> None:
         if not self._closed:
-            self.transition(self._mode, t)
+            self.transition(self.mode, t)
             self._closed = True
 
     def total_time(self) -> int:
@@ -149,45 +150,3 @@ class EnergyLedger:
                      voltage: float) -> dict[RadioMode, float]:
         return {mode: currents.current_ma(mode) * voltage * t / 1_000_000
                 for mode, t in sorted(self.mode_times.items())}
-
-
-@dataclass
-class EnergyReport:
-    """Per-node energy breakdown for one completed run."""
-
-    seed: int
-    duration_us: SimTime
-    trajectory_key: tuple
-    per_node_mj: dict[int, float] = field(default_factory=dict)
-    per_node_modes: dict[int, dict[RadioMode, float]] = field(default_factory=dict)
-    per_node_mode_times: dict[int, dict[RadioMode, int]] = field(default_factory=dict)
-
-
-def build_energy_report(seed: int, duration_us: SimTime, trajectory: Trajectory,
-                        ledgers: dict[int, EnergyLedger],
-                        currents: CurrentModel, voltage: float) -> EnergyReport:
-    report = EnergyReport(seed=seed, duration_us=duration_us,
-                          trajectory_key=tuple(trajectory.waypoints))
-    for node_id, ledger in sorted(ledgers.items()):
-        report.per_node_mj[node_id] = ledger.energy_mj(currents, voltage)
-        report.per_node_modes[node_id] = ledger.breakdown_mj(currents, voltage)
-        report.per_node_mode_times[node_id] = dict(sorted(ledger.mode_times.items()))
-    return report
-
-
-def energy_delta_pct(baseline: EnergyReport, proposed: EnergyReport,
-                     node_id: int) -> float:
-    """Percentage saving of proposed vs baseline, (base - prop) / base * 100.
-
-    Refuses to compare runs that do not share seed, duration and trajectory.
-    """
-    if (baseline.seed != proposed.seed
-            or baseline.duration_us != proposed.duration_us
-            or baseline.trajectory_key != proposed.trajectory_key):
-        raise ValueError("energy comparison requires paired runs "
-                         "(same seed, duration and trajectory)")
-    base = baseline.per_node_mj[node_id]
-    prop = proposed.per_node_mj[node_id]
-    if base == 0.0:
-        return 0.0
-    return (base - prop) / base * 100.0

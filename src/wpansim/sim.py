@@ -14,9 +14,8 @@ from .mac import (BROADCAST, Channel, CsmaParams, Frame, FrameKind, MacLayer,
                   Transmission)
 from .net import MobileController, StationaryController
 from .phy import NO_BEACONS, beacon_interval, frame_airtime, lq_from_rx_power
-from .scenario import (LISTEN, RX, SLEEP, EnergyLedger, EnergyReport, NodeClass,
-                       NodeConfig, NodeRole, RadioMode, build_energy_report,
-                       tx_mode)
+from .scenario import (LISTEN, RX, SLEEP, EnergyLedger, NodeClass, NodeConfig,
+                       NodeRole, RadioMode, tx_mode)
 from .scenario_file import ScenarioConfig
 from .trace import TraceKind, TraceRecord
 
@@ -33,8 +32,7 @@ class Node:
         self._xy_time: SimTime | None = None
         self.rng = RngStream(sim.cfg.seed, config.node_id)
         start_mode = SLEEP if config.sleeps else LISTEN
-        self.ledger = EnergyLedger(0, start_mode)
-        self._mode = start_mode
+        self.ledger = EnergyLedger(0, start_mode)  # the radio's mode and time
         self.listen_since: SimTime | None = 0 if start_mode.hears else None
         self.rx_engagements = 0
         self.pending_acks = 0
@@ -68,12 +66,12 @@ class Node:
         return self.config_power_dbm()
 
     def set_mode(self, mode: RadioMode) -> None:
-        if mode == self._mode:
+        ledger = self.ledger
+        if mode == ledger.mode:
             return
         now = self.sim.loop.now
-        was_listening = self._mode.hears
-        self.ledger.transition(mode, now)
-        self._mode = mode
+        was_listening = ledger.mode.hears
+        ledger.transition(mode, now)
         if mode.hears:
             if not was_listening:
                 self.listen_since = now
@@ -81,18 +79,16 @@ class Node:
             self.listen_since = None
 
     def wake(self) -> None:
-        if self._mode == SLEEP:
+        if self.ledger.mode == SLEEP:
             self.set_mode(LISTEN)
 
 
 @dataclass
 class RunResult:
     cfg: ScenarioConfig
-    seed: int
     rows: list[TraceRecord]
     summary: RunSummary
-    ledgers: dict[int, EnergyLedger]
-    energy: EnergyReport
+    ledgers: dict[int, EnergyLedger]  # closed at the end, by ascending node id
     mobile_id: int | None
     handover_stats: object = None
     traffic_stats: object = None
@@ -154,7 +150,7 @@ class Simulation:
         node.mac.tx_ends_at = tx.end
         # Listeners hearing this carrier switch to active reception.
         for other, rx_power, _ in tx.audience.values():
-            mode = other._mode
+            mode = other.ledger.mode
             if mode.hears and (
                     rx_power is not None or self.channel.audible(tx, other)):
                 other.rx_engagements += 1
@@ -175,7 +171,7 @@ class Simulation:
         phy = self.cfg.phy
         receivers: list[tuple[Node, float, int]] = []
         for other, rx_power, lq in tx.audience.values():
-            if not other._mode.hears:
+            if not other.ledger.mode.hears:
                 continue
             if other.listen_since is None or other.listen_since > tx.start:
                 continue
@@ -198,7 +194,7 @@ class Simulation:
         for nid in tx.engaged:
             other = self.nodes[nid]
             other.rx_engagements -= 1
-            if other.rx_engagements == 0 and other._mode == RX:
+            if other.rx_engagements == 0 and other.ledger.mode == RX:
                 other.set_mode(LISTEN)
         node.set_mode(LISTEN)
         for other, rx_power, lq in receivers:
@@ -225,7 +221,7 @@ class Simulation:
             return
         if node.mac.busy or node.rx_engagements > 0 or node.pending_acks > 0:
             return
-        if node._mode != LISTEN:
+        if node.ledger.mode != LISTEN:
             return
         if isinstance(node.controller, MobileController) and \
                 node.controller.handover_state != "idle":
@@ -239,7 +235,7 @@ class Simulation:
 
     def _on_ack_turnaround(self, ev) -> None:
         node = self.nodes[ev.target]
-        if node._mode.tx_power_dbm is not None:
+        if node.ledger.mode.tx_power_dbm is not None:
             # Radio busy with an own frame: the ack goes out right after it,
             # still without CCA.
             self.loop.schedule(node.mac.tx_ends_at, EventKind.ACK_TURNAROUND,
@@ -280,7 +276,7 @@ class Simulation:
         }
 
     def _on_beacon_due(self, node: Node, deferred: bool) -> None:
-        if node._mode.tx_power_dbm is not None:
+        if node.ledger.mode.tx_power_dbm is not None:
             # Radio busy with its own frame: send right after, keep cadence.
             self.loop.schedule(node.mac.tx_ends_at, EventKind.BEACON_DUE,
                                node.node_id, "deferred")
@@ -333,7 +329,5 @@ class Simulation:
             ctrl.close(end)
             handover = ctrl.stats
             traffic = ctrl.traffic
-        energy = build_energy_report(self.cfg.seed, end, self.cfg.trajectory, ledgers,
-                                     self.cfg.currents, self.cfg.supply_voltage)
-        return RunResult(self.cfg, self.cfg.seed, self.rows, summary, ledgers, energy,
-                         mobile_id, handover, traffic)
+        return RunResult(self.cfg, self.rows, summary, ledgers, mobile_id,
+                         handover, traffic)

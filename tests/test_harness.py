@@ -1,11 +1,11 @@
 import pytest
 
-from conftest import DATA, TINY, oracle_meets_targets, tiny_cfg
+from conftest import DATA, TINY, make_cfg, oracle_meets_targets, tiny_cfg
 from wpansim import cli
 from wpansim.calibration import CalibrationTargets
 from wpansim.cli import main
 from wpansim.engine import SimulationError
-from wpansim.harness import calibrate, compare, run_simulation, sweep
+from wpansim.harness import calibrate, compare, energy_delta_pct, run_simulation, sweep
 from wpansim.scenario import SLEEP
 from wpansim.scenario_file import load_scenario
 from wpansim.sim import Simulation
@@ -67,7 +67,9 @@ def test_compare_with_tpc_disabled_both_arms_is_energy_neutral(default_cfg):
                                         mobile_power=6.0)).run()
     again = Simulation(default_cfg.clone(tpc_enabled=False,
                                          mobile_power=6.0)).run()
-    assert base.energy.per_node_mj == again.energy.per_node_mj
+    assert energy_delta_pct(base, again) == 0.0
+    assert ([led.mode_times for led in base.ledgers.values()]
+            == [led.mode_times for led in again.ledgers.values()])
 
 
 def test_compare_reports_all_four_arms(default_cfg, tmp_path):
@@ -82,8 +84,47 @@ def test_compare_reports_all_four_arms(default_cfg, tmp_path):
     # radio-on time is part of the report (one interpretation of the claim)
     assert result.proposed.radio_on_s > 0
     for arm in result.arms.values():
-        times = arm.run.energy.per_node_mode_times[arm.run.mobile_id]
+        times = arm.run.ledgers[arm.run.mobile_id].mode_times
         assert SLEEP in times
+
+
+def _mobile_mj(run):
+    return run.ledgers[run.mobile_id].energy_mj(run.cfg.currents,
+                                                 run.cfg.supply_voltage)
+
+
+def test_energy_delta_identity_is_zero():
+    a = Simulation(tiny_cfg()).run()
+    b = Simulation(tiny_cfg()).run()
+    assert _mobile_mj(a) > 0
+    assert energy_delta_pct(a, b) == 0.0
+
+
+def test_energy_delta_positive_when_proposed_cheaper():
+    # Same run, but the baseline mobile transmits at 6 dBm instead of 0 dBm.
+    base = Simulation(tiny_cfg().clone(mobile_power=6.0)).run()
+    prop = Simulation(tiny_cfg()).run()
+    want = (_mobile_mj(base) - _mobile_mj(prop)) / _mobile_mj(base) * 100.0
+    assert want > 0
+    assert energy_delta_pct(base, prop) == want
+
+
+def test_energy_delta_of_a_zero_length_run_is_zero():
+    run = Simulation(tiny_cfg(duration="0 s")).run()
+    assert _mobile_mj(run) == 0.0
+    assert energy_delta_pct(run, run) == 0.0
+
+
+def test_energy_delta_refuses_mismatched_runs():
+    base = Simulation(tiny_cfg()).run()
+    moved = TINY.format(duration="500 ms", seed=7).replace(
+        "waypoint = 1 m, 0 m, 0 s", "waypoint = 2 m, 0 m, 0 s")
+    for cfg in (tiny_cfg(seed=8), tiny_cfg(duration="400 ms"), make_cfg(moved)):
+        other = Simulation(cfg).run()
+        with pytest.raises(ValueError, match="paired runs"):
+            energy_delta_pct(base, other)
+        with pytest.raises(ValueError, match="paired runs"):
+            energy_delta_pct(other, base)
 
 
 # -- command line ----------------------------------------------------------------
@@ -396,16 +437,31 @@ def test_cli_custom_power_levels_without_sweep_line(tmp_path, capsys):
     assert "[2.0, 3.0, 4.0, 6.0] not in the configured set" in capsys.readouterr().err
 
 
-def test_cli_compare_without_mobile_exit_2(tmp_path, capsys):
-    # Used to run a whole arm first, then exit 1 with a ValueError.
+def _write_tiny_without_mobile(tmp_path):
     mobile = "[node 4]\nrole = end_device\nclass = mobile\n"
     text = TINY.format(duration="500 ms", seed=7)
     assert mobile in text
     path = tmp_path / "nomobile.scenario"
     path.write_text(text.replace(mobile, ""))
+    return path
+
+
+def test_cli_compare_without_mobile_exit_2(tmp_path, capsys):
+    # Used to run a whole arm first, then exit 1 with a ValueError.
+    path = _write_tiny_without_mobile(tmp_path)
     code = main(["compare", "--scenario", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "compare needs a mobile node" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_sweep_without_mobile_exit_2(tmp_path, capsys):
+    # Used to exit 0 with "minimum gap-free level: 0 dBm": with no mobile,
+    # no trace row measured coverage and every level looked gap-free.
+    path = _write_tiny_without_mobile(tmp_path)
+    code = main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "sweep needs a mobile node" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

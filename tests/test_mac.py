@@ -197,7 +197,7 @@ def test_sleeping_node_receives_nothing():
     beacon = Frame(FrameKind.BEACON, 0, 1, BROADCAST, payload_len=4)
     sim.nodes[1].mac.send_immediate(beacon)
     drive(sim)
-    assert sim.nodes[9]._mode == SLEEP
+    assert sim.nodes[9].ledger.mode == SLEEP
     assert rows_of(sim, "RX", node=9) == []
 
 

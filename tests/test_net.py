@@ -243,7 +243,7 @@ def test_tpc_average_power_never_exceeds_fixed_max(default_cfg):
     assert max(tx_powers(tpc_run)) <= 6.0
     # time-weighted average over transmissions stays at or below the fixed arm
     def tx_time_weighted_dbm(run):
-        times = run.energy.per_node_mode_times[run.mobile_id]
+        times = run.ledgers[run.mobile_id].mode_times
         return sum(mode.tx_power_dbm * t for mode, t in times.items()
                    if mode.tx_power_dbm is not None)
 

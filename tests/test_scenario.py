@@ -4,7 +4,7 @@ import pytest
 
 from wpansim.engine import SimulationError
 from wpansim.scenario import (LISTEN, RX, SLEEP, CurrentModel, EnergyLedger,
-                              EnergyReport, Trajectory, energy_delta_pct, tx_mode)
+                              Trajectory, tx_mode)
 
 DEFAULT_TRAJ = Trajectory([(0.0, 0.0, 0), (15.0, 0.0, 15_000_000)])
 
@@ -112,29 +112,3 @@ def test_off_grid_power_is_charged_exactly():
     led.close(300)
     assert led.mode_times == {tx_mode(3.2): 100, tx_mode(3.25): 200}
     assert len(led.mode_times) == 2
-
-
-def _report(seed, duration, total):
-    rep = EnergyReport(seed=seed, duration_us=duration,
-                       trajectory_key=tuple(DEFAULT_TRAJ.waypoints))
-    rep.per_node_mj[4] = total
-    return rep
-
-
-def test_energy_delta_identity_is_zero():
-    a = _report(42, 15_000_000, 100.0)
-    b = _report(42, 15_000_000, 100.0)
-    assert energy_delta_pct(a, b, 4) == 0.0
-
-
-def test_energy_delta_positive_when_proposed_cheaper():
-    base = _report(42, 15_000_000, 200.0)
-    prop = _report(42, 15_000_000, 150.0)
-    assert energy_delta_pct(base, prop, 4) == pytest.approx(25.0)
-
-
-def test_energy_delta_refuses_mismatched_runs():
-    a = _report(42, 15_000_000, 100.0)
-    b = _report(43, 15_000_000, 100.0)
-    with pytest.raises(ValueError):
-        energy_delta_pct(a, b, 4)
