@@ -53,8 +53,7 @@ class EventLoop:
     def __init__(self) -> None:
         self.now: SimTime = 0
         self._heap: list[tuple[int, int, Event]] = []
-        self._seq = 0
-        self._scheduled = 0
+        self._seq = 0  # also the count of events scheduled
         self._cancelled = 0
 
     def schedule(self, time: SimTime, kind: str, target: int | None = None,
@@ -65,7 +64,6 @@ class EventLoop:
                 f"(clock is {self.now} us)")
         ev = Event(time, self._seq, kind, target, data)
         self._seq += 1
-        self._scheduled += 1
         heapq.heappush(self._heap, (time, ev.seq, ev))
         return ev
 
@@ -94,7 +92,7 @@ class EventLoop:
         else:
             self.now = min(end, last_time) if processed else min(end, self.now)
         unprocessed = sum(1 for _, _, ev in self._heap if not ev.cancelled)
-        return RunSummary(processed, self._scheduled, self._cancelled,
+        return RunSummary(processed, self._seq, self._cancelled,
                           unprocessed, self.now)
 
 

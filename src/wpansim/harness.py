@@ -106,6 +106,13 @@ def sweep(cfg: ScenarioConfig, powers=None,
     """
     if cfg.mobile_node() is None:
         raise ScenarioError("sweep needs a mobile node in the scenario")
+    # Coverage intervals are read along x, so the mobile may not turn back.
+    waypoints = cfg.trajectory.waypoints
+    for k, (prev, cur) in enumerate(zip(waypoints, waypoints[1:]), start=2):
+        if cur[0] < prev[0]:
+            raise ScenarioError(
+                f"trajectory waypoint {k} (x = {cur[0]:g} m) is below waypoint "
+                f"{k - 1} (x = {prev[0]:g} m); sweep needs an x that never decreases")
     if powers is None:
         powers = (cfg.sweep_powers if cfg.sweep_powers is not None
                   else DEFAULT_SWEEP_POWERS)

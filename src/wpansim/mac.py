@@ -306,7 +306,7 @@ class MacLayer:
         self._transmit(self.current.frame, immediate=False)
 
     def _transmit(self, frame: Frame, immediate: bool) -> None:
-        frame.tx_power_dbm = self.node.tx_power_dbm()
+        frame.tx_power_dbm = self.node.power_dbm
         self.sim.begin_transmission(self.node, frame)
         if not immediate:
             self.state = "tx"

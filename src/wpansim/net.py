@@ -1,11 +1,14 @@
 """Parent association, MAC-broadcast handover, scan baseline and LQ-driven TPC.
 
 The mobile end device keeps exactly one parent (a router or the
-coordinator).  Handover triggers: link quality from the parent dropping
-below target minus hysteresis, repeated ack failures, or having no parent
-at all.  The broadcast variant probes once and collects every responder
-within a fixed window; the scan baseline polls each known stationary node
-sequentially and is therefore linear in node count.
+coordinator; a stationary end device answers no probe).  Handover
+triggers: link quality from the parent dropping below target minus
+hysteresis, repeated ack failures, or having no parent at all.  Both
+handover modes run one probe sequence over a fixed list of addresses,
+collecting every response, then associate with the best responder.  The
+broadcast variant's list is the one MAC-broadcast address, probed within a
+fixed window; the scan baseline's list is every possible parent, polled in
+turn, so its latency is linear in node count.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass, field
 from .engine import EventKind, SimTime
 from .mac import BROADCAST, Frame, FrameKind, SendOutcome
 from .phy import lq_from_rx_power
-from .scenario import NodeRole
 from .trace import TraceKind
 
 
@@ -49,13 +51,17 @@ class TrafficStats:
 
 
 class StationaryController:
-    """Always-on router/coordinator: answers probes and association requests."""
+    """Stationary node; a router or coordinator answers probes and
+    association requests, an end device answers nothing."""
 
     def __init__(self, sim, node) -> None:
         self.sim = sim
         self.node = node
+        self.may_parent = node.config.may_parent
 
     def on_frame(self, frame: Frame, rx_power: float, lq: int) -> None:
+        if not self.may_parent:
+            return
         mac = self.node.mac
         if frame.kind == FrameKind.PROBE_REQ and (
                 frame.is_broadcast or frame.dst == self.node.node_id):
@@ -74,17 +80,20 @@ class MobileController:
         cfg = sim.cfg
         self.parent: int | None = None
         self.last_lq = 0  # LQ of the parent's latest frame
-        self.power_dbm = (max(cfg.phy.power_levels_dbm) if cfg.tpc.enabled
-                          else node.config_power_dbm())
+        if cfg.tpc.enabled:
+            node.power_dbm = max(cfg.phy.power_levels_dbm)
         self.stats = HandoverStats()
         self.traffic = TrafficStats()
         self.ack_fail_streak = 0
-        self.handover_state = "idle"  # idle | probing | scanning | associating
+        self.handover_state = "idle"  # idle | probing | associating
         self.handover_epoch = 0
         self.handover_started: SimTime = 0
         self.responses: list[tuple[int, int]] = []  # (reported lq, node id)
-        self.scan_targets: list[int] = []
-        self.scan_index = 0
+        # Probed in turn by every handover: the MAC-broadcast address, or for
+        # the scan baseline each possible parent.
+        self.probe_addrs = (sorted(n.node_id for n in cfg.nodes if n.may_parent)
+                            if cfg.handover.mode == "scan" else [BROADCAST])
+        self.probe_index = 0
         self.candidate: int | None = None
         self.orphan_since: SimTime | None = 0  # starts unassociated
         self._lq_block_until: SimTime = 0
@@ -134,7 +143,7 @@ class MobileController:
             if self.sim.cfg.tpc.enabled:
                 self.tpc_update(rx_power, frame.tx_power_dbm)
         if frame.kind == FrameKind.PROBE_RESP and frame.lq_report is not None:
-            if self.handover_state in ("probing", "scanning"):
+            if self.handover_state == "probing":
                 self.responses.append((frame.lq_report, frame.src))
         elif frame.kind == FrameKind.ASSOC_RESP and frame.src == self.candidate:
             self._commit_parent(frame.src)
@@ -168,11 +177,11 @@ class MobileController:
                 break
         if chosen is None:
             chosen = levels[-1]
-        if chosen < self.power_dbm:
+        if chosen < self.node.power_dbm:
             if predicted_lq(chosen) < tpc.lq_target + tpc.lq_hysteresis:
                 return  # hold: not enough margin to step down
-        if chosen != self.power_dbm:
-            self.power_dbm = chosen
+        if chosen != self.node.power_dbm:
+            self.node.power_dbm = chosen
             self.sim.emit(self.node, TraceKind.TPC_SET, detail=chosen)
 
     # -- handover ------------------------------------------------------------
@@ -192,10 +201,12 @@ class MobileController:
         self.candidate = None
         self.sim.emit(self.node, TraceKind.HANDOVER_START, detail=reason)
         self.node.wake()
-        if self.sim.cfg.handover.mode == "scan":
-            self._start_scan()
+        self.handover_state = "probing"
+        self.probe_index = 0
+        if not self.probe_addrs:
+            self._handover_failed("no_known_nodes")
         else:
-            self._start_broadcast_probe()
+            self._probe_next()
 
     def _set_timer(self, delay: SimTime) -> None:
         """Fire on_handover_timer after `delay`, tagged with this epoch."""
@@ -206,26 +217,24 @@ class MobileController:
         """The one handover timer; the state it meets says what it was set for.
 
         At most one timer of the current epoch is pending at a time:
-        probing sets the response window, scanning the polled node's
-        response timeout, associating the guard against a lost
-        AssocResponse, and a failure, which leaves the mobile idle, the
-        retry (as Simulation.setup does for the first search).  A timer
-        from an earlier epoch is stale.  A live one meets the state that
-        set it: only the timer moves probing or scanning on, and idle is
-        left only through start_handover, which starts a new epoch.  The
-        one exception is a guard that fires after the commit: it finds
-        the mobile idle with a parent, and the idle branch acts only on
-        an orphan, so it does nothing.
+        probing sets the response window of the address just probed,
+        associating the guard against a lost AssocResponse, and a failure,
+        which leaves the mobile idle, the retry (as Simulation.setup does
+        for the first search).  A timer from an earlier epoch is stale.  A
+        live one meets the state that set it: only the timer moves probing
+        on, to the next address or, after the last, to the candidate; idle
+        is left only through start_handover, which starts a new epoch.
+        The one exception is a guard that fires after the commit: it finds
+        the mobile idle with a parent, and the idle branch acts only on an
+        orphan, so it does nothing.
         """
         if epoch != self.handover_epoch:
             return
         state = self.handover_state
-        if state == "probing":  # the response window has closed
-            self._select_candidate()
-        elif state == "scanning":  # the polled node's response window has closed
-            self.scan_index += 1
-            if self.scan_index < len(self.scan_targets):
-                self._scan_poll_next()
+        if state == "probing":  # the probed address's response window has closed
+            self.probe_index += 1
+            if self.probe_index < len(self.probe_addrs):
+                self._probe_next()
             else:
                 self._select_candidate()
         elif state == "associating":  # no AssocResponse within the guard
@@ -233,44 +242,27 @@ class MobileController:
         elif self.parent is None:  # retry after a failure, or the first search
             self.start_handover("orphan")
 
-    def _start_broadcast_probe(self) -> None:
+    def _probe_next(self) -> None:
+        """Probe the current address; its response window opens once sent.
+
+        A broadcast probe that fails CCA fails the handover at once; a
+        scan poll waits out its full window, answered or not.
+        """
         epoch = self.handover_epoch
-        self.handover_state = "probing"
-        probe = self.node.mac.control_frame(FrameKind.PROBE_REQ, BROADCAST)
+        target = self.probe_addrs[self.probe_index]
+        probe = self.node.mac.control_frame(FrameKind.PROBE_REQ, target)
 
         def on_probe_out(outcome: str) -> None:
             if self.handover_epoch != epoch:
                 return
-            if outcome == SendOutcome.CHANNEL_ACCESS_FAILURE:
+            if target != BROADCAST:
+                self._set_timer(self.sim.cfg.handover.scan_response_timeout_us)
+            elif outcome == SendOutcome.CHANNEL_ACCESS_FAILURE:
                 self._handover_failed("probe_cca_fail")
             else:
                 self._set_timer(self.sim.cfg.handover.probe_window_us)
 
         self.node.mac.csma_send(probe, on_probe_out)
-
-    def _start_scan(self) -> None:
-        self.handover_state = "scanning"
-        self.scan_targets = sorted(
-            n.node_id for n in self.sim.cfg.stationary_nodes()
-            if n.role in (NodeRole.COORDINATOR, NodeRole.ROUTER))
-        self.scan_index = 0
-        if not self.scan_targets:
-            self._handover_failed("no_known_nodes")
-            return
-        self._scan_poll_next()
-
-    def _scan_poll_next(self) -> None:
-        epoch = self.handover_epoch
-        target = self.scan_targets[self.scan_index]
-        probe = self.node.mac.control_frame(FrameKind.PROBE_REQ, target)
-
-        def on_poll_out(outcome: str) -> None:
-            if self.handover_epoch != epoch:
-                return
-            # Full response window per polled node, answered or not.
-            self._set_timer(self.sim.cfg.handover.scan_response_timeout_us)
-
-        self.node.mac.csma_send(probe, on_poll_out)
 
     def _select_candidate(self) -> None:
         if not self.responses:
@@ -327,8 +319,8 @@ class MobileController:
         if self.sim.cfg.tpc.enabled:
             # Reacquire conservatively: probe at the highest level.
             top = max(self.sim.cfg.phy.power_levels_dbm)
-            if self.power_dbm != top:
-                self.power_dbm = top
+            if self.node.power_dbm != top:
+                self.node.power_dbm = top
                 self.sim.emit(self.node, TraceKind.TPC_SET, detail=top)
         self.sim.emit(self.node, TraceKind.HANDOVER_FAIL, detail=why)
         self._set_timer(self.sim.cfg.handover.probe_retry_us)

@@ -32,6 +32,11 @@ class NodeConfig:
     sleep_when_idle: bool | None = None  # None -> mobiles sleep, stationary don't
 
     @property
+    def may_parent(self) -> bool:
+        """Only a coordinator or a router may be the mobile's parent."""
+        return self.role in (NodeRole.COORDINATOR, NodeRole.ROUTER)
+
+    @property
     def sleeps(self) -> bool:
         if self.sleep_when_idle is None:
             return self.node_class is NodeClass.MOBILE

@@ -15,7 +15,7 @@ from .mac import (BROADCAST, Channel, CsmaParams, Frame, FrameKind, MacLayer,
 from .net import MobileController, StationaryController
 from .phy import NO_BEACONS, beacon_interval, frame_airtime, lq_from_rx_power
 from .scenario import (LISTEN, RX, SLEEP, EnergyLedger, NodeClass, NodeConfig,
-                       NodeRole, RadioMode, tx_mode)
+                       RadioMode, tx_mode)
 from .scenario_file import ScenarioConfig
 from .trace import TraceKind, TraceRecord
 
@@ -36,6 +36,9 @@ class Node:
         self.listen_since: SimTime | None = 0 if start_mode.hears else None
         self.rx_engagements = 0
         self.pending_acks = 0
+        # The transmit power; TPC and a failed handover change the mobile's.
+        self.power_dbm = (config.tx_power_dbm if config.tx_power_dbm is not None
+                          else sim.cfg.phy.tx_power_dbm)
         self.mac = MacLayer(sim, self)
         self.controller: MobileController | StationaryController
         if config.node_class is NodeClass.MOBILE:
@@ -54,16 +57,6 @@ class Node:
             self._xy_time = now
             self.xy = self.sim.cfg.trajectory.position_at(now)
         return self.xy
-
-    def config_power_dbm(self) -> float:
-        if self.config.tx_power_dbm is not None:
-            return self.config.tx_power_dbm
-        return self.sim.cfg.phy.tx_power_dbm
-
-    def tx_power_dbm(self) -> float:
-        if isinstance(self.controller, MobileController):
-            return self.controller.power_dbm
-        return self.config_power_dbm()
 
     def set_mode(self, mode: RadioMode) -> None:
         ledger = self.ledger
@@ -245,15 +238,13 @@ class Simulation:
             node.mac.send_immediate(ev.data)
 
     def _on_move_tick(self, ev) -> None:
-        if self.mobile is not None:
-            self.emit(self.mobile, TraceKind.MOVE)
+        self.emit(self.mobile, TraceKind.MOVE)
         nxt = self.loop.now + self.cfg.move_tick_us
         if nxt <= self.cfg.duration_us:
             self.loop.schedule(nxt, EventKind.MOVE_TICK)
 
     def _on_data_due(self, ev) -> None:
-        if self.mobile is not None:
-            self.mobile.controller.on_data_due()
+        self.mobile.controller.on_data_due()
         nxt = self.loop.now + self.cfg.traffic.period_us
         if nxt <= self.cfg.duration_us:
             self.loop.schedule(nxt, EventKind.DATA_DUE)
@@ -268,9 +259,10 @@ class Simulation:
             EventKind.ACK_TURNAROUND: self._on_ack_turnaround,
             EventKind.BEACON_DUE: lambda ev: self._on_beacon_due(
                 nodes[ev.target], ev.data == "deferred"),
+            # Move ticks, data and handover timers are only ever scheduled
+            # when there is a mobile.
             EventKind.MOVE_TICK: self._on_move_tick,
             EventKind.DATA_DUE: self._on_data_due,
-            # Handover timers are only ever set for the mobile's controller.
             EventKind.HANDOVER_TIMER:
                 lambda ev: self.mobile.controller.on_handover_timer(ev.data),
         }
@@ -308,7 +300,7 @@ class Simulation:
         if self.cfg.mac.beacon_order != NO_BEACONS:
             interval = beacon_interval(self.cfg.mac.beacon_order, self.band)
             for node in self.nodes.values():
-                if node.config.role in (NodeRole.COORDINATOR, NodeRole.ROUTER):
+                if node.config.may_parent:
                     node.next_beacon = interval
                     if interval <= self.cfg.duration_us:
                         self.loop.schedule(interval, EventKind.BEACON_DUE,

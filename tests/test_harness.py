@@ -465,6 +465,21 @@ def test_cli_sweep_without_mobile_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_sweep_with_decreasing_x_exit_2(tmp_path, capsys):
+    # Used to exit 0: a 15 m -> 0 m trajectory wrote the reversed interval
+    # "0,assoc_3,14.95,10.84" to coverage.csv.
+    text = TINY.format(duration="500 ms", seed=7).replace(
+        "waypoint = 1 m, 0 m, 0 s",
+        "waypoint = 15 m, 0 m, 0 s\nwaypoint = 15 m, 0 m, 100 ms\n"
+        "waypoint = 0 m, 0 m, 400 ms")
+    path = tmp_path / "backwards.scenario"
+    path.write_text(text)
+    code = main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "waypoint 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_backoff_exponent_above_8_exit_2(tmp_path, capsys, monkeypatch):
     # Used to hang: draw_uniform(2**65) could accept no 64-bit draw.
     text = (TINY.format(duration="500 ms", seed=7)

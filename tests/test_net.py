@@ -4,6 +4,7 @@ from conftest import make_cfg
 from wpansim.engine import EventKind
 from wpansim.mac import BROADCAST, Frame, FrameKind
 from wpansim.phy import lq_from_rx_power
+from wpansim.scenario import NodeRole
 from wpansim.sim import Simulation
 
 PARKED = """
@@ -147,6 +148,46 @@ def test_scan_with_zero_stationary_nodes_fails_immediately():
     assert sim.mobile.controller.parent is None
 
 
+def _mobile_channel_busy(sim):
+    """Every clear-channel assessment of the mobile finds the channel busy."""
+    busy_for = sim.channel.busy_for
+    sim.channel.busy_for = lambda node, now: node.is_mobile or busy_for(node, now)
+
+
+def test_broadcast_probe_cca_failure_fails_the_handover_at_once():
+    sim = parked_sim(x=1.0, duration="300 ms")
+    sim.cfg.handover.probe_window_us = 70_000  # unlike the scan poll's
+    _mobile_channel_busy(sim)
+    rows = sim.run().rows
+    last_cca = [r for r in rows if r.event_kind == "CCA_BUSY"][
+        sim.cfg.csma.max_csma_backoffs - 1]
+    starts = [r for r in rows if r.event_kind == "HANDOVER_START"]
+    fail = next(r for r in rows if r.event_kind == "HANDOVER_FAIL")
+    assert (fail.detail, fail.time_us) == ("probe_cca_fail", last_cca.time_us)
+    # No response window is waited out: the next search is the retry.
+    assert starts[1].time_us == fail.time_us + sim.cfg.handover.probe_retry_us
+
+
+def test_scan_poll_cca_failure_waits_the_poll_window_then_polls_the_next():
+    sim = parked_sim(x=1.0, mode="scan", duration="300 ms")
+    sim.cfg.handover.scan_response_timeout_us = 30_000  # unlike the probe window
+    _mobile_channel_busy(sim)
+    rows = sim.run().rows
+    backoffs = sim.cfg.csma.max_csma_backoffs
+    polls = [[r for r in rows if r.event_kind == "CCA_BUSY" and r.dst == dst]
+             for dst in (1, 2, 3)]
+    assert [len(p) for p in polls] == [backoffs] * 3
+    for failed, nxt in zip(polls, polls[1:]):
+        first_backoff = next(r for r in rows if r.event_kind == "BACKOFF"
+                             and r.dst == nxt[0].dst)
+        assert first_backoff.time_us == (failed[-1].time_us
+                                         + sim.cfg.handover.scan_response_timeout_us)
+    fail = next(r for r in rows if r.event_kind == "HANDOVER_FAIL")
+    assert (fail.detail, fail.time_us) == (
+        "no_responses",
+        polls[-1][-1].time_us + sim.cfg.handover.scan_response_timeout_us)
+
+
 def test_orphan_outage_accrues_with_data_pending():
     sim = parked_sim(x=0.0, mode="broadcast", nodes="", duration="2 s",
                      period="100 ms")
@@ -169,8 +210,21 @@ def test_single_pair_delivery_ratio_is_one():
 def test_parent_is_always_router_or_coordinator(default_cfg):
     res = Simulation(default_cfg).run()
     parents = {r.detail[0] for r in res.rows if r.event_kind == "HANDOVER_DONE"}
-    stationary_ids = {n.node_id for n in default_cfg.stationary_nodes()}
-    assert parents and parents <= stationary_ids
+    roles = {n.node_id: n.role for n in default_cfg.nodes}
+    assert parents
+    assert {roles[p] for p in parents} <= {NodeRole.COORDINATOR, NodeRole.ROUTER}
+
+
+@pytest.mark.parametrize("mode", ["broadcast", "scan"])
+def test_stationary_end_device_never_becomes_the_parent(default_cfg, mode):
+    # Used to fail in broadcast mode: node 2 answered the probe and the
+    # association request whatever its role, and became a parent.
+    cfg = default_cfg.clone(handover_mode=mode)
+    next(n for n in cfg.nodes if n.node_id == 2).role = NodeRole.END_DEVICE
+    res = Simulation(cfg).run()
+    parents = {r.detail[0] for r in res.rows if r.event_kind == "HANDOVER_DONE"}
+    assert parents == {1, 3}
+    assert not any(r.node_id == 2 and r.event_kind == "TX_START" for r in res.rows)
 
 
 # -- transmission power control ------------------------------------------------
@@ -189,32 +243,32 @@ def tpc_sim():
 
 def test_tpc_steps_down_to_minimum_sufficient_level():
     sim, ctrl = tpc_sim()
-    assert ctrl.power_dbm == 6.0  # starts at the top
+    assert ctrl.node.power_dbm == 6.0  # starts at the top
     ctrl.tpc_update(-54.0, 6.0)
     # predicted margin at 0 dBm is 13 dB -> LQ 83, above target + hysteresis
-    assert ctrl.power_dbm == 0.0
+    assert ctrl.node.power_dbm == 0.0
 
 
 def test_tpc_falls_back_to_max_when_no_level_reaches_target():
     sim, ctrl = tpc_sim()
-    ctrl.power_dbm = 3.0
+    ctrl.node.power_dbm = 3.0
     ctrl.tpc_update(-69.0, 6.0)
-    assert ctrl.power_dbm == 6.0
+    assert ctrl.node.power_dbm == 6.0
 
 
 def test_tpc_hysteresis_holds_current_level():
     sim, ctrl = tpc_sim()
     # minimum qualifying level is 3 dBm (predicted LQ 67) but 67 < 64+16
     ctrl.tpc_update(-59.5, 6.0)
-    assert ctrl.power_dbm == 6.0
+    assert ctrl.node.power_dbm == 6.0
 
 
 def test_tpc_idempotent_on_unchanged_samples():
     sim, ctrl = tpc_sim()
     ctrl.tpc_update(-54.0, 6.0)
-    first = ctrl.power_dbm
+    first = ctrl.node.power_dbm
     ctrl.tpc_update(-54.0, 6.0)
-    assert ctrl.power_dbm == first
+    assert ctrl.node.power_dbm == first
 
 
 def test_tpc_acts_only_on_a_frame_from_the_parent():
@@ -223,11 +277,11 @@ def test_tpc_acts_only_on_a_frame_from_the_parent():
     for src in (2, 3):
         ctrl.on_frame(Frame(FrameKind.BEACON, 0, src, BROADCAST, tx_power_dbm=6.0),
                       -54.0, lq)
-    assert ctrl.power_dbm == 6.0
+    assert ctrl.node.power_dbm == 6.0
     assert not sim.rows
     ctrl.on_frame(Frame(FrameKind.BEACON, 0, 1, BROADCAST, tx_power_dbm=6.0),
                   -54.0, lq)
-    assert ctrl.power_dbm == 0.0
+    assert ctrl.node.power_dbm == 0.0
 
 
 def test_tpc_average_power_never_exceeds_fixed_max(default_cfg):
@@ -253,14 +307,14 @@ def test_tpc_average_power_never_exceeds_fixed_max(default_cfg):
 # -- the handover timer -------------------------------------------------------
 
 
-def _in_state(state):
+def _in_state(state, mode="broadcast", probe_index=0):
     """A mobile in `state` of epoch 2, where a live timer would act."""
-    sim = parked_sim(x=1.0)
+    sim = parked_sim(x=1.0, mode=mode)
     ctrl = sim.mobile.controller
     ctrl.handover_epoch = 2
     ctrl.handover_state = state
-    ctrl.responses = [(200, 1)]  # probing/scanning: a candidate to select
-    ctrl.scan_targets, ctrl.scan_index = [1, 2, 3], 0
+    ctrl.responses = [(200, 1)]  # probing: a candidate to select
+    ctrl.probe_index = probe_index
     ctrl.candidate = 1
     ctrl.node.wake()  # as start_handover leaves it
     return sim, ctrl
@@ -271,16 +325,27 @@ def _queue(sim):
     return sim.loop.run_until(sim.loop.now, sim._dispatch)
 
 
-@pytest.mark.parametrize("state", ["idle", "probing", "scanning", "associating"])
-def test_stale_handover_timer_is_ignored(state):
-    sim, ctrl = _in_state(state)
+@pytest.mark.parametrize("state, mode, probe_index, acts", [
+    pytest.param("idle", "broadcast", 0, "HANDOVER_START", id="idle"),
+    # The broadcast address is the only one, so also the last.
+    pytest.param("probing", "broadcast", 0, "assoc_req", id="probing"),
+    # Scan mode polls nodes 1, 2 and 3.
+    pytest.param("probing", "scan", 1, "probe_req", id="probing-next-address"),
+    pytest.param("probing", "scan", 2, "assoc_req", id="probing-last-address"),
+    pytest.param("associating", "broadcast", 0, "HANDOVER_FAIL", id="associating"),
+])
+def test_stale_handover_timer_is_ignored(state, mode, probe_index, acts):
+    sim, ctrl = _in_state(state, mode, probe_index)
     ctrl.on_handover_timer(1)
-    assert ctrl.handover_state == state
+    assert (ctrl.handover_state, ctrl.probe_index) == (state, probe_index)
     assert ctrl.parent is None and ctrl.stats.attempts == ctrl.stats.failures == 0
     queue = _queue(sim)
     assert not sim.rows and queue.scheduled == queue.total_processed == 0
     ctrl.on_handover_timer(2)  # the same timer, live, acts
-    assert sim.rows
+    first = sim.rows[0]
+    assert acts in (first.event_kind, first.frame_kind)
+    if acts == "probe_req":  # the next address is polled
+        assert (first.dst, ctrl.probe_index) == (3, 2)
 
 
 def test_assoc_guard_after_the_commit_is_a_no_op():
