@@ -271,3 +271,69 @@ def test_collision_resolved_after_longer_than_100ms_frame():
     heard = [r for r in sim.rows if r.node_id == 3 and r.src == 1]
     assert [r.event_kind for r in heard] == ["COLLISION"]
     assert heard[0].time_us == 126_000
+
+
+# -- beacons and acks wait for the radio's own frame ----------------------------
+
+
+def beacon_sim(beacon_order=0):
+    cfg = make_cfg(LINE.format(seed=1))
+    cfg.mac.beacon_order = beacon_order  # order 0: a beacon every 15,360 us
+    cfg.duration_us = 50_000
+    sim = Simulation(cfg)
+    sim.setup()
+    return sim
+
+
+def sent_at(sim, node, kind):
+    return [r.time_us for r in rows_of(sim, "TX_START", node=node)
+            if r.frame_kind == kind]
+
+
+def test_beacon_due_during_own_frame_goes_out_at_its_end_and_keeps_cadence():
+    sim = beacon_sim()
+    own = Frame(FrameKind.DATA, 0, 1, 5, payload_len=500)
+    sim.begin_transmission(sim.nodes[1], own)
+    own_end = sim.airtime(own)
+    assert 15_360 < own_end < 2 * 15_360  # on air when the first beacon is due
+    drive(sim, until=sim.cfg.duration_us)
+    assert sent_at(sim, 1, "beacon") == [own_end, 2 * 15_360, 3 * 15_360]
+    assert sent_at(sim, 3, "beacon") == [15_360, 2 * 15_360, 3 * 15_360]
+
+
+def test_ack_due_during_own_frame_goes_out_right_after_it():
+    sim = line_sim()
+    data = Frame(FrameKind.DATA, 0, 1, 3, payload_len=10)
+    sim.begin_transmission(sim.nodes[1], data)
+    rx_at = sim.airtime(data)
+    drive(sim, until=rx_at + 100)  # the ack turnaround is still running
+    own = Frame(FrameKind.DATA, 0, 3, 5, payload_len=20)
+    sim.begin_transmission(sim.nodes[3], own)
+    own_end = rx_at + 100 + sim.airtime(own)
+    drive(sim)
+    assert rows_of(sim, "RX", node=3)[0].time_us == rx_at
+    assert sent_at(sim, 3, "ack") == [own_end]
+    assert own_end > rx_at + sim.cfg.csma.turnaround_us
+    assert sim.nodes[3].pending_acks == 0
+
+
+def test_ack_deferred_twice_when_a_second_own_frame_follows_the_first():
+    # Node 3's beacon falls due during its own frame, 42 us before the ack
+    # turnaround ends: both wait for the frame's end, the beacon goes first
+    # and the ack waits again, for the beacon.
+    sim = beacon_sim()
+    turnaround = sim.cfg.csma.turnaround_us
+    data = Frame(FrameKind.DATA, 0, 1, 3, payload_len=10)
+    rx_at = 15_360 + 42 - turnaround
+    drive(sim, until=rx_at - sim.airtime(data))
+    sim.begin_transmission(sim.nodes[1], data)
+    drive(sim, until=rx_at + 50)
+    own = Frame(FrameKind.DATA, 0, 3, 5, payload_len=20)
+    sim.begin_transmission(sim.nodes[3], own)
+    own_end = rx_at + 50 + sim.airtime(own)
+    assert own_end > 15_360 + 42
+    drive(sim, until=sim.cfg.duration_us)
+    beacon = Frame(FrameKind.BEACON, 0, 3, BROADCAST, payload_len=4)
+    assert rows_of(sim, "RX", node=3)[0].time_us == rx_at
+    assert sent_at(sim, 3, "beacon") == [own_end, 2 * 15_360, 3 * 15_360]
+    assert sent_at(sim, 3, "ack") == [own_end + sim.airtime(beacon)]
