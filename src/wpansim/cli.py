@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .calibration import CalibrationTargets
-from .coverage import gap_analysis
+from .coverage import gap_analysis, gap_bounds
 from .engine import SimulationError
 from .harness import calibrate, compare, run_simulation, sweep
 from .scenario_file import ScenarioError, load_scenario
@@ -144,13 +144,12 @@ def _dispatch(args) -> int:
     if args.command == "gaps":
         scenario = args.scenario if args.scenario is not None \
             else default_scenario_path()
-        cfg = load_scenario(scenario)
+        x_lo, x_hi = gap_bounds(load_scenario(scenario).trajectory)
         try:
             rows = read_trace(args.trace)
         except (OSError, ValueError) as exc:
             print(f"trace error: {exc}", file=sys.stderr)
             return EXIT_SCENARIO
-        x_lo, x_hi = cfg.trajectory.x_bounds()
         gaps = gap_analysis(rows, x_lo, x_hi)
         if gaps:
             for a, b in gaps:

@@ -78,6 +78,22 @@ def gap_analysis(rows: list[TraceRecord], x_lo: float, x_hi: float,
     return gaps
 
 
+def gap_bounds(trajectory) -> tuple[float, float]:
+    """The x range gap_analysis reads along; the x may never decrease.
+
+    Gap cells are keyed by x alone, so a trajectory that turns back would
+    merge its passes into one set of gaps.
+    """
+    waypoints = trajectory.waypoints
+    for k, (prev, cur) in enumerate(zip(waypoints, waypoints[1:]), start=2):
+        if cur[0] < prev[0]:
+            raise ScenarioError(
+                f"trajectory waypoint {k} (x = {cur[0]:g} m) is below waypoint "
+                f"{k - 1} (x = {prev[0]:g} m); coverage gaps need an x that "
+                f"never decreases")
+    return trajectory.x_bounds()
+
+
 def boundaries_match(a: list[tuple[float, float]], b: list[tuple[float, float]],
                      tol: float) -> bool:
     """True iff both gap lists agree pairwise within tol on every boundary."""

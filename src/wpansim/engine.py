@@ -1,13 +1,17 @@
 """Deterministic discrete-event core: virtual clock, event queue, seeded RNG.
 
-Time is kept in integer microseconds so MAC timings (320 us backoff unit,
-15.36 ms beacon base) are exact and traces are platform-stable.
+An event is a delayed call: `schedule(time, action, *args)` queues
+`action(*args)` for `time`, and the loop hands each live event to the
+caller's dispatch in (time, seq) order.  Time is kept in integer
+microseconds so MAC timings (320 us backoff unit, 15.36 ms beacon base) are
+exact and traces are platform-stable.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Callable
 
 SimTime = int  # microseconds since run start
 
@@ -16,25 +20,12 @@ class SimulationError(RuntimeError):
     """Fatal misuse of the simulator (scheduling in the past, bad frame kind)."""
 
 
-class EventKind:
-    """Kinds of scheduled event; each constant is its name in messages."""
-    BACKOFF_EXPIRE = "backoff_expire"
-    TX_END = "tx_end"
-    ACK_TURNAROUND = "ack_turnaround"
-    ACK_TIMEOUT = "ack_timeout"
-    BEACON_DUE = "beacon_due"
-    MOVE_TICK = "move_tick"
-    DATA_DUE = "data_due"
-    HANDOVER_TIMER = "handover_timer"
-
-
-@dataclass
+@dataclass(slots=True)
 class Event:
     time: SimTime
     seq: int
-    kind: str  # an EventKind
-    target: int | None = None  # node id, or None for global events
-    data: object = None
+    action: Callable  # called as action(*args) when the event is due
+    args: tuple
     cancelled: bool = False
 
 
@@ -56,13 +47,12 @@ class EventLoop:
         self._seq = 0  # also the count of events scheduled
         self._cancelled = 0
 
-    def schedule(self, time: SimTime, kind: str, target: int | None = None,
-                 data: object = None) -> Event:
+    def schedule(self, time: SimTime, action: Callable, *args) -> Event:
         if time < self.now:
             raise SimulationError(
-                f"event {kind} scheduled at t={time} us in the past "
-                f"(clock is {self.now} us)")
-        ev = Event(time, self._seq, kind, target, data)
+                f"event {action.__qualname__} scheduled at t={time} us in the "
+                f"past (clock is {self.now} us)")
+        ev = Event(time, self._seq, action, args)
         self._seq += 1
         heapq.heappush(self._heap, (time, ev.seq, ev))
         return ev

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .calibration import CalibrationResult, CalibrationTargets, apply_to_config, search
-from .coverage import (CoverageReport, association_map, gap_analysis,
+from .coverage import (CoverageReport, association_map, gap_analysis, gap_bounds,
                        overlap_intervals)
 from .scenario import SLEEP
 from .scenario_file import (DEFAULT_SWEEP_POWERS, ScenarioConfig, ScenarioError,
@@ -106,13 +106,7 @@ def sweep(cfg: ScenarioConfig, powers=None,
     """
     if cfg.mobile_node() is None:
         raise ScenarioError("sweep needs a mobile node in the scenario")
-    # Coverage intervals are read along x, so the mobile may not turn back.
-    waypoints = cfg.trajectory.waypoints
-    for k, (prev, cur) in enumerate(zip(waypoints, waypoints[1:]), start=2):
-        if cur[0] < prev[0]:
-            raise ScenarioError(
-                f"trajectory waypoint {k} (x = {cur[0]:g} m) is below waypoint "
-                f"{k - 1} (x = {prev[0]:g} m); sweep needs an x that never decreases")
+    x_lo, x_hi = gap_bounds(cfg.trajectory)
     if powers is None:
         powers = (cfg.sweep_powers if cfg.sweep_powers is not None
                   else DEFAULT_SWEEP_POWERS)
@@ -126,7 +120,6 @@ def sweep(cfg: ScenarioConfig, powers=None,
         raise ValueError(f"power levels {unknown} not in the configured set "
                          f"{sorted(cfg.phy.power_levels_dbm)}")
     result = SweepResult()
-    x_lo, x_hi = cfg.trajectory.x_bounds()
     for power in powers:
         run_cfg = cfg.clone(power_override=power, tpc_enabled=False)
         overlaps = overlap_intervals(run_cfg, power)  # rejects before the run

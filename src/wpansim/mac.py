@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .engine import EventKind, SimTime, SimulationError
+from .engine import SimTime, SimulationError
 from .phy import PhyParams, link_rx_power, lq_from_rx_power
 from .scenario import SLEEP
 from .trace import TraceKind
@@ -287,8 +287,7 @@ class MacLayer:
         draw = self.node.rng.draw_uniform(1 << self.be)
         delay = draw * self.sim.csma.unit_backoff_us
         self.sim.emit(self.node, TraceKind.BACKOFF, self.current.frame, detail=delay)
-        self.sim.loop.schedule(self.sim.loop.now + delay, EventKind.BACKOFF_EXPIRE,
-                               self.node.node_id)
+        self.sim.loop.schedule(self.sim.loop.now + delay, self.on_backoff_expire)
 
     def on_backoff_expire(self) -> None:
         if self.current is None:
@@ -318,8 +317,7 @@ class MacLayer:
         if self.current.ack_required:
             self.state = "wait_ack"
             self._ack_timeout_event = self.sim.loop.schedule(
-                self.sim.loop.now + self.sim.csma.ack_wait_us,
-                EventKind.ACK_TIMEOUT, self.node.node_id)
+                self.sim.loop.now + self.sim.csma.ack_wait_us, self.on_ack_timeout)
         else:
             self._finish(SendOutcome.DELIVERED)
 

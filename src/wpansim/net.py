@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import EventKind, SimTime
+from .engine import SimTime
 from .mac import BROADCAST, Frame, FrameKind, SendOutcome
 from .phy import lq_from_rx_power
 from .trace import TraceKind
@@ -210,8 +210,8 @@ class MobileController:
 
     def _set_timer(self, delay: SimTime) -> None:
         """Fire on_handover_timer after `delay`, tagged with this epoch."""
-        self.sim.loop.schedule(self.sim.loop.now + delay, EventKind.HANDOVER_TIMER,
-                               self.node.node_id, self.handover_epoch)
+        self.sim.loop.schedule(self.sim.loop.now + delay, self.on_handover_timer,
+                               self.handover_epoch)
 
     def on_handover_timer(self, epoch: int) -> None:
         """The one handover timer; the state it meets says what it was set for.

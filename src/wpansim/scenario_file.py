@@ -33,15 +33,17 @@ Sections and keys (defaults in parentheses):
     [compare]    reference_latency_delta (1.2 s),
                  reference_energy_delta (42.8 %)
 
-Range checks: every number is finite, every time and byte count is zero or
-more and the traffic period, move_tick and probe_retry are positive
-(waypoint arrival times need only strictly increase); mac_max_be is 3..8
-and mac_min_be 0..mac_max_be (IEEE 802.15.4-2006, Table 86); mac_header +
-payload (or the largest control payload) <= 127 B, as is ack_header
-(aMaxPHYPacketSize); and no frame is empty: phy_overhead + ack_header and
-phy_overhead + mac_header + payload are at least 1 B; tx_power and every
-level of a [sweep] powers line are among power_levels.  A file without that
-line leaves sweep_powers None, so custom power_levels need no [sweep] section.
+Range checks: a node id is a unicast short address, 0..0xFFFD (0xFFFE and
+the broadcast address 0xFFFF are reserved); every number is finite, every
+time and byte count is zero or more and the traffic period, move_tick and
+probe_retry are positive (waypoint arrival times need only strictly
+increase); mac_max_be is 3..8 and mac_min_be 0..mac_max_be (IEEE
+802.15.4-2006, Table 86); mac_header + payload (or the largest control
+payload) <= 127 B, as is ack_header (aMaxPHYPacketSize); and no frame is
+empty: phy_overhead + ack_header and phy_overhead + mac_header + payload
+are at least 1 B; tx_power and every level of a [sweep] powers line are
+among power_levels.  A file without that line leaves sweep_powers None, so
+custom power_levels need no [sweep] section.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ class ScenarioError(Exception):
 
 
 MAX_FRAME_BYTES = 127  # aMaxPHYPacketSize: MAC header plus payload
+MAX_NODE_ID = 0xFFFD  # the last unicast short address
 
 
 def _number(text: str, key: str, line: int, scale: float = 1.0) -> float:
@@ -373,6 +376,10 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
                 if len(parts) != 2:
                     raise ScenarioError("node section needs an id: [node <id>]", lineno)
                 node_id = _parse_int(parts[1], "node id", lineno)
+                if not 0 <= node_id <= MAX_NODE_ID:
+                    raise ScenarioError(
+                        f"node id {node_id} is not a unicast short address "
+                        f"(0..{MAX_NODE_ID:#x})", lineno)
                 if any(n.node_id == node_id for n in cfg.nodes):
                     raise ScenarioError(f"duplicate node id {node_id}", lineno)
                 node = NodeConfig(node_id=node_id, role=NodeRole.ROUTER)

@@ -1,4 +1,4 @@
-"""One simulation run: node wiring, event dispatch, trace and energy capture.
+"""One simulation run: node wiring, scheduled actions, trace and energy capture.
 
 A run owns every piece of mutable state (event loop, channel, per-node RNG
 streams, ledgers); two runs never share anything, so a scenario file plus a
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import EventKind, EventLoop, RngStream, RunSummary, SimTime
+from .engine import EventLoop, RngStream, RunSummary, SimTime
 from .mac import (BROADCAST, Channel, CsmaParams, Frame, FrameKind, MacLayer,
                   Transmission)
 from .net import MobileController, StationaryController
@@ -45,7 +45,6 @@ class Node:
             self.controller = MobileController(sim, self)
         else:
             self.controller = StationaryController(sim, self)
-        self.next_beacon: SimTime = 0
 
     # -- geometry / radio ----------------------------------------------------
 
@@ -101,7 +100,6 @@ class Simulation:
         self.mobile: Node | None = mobiles[0] if mobiles else None
         self.channel = Channel(cfg.phy, self.nodes.values())
         self._airtimes: dict[tuple[str, int], SimTime] = {}
-        self._handlers = self._event_handlers()
 
     # -- trace ----------------------------------------------------------------
 
@@ -151,7 +149,7 @@ class Simulation:
                     other.set_mode(RX)
                 tx.engaged.append(other.node_id)
         self.emit(node, TraceKind.TX_START, frame)
-        self.loop.schedule(tx.end, EventKind.TX_END, node.node_id, tx)
+        self.loop.schedule(tx.end, self._on_tx_end, node, tx)
 
     def deliver(self, tx: Transmission) -> list[tuple[Node, float, int]]:
         """Resolve reception of a completed transmission (no-capture model).
@@ -203,8 +201,10 @@ class Simulation:
         elif frame.wants_ack() and frame.dst == node.node_id:
             ack = Frame(FrameKind.ACK, frame.seq, node.node_id, frame.src)
             node.pending_acks += 1
+            # Acks skip CCA but not the radio's own frame.
             self.loop.schedule(self.loop.now + self.csma.turnaround_us,
-                               EventKind.ACK_TURNAROUND, node.node_id, ack)
+                               self._after_own_frame, node, self._send_ack,
+                               node, ack)
         node.controller.on_frame(frame, rx_power, lq)
 
     # -- radio idling ------------------------------------------------------------
@@ -221,67 +221,37 @@ class Simulation:
             return
         node.set_mode(SLEEP)
 
-    # -- event dispatch -------------------------------------------------------------
+    # -- scheduled actions ------------------------------------------------------
 
     def _dispatch(self, ev) -> None:
-        self._handlers[ev.kind](ev)
+        ev.action(*ev.args)
 
-    def _on_ack_turnaround(self, ev) -> None:
-        node = self.nodes[ev.target]
-        if node.ledger.mode.tx_power_dbm is not None:
-            # Radio busy with an own frame: the ack goes out right after it,
-            # still without CCA.
-            self.loop.schedule(node.mac.tx_ends_at, EventKind.ACK_TURNAROUND,
-                               node.node_id, ev.data)
-        else:
-            node.pending_acks -= 1
-            node.mac.send_immediate(ev.data)
-
-    def _on_move_tick(self, ev) -> None:
-        self.emit(self.mobile, TraceKind.MOVE)
-        nxt = self.loop.now + self.cfg.move_tick_us
+    def _every(self, period: SimTime, action, *args) -> None:
+        """Call action(*args) each `period` from now on, up to the run's end."""
+        nxt = self.loop.now + period
         if nxt <= self.cfg.duration_us:
-            self.loop.schedule(nxt, EventKind.MOVE_TICK)
+            self.loop.schedule(nxt, self._tick, period, action, args)
 
-    def _on_data_due(self, ev) -> None:
-        self.mobile.controller.on_data_due()
-        nxt = self.loop.now + self.cfg.traffic.period_us
-        if nxt <= self.cfg.duration_us:
-            self.loop.schedule(nxt, EventKind.DATA_DUE)
+    def _tick(self, period: SimTime, action, args: tuple) -> None:
+        action(*args)
+        self._every(period, action, *args)
 
-    def _event_handlers(self) -> dict:
-        nodes = self.nodes
-        return {
-            EventKind.BACKOFF_EXPIRE:
-                lambda ev: nodes[ev.target].mac.on_backoff_expire(),
-            EventKind.TX_END: lambda ev: self._on_tx_end(nodes[ev.target], ev.data),
-            EventKind.ACK_TIMEOUT: lambda ev: nodes[ev.target].mac.on_ack_timeout(),
-            EventKind.ACK_TURNAROUND: self._on_ack_turnaround,
-            EventKind.BEACON_DUE: lambda ev: self._on_beacon_due(
-                nodes[ev.target], ev.data == "deferred"),
-            # Move ticks, data and handover timers are only ever scheduled
-            # when there is a mobile.
-            EventKind.MOVE_TICK: self._on_move_tick,
-            EventKind.DATA_DUE: self._on_data_due,
-            EventKind.HANDOVER_TIMER:
-                lambda ev: self.mobile.controller.on_handover_timer(ev.data),
-        }
-
-    def _on_beacon_due(self, node: Node, deferred: bool) -> None:
+    def _after_own_frame(self, node: Node, send, *args) -> None:
+        """Call send(*args) now, or right after the radio's own frame if it
+        is transmitting one."""
         if node.ledger.mode.tx_power_dbm is not None:
-            # Radio busy with its own frame: send right after, keep cadence.
-            self.loop.schedule(node.mac.tx_ends_at, EventKind.BEACON_DUE,
-                               node.node_id, "deferred")
+            self.loop.schedule(node.mac.tx_ends_at, self._after_own_frame,
+                               node, send, *args)
         else:
-            node.wake()  # a sleeping node goes back to sleep after the frame
-            node.mac.send_immediate(
-                node.mac.control_frame(FrameKind.BEACON, BROADCAST))
-        if deferred:
-            return
-        interval = beacon_interval(self.cfg.mac.beacon_order, self.band)
-        node.next_beacon += interval
-        if node.next_beacon <= self.cfg.duration_us:
-            self.loop.schedule(node.next_beacon, EventKind.BEACON_DUE, node.node_id)
+            send(*args)
+
+    def _send_ack(self, node: Node, ack: Frame) -> None:
+        node.pending_acks -= 1
+        node.mac.send_immediate(ack)
+
+    def _send_beacon(self, node: Node) -> None:
+        node.wake()  # a sleeping node goes back to sleep after the frame
+        node.mac.send_immediate(node.mac.control_frame(FrameKind.BEACON, BROADCAST))
 
     # -- run ------------------------------------------------------------------------
 
@@ -291,20 +261,17 @@ class Simulation:
         if self.mobile is not None:
             # Initial association attempt (an idle orphan's handover timer),
             # then periodic machinery.
-            self.loop.schedule(0, EventKind.HANDOVER_TIMER, self.mobile.node_id,
-                               self.mobile.controller.handover_epoch)
-            if self.cfg.traffic.period_us <= self.cfg.duration_us:
-                self.loop.schedule(self.cfg.traffic.period_us, EventKind.DATA_DUE)
-            if self.cfg.move_tick_us <= self.cfg.duration_us:
-                self.loop.schedule(self.cfg.move_tick_us, EventKind.MOVE_TICK)
+            ctrl = self.mobile.controller
+            self.loop.schedule(0, ctrl.on_handover_timer, ctrl.handover_epoch)
+            self._every(self.cfg.traffic.period_us, ctrl.on_data_due)
+            self._every(self.cfg.move_tick_us, self.emit, self.mobile, TraceKind.MOVE)
         if self.cfg.mac.beacon_order != NO_BEACONS:
             interval = beacon_interval(self.cfg.mac.beacon_order, self.band)
             for node in self.nodes.values():
                 if node.config.may_parent:
-                    node.next_beacon = interval
-                    if interval <= self.cfg.duration_us:
-                        self.loop.schedule(interval, EventKind.BEACON_DUE,
-                                           node.node_id)
+                    # Beacons skip CCA, but keep their cadence past an own frame.
+                    self._every(interval, self._after_own_frame, node,
+                                self._send_beacon, node)
 
     def run(self) -> RunResult:
         self.setup()

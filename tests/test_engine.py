@@ -2,59 +2,62 @@ import math
 
 import pytest
 
-from wpansim.engine import EventKind, EventLoop, RngStream, SimulationError
+from wpansim.engine import EventLoop, RngStream, SimulationError
 
 
-def _noop(ev):
+def _call(ev):
+    ev.action(*ev.args)
+
+
+def _noop(*args):
     pass
 
 
 def test_schedule_now_runs_next():
     loop = EventLoop()
     seen = []
-    loop.schedule(0, EventKind.MOVE_TICK)
-    loop.run_until(10, lambda ev: seen.append(ev.time))
+    loop.schedule(0, lambda: seen.append(loop.now))
+    loop.run_until(10, _call)
     assert seen == [0]
 
 
 def test_equal_times_fifo_order():
     loop = EventLoop()
     order = []
-    loop.schedule(5, EventKind.MOVE_TICK, data="a")
-    loop.schedule(5, EventKind.MOVE_TICK, data="b")
-    loop.schedule(5, EventKind.MOVE_TICK, data="c")
-    loop.run_until(5, lambda ev: order.append(ev.data))
+    events = [loop.schedule(5, order.append, tag) for tag in "abc"]
+    assert [ev.seq for ev in events] == [0, 1, 2]
+    loop.run_until(5, _call)
     assert order == ["a", "b", "c"]
 
 
 def test_schedule_in_past_is_fatal():
     loop = EventLoop()
-    loop.schedule(10, EventKind.MOVE_TICK)
-    loop.run_until(10, _noop)
-    with pytest.raises(SimulationError):
-        loop.schedule(5, EventKind.MOVE_TICK)
+    loop.schedule(10, _noop)
+    loop.run_until(10, _call)
+    with pytest.raises(SimulationError, match="_noop scheduled at t=5 us"):
+        loop.schedule(5, _noop)
 
 
 def test_run_until_empty_queue():
     loop = EventLoop()
-    summary = loop.run_until(10_000_000, _noop)
+    summary = loop.run_until(10_000_000, _call)
     assert summary.total_processed == 0
     assert summary.clock == 0
 
 
 def test_run_until_single_event_clock_stops_at_last():
     loop = EventLoop()
-    loop.schedule(1_000_000, EventKind.MOVE_TICK)
-    summary = loop.run_until(10_000_000, _noop)
+    loop.schedule(1_000_000, _noop)
+    summary = loop.run_until(10_000_000, _call)
     assert summary.total_processed == 1
     assert summary.clock == 1_000_000
 
 
 def test_events_beyond_end_left_pending():
     loop = EventLoop()
-    loop.schedule(1, EventKind.MOVE_TICK)
-    loop.schedule(100, EventKind.DATA_DUE)
-    summary = loop.run_until(10, _noop)
+    loop.schedule(1, _noop)
+    loop.schedule(100, _noop)
+    summary = loop.run_until(10, _call)
     assert summary.total_processed == 1
     assert summary.unprocessed == 1
     assert summary.clock == 10
@@ -62,11 +65,13 @@ def test_events_beyond_end_left_pending():
 
 def test_event_accounting_with_cancellation():
     loop = EventLoop()
-    ev1 = loop.schedule(1, EventKind.ACK_TIMEOUT)
-    loop.schedule(2, EventKind.MOVE_TICK)
+    ran = []
+    ev1 = loop.schedule(1, ran.append, 1)
+    loop.schedule(2, ran.append, 2)
     loop.cancel(ev1)
     loop.cancel(ev1)  # double-cancel counts once
-    summary = loop.run_until(10, _noop)
+    summary = loop.run_until(10, _call)
+    assert ran == [2]
     assert summary.scheduled == 2
     assert summary.cancelled == 1
     assert summary.total_processed == 1

@@ -336,13 +336,13 @@ def _cli_run_rejects(text, bad_line, tmp_path, capsys, monkeypatch):
 
 
 def test_cli_zero_traffic_period_exit_2(tmp_path, capsys, monkeypatch):
-    # Used to run forever: DATA_DUE rescheduled itself at the same instant.
+    # Used to run forever: the data tick rescheduled itself at the same instant.
     text = TINY.format(duration="500 ms", seed=7) + "\n[traffic]\nperiod = 0 ms\n"
     _cli_run_rejects(text, "period = 0 ms", tmp_path, capsys, monkeypatch)
 
 
 def test_cli_zero_move_tick_exit_2(tmp_path, capsys, monkeypatch):
-    # Used to run forever: MOVE_TICK rescheduled itself at the same instant.
+    # Used to run forever: the move tick rescheduled itself at the same instant.
     text = TINY.format(duration="500 ms", seed=7).replace(
         "waypoint = 1 m, 0 m, 0 s", "waypoint = 1 m, 0 m, 0 s\nmove_tick = 0 ms")
     _cli_run_rejects(text, "move_tick = 0 ms", tmp_path, capsys, monkeypatch)
@@ -467,7 +467,7 @@ def test_cli_sweep_without_mobile_exit_2(tmp_path, capsys):
 
 def test_cli_sweep_with_decreasing_x_exit_2(tmp_path, capsys):
     # Used to exit 0: a 15 m -> 0 m trajectory wrote the reversed interval
-    # "0,assoc_3,14.95,10.84" to coverage.csv.
+    # "0,assoc_3,14.95,10.84" to coverage.csv, and `gaps` merged both passes.
     text = TINY.format(duration="500 ms", seed=7).replace(
         "waypoint = 1 m, 0 m, 0 s",
         "waypoint = 15 m, 0 m, 0 s\nwaypoint = 15 m, 0 m, 100 ms\n"
@@ -476,8 +476,13 @@ def test_cli_sweep_with_decreasing_x_exit_2(tmp_path, capsys):
     path.write_text(text)
     code = main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "waypoint 3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "waypoint 3" in err
     assert not (tmp_path / "o").exists()
+    code = main(["gaps", "--trace", str(DATA / "golden_tiny.csv"),
+                 "--scenario", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == err
 
 
 def test_cli_backoff_exponent_above_8_exit_2(tmp_path, capsys, monkeypatch):

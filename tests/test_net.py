@@ -1,7 +1,6 @@
 import pytest
 
 from conftest import make_cfg
-from wpansim.engine import EventKind
 from wpansim.mac import BROADCAST, Frame, FrameKind
 from wpansim.phy import lq_from_rx_power
 from wpansim.scenario import NodeRole
@@ -354,7 +353,7 @@ def test_assoc_guard_after_the_commit_is_a_no_op():
     assert (ctrl.handover_state, ctrl.parent) == ("idle", 1)
     rows, before = len(sim.rows), _queue(sim)
     ev = sim.loop.schedule(sim.cfg.handover.probe_window_us,
-                           EventKind.HANDOVER_TIMER, ctrl.node.node_id, 2)
+                           ctrl.on_handover_timer, 2)
     after = sim.loop.run_until(ev.time, sim._dispatch)
     assert (ctrl.handover_state, ctrl.parent) == ("idle", 1)
     assert ctrl.stats.failures == 0 and ctrl.stats.completions == 1

@@ -89,6 +89,21 @@ def test_duplicate_node_id_rejected():
     assert "duplicate" in str(err.value)
 
 
+@pytest.mark.parametrize("node_id, ok", [
+    (0, True), (0xFFFD, True), (0xFFFE, False), (0xFFFF, False), (-1, False),
+    (10**19, False)])
+def test_node_id_is_a_unicast_short_address(node_id, ok):
+    # 65535 used to run as the broadcast address: frames sent to the mobile
+    # never asked it for an ack.
+    text = f"[run]\nseed = 1\n\n[node {node_id}]\nrole = coordinator\n"
+    if ok:
+        assert parse_scenario(text).nodes[0].node_id == node_id
+        return
+    with pytest.raises(ScenarioError, match="not a unicast short address") as err:
+        parse_scenario(text)
+    assert err.value.line == 4
+
+
 def test_duplicate_section_rejected():
     with pytest.raises(ScenarioError):
         parse_scenario("[run]\nseed = 1\n[run]\nseed = 2\n")
