@@ -204,7 +204,7 @@ class Simulation:
             # Acks skip CCA but not the radio's own frame.
             self.loop.schedule(self.loop.now + self.csma.turnaround_us,
                                self._after_own_frame, node, self._send_ack,
-                               node, ack)
+                               ack)
         node.controller.on_frame(frame, rx_power, lq)
 
     # -- radio idling ------------------------------------------------------------
@@ -237,13 +237,13 @@ class Simulation:
         self._every(period, action, *args)
 
     def _after_own_frame(self, node: Node, send, *args) -> None:
-        """Call send(*args) now, or right after the radio's own frame if it
-        is transmitting one."""
+        """Call send(node, *args) now, or right after the radio's own frame if
+        it is transmitting one."""
         if node.ledger.mode.tx_power_dbm is not None:
             self.loop.schedule(node.mac.tx_ends_at, self._after_own_frame,
                                node, send, *args)
         else:
-            send(*args)
+            send(node, *args)
 
     def _send_ack(self, node: Node, ack: Frame) -> None:
         node.pending_acks -= 1
@@ -271,7 +271,7 @@ class Simulation:
                 if node.config.may_parent:
                     # Beacons skip CCA, but keep their cadence past an own frame.
                     self._every(interval, self._after_own_frame, node,
-                                self._send_beacon, node)
+                                self._send_beacon)
 
     def run(self) -> RunResult:
         self.setup()
