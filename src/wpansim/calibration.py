@@ -23,7 +23,7 @@ sensitivity -100..-70 dBm step 1, positions -3..18 m step 0.5.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import kernels
 from .coverage import line_spans, uncovered_intervals
@@ -41,8 +41,7 @@ OVERLAP_WEIGHT = 1e-3
 _INVALID = 1e300
 
 
-@dataclass
-class CalibrationTargets:
+class CalibrationTargets(NamedTuple):
     gap1: tuple[float, float] = (2.0, 4.0)
     gap2: tuple[float, float] = (11.0, 13.0)
     gap_level_dbm: float = 0.0
@@ -51,18 +50,24 @@ class CalibrationTargets:
     tolerance_m: float = 0.5
 
 
-@dataclass
 class CalibrationResult:
-    ok: bool
-    path_loss_exponent: float = 0.0
-    pl0_db: float = 0.0
-    rx_sensitivity_dbm: float = 0.0
-    positions: tuple[float, ...] = ()
-    max_boundary_error_m: float = float("inf")
-    achieved_gaps: list[tuple[float, float]] = field(default_factory=list)
-    range_at_gap_level_m: float = 0.0
-    searched: bool = True
-    candidates_scored: int = 0
+    def __init__(self, ok: bool, path_loss_exponent: float = 0.0,
+                 pl0_db: float = 0.0, rx_sensitivity_dbm: float = 0.0,
+                 positions: tuple[float, ...] = (),
+                 max_boundary_error_m: float = float("inf"),
+                 achieved_gaps: list[tuple[float, float]] | None = None,
+                 range_at_gap_level_m: float = 0.0, searched: bool = True,
+                 candidates_scored: int = 0) -> None:
+        self.ok = ok
+        self.path_loss_exponent = path_loss_exponent
+        self.pl0_db = pl0_db
+        self.rx_sensitivity_dbm = rx_sensitivity_dbm
+        self.positions = positions
+        self.max_boundary_error_m = max_boundary_error_m
+        self.achieved_gaps = [] if achieved_gaps is None else achieved_gaps
+        self.range_at_gap_level_m = range_at_gap_level_m
+        self.searched = searched
+        self.candidates_scored = candidates_scored
 
     def report_lines(self, targets: CalibrationTargets) -> list[str]:
         lines = [

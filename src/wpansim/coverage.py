@@ -11,7 +11,6 @@ line; calibration's gaps and the sweep's overlaps read it, the sampler does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .mac import SendOutcome
@@ -92,16 +91,6 @@ def gap_bounds(trajectory) -> tuple[float, float]:
                 f"{k - 1} (x = {prev[0]:g} m); coverage gaps need an x that "
                 f"never decreases")
     return trajectory.x_bounds()
-
-
-def boundaries_match(a: list[tuple[float, float]], b: list[tuple[float, float]],
-                     tol: float) -> bool:
-    """True iff both gap lists agree pairwise within tol on every boundary."""
-    if len(a) != len(b):
-        return False
-    eps = 1e-9  # trace boundaries are cell multiples; keep exactly-tol diffs in
-    return all(abs(ga[0] - gb[0]) <= tol + eps and abs(ga[1] - gb[1]) <= tol + eps
-               for ga, gb in zip(a, b))
 
 
 def _stationary_geometry(cfg) -> list[tuple[float, float, float]]:
@@ -254,12 +243,16 @@ def association_map(rows: list[TraceRecord],
     return segments
 
 
-@dataclass
 class CoverageReport:
-    power_dbm: float
-    gaps: list[tuple[float, float]] = field(default_factory=list)
-    overlaps: list[tuple[float, float]] = field(default_factory=list)
-    associations: list[tuple[float, float, int]] = field(default_factory=list)
+    def __init__(self, power_dbm: float,
+                 gaps: list[tuple[float, float]] | None = None,
+                 overlaps: list[tuple[float, float]] | None = None,
+                 associations: list[tuple[float, float, int]] | None = None
+                 ) -> None:
+        self.power_dbm = power_dbm
+        self.gaps = [] if gaps is None else gaps
+        self.overlaps = [] if overlaps is None else overlaps
+        self.associations = [] if associations is None else associations
 
     @property
     def gap_free(self) -> bool:

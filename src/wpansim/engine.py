@@ -10,8 +10,7 @@ exact and traces are platform-stable.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 SimTime = int  # microseconds since run start
 
@@ -20,17 +19,19 @@ class SimulationError(RuntimeError):
     """Fatal misuse of the simulator (scheduling in the past, bad frame kind)."""
 
 
-@dataclass(slots=True)
 class Event:
-    time: SimTime
-    seq: int
-    action: Callable  # called as action(*args) when the event is due
-    args: tuple
-    cancelled: bool = False
+    __slots__ = ("time", "seq", "action", "args", "cancelled")
+
+    def __init__(self, time: SimTime, seq: int, action: Callable, args: tuple,
+                 cancelled: bool = False) -> None:
+        self.time = time
+        self.seq = seq
+        self.action = action  # called as action(*args) when the event is due
+        self.args = args
+        self.cancelled = cancelled
 
 
-@dataclass
-class RunSummary:
+class RunSummary(NamedTuple):
     total_processed: int
     scheduled: int
     cancelled: int

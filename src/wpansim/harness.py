@@ -7,8 +7,8 @@ and writes plain CSV plus a short text summary per output directory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .calibration import CalibrationResult, CalibrationTargets, apply_to_config, search
 from .coverage import (CoverageReport, association_map, gap_analysis, gap_bounds,
@@ -78,17 +78,17 @@ def _run_summary_lines(result: RunResult) -> list[str]:
     return lines
 
 
-@dataclass
-class SweepLevel:
+class SweepLevel(NamedTuple):
     power_dbm: float
     report: CoverageReport
     run: RunResult
 
 
-@dataclass
 class SweepResult:
-    levels: list[SweepLevel] = field(default_factory=list)
-    optimal_dbm: float | None = None
+    def __init__(self, levels: list[SweepLevel] | None = None,
+                 optimal_dbm: float | None = None) -> None:
+        self.levels = [] if levels is None else levels
+        self.optimal_dbm = optimal_dbm
 
     def level(self, power: float) -> SweepLevel:
         for lv in self.levels:
@@ -174,8 +174,7 @@ def _write_sweep_files(out: Path, result: SweepResult) -> None:
     (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-@dataclass
-class CompareArm:
+class CompareArm(NamedTuple):
     name: str
     run: RunResult
 
@@ -198,12 +197,14 @@ class CompareArm:
         return on / 1e6
 
 
-@dataclass
 class CompareResult:
-    arms: dict[str, CompareArm] = field(default_factory=dict)
-    latency_delta_s: float = 0.0
-    outage_delta_s: float = 0.0
-    energy_delta_pct: float = 0.0
+    def __init__(self, arms: dict[str, CompareArm] | None = None,
+                 latency_delta_s: float = 0.0, outage_delta_s: float = 0.0,
+                 energy_delta_pct: float = 0.0) -> None:
+        self.arms = {} if arms is None else arms
+        self.latency_delta_s = latency_delta_s
+        self.outage_delta_s = outage_delta_s
+        self.energy_delta_pct = energy_delta_pct
 
     @property
     def proposed(self) -> CompareArm:

@@ -9,10 +9,11 @@ neither.  CCA is instantaneous channel-state sampling.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import SimTime, SimulationError
 from .phy import PhyParams, link_rx_power, lq_from_rx_power
+from .record import Record
 from .scenario import SLEEP
 from .trace import TraceKind
 
@@ -46,15 +47,20 @@ CSMA_EXEMPT = (FrameKind.BEACON, FrameKind.ACK)
 NO_ACK_KINDS = (FrameKind.ACK, FrameKind.BEACON, FrameKind.DISASSOC)
 
 
-@dataclass(slots=True)
 class Frame:
-    kind: str  # a FrameKind
-    seq: int
-    src: int
-    dst: int
-    payload_len: int = 0
-    tx_power_dbm: float = 0.0
-    lq_report: int | None = None  # probe responses carry the measured LQ
+    __slots__ = ("kind", "seq", "src", "dst", "payload_len", "tx_power_dbm",
+                 "lq_report")
+
+    def __init__(self, kind: str, seq: int, src: int, dst: int,
+                 payload_len: int = 0, tx_power_dbm: float = 0.0,
+                 lq_report: int | None = None) -> None:
+        self.kind = kind  # a FrameKind
+        self.seq = seq
+        self.src = src
+        self.dst = dst
+        self.payload_len = payload_len
+        self.tx_power_dbm = tx_power_dbm
+        self.lq_report = lq_report  # probe responses carry the measured LQ
 
     @property
     def is_broadcast(self) -> bool:
@@ -64,15 +70,18 @@ class Frame:
         return not self.is_broadcast and self.kind not in NO_ACK_KINDS
 
 
-@dataclass
-class CsmaParams:
-    mac_min_be: int = 3
-    mac_max_be: int = 5
-    max_csma_backoffs: int = 4
-    max_frame_retries: int = 3
-    unit_backoff_us: SimTime = 320
-    ack_wait_us: SimTime = 864
-    turnaround_us: SimTime = 192
+class CsmaParams(Record):
+    def __init__(self, mac_min_be: int = 3, mac_max_be: int = 5,
+                 max_csma_backoffs: int = 4, max_frame_retries: int = 3,
+                 unit_backoff_us: SimTime = 320, ack_wait_us: SimTime = 864,
+                 turnaround_us: SimTime = 192) -> None:
+        self.mac_min_be = mac_min_be
+        self.mac_max_be = mac_max_be
+        self.max_csma_backoffs = max_csma_backoffs
+        self.max_frame_retries = max_frame_retries
+        self.unit_backoff_us = unit_backoff_us
+        self.ack_wait_us = ack_wait_us
+        self.turnaround_us = turnaround_us
 
 
 class SendOutcome:
@@ -82,20 +91,27 @@ class SendOutcome:
     CHANNEL_ACCESS_FAILURE = "cca_fail"
 
 
-@dataclass(slots=True)
 class Transmission:
-    src: int
-    frame: Frame
-    start: SimTime
-    end: SimTime
-    src_pos: tuple[float, float]  # snapshot at transmit start
-    gain_tx_db: float
-    src_stationary: bool  # source position is fixed for the whole run
-    engaged: list[int]  # listeners put into rx mode for this frame
-    # Fixed by Channel.add: node id -> (node, rx power, LQ) per listener that
-    # hears the frame, in node order; a mobile listener is a (node, None,
-    # None) placeholder, measured live because it moves during the frame.
-    audience: dict | None = None
+    __slots__ = ("src", "frame", "start", "end", "src_pos", "gain_tx_db",
+                 "src_stationary", "engaged", "audience")
+
+    def __init__(self, src: int, frame: Frame, start: SimTime, end: SimTime,
+                 src_pos: tuple[float, float], gain_tx_db: float,
+                 src_stationary: bool, engaged: list[int],
+                 audience: dict | None = None) -> None:
+        self.src = src
+        self.frame = frame
+        self.start = start
+        self.end = end
+        self.src_pos = src_pos  # snapshot at transmit start
+        self.gain_tx_db = gain_tx_db
+        self.src_stationary = src_stationary  # position fixed for the whole run
+        self.engaged = engaged  # listeners put into rx mode for this frame
+        # Fixed by Channel.add: node id -> (node, rx power, LQ) per listener
+        # that hears the frame, in node order; a mobile listener is a (node,
+        # None, None) placeholder, measured live because it moves during the
+        # frame.
+        self.audience = audience
 
     def overlaps(self, start: SimTime, end: SimTime) -> bool:
         return self.start < end and start < self.end
@@ -116,8 +132,9 @@ class Channel:
     given in node order.  `add` fixes each frame's audience at transmit
     start.  A stationary listener's received power is then final: the
     source position is a snapshot and the listener does not move.  So it is
-    computed once per frame, and once per (source, transmit power) when the
-    source is stationary too.  The mobile listener is measured live.
+    computed once per frame, and once per source when the source is
+    stationary too: only the mobile's transmit power changes within a run,
+    never a stationary node's.  The mobile listener is measured live.
     """
 
     def __init__(self, params: PhyParams, listeners) -> None:
@@ -126,7 +143,7 @@ class Channel:
         self.transmissions: list[Transmission] = []
         self.longest_us: SimTime = 0
         self._first_end: SimTime | None = None  # earliest end in history
-        self.audiences: dict[tuple[int, float], dict] = {}
+        self.audiences: dict[int, dict] = {}  # by stationary source id
 
     def add(self, tx: Transmission) -> None:
         """Put tx on the air and fix its audience."""
@@ -148,9 +165,8 @@ class Channel:
 
     def audience(self, tx: Transmission) -> dict:
         """Listeners that hear tx: node id -> (node, rx power, LQ), in node order."""
-        key = (tx.src, tx.frame.tx_power_dbm) if tx.src_stationary else None
-        if key is not None:
-            heard = self.audiences.get(key)
+        if tx.src_stationary:
+            heard = self.audiences.get(tx.src)
             if heard is not None:
                 return heard
         params = self.params
@@ -164,8 +180,8 @@ class Channel:
             rx = self.rx_power(tx, node)
             if rx > params.rx_sensitivity_dbm:
                 heard[node.node_id] = (node, rx, lq_from_rx_power(rx, params))
-        if key is not None:
-            self.audiences[key] = heard
+        if tx.src_stationary:
+            self.audiences[tx.src] = heard
         return heard
 
     def rx_power(self, tx: Transmission, node) -> float:
@@ -208,8 +224,7 @@ class Channel:
         return out
 
 
-@dataclass
-class _Outgoing:
+class _Outgoing(NamedTuple):
     frame: Frame
     ack_required: bool
     on_outcome: object  # callable(SendOutcome) or None

@@ -13,21 +13,21 @@ turn, so its latency is linear in node count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .engine import SimTime
 from .mac import BROADCAST, Frame, FrameKind, SendOutcome
 from .phy import lq_from_rx_power
 from .trace import TraceKind
 
 
-@dataclass
 class HandoverStats:
-    attempts: int = 0
-    completions: int = 0
-    failures: int = 0
-    total_outage_us: SimTime = 0
-    latencies_us: list[int] = field(default_factory=list)
+    def __init__(self, attempts: int = 0, completions: int = 0,
+                 failures: int = 0, total_outage_us: SimTime = 0,
+                 latencies_us: list[int] | None = None) -> None:
+        self.attempts = attempts
+        self.completions = completions
+        self.failures = failures
+        self.total_outage_us = total_outage_us
+        self.latencies_us = [] if latencies_us is None else latencies_us
 
     def mean_latency_us(self) -> float:
         if not self.latencies_us:
@@ -35,13 +35,14 @@ class HandoverStats:
         return sum(self.latencies_us) / len(self.latencies_us)
 
 
-@dataclass
 class TrafficStats:
-    attempts: int = 0
-    delivered: int = 0
-    no_ack: int = 0
-    cca_fail: int = 0
-    outage_losses: int = 0
+    def __init__(self, attempts: int = 0, delivered: int = 0, no_ack: int = 0,
+                 cca_fail: int = 0, outage_losses: int = 0) -> None:
+        self.attempts = attempts
+        self.delivered = delivered
+        self.no_ack = no_ack
+        self.cca_fail = cca_fail
+        self.outage_losses = outage_losses
 
     def delivery_ratio(self) -> float:
         # Over resolved sends: a frame still in flight when the run ends is

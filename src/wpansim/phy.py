@@ -14,15 +14,15 @@ received margin over sensitivity linearly onto 0..255, saturating at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import SimTime
+from .record import Record
 
 MIN_DISTANCE_M = 0.1  # distances below this are clamped
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(NamedTuple):
     name: str
     data_rate_kbps: int
     channels: range
@@ -40,22 +40,21 @@ _BEACON_BASE_US = {250: 15_360, 40: 24_000, 20: 48_000}
 NO_BEACONS = 15  # beacon order value meaning non-beacon mode
 
 
-@dataclass
-class PhyParams:
-    tx_power_dbm: float = 0.0
-    rx_sensitivity_dbm: float = -70.0
-    pl0_db: float = 52.0
-    path_loss_exponent: float = 3.3
-    lq_saturation_margin_db: float = 40.0
-    phy_overhead_bytes: int = 6
-    power_levels_dbm: tuple[float, ...] = (0.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-
-
-def channel_center_frequency(ch: int) -> float:
-    """Center frequency in MHz for a 2.4 GHz band channel: 2350 + 5*ch."""
-    if not 11 <= ch <= 26:
-        raise ValueError(f"channel {ch} outside the 2.4 GHz plan (11..26)")
-    return float(2350 + 5 * ch)
+class PhyParams(Record):
+    def __init__(self, tx_power_dbm: float = 0.0,
+                 rx_sensitivity_dbm: float = -70.0, pl0_db: float = 52.0,
+                 path_loss_exponent: float = 3.3,
+                 lq_saturation_margin_db: float = 40.0,
+                 phy_overhead_bytes: int = 6,
+                 power_levels_dbm: tuple[float, ...] = (
+                     0.0, 2.0, 3.0, 4.0, 5.0, 6.0)) -> None:
+        self.tx_power_dbm = tx_power_dbm
+        self.rx_sensitivity_dbm = rx_sensitivity_dbm
+        self.pl0_db = pl0_db
+        self.path_loss_exponent = path_loss_exponent
+        self.lq_saturation_margin_db = lq_saturation_margin_db
+        self.phy_overhead_bytes = phy_overhead_bytes
+        self.power_levels_dbm = power_levels_dbm
 
 
 def beacon_interval(bo: int, band: Band) -> SimTime:

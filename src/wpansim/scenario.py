@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from .engine import SimTime, SimulationError
+from .record import Record
 
 
 class NodeRole(Enum):
@@ -20,16 +20,21 @@ class NodeClass(Enum):
     MOBILE = "mobile"
 
 
-@dataclass
-class NodeConfig:
-    node_id: int
-    role: NodeRole
-    node_class: NodeClass = NodeClass.STATIONARY
-    x: float = 0.0
-    y: float = 0.0
-    antenna_gain_db: float = 0.0
-    tx_power_dbm: float | None = None  # None -> scenario-wide default
-    sleep_when_idle: bool | None = None  # None -> mobiles sleep, stationary don't
+class NodeConfig(Record):
+    def __init__(self, node_id: int, role: NodeRole,
+                 node_class: NodeClass = NodeClass.STATIONARY, x: float = 0.0,
+                 y: float = 0.0, antenna_gain_db: float = 0.0,
+                 tx_power_dbm: float | None = None,
+                 sleep_when_idle: bool | None = None) -> None:
+        self.node_id = node_id
+        self.role = role
+        self.node_class = node_class
+        self.x = x
+        self.y = y
+        self.antenna_gain_db = antenna_gain_db
+        self.tx_power_dbm = tx_power_dbm  # None -> scenario-wide default
+        # None -> mobiles sleep, stationary nodes don't
+        self.sleep_when_idle = sleep_when_idle
 
     @property
     def may_parent(self) -> bool:
@@ -43,16 +48,14 @@ class NodeConfig:
         return self.sleep_when_idle
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """Piecewise-linear path: waypoints of (x m, y m, arrival time us)."""
 
-    waypoints: list[tuple[float, float, SimTime]]
-
-    def __post_init__(self) -> None:
-        if not self.waypoints:
+    def __init__(self, waypoints: list[tuple[float, float, SimTime]]) -> None:
+        self.waypoints = waypoints
+        if not waypoints:
             raise ValueError("trajectory needs at least one waypoint")
-        times = [w[2] for w in self.waypoints]
+        times = [w[2] for w in waypoints]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("waypoint arrival offsets must strictly increase")
 
@@ -99,15 +102,18 @@ def tx_mode(power_dbm: float) -> RadioMode:
     return _TX_MODES[name]
 
 
-@dataclass
-class CurrentModel:
+class CurrentModel(Record):
     """Radio supply currents in mA; transmit current ramps linearly in dBm."""
 
-    tx_current_0dbm_ma: float = 30.0
-    tx_current_per_dbm_ma: float = 1.5
-    rx_current_ma: float = 30.0
-    idle_current_ma: float = 30.0
-    sleep_current_ma: float = 0.003
+    def __init__(self, tx_current_0dbm_ma: float = 30.0,
+                 tx_current_per_dbm_ma: float = 1.5, rx_current_ma: float = 30.0,
+                 idle_current_ma: float = 30.0,
+                 sleep_current_ma: float = 0.003) -> None:
+        self.tx_current_0dbm_ma = tx_current_0dbm_ma
+        self.tx_current_per_dbm_ma = tx_current_per_dbm_ma
+        self.rx_current_ma = rx_current_ma
+        self.idle_current_ma = idle_current_ma
+        self.sleep_current_ma = sleep_current_ma
 
     def tx_current_ma(self, power_dbm: float) -> float:
         return self.tx_current_0dbm_ma + self.tx_current_per_dbm_ma * power_dbm

@@ -50,13 +50,13 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .mac import CONTROL_PAYLOAD, CsmaParams
 from .phy import BANDS, Band, PhyParams
+from .record import Record
 from .scenario import CurrentModel, NodeClass, NodeConfig, NodeRole, Trajectory
 
 
@@ -124,62 +124,88 @@ def _parse_bytes(text: str, key: str, line: int) -> int:
     return count
 
 
-@dataclass
-class MacConfig:
-    beacon_order: int = 15
-    mac_header_bytes: int = 9
-    ack_header_bytes: int = 5
+class MacConfig(Record):
+    def __init__(self, beacon_order: int = 15, mac_header_bytes: int = 9,
+                 ack_header_bytes: int = 5) -> None:
+        self.beacon_order = beacon_order
+        self.mac_header_bytes = mac_header_bytes
+        self.ack_header_bytes = ack_header_bytes
 
 
-@dataclass
-class TpcConfig:
-    enabled: bool = True
-    lq_target: int = 64
-    lq_hysteresis: int = 16
+class TpcConfig(Record):
+    def __init__(self, enabled: bool = True, lq_target: int = 64,
+                 lq_hysteresis: int = 16) -> None:
+        self.enabled = enabled
+        self.lq_target = lq_target
+        self.lq_hysteresis = lq_hysteresis
 
 
-@dataclass
-class HandoverConfig:
-    mode: str = "broadcast"  # broadcast | scan
-    probe_window_us: int = 50_000
-    probe_retry_us: int = 200_000
-    scan_response_timeout_us: int = 50_000
-    lq_retrigger_cooldown_us: int = 500_000
-    ack_fail_threshold: int = 2
-    degraded_ack_fail_threshold: int = 1
+class HandoverConfig(Record):
+    def __init__(self, mode: str = "broadcast", probe_window_us: int = 50_000,
+                 probe_retry_us: int = 200_000,
+                 scan_response_timeout_us: int = 50_000,
+                 lq_retrigger_cooldown_us: int = 500_000,
+                 ack_fail_threshold: int = 2,
+                 degraded_ack_fail_threshold: int = 1) -> None:
+        self.mode = mode  # broadcast | scan
+        self.probe_window_us = probe_window_us
+        self.probe_retry_us = probe_retry_us
+        self.scan_response_timeout_us = scan_response_timeout_us
+        self.lq_retrigger_cooldown_us = lq_retrigger_cooldown_us
+        self.ack_fail_threshold = ack_fail_threshold
+        self.degraded_ack_fail_threshold = degraded_ack_fail_threshold
 
 
-@dataclass
-class TrafficConfig:
-    period_us: int = 100_000
-    payload_bytes: int = 20
+class TrafficConfig(Record):
+    def __init__(self, period_us: int = 100_000, payload_bytes: int = 20) -> None:
+        self.period_us = period_us
+        self.payload_bytes = payload_bytes
 
 
 # The levels `sweep` runs when neither --powers nor a [sweep] line names any.
 DEFAULT_SWEEP_POWERS = (0.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 
 
-@dataclass
-class ScenarioConfig:
-    duration_us: int = 15_000_000
-    seed: int = 42
-    band: Band = BANDS["2400"]
-    channel: int = 11
-    phy: PhyParams = field(default_factory=PhyParams)
-    csma: CsmaParams = field(default_factory=CsmaParams)
-    mac: MacConfig = field(default_factory=MacConfig)
-    nodes: list[NodeConfig] = field(default_factory=list)
-    trajectory: Trajectory = field(default_factory=lambda: Trajectory(
-        [(0.0, 0.0, 0), (15.0, 0.0, 15_000_000)]))
-    move_tick_us: int = 100_000
-    traffic: TrafficConfig = field(default_factory=TrafficConfig)
-    tpc: TpcConfig = field(default_factory=TpcConfig)
-    handover: HandoverConfig = field(default_factory=HandoverConfig)
-    currents: CurrentModel = field(default_factory=CurrentModel)
-    supply_voltage: float = 3.0
-    sweep_powers: tuple[float, ...] | None = None  # None: DEFAULT_SWEEP_POWERS
-    reference_latency_delta_us: int = 1_200_000
-    reference_energy_delta_pct: float = 42.8
+class ScenarioConfig(Record):
+    """A whole scenario.  A nested record or list left as None is a fresh
+    default one, as is the trajectory: (0 m, 0 m) at 0 s to (15 m, 0 m) at
+    15 s."""
+
+    def __init__(self, duration_us: int = 15_000_000, seed: int = 42,
+                 band: Band = BANDS["2400"], channel: int = 11,
+                 phy: PhyParams | None = None, csma: CsmaParams | None = None,
+                 mac: MacConfig | None = None,
+                 nodes: list[NodeConfig] | None = None,
+                 trajectory: Trajectory | None = None,
+                 move_tick_us: int = 100_000,
+                 traffic: TrafficConfig | None = None,
+                 tpc: TpcConfig | None = None,
+                 handover: HandoverConfig | None = None,
+                 currents: CurrentModel | None = None,
+                 supply_voltage: float = 3.0,
+                 sweep_powers: tuple[float, ...] | None = None,
+                 reference_latency_delta_us: int = 1_200_000,
+                 reference_energy_delta_pct: float = 42.8) -> None:
+        self.duration_us = duration_us
+        self.seed = seed
+        self.band = band
+        self.channel = channel
+        self.phy = PhyParams() if phy is None else phy
+        self.csma = CsmaParams() if csma is None else csma
+        self.mac = MacConfig() if mac is None else mac
+        self.nodes = [] if nodes is None else nodes
+        if trajectory is None:
+            trajectory = Trajectory([(0.0, 0.0, 0), (15.0, 0.0, 15_000_000)])
+        self.trajectory = trajectory
+        self.move_tick_us = move_tick_us
+        self.traffic = TrafficConfig() if traffic is None else traffic
+        self.tpc = TpcConfig() if tpc is None else tpc
+        self.handover = HandoverConfig() if handover is None else handover
+        self.currents = CurrentModel() if currents is None else currents
+        self.supply_voltage = supply_voltage
+        self.sweep_powers = sweep_powers  # None: DEFAULT_SWEEP_POWERS
+        self.reference_latency_delta_us = reference_latency_delta_us
+        self.reference_energy_delta_pct = reference_energy_delta_pct
 
     def stationary_nodes(self) -> list[NodeConfig]:
         return [n for n in self.nodes if n.node_class is NodeClass.STATIONARY]

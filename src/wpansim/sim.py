@@ -7,7 +7,7 @@ seed reproduces the trace byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import EventLoop, RngStream, RunSummary, SimTime
 from .mac import (BROADCAST, Channel, CsmaParams, Frame, FrameKind, MacLayer,
@@ -75,8 +75,7 @@ class Node:
             self.set_mode(LISTEN)
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     cfg: ScenarioConfig
     rows: list[TraceRecord]
     summary: RunSummary

@@ -9,8 +9,9 @@ that spells it as text, for writing and for reading back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+
+from .record import Record
 
 COLUMNS = ("time_us", "node_id", "event_kind", "frame_kind", "src", "dst",
            "seq", "power_dbm", "rx_power_dbm", "lq", "pos_x_m", "outcome")
@@ -36,40 +37,32 @@ class TraceKind:
     HANDOVER_FAIL = "HANDOVER_FAIL"
 
 
-@dataclass(slots=True)
-class TraceRecord:
-    time_us: int
-    node_id: int
-    event_kind: str
-    frame_kind: str = ""
-    src: int | None = None
-    dst: int | None = None
-    seq: int | None = None
-    power_dbm: float | None = None
-    rx_power_dbm: float | None = None
-    lq: int | None = None
-    pos_x_m: float = 0.0
-    detail: object = None  # see _OUTCOMES for each kind's type
+class TraceRecord(Record):
+    __slots__ = ("time_us", "node_id", "event_kind", "frame_kind", "src", "dst",
+                 "seq", "power_dbm", "rx_power_dbm", "lq", "pos_x_m", "detail")
+
+    def __init__(self, time_us: int, node_id: int, event_kind: str,
+                 frame_kind: str = "", src: int | None = None,
+                 dst: int | None = None, seq: int | None = None,
+                 power_dbm: float | None = None,
+                 rx_power_dbm: float | None = None, lq: int | None = None,
+                 pos_x_m: float = 0.0, detail: object = None) -> None:
+        self.time_us = time_us
+        self.node_id = node_id
+        self.event_kind = event_kind
+        self.frame_kind = frame_kind
+        self.src = src
+        self.dst = dst
+        self.seq = seq
+        self.power_dbm = power_dbm
+        self.rx_power_dbm = rx_power_dbm
+        self.lq = lq
+        self.pos_x_m = pos_x_m
+        self.detail = detail  # see _OUTCOMES for each kind's type
 
     @property
     def outcome(self) -> str:
         return _OUTCOMES[self.event_kind][0](self.detail)
-
-    def to_csv(self) -> str:
-        return ",".join((
-            str(self.time_us),
-            str(self.node_id),
-            self.event_kind,
-            self.frame_kind,
-            "" if self.src is None else str(self.src),
-            "" if self.dst is None else str(self.dst),
-            "" if self.seq is None else str(self.seq),
-            "" if self.power_dbm is None else f"{self.power_dbm:.1f}",
-            "" if self.rx_power_dbm is None else f"{self.rx_power_dbm:.1f}",
-            "" if self.lq is None else str(self.lq),
-            f"{self.pos_x_m:.2f}",
-            self.outcome,
-        ))
 
 
 def _fixed(text: str):
@@ -154,7 +147,8 @@ class _Formatted(dict):
 
 
 def write_trace(path: str | Path, rows: list[TraceRecord]) -> None:
-    """Write the rows as `TraceRecord.to_csv` formats them, in chunks.
+    """Write the rows as CSV, in chunks, byte for byte as the one-row-at-a-time
+    reference formatter in tests/reference.py writes them.
 
     Ids, sequence numbers, powers, positions and outcomes repeat across
     rows, so each distinct value is formatted once per call.

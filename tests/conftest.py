@@ -2,8 +2,9 @@ from pathlib import Path
 
 import pytest
 
+from reference import boundaries_match
 from wpansim.cli import default_scenario_path
-from wpansim.coverage import boundaries_match, static_gap_oracle
+from wpansim.coverage import static_gap_oracle
 from wpansim.scenario_file import load_scenario, parse_scenario
 
 DATA = Path(__file__).parent / "data"

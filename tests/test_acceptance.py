@@ -9,12 +9,12 @@ import time
 import pytest
 
 from conftest import DATA
+from reference import boundaries_match, channel_center_frequency
 from util_props import run_property_suite
 from wpansim.calibration import CalibrationTargets, apply_to_config, search
-from wpansim.coverage import CELL_M, boundaries_match, static_gap_oracle
+from wpansim.coverage import CELL_M, static_gap_oracle
 from wpansim.harness import compare, sweep
-from wpansim.phy import (B868, B915, B2400, beacon_interval,
-                         channel_center_frequency)
+from wpansim.phy import B868, B915, B2400, beacon_interval
 from wpansim.scenario import CurrentModel, EnergyLedger, tx_mode
 from wpansim.scenario_file import load_scenario
 from wpansim.sim import Simulation

@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cfg
+from reference import boundaries_match
 from wpansim import coverage
-from wpansim.coverage import (CELL_M, ORACLE_STEP_M, boundaries_match,
-                              gap_analysis, line_spans, overlap_intervals,
-                              static_gap_oracle, uncovered_intervals)
+from wpansim.coverage import (CELL_M, ORACLE_STEP_M, gap_analysis, line_spans,
+                              overlap_intervals, static_gap_oracle,
+                              uncovered_intervals)
 from wpansim.harness import sweep
 from wpansim.scenario import NodeClass, NodeConfig, NodeRole, Trajectory
 from wpansim.scenario_file import ScenarioError

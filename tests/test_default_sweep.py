@@ -8,8 +8,9 @@ import hashlib
 
 import pytest
 
+from reference import boundaries_match
 from wpansim.cli import main
-from wpansim.coverage import CELL_M, boundaries_match
+from wpansim.coverage import CELL_M
 from wpansim.harness import sweep
 from wpansim.trace import read_trace
 

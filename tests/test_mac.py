@@ -2,8 +2,9 @@ import pytest
 
 from conftest import make_cfg
 from wpansim.engine import SimulationError
-from wpansim.mac import BROADCAST, Frame, FrameKind, SendOutcome
-from wpansim.scenario import SLEEP
+from wpansim.mac import BROADCAST, Frame, FrameKind, SendOutcome, Transmission
+from wpansim.phy import link_rx_power
+from wpansim.scenario import LISTEN, RX, SLEEP
 from wpansim.sim import Simulation
 
 # Communication range at these settings is ~3.49 m; node 3 sits in range of
@@ -247,6 +248,77 @@ def test_beacon_order_15_schedules_no_beacons():
     cfg.duration_us = 200_000
     res = Simulation(cfg).run()
     assert all(r.frame_kind != "beacon" for r in res.rows)
+
+
+def test_frames_that_touch_end_to_start_do_not_overlap():
+    sim = line_sim()
+    # Addressed to node 5, out of range, so that node 3 sends no ack.
+    first = Frame(FrameKind.DATA, 0, 1, 5, payload_len=50)
+    second = Frame(FrameKind.DATA, 0, 2, 5, payload_len=50)
+    airtime = sim.airtime(first)
+    sim.begin_transmission(sim.nodes[1], first)
+    sim.loop.schedule(airtime, sim.begin_transmission, sim.nodes[2], second)
+    drive(sim)
+    # Both reach node 3, which hears both senders: the second starts in the
+    # microsecond the first ends.
+    assert rows_of(sim, "COLLISION") == []
+    assert [(r.src, r.time_us) for r in rows_of(sim, "RX", node=3)] == \
+        [(1, airtime), (2, 2 * airtime)]
+    tx = Transmission(1, first, 100, 200, (0.0, 0.0), 0.0, True, [])
+    assert not tx.overlaps(200, 300) and not tx.overlaps(0, 100)
+    assert tx.overlaps(199, 300) and tx.overlaps(0, 101)
+
+
+# Every listener sits 1 m from the coordinator, so it receives the
+# coordinator's beacons at exactly the sensitivity, -50 dBm: pl0 + 10 n
+# log10(1 m) = 50 dB.  A frame is heard only strictly above it.
+AT_SENSITIVITY = """
+[run]
+duration = 1 s
+seed = 1
+
+[phy]
+tx_power = 0 dBm
+rx_sensitivity = -50 dBm
+pl0 = 50 dB
+path_loss_exponent = 3
+
+[mac]
+beacon_order = 2
+
+[node 1]
+role = coordinator
+class = stationary
+x = 0 m
+
+[node 2]
+role = end_device
+class = stationary
+x = -1 m
+
+[node 9]
+role = end_device
+class = mobile
+sleep = off
+
+[trajectory]
+waypoint = 1 m, 0 m, 0 s
+
+[tpc]
+enabled = off
+"""
+
+
+def test_a_frame_at_exactly_the_sensitivity_is_not_heard():
+    cfg = make_cfg(AT_SENSITIVITY)
+    assert link_rx_power(1.0, 0.0, 0.0, 0.0, cfg.phy) == cfg.phy.rx_sensitivity_dbm
+    sim = Simulation(cfg)
+    res = sim.run()
+    assert len(sent_at(sim, 1, "beacon")) == 16  # every 61,440 us
+    assert rows_of(sim, "RX") == []
+    for listener in (2, 9):  # stationary, and the mobile parked 1 m away
+        times = res.ledgers[listener].mode_times
+        assert times[LISTEN] > 0 and times.get(RX, 0) == 0
 
 
 def test_collision_resolved_after_longer_than_100ms_frame():

@@ -262,6 +262,16 @@ def test_tpc_hysteresis_holds_current_level():
     assert ctrl.node.power_dbm == 6.0
 
 
+def test_tpc_steps_down_at_exactly_target_plus_hysteresis():
+    sim, ctrl = tpc_sim()
+    tpc = sim.cfg.tpc
+    # Heard at -54.45 dBm from 6 dBm: 0 dBm predicts -60.45 dBm, LQ 80.
+    assert lq_from_rx_power(-60.45, sim.cfg.phy) == tpc.lq_target + tpc.lq_hysteresis
+    ctrl.tpc_update(-54.45, 6.0)
+    assert ctrl.node.power_dbm == 0.0
+    assert [(r.event_kind, r.detail) for r in sim.rows] == [("TPC_SET", 0.0)]
+
+
 def test_tpc_idempotent_on_unchanged_samples():
     sim, ctrl = tpc_sim()
     ctrl.tpc_update(-54.0, 6.0)
@@ -360,3 +370,29 @@ def test_assoc_guard_after_the_commit_is_a_no_op():
     assert len(sim.rows) == rows and after.total_processed == 1  # the guard alone
     assert after.scheduled == before.scheduled + 1  # the guard scheduled nothing
     assert after.unprocessed == before.unprocessed
+
+
+def test_low_lq_handover_may_trigger_again_when_the_cooldown_ends():
+    sim = parked_sim(x=1.0)
+    ctrl = sim.mobile.controller
+    ctrl.parent = 1
+    ctrl.start_handover("low_lq")
+    cooldown = sim.cfg.handover.lq_retrigger_cooldown_us
+    for now, attempts in ((cooldown - 1, 1), (cooldown, 2)):
+        ctrl.handover_state = "idle"  # as if the first search had ended
+        sim.loop.now = now
+        ctrl.start_handover("low_lq")
+        assert ctrl.stats.attempts == attempts, now
+
+
+@pytest.mark.parametrize("power, rows", [
+    (3.0, [("TPC_SET", 6.0), ("HANDOVER_FAIL", "assoc_resp_lost")]),
+    (6.0, [("HANDOVER_FAIL", "assoc_resp_lost")]),
+])
+def test_failed_handover_with_tpc_resets_the_power_to_the_top_level(power, rows):
+    sim, ctrl = tpc_sim()
+    ctrl.node.power_dbm = power
+    ctrl.handover_state = "associating"
+    ctrl.on_handover_timer(ctrl.handover_epoch)  # no AssocResponse in time
+    assert [(r.event_kind, r.detail) for r in sim.rows] == rows
+    assert (ctrl.parent, ctrl.node.power_dbm) == (None, 6.0)

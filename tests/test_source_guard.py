@@ -5,7 +5,10 @@ SendOutcome constants; the hot-path kinds are plain class attributes, not
 Enum members; test-only state stays out of the simulator.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wpansim"
@@ -55,3 +58,14 @@ def test_the_guard_catches_the_old_spellings():
     for name, line in old.items():
         assert _violations(name, line), (name, line)
     assert _violations("trace.py", 'TraceKind.BACKOFF: _field("delay=", int)') == []
+
+
+def test_importing_the_package_loads_no_dataclasses_or_inspect():
+    # The records are plain classes: `@dataclass` would import `inspect`
+    # and compile each record's methods on every start of a command.
+    code = ("import sys, wpansim, wpansim.harness, wpansim.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

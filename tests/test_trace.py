@@ -2,13 +2,14 @@
 
 import pytest
 
+from reference import to_csv
 from wpansim.cli import main
 from wpansim.trace import (HEADER, WRITE_CHUNK_ROWS, TraceKind, TraceRecord,
                            read_trace, write_trace)
 
 
 def _reference_bytes(rows):
-    return (HEADER + "\n" + "".join(r.to_csv() + "\n" for r in rows)).encode("ascii")
+    return (HEADER + "\n" + "".join(to_csv(r) + "\n" for r in rows)).encode("ascii")
 
 
 def test_write_trace_matches_to_csv_byte_for_byte(tmp_path):
@@ -92,7 +93,7 @@ def test_every_kind_and_detail_shape_round_trips(tmp_path):
     ("HANDOVER_START", "trigger="), ("HANDOVER_DONE", "parent=2"),
 ])
 def test_gaps_rejects_a_bad_row_at_its_line(tmp_path, capsys, kind, outcome):
-    good = TraceRecord(0, 9, "MOVE", pos_x_m=1.0).to_csv()
+    good = to_csv(TraceRecord(0, 9, "MOVE", pos_x_m=1.0))
     path = tmp_path / "trace.csv"
     path.write_text(f"{HEADER}\n{good}\n0,9,{kind},,,,,,,,1.00,{outcome}\n")
     assert main(["gaps", "--trace", str(path)]) == 2
