@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import __version__
@@ -34,6 +33,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def default_scenario_path() -> Path:
+    # Imported here, not at the top: on Python 3.12 importlib.resources
+    # loads inspect, which no other part of a command start needs.
+    from importlib import resources
     return Path(str(resources.files("wpansim").joinpath("data/default.scenario")))
 
 
