@@ -12,6 +12,7 @@ line; calibration's gaps and the sweep's overlaps read it, the sampler does not.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 
 from .mac import SendOutcome
 from .phy import PhyParams, comm_range_m, in_range
@@ -243,16 +244,11 @@ def association_map(rows: list[TraceRecord],
     return segments
 
 
-class CoverageReport:
-    def __init__(self, power_dbm: float,
-                 gaps: list[tuple[float, float]] | None = None,
-                 overlaps: list[tuple[float, float]] | None = None,
-                 associations: list[tuple[float, float, int]] | None = None
-                 ) -> None:
-        self.power_dbm = power_dbm
-        self.gaps = [] if gaps is None else gaps
-        self.overlaps = [] if overlaps is None else overlaps
-        self.associations = [] if associations is None else associations
+class CoverageReport(NamedTuple):
+    power_dbm: float
+    gaps: list[tuple[float, float]]
+    overlaps: list[tuple[float, float]]
+    associations: list[tuple[float, float, int]]  # (start, end, parent)
 
     @property
     def gap_free(self) -> bool:

@@ -61,18 +61,16 @@ def _run_summary_lines(result: RunResult) -> list[str]:
         f"seed {result.cfg.seed}, duration {result.cfg.duration_us} us, "
         f"{result.summary.total_processed} events processed",
     ]
-    if result.traffic_stats is not None:
-        t = result.traffic_stats
-        lines.append(f"data: {t.attempts} attempts, {t.delivered} delivered, "
-                     f"{t.no_ack} no-ack, {t.cca_fail} cca-fail, "
-                     f"{t.outage_losses} outage losses "
-                     f"(delivery ratio {t.delivery_ratio():.3f})")
-    if result.handover_stats is not None:
-        h = result.handover_stats
-        lines.append(f"handover: {h.attempts} attempts, {h.completions} done, "
-                     f"{h.failures} failed, mean latency "
-                     f"{h.mean_latency_us() / 1e6:.4f} s, total outage "
-                     f"{h.total_outage_us / 1e6:.4f} s")
+    s = result.stats
+    if s is not None:
+        lines += [f"data: {s.data_attempts} attempts, {s.delivered} delivered, "
+                  f"{s.no_ack} no-ack, {s.cca_fail} cca-fail, "
+                  f"{s.outage_losses} outage losses "
+                  f"(delivery ratio {s.delivery_ratio():.3f})",
+                  f"handover: {s.handovers} attempts, {s.completions} done, "
+                  f"{s.failures} failed, mean latency "
+                  f"{s.mean_latency_us() / 1e6:.4f} s, total outage "
+                  f"{s.outage_us / 1e6:.4f} s"]
     for node_id in result.ledgers:
         lines.append(f"energy node {node_id}: {_energy_mj(result, node_id):.3f} mJ")
     return lines
@@ -84,11 +82,9 @@ class SweepLevel(NamedTuple):
     run: RunResult
 
 
-class SweepResult:
-    def __init__(self, levels: list[SweepLevel] | None = None,
-                 optimal_dbm: float | None = None) -> None:
-        self.levels = [] if levels is None else levels
-        self.optimal_dbm = optimal_dbm
+class SweepResult(NamedTuple):
+    levels: list[SweepLevel]
+    optimal_dbm: float | None  # the lowest gap-free level
 
     def level(self, power: float) -> SweepLevel:
         for lv in self.levels:
@@ -119,25 +115,21 @@ def sweep(cfg: ScenarioConfig, powers=None,
     if unknown:
         raise ValueError(f"power levels {unknown} not in the configured set "
                          f"{sorted(cfg.phy.power_levels_dbm)}")
-    result = SweepResult()
+    levels = []
     for power in powers:
         run_cfg = cfg.clone(power_override=power, tpc_enabled=False)
         overlaps = overlap_intervals(run_cfg, power)  # rejects before the run
         run = Simulation(run_cfg).run()
         gaps = gap_analysis(run.rows, x_lo, x_hi, run.mobile_id)
-        report = CoverageReport(
-            power_dbm=power,
-            gaps=gaps,
-            overlaps=overlaps,
-            associations=association_map(run.rows, run.mobile_id),
-        )
-        result.levels.append(SweepLevel(power, report, run))
+        report = CoverageReport(power, gaps, overlaps,
+                                association_map(run.rows, run.mobile_id))
+        levels.append(SweepLevel(power, report, run))
         if outdir is not None:
             leveldir = Path(outdir) / f"power_{power:g}dBm"
             leveldir.mkdir(parents=True, exist_ok=True)
             write_trace(leveldir / "trace.csv", run.rows)
-    gap_free = [lv.power_dbm for lv in result.levels if lv.report.gap_free]
-    result.optimal_dbm = min(gap_free) if gap_free else None
+    gap_free = [lv.power_dbm for lv in levels if lv.report.gap_free]
+    result = SweepResult(levels, min(gap_free) if gap_free else None)
     if outdir is not None:
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
@@ -180,11 +172,11 @@ class CompareArm(NamedTuple):
 
     @property
     def mean_latency_s(self) -> float:
-        return self.run.handover_stats.mean_latency_us() / 1e6
+        return self.run.stats.mean_latency_us() / 1e6
 
     @property
     def outage_s(self) -> float:
-        return self.run.handover_stats.total_outage_us / 1e6
+        return self.run.stats.outage_us / 1e6
 
     @property
     def mobile_energy_mj(self) -> float:
@@ -197,14 +189,11 @@ class CompareArm(NamedTuple):
         return on / 1e6
 
 
-class CompareResult:
-    def __init__(self, arms: dict[str, CompareArm] | None = None,
-                 latency_delta_s: float = 0.0, outage_delta_s: float = 0.0,
-                 energy_delta_pct: float = 0.0) -> None:
-        self.arms = {} if arms is None else arms
-        self.latency_delta_s = latency_delta_s
-        self.outage_delta_s = outage_delta_s
-        self.energy_delta_pct = energy_delta_pct
+class CompareResult(NamedTuple):
+    arms: dict[str, CompareArm]
+    latency_delta_s: float  # baseline - proposed, likewise below
+    outage_delta_s: float
+    energy_delta_pct: float
 
     @property
     def proposed(self) -> CompareArm:
@@ -224,17 +213,18 @@ def compare(cfg: ScenarioConfig, outdir: str | Path | None = None) -> CompareRes
     if cfg.mobile_node() is None:
         raise ScenarioError("compare needs a mobile node in the scenario")
     max_power = max(cfg.phy.power_levels_dbm)
-    result = CompareResult()
+    arms = {}
     for mode in ("broadcast", "scan"):
         for tpc in (True, False):
             arm_cfg = cfg.clone(handover_mode=mode, tpc_enabled=tpc,
                                 mobile_power=None if tpc else max_power)
             name = f"{mode}+{'tpc' if tpc else 'fixed'}"
-            result.arms[name] = CompareArm(name, Simulation(arm_cfg).run())
-    prop, base = result.proposed, result.baseline
-    result.latency_delta_s = base.mean_latency_s - prop.mean_latency_s
-    result.outage_delta_s = base.outage_s - prop.outage_s
-    result.energy_delta_pct = energy_delta_pct(base.run, prop.run)
+            arms[name] = CompareArm(name, Simulation(arm_cfg).run())
+    prop, base = arms["broadcast+tpc"], arms["scan+fixed"]
+    result = CompareResult(
+        arms, latency_delta_s=base.mean_latency_s - prop.mean_latency_s,
+        outage_delta_s=base.outage_s - prop.outage_s,
+        energy_delta_pct=energy_delta_pct(base.run, prop.run))
     if outdir is not None:
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
@@ -270,11 +260,11 @@ def _write_compare_csv(path: Path, result: CompareResult) -> None:
              "radio_on_s,mobile_energy_mj,delivery_ratio"]
     for name in ("broadcast+tpc", "broadcast+fixed", "scan+tpc", "scan+fixed"):
         arm = result.arms[name]
-        h = arm.run.handover_stats
-        lines.append(f"{name},{h.attempts},{h.completions},"
+        s = arm.run.stats
+        lines.append(f"{name},{s.handovers},{s.completions},"
                      f"{arm.mean_latency_s:.6f},{arm.outage_s:.6f},"
                      f"{arm.radio_on_s:.6f},{arm.mobile_energy_mj:.6f},"
-                     f"{arm.run.traffic_stats.delivery_ratio():.4f}")
+                     f"{s.delivery_ratio():.4f}")
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -290,7 +280,7 @@ def compare_report_lines(cfg: ScenarioConfig, result: CompareResult) -> list[str
     ]
     for name in ("broadcast+tpc", "broadcast+fixed", "scan+tpc", "scan+fixed"):
         arm = result.arms[name]
-        lines.append(f"{name:15s} {arm.run.handover_stats.completions:9d}  "
+        lines.append(f"{name:15s} {arm.run.stats.completions:9d}  "
                      f"{arm.mean_latency_s:14.4f}  {arm.outage_s:8.3f}  "
                      f"{arm.radio_on_s:10.3f}  {arm.mobile_energy_mj:9.3f}")
     lines += [

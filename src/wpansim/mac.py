@@ -12,7 +12,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .engine import SimTime, SimulationError
-from .phy import PhyParams, link_rx_power, lq_from_rx_power
+from .phy import PhyParams, heard, link_rx_power, lq_from_rx_power
 from .record import Record
 from .scenario import SLEEP
 from .trace import TraceKind
@@ -166,23 +166,23 @@ class Channel:
     def audience(self, tx: Transmission) -> dict:
         """Listeners that hear tx: node id -> (node, rx power, LQ), in node order."""
         if tx.src_stationary:
-            heard = self.audiences.get(tx.src)
-            if heard is not None:
-                return heard
+            audience = self.audiences.get(tx.src)
+            if audience is not None:
+                return audience
         params = self.params
-        heard = {}
+        audience = {}
         for node in self.listeners:
             if node.node_id == tx.src:
                 continue
             if node.is_mobile:
-                heard[node.node_id] = (node, None, None)
+                audience[node.node_id] = (node, None, None)
                 continue
             rx = self.rx_power(tx, node)
-            if rx > params.rx_sensitivity_dbm:
-                heard[node.node_id] = (node, rx, lq_from_rx_power(rx, params))
+            if heard(rx, params):
+                audience[node.node_id] = (node, rx, lq_from_rx_power(rx, params))
         if tx.src_stationary:
-            self.audiences[tx.src] = heard
-        return heard
+            self.audiences[tx.src] = audience
+        return audience
 
     def rx_power(self, tx: Transmission, node) -> float:
         """Received power of tx at the listener node, in dBm."""
@@ -195,7 +195,7 @@ class Channel:
     def audible(self, tx: Transmission, node) -> bool:
         """True iff tx arrives strictly above the listener's sensitivity."""
         if node.is_mobile:
-            return self.rx_power(tx, node) > self.params.rx_sensitivity_dbm
+            return heard(self.rx_power(tx, node), self.params)
         return node.node_id in tx.audience
 
     def busy_for(self, node, now: SimTime) -> bool:

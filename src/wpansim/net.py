@@ -13,42 +13,73 @@ turn, so its latency is linear in node count.
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import NamedTuple
+
 from .engine import SimTime
 from .mac import BROADCAST, Frame, FrameKind, SendOutcome
 from .phy import lq_from_rx_power
 from .trace import TraceKind
 
 
-class HandoverStats:
-    def __init__(self, attempts: int = 0, completions: int = 0,
-                 failures: int = 0, total_outage_us: SimTime = 0,
-                 latencies_us: list[int] | None = None) -> None:
-        self.attempts = attempts
-        self.completions = completions
-        self.failures = failures
-        self.total_outage_us = total_outage_us
-        self.latencies_us = [] if latencies_us is None else latencies_us
+class RunStats(NamedTuple):
+    """The mobile's handover and data counts of one run, read off its rows."""
+    handovers: int  # HANDOVER_START rows
+    completions: int
+    failures: int
+    outage_us: SimTime  # time without a parent
+    latencies_us: list[int]  # one per completion
+    data_attempts: int  # resolved data sends plus those pending at the end
+    delivered: int
+    no_ack: int
+    cca_fail: int
+    outage_losses: int  # data ticks with no parent
 
     def mean_latency_us(self) -> float:
-        if not self.latencies_us:
-            return 0.0
-        return sum(self.latencies_us) / len(self.latencies_us)
-
-
-class TrafficStats:
-    def __init__(self, attempts: int = 0, delivered: int = 0, no_ack: int = 0,
-                 cca_fail: int = 0, outage_losses: int = 0) -> None:
-        self.attempts = attempts
-        self.delivered = delivered
-        self.no_ack = no_ack
-        self.cca_fail = cca_fail
-        self.outage_losses = outage_losses
+        lat = self.latencies_us
+        return sum(lat) / len(lat) if lat else 0.0
 
     def delivery_ratio(self) -> float:
-        # Over resolved sends: a frame still in flight when the run ends is
-        # neither delivered nor lost.
+        """Over resolved sends: a frame still in flight at the end is neither."""
         resolved = self.delivered + self.no_ack + self.cca_fail + self.outage_losses
         return self.delivered / resolved if resolved else 0.0
+
+
+def run_stats(rows, mobile_id: int, end: SimTime, pending: int) -> RunStats:
+    """Count the mobile's rows in one pass, for a run that ended at `end`.
+
+    An outage opens at t = 0 and at the first HANDOVER_FAIL after a parent,
+    and closes at HANDOVER_DONE or the end.  `pending` counts the data frames
+    still in the mobile's MAC: one queued behind a control frame has no row.
+    """
+    kinds: Counter[str] = Counter()  # the mobile's rows per event kind
+    sends: Counter[str] = Counter()  # its data frames per send outcome
+    latencies: list[int] = []
+    outage: SimTime = 0
+    orphan_since: SimTime | None = 0
+    for r in rows:
+        if r.node_id != mobile_id:
+            continue
+        kind = r.event_kind
+        kinds[kind] += 1
+        if kind == TraceKind.SEND_OUTCOME:
+            if r.frame_kind == FrameKind.DATA:
+                sends[r.detail] += 1
+        elif kind == TraceKind.HANDOVER_DONE:
+            latencies.append(r.detail[1])
+            if orphan_since is not None:
+                outage += r.time_us - orphan_since
+                orphan_since = None
+        elif kind == TraceKind.HANDOVER_FAIL and orphan_since is None:
+            orphan_since = r.time_us
+    if orphan_since is not None:
+        outage += end - orphan_since
+    return RunStats(kinds[TraceKind.HANDOVER_START], len(latencies),
+                    kinds[TraceKind.HANDOVER_FAIL], outage, latencies,
+                    sum(sends.values()) + pending, sends[SendOutcome.DELIVERED],
+                    sends[SendOutcome.NO_ACK],
+                    sends[SendOutcome.CHANNEL_ACCESS_FAILURE],
+                    kinds[TraceKind.OUTAGE_LOSS])
 
 
 class StationaryController:
@@ -83,8 +114,6 @@ class MobileController:
         self.last_lq = 0  # LQ of the parent's latest frame
         if cfg.tpc.enabled:
             node.power_dbm = max(cfg.phy.power_levels_dbm)
-        self.stats = HandoverStats()
-        self.traffic = TrafficStats()
         self.ack_fail_streak = 0
         self.handover_state = "idle"  # idle | probing | associating
         self.handover_epoch = 0
@@ -96,7 +125,6 @@ class MobileController:
                             if cfg.handover.mode == "scan" else [BROADCAST])
         self.probe_index = 0
         self.candidate: int | None = None
-        self.orphan_since: SimTime | None = 0  # starts unassociated
         self._lq_block_until: SimTime = 0
 
     def _degraded(self, lq: int) -> bool:
@@ -108,22 +136,18 @@ class MobileController:
     def on_data_due(self) -> None:
         cfg = self.sim.cfg
         if self.parent is None:
-            self.traffic.outage_losses += 1
             self.sim.emit(self.node, TraceKind.OUTAGE_LOSS)
             self.start_handover("orphan")
             return
         self.node.wake()
         frame = Frame(FrameKind.DATA, self.node.mac.next_seq(), self.node.node_id,
                       self.parent, payload_len=cfg.traffic.payload_bytes)
-        self.traffic.attempts += 1
         self.node.mac.csma_send(frame, self._on_data_outcome)
 
     def _on_data_outcome(self, outcome: str) -> None:
         if outcome == SendOutcome.DELIVERED:
-            self.traffic.delivered += 1
             self.ack_fail_streak = 0
         elif outcome == SendOutcome.NO_ACK:
-            self.traffic.no_ack += 1
             self.ack_fail_streak += 1
             cfg = self.sim.cfg.handover
             threshold = cfg.ack_fail_threshold
@@ -132,8 +156,6 @@ class MobileController:
                 threshold = cfg.degraded_ack_fail_threshold
             if self.ack_fail_streak >= threshold:
                 self.start_handover("ack_failures")
-        else:
-            self.traffic.cca_fail += 1
         self.sim.maybe_sleep(self.node)
 
     # -- reception ----------------------------------------------------------
@@ -195,7 +217,6 @@ class MobileController:
             if now < self._lq_block_until:
                 return
             self._lq_block_until = now + self.sim.cfg.handover.lq_retrigger_cooldown_us
-        self.stats.attempts += 1
         self.handover_epoch += 1
         self.handover_started = now
         self.responses = []
@@ -297,12 +318,7 @@ class MobileController:
         self.handover_state = "idle"
         self.candidate = None
         self.ack_fail_streak = 0
-        if self.orphan_since is not None:
-            self.stats.total_outage_us += now - self.orphan_since
-            self.orphan_since = None
         latency = now - self.handover_started
-        self.stats.completions += 1
-        self.stats.latencies_us.append(latency)
         self.sim.emit(self.node, TraceKind.HANDOVER_DONE, detail=(parent, latency))
         self._lq_block_until = now + self.sim.cfg.handover.lq_retrigger_cooldown_us
         if old is not None and old != parent:
@@ -312,11 +328,8 @@ class MobileController:
 
     def _handover_failed(self, why: str) -> None:
         self.handover_state = "idle"
-        self.stats.failures += 1
         # The old parent could not be reached either: we are orphaned.
         self.parent = None
-        if self.orphan_since is None:
-            self.orphan_since = self.sim.loop.now
         if self.sim.cfg.tpc.enabled:
             # Reacquire conservatively: probe at the highest level.
             top = max(self.sim.cfg.phy.power_levels_dbm)
@@ -326,8 +339,3 @@ class MobileController:
         self.sim.emit(self.node, TraceKind.HANDOVER_FAIL, detail=why)
         self._set_timer(self.sim.cfg.handover.probe_retry_us)
         self.sim.maybe_sleep(self.node)
-
-    def close(self, end: SimTime) -> None:
-        if self.orphan_since is not None:
-            self.stats.total_outage_us += end - self.orphan_since
-            self.orphan_since = None

@@ -75,6 +75,11 @@ def received_power(tx_dbm: float, gain_tx_db: float, gain_rx_db: float,
     return tx_dbm + gain_tx_db + gain_rx_db - pl_db
 
 
+def heard(rx_dbm: float, params: PhyParams) -> bool:
+    """The one reception rule: heard iff rx strictly exceeds sensitivity."""
+    return rx_dbm > params.rx_sensitivity_dbm
+
+
 def lq_from_rx_power(rx_dbm: float, params: PhyParams) -> int:
     """Map received power onto the 0..255 link-quality scale.
 
@@ -82,10 +87,10 @@ def lq_from_rx_power(rx_dbm: float, params: PhyParams) -> int:
     linear in dB in between, rounded half up.  The interior is clamped to
     1..254 so the endpoint identities hold exactly.
     """
+    if not heard(rx_dbm, params):
+        return 0
     s = params.rx_sensitivity_dbm
     m = params.lq_saturation_margin_db
-    if rx_dbm <= s:
-        return 0
     if rx_dbm >= s + m:
         return 255
     q = 255.0 * (rx_dbm - s) / m
@@ -108,9 +113,9 @@ def link_rx_power(distance_m: float, tx_dbm: float, gain_tx_db: float,
 
 def in_range(distance_m: float, tx_dbm: float, gain_tx_db: float,
              gain_rx_db: float, params: PhyParams) -> bool:
-    """True iff received power strictly exceeds receiver sensitivity."""
-    rx = link_rx_power(distance_m, tx_dbm, gain_tx_db, gain_rx_db, params)
-    return rx > params.rx_sensitivity_dbm
+    """True iff a receiver at `distance_m` hears the sender."""
+    return heard(link_rx_power(distance_m, tx_dbm, gain_tx_db, gain_rx_db, params),
+                 params)
 
 
 def comm_range_m(tx_dbm: float, gain_total_db: float, params: PhyParams) -> float:

@@ -12,8 +12,8 @@ from typing import NamedTuple
 from .engine import EventLoop, RngStream, RunSummary, SimTime
 from .mac import (BROADCAST, Channel, CsmaParams, Frame, FrameKind, MacLayer,
                   Transmission)
-from .net import MobileController, StationaryController
-from .phy import NO_BEACONS, beacon_interval, frame_airtime, lq_from_rx_power
+from .net import MobileController, RunStats, StationaryController, run_stats
+from .phy import NO_BEACONS, beacon_interval, frame_airtime, heard, lq_from_rx_power
 from .scenario import (LISTEN, RX, SLEEP, EnergyLedger, NodeClass, NodeConfig,
                        RadioMode, tx_mode)
 from .scenario_file import ScenarioConfig
@@ -81,8 +81,9 @@ class RunResult(NamedTuple):
     summary: RunSummary
     ledgers: dict[int, EnergyLedger]  # closed at the end, by ascending node id
     mobile_id: int | None
-    handover_stats: object = None
-    traffic_stats: object = None
+    stats: RunStats | None = None  # the mobile's, if there is one
+    # Old names of `stats`, kept because wpbench/workloads.py reads them.
+    handover_stats = traffic_stats = property(lambda self: self.stats)
 
 
 class Simulation:
@@ -167,7 +168,7 @@ class Simulation:
                 continue
             if rx_power is None:
                 rx_power = self.channel.rx_power(tx, other)
-                if not rx_power > phy.rx_sensitivity_dbm:
+                if not heard(rx_power, phy):
                     continue
                 lq = lq_from_rx_power(rx_power, phy)
             if self.channel.interferers(tx, other):
@@ -280,12 +281,10 @@ class Simulation:
         for nid, node in sorted(self.nodes.items()):
             node.ledger.close(end)
             ledgers[nid] = node.ledger
-        mobile_id = self.mobile.node_id if self.mobile is not None else None
-        handover = traffic = None
-        if self.mobile is not None:
-            ctrl = self.mobile.controller
-            ctrl.close(end)
-            handover = ctrl.stats
-            traffic = ctrl.traffic
-        return RunResult(self.cfg, self.rows, summary, ledgers, mobile_id,
-                         handover, traffic)
+        if self.mobile is None:
+            return RunResult(self.cfg, self.rows, summary, ledgers, None)
+        mac = self.mobile.mac
+        pending = sum(o.frame.kind == FrameKind.DATA
+                      for o in (mac.current, *mac.queue) if o is not None)
+        return RunResult(self.cfg, self.rows, summary, ledgers, self.mobile.node_id,
+                         run_stats(self.rows, self.mobile.node_id, end, pending))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from conftest import make_cfg
@@ -71,12 +73,17 @@ def handover_rows(rows):
     return [r for r in rows if r.event_kind.startswith("HANDOVER")]
 
 
+def kind_counts(rows):
+    """Rows per event kind: the handover counts of a run not yet ended."""
+    return Counter(r.event_kind for r in rows)
+
+
 def test_single_responder_association_in_four_frames():
     sim = parked_sim(x=1.0)
     res = sim.run()
     ctrl = sim.mobile.controller
     assert ctrl.parent == 1
-    assert ctrl.stats.completions == 1
+    assert res.stats.completions == 1
     assert len(protocol_frames(res.rows)) == 4  # probe, response, req, resp
 
 
@@ -108,9 +115,9 @@ def test_mobile_in_coverage_gap_stays_orphaned():
     res = sim.run()
     ctrl = sim.mobile.controller
     assert ctrl.parent is None
-    assert ctrl.stats.completions == 0
-    assert ctrl.stats.total_outage_us == 1_000_000  # orphan for the whole run
-    assert ctrl.traffic.outage_losses == 10
+    assert res.stats.completions == 0
+    assert res.stats.outage_us == 1_000_000  # orphan for the whole run
+    assert res.stats.outage_losses == 10
     assert any(r.event_kind == "HANDOVER_FAIL" for r in res.rows)
 
 
@@ -132,8 +139,8 @@ def test_scan_finds_same_parent_but_slower_than_broadcast():
     s_res = s.run()
     assert b.mobile.controller.parent == 1
     assert s.mobile.controller.parent == 1
-    b_lat = b.mobile.controller.stats.latencies_us[0]
-    s_lat = s.mobile.controller.stats.latencies_us[0]
+    b_lat = b_res.stats.latencies_us[0]
+    s_lat = s_res.stats.latencies_us[0]
     assert s_lat > b_lat
 
 
@@ -191,19 +198,37 @@ def test_orphan_outage_accrues_with_data_pending():
     sim = parked_sim(x=0.0, mode="broadcast", nodes="", duration="2 s",
                      period="100 ms")
     res = sim.run()
-    ctrl = sim.mobile.controller
-    assert ctrl.traffic.outage_losses == 20  # 2 s of 100 ms ticks, no parent
-    assert ctrl.stats.total_outage_us == 2_000_000
+    assert res.stats.outage_losses == 20  # 2 s of 100 ms ticks, no parent
+    assert res.stats.outage_us == 2_000_000
 
 
 def test_single_pair_delivery_ratio_is_one():
     nodes = "[node 1]\nrole = coordinator\nclass = stationary\nx = 0 m\n"
     sim = parked_sim(x=1.0, nodes=nodes, duration="2 s", period="100 ms")
-    sim.run()
-    t = sim.mobile.controller.traffic
-    assert t.attempts == 20  # association completes before the first tick
+    t = sim.run().stats
+    assert t.data_attempts == 20  # association completes before the first tick
     assert t.delivery_ratio() == 1.0
     assert t.no_ack == 0 and t.outage_losses == 0
+
+
+def test_a_data_frame_queued_behind_a_control_frame_counts_without_a_row():
+    nodes = "[node 1]\nrole = coordinator\nclass = stationary\nx = 0 m\n"
+    sim = parked_sim(x=1.0, nodes=nodes, period="10 s")  # no data tick
+    ctrl = sim.mobile.controller
+    mac = ctrl.node.mac
+
+    def send_both():
+        ctrl.node.wake()
+        mac.csma_send(mac.control_frame(FrameKind.DISASSOC, 1))
+        ctrl.on_data_due()  # queued behind the DISASSOC, still in backoff
+
+    sim.loop.schedule(sim.cfg.duration_us - 100, send_both)
+    res = sim.run()
+    assert mac.current.frame.kind == FrameKind.DISASSOC
+    assert [o.frame.kind for o in mac.queue] == [FrameKind.DATA]
+    assert not any(r.frame_kind == FrameKind.DATA for r in res.rows)
+    s = res.stats
+    assert (s.data_attempts, s.delivered, s.no_ack, s.cca_fail) == (1, 0, 0, 0)
 
 
 def test_parent_is_always_router_or_coordinator(default_cfg):
@@ -347,7 +372,9 @@ def test_stale_handover_timer_is_ignored(state, mode, probe_index, acts):
     sim, ctrl = _in_state(state, mode, probe_index)
     ctrl.on_handover_timer(1)
     assert (ctrl.handover_state, ctrl.probe_index) == (state, probe_index)
-    assert ctrl.parent is None and ctrl.stats.attempts == ctrl.stats.failures == 0
+    kinds = kind_counts(sim.rows)
+    assert ctrl.parent is None
+    assert kinds["HANDOVER_START"] == kinds["HANDOVER_FAIL"] == 0
     queue = _queue(sim)
     assert not sim.rows and queue.scheduled == queue.total_processed == 0
     ctrl.on_handover_timer(2)  # the same timer, live, acts
@@ -366,7 +393,8 @@ def test_assoc_guard_after_the_commit_is_a_no_op():
                            ctrl.on_handover_timer, 2)
     after = sim.loop.run_until(ev.time, sim._dispatch)
     assert (ctrl.handover_state, ctrl.parent) == ("idle", 1)
-    assert ctrl.stats.failures == 0 and ctrl.stats.completions == 1
+    kinds = kind_counts(sim.rows)
+    assert kinds["HANDOVER_FAIL"] == 0 and kinds["HANDOVER_DONE"] == 1
     assert len(sim.rows) == rows and after.total_processed == 1  # the guard alone
     assert after.scheduled == before.scheduled + 1  # the guard scheduled nothing
     assert after.unprocessed == before.unprocessed
@@ -382,7 +410,7 @@ def test_low_lq_handover_may_trigger_again_when_the_cooldown_ends():
         ctrl.handover_state = "idle"  # as if the first search had ended
         sim.loop.now = now
         ctrl.start_handover("low_lq")
-        assert ctrl.stats.attempts == attempts, now
+        assert kind_counts(sim.rows)["HANDOVER_START"] == attempts, now
 
 
 @pytest.mark.parametrize("power, rows", [

@@ -1,4 +1,5 @@
-"""Source guard: only trace.py spells or parses outcome text.
+"""Source guard: only trace.py spells or parses outcome text, and only
+phy.py compares a power with the receiver sensitivity.
 
 Readers use a record's typed `detail` and the TraceKind, FrameKind and
 SendOutcome constants; the hot-path kinds are plain class attributes, not
@@ -24,6 +25,9 @@ RULES = [
      "spells an outcome prefix", ("trace.py",)),
     (r"\bFRAME_KIND_TEXT\b", "keeps a frame-kind text table", ()),
     (r"\bdelivery_log\b", "keeps test-only delivery state", ()),
+    (r"(<=?|>=?|==|!=)\s*[\w.]*\brx_sensitivity_dbm\b|"
+     r"\brx_sensitivity_dbm\s*(<|>|==|!=)",
+     "compares with the sensitivity instead of calling phy.heard", ("phy.py",)),
 ]
 ENUM_FREE = ("engine.py", "mac.py")
 
@@ -46,18 +50,24 @@ def test_only_trace_py_knows_the_outcome_text():
 
 
 def test_the_guard_catches_the_old_spellings():
-    old = {
-        "coverage.py": 'parent = int(r.outcome.split(";")[0].split("=")[1])',
-        "sim.py": 'if r.event_kind == "MOVE":',
-        "net.py": "elif r.event_kind in ('OUTAGE_LOSS', 'HANDOVER_FAIL'):",
-        "mac.py": 'self.sim.emit(node, kind, outcome=f"delay={delay}")',
-        "engine.py": "from enum import Enum",
-        "harness.py": "FRAME_KIND_TEXT[frame.kind]",
-        "phy.py": "self.delivery_log.append(tx)",
-    }
-    for name, line in old.items():
+    old = [
+        ("coverage.py", 'parent = int(r.outcome.split(";")[0].split("=")[1])'),
+        ("sim.py", 'if r.event_kind == "MOVE":'),
+        ("net.py", "elif r.event_kind in ('OUTAGE_LOSS', 'HANDOVER_FAIL'):"),
+        ("mac.py", 'self.sim.emit(node, kind, outcome=f"delay={delay}")'),
+        ("engine.py", "from enum import Enum"),
+        ("harness.py", "FRAME_KIND_TEXT[frame.kind]"),
+        ("phy.py", "self.delivery_log.append(tx)"),
+        ("sim.py", "if not rx_power > phy.rx_sensitivity_dbm:"),
+        ("mac.py", "if self.params.rx_sensitivity_dbm < rx:"),
+        ("net.py", "if rx >= params.rx_sensitivity_dbm:"),
+    ]
+    for name, line in old:
         assert _violations(name, line), (name, line)
     assert _violations("trace.py", 'TraceKind.BACKOFF: _field("delay=", int)') == []
+    assert _violations("phy.py", "return rx_dbm > params.rx_sensitivity_dbm") == []
+    assert _violations("calibration.py",
+                       "out.phy.rx_sensitivity_dbm = result.rx_sensitivity_dbm") == []
 
 
 def test_importing_the_package_loads_no_dataclasses_or_inspect():

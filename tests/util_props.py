@@ -157,6 +157,30 @@ def check_invariants(result, cfg, log) -> None:
     for nid, ledger in result.ledgers.items():
         assert ledger.total_time() == cfg.duration_us
 
+    # Each node's transmit time in its ledger is the sum of its TX_START ->
+    # TX_END intervals; a frame still on air at the end is closed there.
+    on_air: dict[int, int] = {}
+    tx_time = dict.fromkeys(result.ledgers, 0)
+    for r in rows:
+        if r.event_kind == "TX_START":
+            assert r.node_id not in on_air, f"node {r.node_id} sends two frames"
+            on_air[r.node_id] = r.time_us
+        elif r.event_kind == "TX_END":
+            tx_time[r.node_id] += r.time_us - on_air.pop(r.node_id)
+    for nid, start in on_air.items():
+        tx_time[nid] += cfg.duration_us - start
+    for nid, ledger in result.ledgers.items():
+        ledger_tx = sum(t for mode, t in ledger.mode_times.items()
+                        if mode.tx_power_dbm is not None)
+        assert ledger_tx == tx_time[nid], f"node {nid} transmit time"
+
+    # The mobile's counts are consistent with each other.
+    stats = result.stats
+    assert stats.handovers - stats.completions - stats.failures in (0, 1)
+    assert 0 <= stats.outage_us <= cfg.duration_us
+    assert stats.completions == len(stats.latencies_us)
+    assert stats.data_attempts >= stats.delivered + stats.no_ack + stats.cca_fail
+
 
 def run_property_suite(count: int, offset: int = 0) -> int:
     total_events = 0
