@@ -13,7 +13,6 @@ turn, so its latency is linear in node count.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .engine import SimTime
@@ -52,8 +51,10 @@ def run_stats(rows, mobile_id: int, end: SimTime, pending: int) -> RunStats:
     and closes at HANDOVER_DONE or the end.  `pending` counts the data frames
     still in the mobile's MAC: one queued behind a control frame has no row.
     """
-    kinds: Counter[str] = Counter()  # the mobile's rows per event kind
-    sends: Counter[str] = Counter()  # its data frames per send outcome
+    counts = dict.fromkeys((TraceKind.HANDOVER_START, TraceKind.HANDOVER_FAIL,
+                            TraceKind.OUTAGE_LOSS), 0)  # the mobile's rows by kind
+    sends = dict.fromkeys((SendOutcome.DELIVERED, SendOutcome.NO_ACK,
+                           SendOutcome.CHANNEL_ACCESS_FAILURE), 0)  # by outcome
     latencies: list[int] = []
     outage: SimTime = 0
     orphan_since: SimTime | None = 0
@@ -61,7 +62,6 @@ def run_stats(rows, mobile_id: int, end: SimTime, pending: int) -> RunStats:
         if r.node_id != mobile_id:
             continue
         kind = r.event_kind
-        kinds[kind] += 1
         if kind == TraceKind.SEND_OUTCOME:
             if r.frame_kind == FrameKind.DATA:
                 sends[r.detail] += 1
@@ -70,16 +70,18 @@ def run_stats(rows, mobile_id: int, end: SimTime, pending: int) -> RunStats:
             if orphan_since is not None:
                 outage += r.time_us - orphan_since
                 orphan_since = None
-        elif kind == TraceKind.HANDOVER_FAIL and orphan_since is None:
-            orphan_since = r.time_us
+        elif kind in counts:
+            counts[kind] += 1
+            if kind == TraceKind.HANDOVER_FAIL and orphan_since is None:
+                orphan_since = r.time_us
     if orphan_since is not None:
         outage += end - orphan_since
-    return RunStats(kinds[TraceKind.HANDOVER_START], len(latencies),
-                    kinds[TraceKind.HANDOVER_FAIL], outage, latencies,
+    return RunStats(counts[TraceKind.HANDOVER_START], len(latencies),
+                    counts[TraceKind.HANDOVER_FAIL], outage, latencies,
                     sum(sends.values()) + pending, sends[SendOutcome.DELIVERED],
                     sends[SendOutcome.NO_ACK],
                     sends[SendOutcome.CHANNEL_ACCESS_FAILURE],
-                    kinds[TraceKind.OUTAGE_LOSS])
+                    counts[TraceKind.OUTAGE_LOSS])
 
 
 class StationaryController:
