@@ -57,7 +57,7 @@ def run_stats(rows, mobile_id: int, end: SimTime, pending: int) -> RunStats:
                            SendOutcome.CHANNEL_ACCESS_FAILURE), 0)  # by outcome
     latencies: list[int] = []
     outage: SimTime = 0
-    orphan_since: SimTime | None = 0
+    orphaned_at: SimTime | None = 0
     for r in rows:
         if r.node_id != mobile_id:
             continue
@@ -67,15 +67,15 @@ def run_stats(rows, mobile_id: int, end: SimTime, pending: int) -> RunStats:
                 sends[r.detail] += 1
         elif kind == TraceKind.HANDOVER_DONE:
             latencies.append(r.detail[1])
-            if orphan_since is not None:
-                outage += r.time_us - orphan_since
-                orphan_since = None
+            if orphaned_at is not None:
+                outage += r.time_us - orphaned_at
+                orphaned_at = None
         elif kind in counts:
             counts[kind] += 1
-            if kind == TraceKind.HANDOVER_FAIL and orphan_since is None:
-                orphan_since = r.time_us
-    if orphan_since is not None:
-        outage += end - orphan_since
+            if kind == TraceKind.HANDOVER_FAIL and orphaned_at is None:
+                orphaned_at = r.time_us
+    if orphaned_at is not None:
+        outage += end - orphaned_at
     return RunStats(counts[TraceKind.HANDOVER_START], len(latencies),
                     counts[TraceKind.HANDOVER_FAIL], outage, latencies,
                     sum(sends.values()) + pending, sends[SendOutcome.DELIVERED],
