@@ -1,0 +1,26 @@
+"""The fast part of tools/battery.py, pinned.
+
+Any change to an output the fast battery writes moves this digest.  The full
+battery's digest is pinned in CI.  A change that moves either names, in
+CHANGES.md, the output that changed and why.
+"""
+
+import importlib.util
+from pathlib import Path
+
+BATTERY = Path(__file__).resolve().parent.parent / "tools" / "battery.py"
+
+FAST_DIGEST = "f963680d9b8200b57a7942c6e536d21e03ecc0adbaf999b40386e9ba3c2e557a"
+
+
+def _battery():
+    spec = importlib.util.spec_from_file_location("battery", BATTERY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fast_battery_digest_is_pinned(tmp_path):
+    battery = _battery()
+    battery.write_fast(tmp_path)
+    assert battery.digest(tmp_path) == FAST_DIGEST

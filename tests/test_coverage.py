@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import make_cfg
 from reference import boundaries_match
 from wpansim import coverage
-from wpansim.coverage import (CELL_M, ORACLE_STEP_M, gap_analysis, line_spans,
-                              overlap_intervals, static_gap_oracle,
+from wpansim.coverage import (CELL_M, ORACLE_STEP_M, association_map, gap_analysis,
+                              line_spans, overlap_intervals, static_gap_oracle,
                               uncovered_intervals)
 from wpansim.harness import sweep
 from wpansim.scenario import NodeClass, NodeConfig, NodeRole, Trajectory
@@ -81,6 +81,27 @@ def test_empty_trace_no_gaps():
 def test_mobile_autodetected_from_move_rows():
     rows = [_row(0, "MOVE", 1.0), _row(1, "OUTAGE_LOSS", 1.0)]
     assert gap_analysis(rows, 0.0, 15.0) == [(1.0, 1.1)]
+
+
+def test_association_map_segments_follow_the_handover_done_rows():
+    rows = [
+        _row(0, "MOVE", 0.0),
+        _row(1, "HANDOVER_DONE", 0.5, (1, 100)),
+        _row(2, "HANDOVER_DONE", 1.0, (2, 50), node=3),  # not the mobile's
+        _row(3, "HANDOVER_DONE", 2.0, (1, 80)),  # same parent: one segment
+        _row(4, "MOVE", 3.0),
+        _row(5, "HANDOVER_DONE", 4.0, (2, 60)),  # new parent: split here
+        _row(6, "MOVE", 5.0),  # the mobile's last row ends the last segment
+        _row(7, "MOVE", 9.0, node=3),
+    ]
+    assert association_map(rows, 9) == [(0.5, 4.0, 1), (4.0, 5.0, 2)]
+
+
+def test_association_map_without_a_handover_done_is_empty():
+    rows = [_row(0, "MOVE", 0.0), _row(1, "HANDOVER_FAIL", 1.0, "no_responses"),
+            _row(2, "HANDOVER_DONE", 1.5, (1, 10), node=3)]
+    assert association_map(rows, 9) == []
+    assert association_map([], 9) == []
 
 
 def test_trace_with_wrong_column_count_is_a_format_error(tmp_path):

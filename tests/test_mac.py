@@ -211,6 +211,30 @@ def test_csma_send_while_asleep_is_fatal():
         sim.nodes[9].mac.csma_send(data_frame(sim, 9, 1))
 
 
+def test_a_node_between_frames_with_one_queued_stays_awake():
+    # Inside the first frame's outcome callback the MAC holds no frame but
+    # has one queued: it is busy, so a node that may sleep stays awake there.
+    sim = Simulation(make_cfg(LINE.format(seed=1).replace(
+        "x = 0 m", "x = 0 m\nsleep = on")))
+    node = sim.nodes[1]
+    mac = node.mac
+    seen = []
+
+    def on_first(outcome):
+        seen.append((outcome, mac.current, len(mac.queue)))
+        sim.maybe_sleep(node)
+        seen.append(node.ledger.mode)
+
+    node.wake()
+    mac.csma_send(data_frame(sim, 1, 3), on_first)
+    mac.csma_send(data_frame(sim, 1, 3))
+    drive(sim)
+    assert seen == [(SendOutcome.DELIVERED, None, 1), LISTEN]
+    assert [r.detail for r in rows_of(sim, "SEND_OUTCOME", node=1)] == \
+        [SendOutcome.DELIVERED] * 2
+    assert node.ledger.mode == SLEEP  # asleep once both frames are done
+
+
 def test_seq_counter_increments_and_wraps():
     sim = line_sim()
     mac = sim.nodes[1].mac
