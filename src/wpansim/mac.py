@@ -226,7 +226,6 @@ class Channel:
 
 class _Outgoing(NamedTuple):
     frame: Frame
-    ack_required: bool
     on_outcome: object  # callable(SendOutcome) or None
 
 
@@ -236,6 +235,10 @@ class MacLayer:
     One frame is in flight at a time; further frames queue FIFO.  Unicast
     frames requesting acknowledgement are retried up to max_frame_retries
     with the original sequence number.
+
+    Two fields hold the send state: `current`, the frame in flight (None
+    when idle), and `_ack_timeout_event`, its pending ack timer (set only
+    while `current` waits for its ack).
     """
 
     def __init__(self, sim, node) -> None:
@@ -243,7 +246,6 @@ class MacLayer:
         self.node = node
         self.queue: deque[_Outgoing] = deque()
         self.current: _Outgoing | None = None
-        self.state = "idle"  # idle | backoff | tx | wait_ack
         self.nb = 0
         self.be = 0
         self.retries = 0
@@ -271,8 +273,8 @@ class MacLayer:
             raise SimulationError(f"{frame.kind} frames do not use CSMA")
         if frame.kind == FrameKind.DATA and frame.is_broadcast:
             raise SimulationError("data frames must be unicast")
-        self.queue.append(_Outgoing(frame, frame.wants_ack(), on_outcome))
-        if self.state == "idle":
+        self.queue.append(_Outgoing(frame, on_outcome))
+        if self.current is None:
             self._start_attempt()
 
     def send_immediate(self, frame: Frame) -> None:
@@ -283,7 +285,7 @@ class MacLayer:
         if self.node.ledger.mode == SLEEP:
             raise SimulationError(
                 f"node {self.node.node_id} cannot transmit while asleep")
-        self._transmit(frame, immediate=True)
+        self._transmit(frame)
 
     # -- CSMA state machine -------------------------------------------------
 
@@ -298,15 +300,12 @@ class MacLayer:
         self._schedule_backoff()
 
     def _schedule_backoff(self) -> None:
-        self.state = "backoff"
         draw = self.node.rng.draw_uniform(1 << self.be)
         delay = draw * self.sim.csma.unit_backoff_us
         self.sim.emit(self.node, TraceKind.BACKOFF, self.current.frame, detail=delay)
         self.sim.loop.schedule(self.sim.loop.now + delay, self.on_backoff_expire)
 
     def on_backoff_expire(self) -> None:
-        if self.current is None:
-            return
         if self.sim.channel.busy_for(self.node, self.sim.loop.now):
             self.nb += 1
             self.be = min(self.be + 1, self.sim.csma.mac_max_be)
@@ -317,37 +316,32 @@ class MacLayer:
             else:
                 self._schedule_backoff()
             return
-        self._transmit(self.current.frame, immediate=False)
+        self._transmit(self.current.frame)
 
-    def _transmit(self, frame: Frame, immediate: bool) -> None:
+    def _transmit(self, frame: Frame) -> None:
         frame.tx_power_dbm = self.node.power_dbm
         self.sim.begin_transmission(self.node, frame)
-        if not immediate:
-            self.state = "tx"
 
     def on_tx_complete(self, frame: Frame) -> None:
         """Called by the simulation when this node's queued frame left the air."""
         if self.current is None or frame is not self.current.frame:
             return  # beacon/ack path, nothing to resolve
-        if self.current.ack_required:
-            self.state = "wait_ack"
+        if frame.wants_ack():
             self._ack_timeout_event = self.sim.loop.schedule(
                 self.sim.loop.now + self.sim.csma.ack_wait_us, self.on_ack_timeout)
         else:
             self._finish(SendOutcome.DELIVERED)
 
     def on_ack_received(self, ack: Frame) -> None:
-        if (self.state == "wait_ack" and self.current is not None
+        if (self._ack_timeout_event is not None
                 and ack.seq == self.current.frame.seq
                 and ack.src == self.current.frame.dst):
-            if self._ack_timeout_event is not None:
-                self.sim.loop.cancel(self._ack_timeout_event)
-                self._ack_timeout_event = None
+            self.sim.loop.cancel(self._ack_timeout_event)
+            self._ack_timeout_event = None
             self._finish(SendOutcome.DELIVERED)
 
     def on_ack_timeout(self) -> None:
-        if self.state != "wait_ack" or self.current is None:
-            return
+        self._ack_timeout_event = None
         self.retries += 1
         if self.retries > self.sim.csma.max_frame_retries:
             self.sim.emit(self.node, TraceKind.ACK_TIMEOUT, self.current.frame)
@@ -360,15 +354,15 @@ class MacLayer:
     def _finish(self, outcome: str) -> None:
         done = self.current
         self.current = None
-        self.state = "idle"
         self.sim.emit(self.node, TraceKind.SEND_OUTCOME, done.frame, detail=outcome)
         if done.on_outcome is not None:
             done.on_outcome(outcome)
-        if self.queue and self.state == "idle":
-            self._start_attempt()
-        elif self.state == "idle":
-            self.sim.maybe_sleep(self.node)
+        if self.current is None:  # the callback started no send
+            if self.queue:
+                self._start_attempt()
+            else:
+                self.sim.maybe_sleep(self.node)
 
     @property
     def busy(self) -> bool:
-        return self.state != "idle" or bool(self.queue)
+        return self.current is not None or bool(self.queue)

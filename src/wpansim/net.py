@@ -158,7 +158,6 @@ class MobileController:
                 threshold = cfg.degraded_ack_fail_threshold
             if self.ack_fail_streak >= threshold:
                 self.start_handover("ack_failures")
-        self.sim.maybe_sleep(self.node)
 
     # -- reception ----------------------------------------------------------
 
@@ -326,7 +325,6 @@ class MobileController:
         if old is not None and old != parent:
             bye = self.node.mac.control_frame(FrameKind.DISASSOC, old)
             self.node.mac.csma_send(bye)  # best effort, no ack
-        self.sim.maybe_sleep(self.node)
 
     def _handover_failed(self, why: str) -> None:
         self.handover_state = "idle"
