@@ -219,28 +219,24 @@ def _merge(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
 
 def association_map(rows: list[TraceRecord],
                     mobile_id: int) -> list[tuple[float, float, int]]:
-    """Trajectory segments annotated with the parent that served them."""
-    changes: list[tuple[float, int]] = []
-    last_x = None
+    """Trajectory segments annotated with the parent that served them.
+
+    A segment opens at a HANDOVER_DONE row to a new parent and ends where
+    the next one opens, or at the mobile's last row.
+    """
+    segments: list[tuple[float, float, int]] = []
+    start = parent = last_x = None
     for r in rows:
         if r.node_id != mobile_id:
             continue
         last_x = r.pos_x_m
-        if r.event_kind == TraceKind.HANDOVER_DONE:
-            changes.append((r.pos_x_m, r.detail[0]))  # detail: (parent, latency)
-    if not changes or last_x is None:
-        return []
-    segments: list[tuple[float, float, int]] = []
-    for (x0, parent), (x1, _) in zip(changes, changes[1:]):
-        if segments and segments[-1][2] == parent and segments[-1][1] == x0:
-            segments[-1] = (segments[-1][0], x1, parent)
-        else:
-            segments.append((x0, x1, parent))
-    final_x, final_parent = changes[-1]
-    if segments and segments[-1][2] == final_parent and segments[-1][1] == final_x:
-        segments[-1] = (segments[-1][0], last_x, final_parent)
-    else:
-        segments.append((final_x, last_x, final_parent))
+        # detail: (parent, latency)
+        if r.event_kind == TraceKind.HANDOVER_DONE and r.detail[0] != parent:
+            if parent is not None:
+                segments.append((start, last_x, parent))
+            start, parent = last_x, r.detail[0]
+    if parent is not None:
+        segments.append((start, last_x, parent))
     return segments
 
 
