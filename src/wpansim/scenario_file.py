@@ -480,10 +480,12 @@ def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> No
             f"{source}: sweep powers {unknown} not in power_levels",
             last_line("sweep.powers", "phy.power_levels"))
     if not 0 <= cfg.mac.beacon_order <= 15:
-        raise ScenarioError(f"{source}: beacon_order must be 0..15")
+        raise ScenarioError(f"{source}: beacon_order must be 0..15",
+                            key_lines.get("mac.beacon_order"))
     if cfg.channel not in cfg.band.channels:
         raise ScenarioError(
-            f"{source}: channel {cfg.channel} not in band {cfg.band.name}")
+            f"{source}: channel {cfg.channel} not in band {cfg.band.name}",
+            last_line("phy.channel", "phy.band"))
 
     header = cfg.mac.mac_header_bytes
     payload = max(cfg.traffic.payload_bytes, *CONTROL_PAYLOAD.values())

@@ -594,3 +594,20 @@ def test_cli_sweep_trajectory_off_one_line_exit_2(tmp_path, capsys):
     assert code == 2
     assert "trajectory waypoint 2 (15 m, 1 m)" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_beacon_order_out_of_range_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to exit 2 without a line number.
+    text = TINY.format(duration="500 ms", seed=7) + "\n[mac]\nbeacon_order = 16\n"
+    err = _cli_run_rejects(text, "beacon_order = 16", tmp_path, capsys, monkeypatch)
+    assert "beacon_order must be 0..15" in err
+
+
+def test_cli_channel_not_in_band_names_the_later_line_exit_2(tmp_path, capsys,
+                                                              monkeypatch):
+    # Used to exit 2 without a line number.  Band 868 has only channel 0, so
+    # the band line, set after the channel line, is the one named.
+    text = TINY.format(duration="500 ms", seed=7).replace(
+        "tx_power = 0 dBm", "channel = 11\nband = 868\ntx_power = 0 dBm")
+    err = _cli_run_rejects(text, "band = 868", tmp_path, capsys, monkeypatch)
+    assert "channel 11 not in band" in err
