@@ -190,10 +190,7 @@ class CompareArm(NamedTuple):
 
 
 class CompareResult(NamedTuple):
-    arms: dict[str, CompareArm]
-    latency_delta_s: float  # baseline - proposed, likewise below
-    outage_delta_s: float
-    energy_delta_pct: float
+    arms: dict[str, CompareArm]  # in the order compare runs them
 
     @property
     def proposed(self) -> CompareArm:
@@ -202,6 +199,18 @@ class CompareResult(NamedTuple):
     @property
     def baseline(self) -> CompareArm:
         return self.arms["scan+fixed"]
+
+    @property
+    def latency_delta_s(self) -> float:  # baseline - proposed, likewise below
+        return self.baseline.mean_latency_s - self.proposed.mean_latency_s
+
+    @property
+    def outage_delta_s(self) -> float:
+        return self.baseline.outage_s - self.proposed.outage_s
+
+    @property
+    def energy_delta_pct(self) -> float:
+        return energy_delta_pct(self.baseline.run, self.proposed.run)
 
 
 def compare(cfg: ScenarioConfig, outdir: str | Path | None = None) -> CompareResult:
@@ -220,11 +229,7 @@ def compare(cfg: ScenarioConfig, outdir: str | Path | None = None) -> CompareRes
                                 mobile_power=None if tpc else max_power)
             name = f"{mode}+{'tpc' if tpc else 'fixed'}"
             arms[name] = CompareArm(name, Simulation(arm_cfg).run())
-    prop, base = arms["broadcast+tpc"], arms["scan+fixed"]
-    result = CompareResult(
-        arms, latency_delta_s=base.mean_latency_s - prop.mean_latency_s,
-        outage_delta_s=base.outage_s - prop.outage_s,
-        energy_delta_pct=energy_delta_pct(base.run, prop.run))
+    result = CompareResult(arms)
     if outdir is not None:
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
@@ -258,10 +263,9 @@ def energy_delta_pct(baseline: RunResult, proposed: RunResult) -> float:
 def _write_compare_csv(path: Path, result: CompareResult) -> None:
     lines = ["arm,handovers,completions,mean_latency_s,outage_s,"
              "radio_on_s,mobile_energy_mj,delivery_ratio"]
-    for name in ("broadcast+tpc", "broadcast+fixed", "scan+tpc", "scan+fixed"):
-        arm = result.arms[name]
+    for arm in result.arms.values():
         s = arm.run.stats
-        lines.append(f"{name},{s.handovers},{s.completions},"
+        lines.append(f"{arm.name},{s.handovers},{s.completions},"
                      f"{arm.mean_latency_s:.6f},{arm.outage_s:.6f},"
                      f"{arm.radio_on_s:.6f},{arm.mobile_energy_mj:.6f},"
                      f"{s.delivery_ratio():.4f}")
@@ -278,9 +282,8 @@ def compare_report_lines(cfg: ScenarioConfig, result: CompareResult) -> list[str
         "arm             handovers  mean_latency_s  outage_s  radio_on_s  "
         "mobile_mj",
     ]
-    for name in ("broadcast+tpc", "broadcast+fixed", "scan+tpc", "scan+fixed"):
-        arm = result.arms[name]
-        lines.append(f"{name:15s} {arm.run.stats.completions:9d}  "
+    for arm in result.arms.values():
+        lines.append(f"{arm.name:15s} {arm.run.stats.completions:9d}  "
                      f"{arm.mean_latency_s:14.4f}  {arm.outage_s:8.3f}  "
                      f"{arm.radio_on_s:10.3f}  {arm.mobile_energy_mj:9.3f}")
     lines += [
