@@ -158,6 +158,22 @@ def test_ack_sent_after_fixed_turnaround_without_cca():
     assert all(r.frame_kind != "ack" for r in rows_of(sim, "BACKOFF"))
 
 
+def test_a_duplicate_ack_after_delivery_is_ignored():
+    # A frame sent twice can be acked twice: the second ack finds no ack
+    # timer pending and changes nothing.
+    sim = line_sim()
+    outcomes = []
+    frame = data_frame(sim, 1, 3)
+    sim.nodes[1].mac.csma_send(frame, outcomes.append)
+    drive(sim)
+    assert outcomes == [SendOutcome.DELIVERED]
+    sim.nodes[3].mac.send_immediate(Frame(FrameKind.ACK, frame.seq, 3, 1))
+    drive(sim)
+    assert [r.frame_kind for r in rows_of(sim, "RX", node=1)] == ["ack", "ack"]
+    assert outcomes == [SendOutcome.DELIVERED]
+    assert len(rows_of(sim, "SEND_OUTCOME", node=1)) == 1
+
+
 def test_deliver_single_listener():
     sim = line_sim()
     sim.nodes[1].mac.csma_send(data_frame(sim, 1, 3))
