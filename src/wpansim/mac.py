@@ -236,9 +236,9 @@ class MacLayer:
     frames requesting acknowledgement are retried up to max_frame_retries
     with the original sequence number.
 
-    Two fields hold the send state: `current`, the frame in flight (None
-    when idle), and `_ack_timeout_event`, its pending ack timer (set only
-    while `current` waits for its ack).
+    Two fields say where a send stands: `current`, the frame in flight
+    (None when idle), and `_ack_timeout_event`, its pending ack timer (set
+    only while `current` waits for its ack).
     """
 
     def __init__(self, sim, node) -> None:
