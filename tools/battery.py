@@ -3,7 +3,7 @@
 The digest covers the path and the bytes of every file written, so a change
 that leaves it as it was changed no output the battery reaches.
 
-Fast part (about 2 s):
+Fast part (about 3 s):
 - `sweep` on the default scenario and `run` on the contention scenario, at
   seeds 1-5;
 - `run` on `util_props.random_scenario` 0-299.
@@ -17,6 +17,7 @@ Fast part (about 2 s):
 Usage: python tools/battery.py [--full] [--out DIR]
 
 Without --out the files go to a temporary directory, removed afterwards.
+With it they stay there for diffing; every file under it is digested.
 Only the standard library and the checkout's own `src/` and `tests/` are
 used.
 """
@@ -87,16 +88,14 @@ def digest(out: Path) -> str:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--full", action="store_true", help="run the full battery")
-    ap.add_argument("--out", type=Path, help="keep the files in this directory")
+    ap.add_argument("--out", type=Path,
+                    help="keep the files in this directory (start it empty)")
     args = ap.parse_args(argv)
     write = write_full if args.full else write_fast
-    if args.out is not None:
-        write(args.out)
-        print(digest(args.out))
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            write(Path(tmp))
-            print(digest(Path(tmp)))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = args.out or Path(tmp)
+        write(out)
+        print(digest(out))
     return 0
 
 
