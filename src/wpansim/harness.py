@@ -209,7 +209,7 @@ class CompareResult(NamedTuple):
         return self.baseline.outage_s - self.proposed.outage_s
 
     @property
-    def energy_delta_pct(self) -> float:
+    def energy_delta_pct(self) -> float:  # calls the module function below
         return energy_delta_pct(self.baseline.run, self.proposed.run)
 
 

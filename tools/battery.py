@@ -14,12 +14,11 @@ Fast part (about 3 s):
   no node sleeping;
 - `run` on `random_scenario` 300-2999.
 
-Usage: python tools/battery.py [--full] [--out DIR]
+Usage: python tools/battery.py [--full]
 
-Without --out the files go to a temporary directory, removed afterwards.
-With it they stay there for diffing; every file under it is digested.
-Only the standard library and the checkout's own `src/` and `tests/` are
-used.
+The files go to a temporary directory, removed afterwards; to keep them for
+diffing, call `write_fast(path)` or `write_full(path)` from Python.  Only the
+standard library and the checkout's own `src/` and `tests/` are used.
 """
 
 from __future__ import annotations
@@ -88,14 +87,11 @@ def digest(out: Path) -> str:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--full", action="store_true", help="run the full battery")
-    ap.add_argument("--out", type=Path,
-                    help="keep the files in this directory (start it empty)")
     args = ap.parse_args(argv)
     write = write_full if args.full else write_fast
     with tempfile.TemporaryDirectory() as tmp:
-        out = args.out or Path(tmp)
-        write(out)
-        print(digest(out))
+        write(Path(tmp))
+        print(digest(Path(tmp)))
     return 0
 
 
