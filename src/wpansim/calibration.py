@@ -22,7 +22,6 @@ sensitivity -100..-70 dBm step 1, positions -3..18 m step 0.5.
 
 from __future__ import annotations
 
-import copy
 from typing import NamedTuple
 
 from . import kernels
@@ -313,9 +312,10 @@ def search(cfg: ScenarioConfig,
 
 def apply_to_config(cfg: ScenarioConfig, result: CalibrationResult,
                     targets: CalibrationTargets) -> ScenarioConfig:
-    """Return a copy of cfg carrying the calibrated constants, with the
-    stationary nodes at the fitted x positions on the trajectory's line."""
-    out = copy.deepcopy(cfg)
+    """Return an independent copy of cfg carrying the calibrated constants,
+    with the stationary nodes at the fitted x positions on the trajectory's
+    line; cfg is left as it was."""
+    out = cfg.clone()
     out.phy.path_loss_exponent = result.path_loss_exponent
     out.phy.pl0_db = result.pl0_db
     out.phy.rx_sensitivity_dbm = result.rx_sensitivity_dbm

@@ -48,7 +48,6 @@ custom power_levels need no [sweep] section.
 
 from __future__ import annotations
 
-import copy
 import math
 from operator import attrgetter
 from pathlib import Path
@@ -217,7 +216,8 @@ class ScenarioConfig(Record):
     def clone(self, *, seed: int | None = None, power_override: float | None = None,
               tpc_enabled: bool | None = None, handover_mode: str | None = None,
               mobile_power: float | None = None) -> "ScenarioConfig":
-        cfg = copy.deepcopy(self)
+        """An independent copy (see Record.copy) with the given overrides."""
+        cfg = self.copy()
         if seed is not None:
             cfg.seed = seed
         if power_override is not None:
@@ -386,7 +386,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
     section: str | None = None
     node: NodeConfig | None = None
     seen_sections: set[str] = set()
-    key_lines: dict[str, int] = {}  # "section.key" -> line that set it
+    # "section.key" -> the line that set it; "node <id>" -> its header line
+    key_lines: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -410,6 +411,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
                     raise ScenarioError(f"duplicate node id {node_id}", lineno)
                 node = NodeConfig(node_id=node_id, role=NodeRole.ROUTER)
                 cfg.nodes.append(node)
+                key_lines[f"node {node_id}"] = lineno
                 section = "node"
             elif name in _SCHEMA:
                 if len(parts) != 1:
@@ -448,17 +450,25 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
 
 
 def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> None:
+    def header_line(node: NodeConfig) -> int:
+        return key_lines[f"node {node.node_id}"]
+
     coordinators = [n for n in cfg.nodes if n.role is NodeRole.COORDINATOR]
     if len(coordinators) > 1:
-        raise ScenarioError(f"{source}: more than one coordinator configured")
-    if cfg.stationary_nodes() and not coordinators:
-        raise ScenarioError(f"{source}: stationary nodes present but no coordinator")
+        raise ScenarioError(f"{source}: more than one coordinator configured",
+                            header_line(coordinators[1]))
+    stationary = cfg.stationary_nodes()
+    if stationary and not coordinators:
+        raise ScenarioError(f"{source}: stationary nodes present but no coordinator",
+                            header_line(stationary[0]))
     mobiles = [n for n in cfg.nodes if n.node_class is NodeClass.MOBILE]
     if len(mobiles) > 1:
-        raise ScenarioError(f"{source}: at most one mobile node is supported")
+        raise ScenarioError(f"{source}: at most one mobile node is supported",
+                            header_line(mobiles[1]))
     for n in mobiles:
         if n.role is not NodeRole.END_DEVICE:
-            raise ScenarioError(f"{source}: mobile node {n.node_id} must be an end_device")
+            raise ScenarioError(f"{source}: mobile node {n.node_id} must be an end_device",
+                                header_line(n))
     max_be = cfg.csma.mac_max_be  # ranges of IEEE 802.15.4-2006, Table 86
     for key, value, lo, hi in (("mac_max_be", max_be, 3, 8),
                                ("mac_min_be", cfg.csma.mac_min_be, 0, max_be)):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 BATTERY = Path(__file__).resolve().parent.parent / "tools" / "battery.py"
 
-FAST_DIGEST = "f963680d9b8200b57a7942c6e536d21e03ecc0adbaf999b40386e9ba3c2e557a"
+FAST_DIGEST = "57be4cf613ce5f65f5d70e9770ad3e4f1a744a91b70a54d9dc4b69fb45ecd53d"
 
 
 def _battery():

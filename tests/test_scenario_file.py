@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import DATA, make_cfg, tiny_cfg
 from wpansim import scenario_file as sf
 from wpansim.cli import default_scenario_path
 from wpansim.phy import BANDS
+from wpansim.record import Record
 from wpansim.scenario import NodeClass, NodeConfig, NodeRole
 from wpansim.scenario_file import (ScenarioConfig, ScenarioError, load_scenario,
                                    parse_scenario, render_scenario)
@@ -121,21 +123,34 @@ def test_bad_waypoint_format():
     assert "waypoint" in str(err.value)
 
 
+# The whole-file node checks name the header line of the node at fault.
 def test_two_coordinators_rejected():
-    text = ("[node 1]\nrole = coordinator\n"
-            "[node 2]\nrole = coordinator\n")
-    with pytest.raises(ScenarioError):
+    text = ("[node 1]\nrole = coordinator\n\n"
+            "[node 2]\nrole = router\n\n"
+            "[node 3]\nrole = coordinator\n")
+    with pytest.raises(ScenarioError, match="^line 7: .*more than one coordinator"):
         parse_scenario(text)
 
 
 def test_stationary_without_coordinator_rejected():
-    with pytest.raises(ScenarioError):
-        parse_scenario("[node 2]\nrole = router\n")
+    text = ("[node 9]\nrole = end_device\nclass = mobile\n\n"
+            "[node 2]\nrole = router\n\n[node 3]\nrole = router\n")
+    with pytest.raises(ScenarioError, match="^line 5: .*but no coordinator"):
+        parse_scenario(text)
+
+
+def test_at_most_one_mobile():
+    text = ("[node 1]\nrole = coordinator\n\n"
+            "[node 8]\nrole = end_device\nclass = mobile\n\n"
+            "[node 9]\nrole = end_device\nclass = mobile\n")
+    with pytest.raises(ScenarioError, match="^line 8: .*at most one mobile"):
+        parse_scenario(text)
 
 
 def test_mobile_must_be_end_device():
-    text = "[node 1]\nrole = router\nclass = mobile\n"
-    with pytest.raises(ScenarioError):
+    text = "[node 1]\nrole = coordinator\n\n[node 4]\nrole = router\nclass = mobile\n"
+    with pytest.raises(ScenarioError,
+                       match="^line 4: .*mobile node 4 must be an end_device"):
         parse_scenario(text)
 
 
@@ -175,6 +190,55 @@ def test_clone_mobile_power(default_cfg):
     cfg = default_cfg.clone(mobile_power=6.0)
     assert cfg.mobile_node().tx_power_dbm == 6.0
     assert all(n.tx_power_dbm is None for n in cfg.stationary_nodes())
+
+
+# -- clone is an independent copy: equal to copy.deepcopy, sharing nothing mutable --
+
+CLONE_OVERRIDES = [{}, {"seed": 7}, {"power_override": 2.0}, {"tpc_enabled": False},
+                   {"handover_mode": "scan"}, {"mobile_power": 6.0}]
+
+
+def _mutable_parts(value, found: dict) -> dict:
+    """id -> object for every record, list, dict and set reachable from value."""
+    if isinstance(value, (Record, list, dict, set)):
+        if id(value) in found:
+            return found
+        found[id(value)] = value
+    if isinstance(value, Record):
+        children = list(value._fields().values())
+    elif isinstance(value, dict):
+        children = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        children = list(value)
+    else:
+        return found
+    for child in children:
+        _mutable_parts(child, found)
+    return found
+
+
+def _assert_clone_is_independent(cfg):
+    before = copy.deepcopy(cfg)
+    clone = cfg.clone()
+    assert clone == before
+    original = _mutable_parts(cfg, {})
+    shared = original.keys() & _mutable_parts(clone, {}).keys()
+    assert not shared, [original[i] for i in shared]
+    for overrides in CLONE_OVERRIDES:
+        out = cfg.clone(**overrides)
+        out.phy.pl0_db += 1.0
+        for node in out.nodes[:1]:
+            node.x += 1.0
+            node.role = NodeRole.END_DEVICE
+        waypoints = out.trajectory.waypoints
+        waypoints.append((waypoints[-1][0] + 1.0, 0.0, waypoints[-1][2] + 1))
+        assert cfg == before, overrides
+
+
+@pytest.mark.parametrize("cfg", [*(load_scenario(p) for p in SCENARIOS), ScenarioConfig()],
+                         ids=[*(p.name for p in SCENARIOS), "ScenarioConfig()"])
+def test_clone_is_an_independent_copy(cfg):
+    _assert_clone_is_independent(cfg)
 
 
 def test_node_defaults():
@@ -275,6 +339,12 @@ def test_render_parse_is_the_identity(cfg):
     again = parse_scenario(text)
     assert again == cfg
     assert render_scenario(again) == text
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(_configs())
+def test_clone_of_any_config_is_an_independent_copy(cfg):
+    _assert_clone_is_independent(cfg)
 
 
 # -- parse -> run -> render -> parse: every accepted scenario runs to its end ----

@@ -6,7 +6,11 @@ that leaves it as it was changed no output the battery reaches.
 Fast part (about 3 s):
 - `sweep` on the default scenario and `run` on the contention scenario, at
   seeds 1-5;
-- `run` on `util_props.random_scenario` 0-299.
+- `run` on `util_props.random_scenario` 0-299;
+- `calibrate` on `tests/data/uncalibrated.scenario` (a search), on the
+  default scenario (already on target: the early exit) and on a detuned
+  default scenario (n 2.0, pl0 40 dB, sensitivity -90 dBm, stationary nodes
+  at 0/7/14 m) for two target pairs.
 
 `--full` adds:
 - `compare` on both scenarios at seeds 1, 42 and 99;
@@ -36,10 +40,14 @@ for _path in (str(ROOT / "tests"), str(ROOT / "src")):
 
 from util_props import random_scenario  # noqa: E402
 from wpansim.cli import default_scenario_path  # noqa: E402
-from wpansim.harness import compare, run_simulation, sweep  # noqa: E402
+from wpansim.calibration import CalibrationTargets  # noqa: E402
+from wpansim.harness import calibrate, compare, run_simulation, sweep  # noqa: E402
 from wpansim.scenario_file import load_scenario  # noqa: E402
 
 CONTENTION = ROOT / "tests" / "data" / "contention.scenario"
+UNCALIBRATED = ROOT / "tests" / "data" / "uncalibrated.scenario"
+DETUNED_TARGETS = (CalibrationTargets(gap1=(1.5, 3.5), gap2=(11.5, 13.5)),
+                   CalibrationTargets(gap1=(2.5, 4.5), gap2=(10.5, 12.5)))
 
 
 def _scenarios():
@@ -56,6 +64,16 @@ def write_fast(out: Path) -> None:
                        seed=seed)
     for index in range(300):
         run_simulation(random_scenario(index), out / f"random_{index}")
+    calibrate(load_scenario(UNCALIBRATED), out / "calibrate_uncalibrated")
+    calibrate(scenarios["default"], out / "calibrate_default")
+    detuned = load_scenario(default_scenario_path())  # far off the fit
+    detuned.phy.path_loss_exponent = 2.0
+    detuned.phy.pl0_db = 40.0
+    detuned.phy.rx_sensitivity_dbm = -90.0
+    for n, node in enumerate(detuned.stationary_nodes()):
+        node.x = 7.0 * n
+    for index, targets in enumerate(DETUNED_TARGETS):
+        calibrate(detuned, out / f"calibrate_detuned_{index}", targets)
 
 
 def write_full(out: Path) -> None:
