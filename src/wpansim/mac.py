@@ -9,7 +9,6 @@ neither.  CCA is instantaneous channel-state sampling.
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
 
 from .engine import SimTime, SimulationError
 from .phy import PhyParams, heard, link_rx_power, lq_from_rx_power
@@ -224,17 +223,13 @@ class Channel:
         return out
 
 
-class _Outgoing(NamedTuple):
-    frame: Frame
-    on_outcome: object  # callable(SendOutcome) or None
-
-
 class MacLayer:
     """Per-node transmit pipeline implementing unslotted CSMA/CA.
 
     One frame is in flight at a time; further frames queue FIFO.  Unicast
     frames requesting acknowledgement are retried up to max_frame_retries
-    with the original sequence number.
+    with the original sequence number.  Each queued send's outcome goes to
+    the node's controller, `on_send_outcome(frame, outcome)`.
 
     Two fields say where a send stands: `current`, the frame in flight
     (None when idle), and `_ack_timeout_event`, its pending ack timer (set
@@ -244,8 +239,8 @@ class MacLayer:
     def __init__(self, sim, node) -> None:
         self.sim = sim
         self.node = node
-        self.queue: deque[_Outgoing] = deque()
-        self.current: _Outgoing | None = None
+        self.queue: deque[Frame] = deque()
+        self.current: Frame | None = None
         self.nb = 0
         self.be = 0
         self.retries = 0
@@ -265,7 +260,7 @@ class MacLayer:
 
     # -- submission ---------------------------------------------------------
 
-    def csma_send(self, frame: Frame, on_outcome=None) -> None:
+    def csma_send(self, frame: Frame) -> None:
         if self.node.ledger.mode == SLEEP:
             raise SimulationError(
                 f"node {self.node.node_id} cannot csma_send while asleep")
@@ -273,7 +268,7 @@ class MacLayer:
             raise SimulationError(f"{frame.kind} frames do not use CSMA")
         if frame.kind == FrameKind.DATA and frame.is_broadcast:
             raise SimulationError("data frames must be unicast")
-        self.queue.append(_Outgoing(frame, on_outcome))
+        self.queue.append(frame)
         if self.current is None:
             self._start_attempt()
 
@@ -302,21 +297,21 @@ class MacLayer:
     def _schedule_backoff(self) -> None:
         draw = self.node.rng.draw_uniform(1 << self.be)
         delay = draw * self.sim.csma.unit_backoff_us
-        self.sim.emit(self.node, TraceKind.BACKOFF, self.current.frame, detail=delay)
+        self.sim.emit(self.node, TraceKind.BACKOFF, self.current, detail=delay)
         self.sim.loop.schedule(self.sim.loop.now + delay, self.on_backoff_expire)
 
     def on_backoff_expire(self) -> None:
         if self.sim.channel.busy_for(self.node, self.sim.loop.now):
             self.nb += 1
             self.be = min(self.be + 1, self.sim.csma.mac_max_be)
-            self.sim.emit(self.node, TraceKind.CCA_BUSY, self.current.frame,
+            self.sim.emit(self.node, TraceKind.CCA_BUSY, self.current,
                           detail=self.nb)
             if self.nb >= self.sim.csma.max_csma_backoffs:
                 self._finish(SendOutcome.CHANNEL_ACCESS_FAILURE)
             else:
                 self._schedule_backoff()
             return
-        self._transmit(self.current.frame)
+        self._transmit(self.current)
 
     def _transmit(self, frame: Frame) -> None:
         frame.tx_power_dbm = self.node.power_dbm
@@ -324,7 +319,7 @@ class MacLayer:
 
     def on_tx_complete(self, frame: Frame) -> None:
         """Called by the simulation when this node's queued frame left the air."""
-        if self.current is None or frame is not self.current.frame:
+        if frame is not self.current:
             return  # beacon/ack path, nothing to resolve
         if frame.wants_ack():
             self._ack_timeout_event = self.sim.loop.schedule(
@@ -334,8 +329,8 @@ class MacLayer:
 
     def on_ack_received(self, ack: Frame) -> None:
         if (self._ack_timeout_event is not None
-                and ack.seq == self.current.frame.seq
-                and ack.src == self.current.frame.dst):
+                and ack.seq == self.current.seq
+                and ack.src == self.current.dst):
             self.sim.loop.cancel(self._ack_timeout_event)
             self._ack_timeout_event = None
             self._finish(SendOutcome.DELIVERED)
@@ -344,20 +339,19 @@ class MacLayer:
         self._ack_timeout_event = None
         self.retries += 1
         if self.retries > self.sim.csma.max_frame_retries:
-            self.sim.emit(self.node, TraceKind.ACK_TIMEOUT, self.current.frame)
+            self.sim.emit(self.node, TraceKind.ACK_TIMEOUT, self.current)
             self._finish(SendOutcome.NO_ACK)
         else:
-            self.sim.emit(self.node, TraceKind.ACK_TIMEOUT, self.current.frame,
+            self.sim.emit(self.node, TraceKind.ACK_TIMEOUT, self.current,
                           detail=self.retries)
             self._begin_csma()  # retransmission keeps the original seq
 
     def _finish(self, outcome: str) -> None:
-        done = self.current
+        frame = self.current
         self.current = None
-        self.sim.emit(self.node, TraceKind.SEND_OUTCOME, done.frame, detail=outcome)
-        if done.on_outcome is not None:
-            done.on_outcome(outcome)
-        if self.current is None:  # the callback started no send
+        self.sim.emit(self.node, TraceKind.SEND_OUTCOME, frame, detail=outcome)
+        self.node.controller.on_send_outcome(frame, outcome)
+        if self.current is None:  # the controller started no send
             if self.queue:
                 self._start_attempt()
             else:

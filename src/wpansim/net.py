@@ -88,6 +88,8 @@ class StationaryController:
     """Stationary node; a router or coordinator answers probes and
     association requests, an end device answers nothing."""
 
+    searching = False  # never runs a handover
+
     def __init__(self, sim, node) -> None:
         self.sim = sim
         self.node = node
@@ -104,9 +106,18 @@ class StationaryController:
         elif frame.kind == FrameKind.ASSOC_REQ and frame.dst == self.node.node_id:
             mac.csma_send(mac.control_frame(FrameKind.ASSOC_RESP, frame.src))
 
+    def on_send_outcome(self, frame: Frame, outcome: str) -> None:
+        pass  # a response is best effort: nothing follows its outcome
+
 
 class MobileController:
-    """Mobile end device: traffic source, handover initiator, TPC owner."""
+    """Mobile end device: traffic source, handover initiator, TPC owner.
+
+    The handover's state is two fields: `responses`, the probe responses
+    heard so far, is a list only while probing, and `candidate`, the
+    responder asked to be the parent, is set only while associating.
+    Neither is set when idle.
+    """
 
     def __init__(self, sim, node) -> None:
         self.sim = sim
@@ -117,10 +128,9 @@ class MobileController:
         if cfg.tpc.enabled:
             node.power_dbm = max(cfg.phy.power_levels_dbm)
         self.ack_fail_streak = 0
-        self.handover_state = "idle"  # idle | probing | associating
-        self.handover_epoch = 0
+        self.handover_epoch = 0  # tags the handover timer
         self.handover_started: SimTime = 0
-        self.responses: list[tuple[int, int]] = []  # (reported lq, node id)
+        self.responses: list[tuple[int, int]] | None = None  # (reported lq, node id)
         # Probed in turn by every handover: the MAC-broadcast address, or for
         # the scan baseline each possible parent.
         self.probe_addrs = (sorted(n.node_id for n in cfg.nodes if n.may_parent)
@@ -128,6 +138,11 @@ class MobileController:
         self.probe_index = 0
         self.candidate: int | None = None
         self._lq_block_until: SimTime = 0
+
+    @property
+    def searching(self) -> bool:
+        """True while a handover probes or associates."""
+        return self.responses is not None or self.candidate is not None
 
     def _degraded(self, lq: int) -> bool:
         tpc = self.sim.cfg.tpc
@@ -144,20 +159,42 @@ class MobileController:
         self.node.wake()
         frame = Frame(FrameKind.DATA, self.node.mac.next_seq(), self.node.node_id,
                       self.parent, payload_len=cfg.traffic.payload_bytes)
-        self.node.mac.csma_send(frame, self._on_data_outcome)
+        self.node.mac.csma_send(frame)
 
-    def _on_data_outcome(self, outcome: str) -> None:
-        if outcome == SendOutcome.DELIVERED:
-            self.ack_fail_streak = 0
-        elif outcome == SendOutcome.NO_ACK:
-            self.ack_fail_streak += 1
-            cfg = self.sim.cfg.handover
-            threshold = cfg.ack_fail_threshold
-            if self._degraded(self.last_lq):
-                # Link already known degraded: one dead frame is proof enough.
-                threshold = cfg.degraded_ack_fail_threshold
-            if self.ack_fail_streak >= threshold:
-                self.start_handover("ack_failures")
+    def on_send_outcome(self, frame: Frame, outcome: str) -> None:
+        """How a queued send ended, by the kind of frame sent.
+
+        A data frame feeds the ack-failure streak.  A probe opens its
+        response window once sent; a broadcast probe that fails CCA fails
+        the handover at once, while a scan poll waits out its full window,
+        answered or not.  A delivered AssocRequest sets the guard against a
+        lost AssocResponse; an undelivered one fails the handover.
+        """
+        cfg = self.sim.cfg.handover
+        kind = frame.kind
+        if kind == FrameKind.DATA:
+            if outcome == SendOutcome.DELIVERED:
+                self.ack_fail_streak = 0
+            elif outcome == SendOutcome.NO_ACK:
+                self.ack_fail_streak += 1
+                threshold = cfg.ack_fail_threshold
+                if self._degraded(self.last_lq):
+                    # Link already known degraded: one dead frame is proof enough.
+                    threshold = cfg.degraded_ack_fail_threshold
+                if self.ack_fail_streak >= threshold:
+                    self.start_handover("ack_failures")
+        elif kind == FrameKind.PROBE_REQ:
+            if frame.dst != BROADCAST:
+                self._set_timer(cfg.scan_response_timeout_us)
+            elif outcome == SendOutcome.CHANNEL_ACCESS_FAILURE:
+                self._handover_failed("probe_cca_fail")
+            else:
+                self._set_timer(cfg.probe_window_us)
+        elif kind == FrameKind.ASSOC_REQ:
+            if outcome != SendOutcome.DELIVERED:
+                self._handover_failed("assoc_req_lost")
+            else:
+                self._set_timer(cfg.probe_window_us)
 
     # -- reception ----------------------------------------------------------
 
@@ -167,13 +204,13 @@ class MobileController:
             if self.sim.cfg.tpc.enabled:
                 self.tpc_update(rx_power, frame.tx_power_dbm)
         if frame.kind == FrameKind.PROBE_RESP and frame.lq_report is not None:
-            if self.handover_state == "probing":
+            if self.responses is not None:
                 self.responses.append((frame.lq_report, frame.src))
         elif frame.kind == FrameKind.ASSOC_RESP and frame.src == self.candidate:
             self._commit_parent(frame.src)
         # A degraded parent link triggers a new search (the parent may be
         # the one just committed).
-        if (frame.src == self.parent and self.handover_state == "idle"
+        if (frame.src == self.parent and not self.searching
                 and self._degraded(lq)):
             self.start_handover("low_lq")
 
@@ -211,7 +248,7 @@ class MobileController:
     # -- handover ------------------------------------------------------------
 
     def start_handover(self, reason: str) -> None:
-        if self.handover_state != "idle":
+        if self.searching:
             return
         now = self.sim.loop.now
         if reason == "low_lq":
@@ -221,10 +258,8 @@ class MobileController:
         self.handover_epoch += 1
         self.handover_started = now
         self.responses = []
-        self.candidate = None
         self.sim.emit(self.node, TraceKind.HANDOVER_START, detail=reason)
         self.node.wake()
-        self.handover_state = "probing"
         self.probe_index = 0
         if not self.probe_addrs:
             self._handover_failed("no_known_nodes")
@@ -239,53 +274,36 @@ class MobileController:
     def on_handover_timer(self, epoch: int) -> None:
         """The one handover timer; the state it meets says what it was set for.
 
-        At most one timer of the current epoch is pending at a time:
-        probing sets the response window of the address just probed,
-        associating the guard against a lost AssocResponse, and a failure,
-        which leaves the mobile idle, the retry (as Simulation.setup does
-        for the first search).  A timer from an earlier epoch is stale.  A
-        live one meets the state that set it: only the timer moves probing
-        on, to the next address or, after the last, to the candidate; idle
-        is left only through start_handover, which starts a new epoch.
-        The one exception is a guard that fires after the commit: it finds
-        the mobile idle with a parent, and the idle branch acts only on an
+        The epoch lives on this timer only: each handover starts a new one,
+        and a timer from an earlier epoch is stale.  At most one timer of
+        the current epoch is pending at a time: probing sets the response
+        window of the address just probed, associating the guard against a
+        lost AssocResponse, and a failure, which leaves the mobile idle, the
+        retry.  A live one meets the state that set it: only the timer
+        moves probing on, to the next address or, after the last, to the
+        candidate; idle is left only through start_handover.  The one
+        exception is a guard that fires after the commit: it finds the
+        mobile idle with a parent, and the idle branch acts only on an
         orphan, so it does nothing.
         """
         if epoch != self.handover_epoch:
             return
-        state = self.handover_state
-        if state == "probing":  # the probed address's response window has closed
+        if self.responses is not None:  # the probed address's window has closed
             self.probe_index += 1
             if self.probe_index < len(self.probe_addrs):
                 self._probe_next()
             else:
                 self._select_candidate()
-        elif state == "associating":  # no AssocResponse within the guard
+        elif self.candidate is not None:  # no AssocResponse within the guard
             self._handover_failed("assoc_resp_lost")
-        elif self.parent is None:  # retry after a failure, or the first search
+        elif self.parent is None:  # retry after a failure
             self.start_handover("orphan")
 
     def _probe_next(self) -> None:
-        """Probe the current address; its response window opens once sent.
-
-        A broadcast probe that fails CCA fails the handover at once; a
-        scan poll waits out its full window, answered or not.
-        """
-        epoch = self.handover_epoch
+        """Probe the current address; on_send_outcome opens its window."""
         target = self.probe_addrs[self.probe_index]
-        probe = self.node.mac.control_frame(FrameKind.PROBE_REQ, target)
-
-        def on_probe_out(outcome: str) -> None:
-            if self.handover_epoch != epoch:
-                return
-            if target != BROADCAST:
-                self._set_timer(self.sim.cfg.handover.scan_response_timeout_us)
-            elif outcome == SendOutcome.CHANNEL_ACCESS_FAILURE:
-                self._handover_failed("probe_cca_fail")
-            else:
-                self._set_timer(self.sim.cfg.handover.probe_window_us)
-
-        self.node.mac.csma_send(probe, on_probe_out)
+        self.node.mac.csma_send(
+            self.node.mac.control_frame(FrameKind.PROBE_REQ, target))
 
     def _select_candidate(self) -> None:
         if not self.responses:
@@ -294,29 +312,15 @@ class MobileController:
         # Highest reported LQ; ties go to the lowest node id.
         best_lq = max(lq for lq, _ in self.responses)
         best_id = min(nid for lq, nid in self.responses if lq == best_lq)
+        self.responses = None
         self.candidate = best_id
-        self.handover_state = "associating"
-        epoch = self.handover_epoch
-        req = self.node.mac.control_frame(FrameKind.ASSOC_REQ, best_id)
-
-        def on_req_out(outcome: str) -> None:
-            if self.handover_epoch != epoch:
-                return
-            if outcome != SendOutcome.DELIVERED:
-                self._handover_failed("assoc_req_lost")
-            else:
-                # Guard against a lost AssocResponse.
-                self._set_timer(self.sim.cfg.handover.probe_window_us)
-
-        self.node.mac.csma_send(req, on_req_out)
+        self.node.mac.csma_send(
+            self.node.mac.control_frame(FrameKind.ASSOC_REQ, best_id))
 
     def _commit_parent(self, parent: int) -> None:
-        if self.handover_state != "associating":
-            return
         old = self.parent
         now = self.sim.loop.now
         self.parent = parent
-        self.handover_state = "idle"
         self.candidate = None
         self.ack_fail_streak = 0
         latency = now - self.handover_started
@@ -327,7 +331,8 @@ class MobileController:
             self.node.mac.csma_send(bye)  # best effort, no ack
 
     def _handover_failed(self, why: str) -> None:
-        self.handover_state = "idle"
+        self.responses = None
+        self.candidate = None
         # The old parent could not be reached either: we are orphaned.
         self.parent = None
         if self.sim.cfg.tpc.enabled:

@@ -216,8 +216,7 @@ class Simulation:
             return
         if node.ledger.mode != LISTEN:
             return
-        if isinstance(node.controller, MobileController) and \
-                node.controller.handover_state != "idle":
+        if node.controller.searching:
             return
         node.set_mode(SLEEP)
 
@@ -259,10 +258,9 @@ class Simulation:
         if self.cfg.duration_us <= 0:
             return
         if self.mobile is not None:
-            # Initial association attempt (an idle orphan's handover timer),
-            # then periodic machinery.
+            # Initial association attempt, then periodic machinery.
             ctrl = self.mobile.controller
-            self.loop.schedule(0, ctrl.on_handover_timer, ctrl.handover_epoch)
+            self.loop.schedule(0, ctrl.start_handover, "orphan")
             self._every(self.cfg.traffic.period_us, ctrl.on_data_due)
             self._every(self.cfg.move_tick_us, self.emit, self.mobile, TraceKind.MOVE)
         if self.cfg.mac.beacon_order != NO_BEACONS:
@@ -284,7 +282,7 @@ class Simulation:
         if self.mobile is None:
             return RunResult(self.cfg, self.rows, summary, ledgers, None)
         mac = self.mobile.mac
-        pending = sum(o.frame.kind == FrameKind.DATA
-                      for o in (mac.current, *mac.queue) if o is not None)
+        pending = sum(f.kind == FrameKind.DATA
+                      for f in (mac.current, *mac.queue) if f is not None)
         return RunResult(self.cfg, self.rows, summary, ledgers, self.mobile.node_id,
                          run_stats(self.rows, self.mobile.node_id, end, pending))

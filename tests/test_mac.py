@@ -62,10 +62,14 @@ def rows_of(sim, kind, node=None):
             if r.event_kind == kind and (node is None or r.node_id == node)]
 
 
+def outcomes(sim, node):
+    """The outcome of each of the node's queued sends, in order."""
+    return [r.detail for r in rows_of(sim, "SEND_OUTCOME", node=node)]
+
+
 def test_sole_node_transmits_after_short_backoff():
     sim = line_sim()
-    outcomes = []
-    sim.nodes[1].mac.csma_send(data_frame(sim, 1, 3), outcomes.append)
+    sim.nodes[1].mac.csma_send(data_frame(sim, 1, 3))
     drive(sim)
     backoffs = rows_of(sim, "BACKOFF", node=1)
     assert len(backoffs) == 1
@@ -73,30 +77,28 @@ def test_sole_node_transmits_after_short_backoff():
     assert delay in {k * 320 for k in range(8)}  # BE=3 -> draw in 0..7
     tx = rows_of(sim, "TX_START", node=1)[0]
     assert tx.time_us == delay
-    assert outcomes == [SendOutcome.DELIVERED]
+    assert outcomes(sim, 1) == [SendOutcome.DELIVERED]
 
 
 def test_out_of_range_unicast_noack_after_all_retries():
     sim = line_sim()
-    outcomes = []
-    sim.nodes[1].mac.csma_send(data_frame(sim, 1, 5), outcomes.append)
+    sim.nodes[1].mac.csma_send(data_frame(sim, 1, 5))
     drive(sim)
     attempts = rows_of(sim, "TX_START", node=1)
     assert len(attempts) == 1 + sim.cfg.csma.max_frame_retries  # 4 attempts
     assert len({r.seq for r in attempts}) == 1  # retries reuse the seq
-    assert outcomes == [SendOutcome.NO_ACK]
+    assert outcomes(sim, 1) == [SendOutcome.NO_ACK]
 
 
 def test_busy_channel_fails_after_max_csma_backoffs():
     sim = line_sim()
     blocker = Frame(FrameKind.DATA, 0, 3, 5, payload_len=1500)
     sim.begin_transmission(sim.nodes[3], blocker)
-    outcomes = []
-    sim.nodes[1].mac.csma_send(data_frame(sim, 1, 2), outcomes.append)
+    sim.nodes[1].mac.csma_send(data_frame(sim, 1, 2))
     drive(sim)
     cca = rows_of(sim, "CCA_BUSY", node=1)
     assert len(cca) == sim.cfg.csma.max_csma_backoffs  # 4 failed CCAs
-    assert outcomes == [SendOutcome.CHANNEL_ACCESS_FAILURE]
+    assert outcomes(sim, 1) == [SendOutcome.CHANNEL_ACCESS_FAILURE]
     assert rows_of(sim, "TX_START", node=1) == []
 
 
@@ -162,16 +164,14 @@ def test_a_duplicate_ack_after_delivery_is_ignored():
     # A frame sent twice can be acked twice: the second ack finds no ack
     # timer pending and changes nothing.
     sim = line_sim()
-    outcomes = []
     frame = data_frame(sim, 1, 3)
-    sim.nodes[1].mac.csma_send(frame, outcomes.append)
+    sim.nodes[1].mac.csma_send(frame)
     drive(sim)
-    assert outcomes == [SendOutcome.DELIVERED]
+    assert outcomes(sim, 1) == [SendOutcome.DELIVERED]
     sim.nodes[3].mac.send_immediate(Frame(FrameKind.ACK, frame.seq, 3, 1))
     drive(sim)
     assert [r.frame_kind for r in rows_of(sim, "RX", node=1)] == ["ack", "ack"]
-    assert outcomes == [SendOutcome.DELIVERED]
-    assert len(rows_of(sim, "SEND_OUTCOME", node=1)) == 1
+    assert outcomes(sim, 1) == [SendOutcome.DELIVERED]
 
 
 def test_deliver_single_listener():
@@ -228,26 +228,31 @@ def test_csma_send_while_asleep_is_fatal():
 
 
 def test_a_node_between_frames_with_one_queued_stays_awake():
-    # Inside the first frame's outcome callback the MAC holds no frame but
-    # has one queued: it is busy, so a node that may sleep stays awake there.
+    # While the controller hears the first frame's outcome the MAC holds no
+    # frame but has one queued: it is busy, so a node that may sleep stays
+    # awake there.
     sim = Simulation(make_cfg(LINE.format(seed=1).replace(
         "x = 0 m", "x = 0 m\nsleep = on")))
     node = sim.nodes[1]
     mac = node.mac
+    first = data_frame(sim, 1, 3)
     seen = []
+    on_send_outcome = node.controller.on_send_outcome
 
-    def on_first(outcome):
-        seen.append((outcome, mac.current, len(mac.queue)))
-        sim.maybe_sleep(node)
-        seen.append(node.ledger.mode)
+    def on_outcome(frame, outcome):
+        if frame is first:
+            seen.append((outcome, mac.current, len(mac.queue)))
+            sim.maybe_sleep(node)
+            seen.append(node.ledger.mode)
+        on_send_outcome(frame, outcome)
 
+    node.controller.on_send_outcome = on_outcome
     node.wake()
-    mac.csma_send(data_frame(sim, 1, 3), on_first)
+    mac.csma_send(first)
     mac.csma_send(data_frame(sim, 1, 3))
     drive(sim)
     assert seen == [(SendOutcome.DELIVERED, None, 1), LISTEN]
-    assert [r.detail for r in rows_of(sim, "SEND_OUTCOME", node=1)] == \
-        [SendOutcome.DELIVERED] * 2
+    assert outcomes(sim, 1) == [SendOutcome.DELIVERED] * 2
     assert node.ledger.mode == SLEEP  # asleep once both frames are done
 
 

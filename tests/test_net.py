@@ -224,8 +224,8 @@ def test_a_data_frame_queued_behind_a_control_frame_counts_without_a_row():
 
     sim.loop.schedule(sim.cfg.duration_us - 100, send_both)
     res = sim.run()
-    assert mac.current.frame.kind == FrameKind.DISASSOC
-    assert [o.frame.kind for o in mac.queue] == [FrameKind.DATA]
+    assert mac.current.kind == FrameKind.DISASSOC
+    assert [f.kind for f in mac.queue] == [FrameKind.DATA]
     assert not any(r.frame_kind == FrameKind.DATA for r in res.rows)
     s = res.stats
     assert (s.data_attempts, s.delivered, s.no_ack, s.cca_fail) == (1, 0, 0, 0)
@@ -346,12 +346,19 @@ def _in_state(state, mode="broadcast", probe_index=0):
     sim = parked_sim(x=1.0, mode=mode)
     ctrl = sim.mobile.controller
     ctrl.handover_epoch = 2
-    ctrl.handover_state = state
-    ctrl.responses = [(200, 1)]  # probing: a candidate to select
+    if state == "probing":
+        ctrl.responses = [(200, 1)]  # a candidate to select
+    elif state == "associating":
+        ctrl.candidate = 1
     ctrl.probe_index = probe_index
-    ctrl.candidate = 1
     ctrl.node.wake()  # as start_handover leaves it
     return sim, ctrl
+
+
+def _handover(ctrl):
+    """The mobile's handover state, copied."""
+    responses = None if ctrl.responses is None else list(ctrl.responses)
+    return responses, ctrl.candidate, ctrl.probe_index
 
 
 def _queue(sim):
@@ -370,8 +377,9 @@ def _queue(sim):
 ])
 def test_stale_handover_timer_is_ignored(state, mode, probe_index, acts):
     sim, ctrl = _in_state(state, mode, probe_index)
+    before = _handover(ctrl)
     ctrl.on_handover_timer(1)
-    assert (ctrl.handover_state, ctrl.probe_index) == (state, probe_index)
+    assert _handover(ctrl) == before
     kinds = kind_counts(sim.rows)
     assert ctrl.parent is None
     assert kinds["HANDOVER_START"] == kinds["HANDOVER_FAIL"] == 0
@@ -387,12 +395,12 @@ def test_stale_handover_timer_is_ignored(state, mode, probe_index, acts):
 def test_assoc_guard_after_the_commit_is_a_no_op():
     sim, ctrl = _in_state("associating")
     ctrl.on_frame(Frame(FrameKind.ASSOC_RESP, 0, 1, ctrl.node.node_id), -54.0, 200)
-    assert (ctrl.handover_state, ctrl.parent) == ("idle", 1)
+    assert (ctrl.searching, ctrl.candidate, ctrl.parent) == (False, None, 1)
     rows, before = len(sim.rows), _queue(sim)
     ev = sim.loop.schedule(sim.cfg.handover.probe_window_us,
                            ctrl.on_handover_timer, 2)
     after = sim.loop.run_until(ev.time, sim._dispatch)
-    assert (ctrl.handover_state, ctrl.parent) == ("idle", 1)
+    assert (ctrl.searching, ctrl.parent) == (False, 1)
     kinds = kind_counts(sim.rows)
     assert kinds["HANDOVER_FAIL"] == 0 and kinds["HANDOVER_DONE"] == 1
     assert len(sim.rows) == rows and after.total_processed == 1  # the guard alone
@@ -407,7 +415,7 @@ def test_low_lq_handover_may_trigger_again_when_the_cooldown_ends():
     ctrl.start_handover("low_lq")
     cooldown = sim.cfg.handover.lq_retrigger_cooldown_us
     for now, attempts in ((cooldown - 1, 1), (cooldown, 2)):
-        ctrl.handover_state = "idle"  # as if the first search had ended
+        ctrl.responses = None  # as if the first search had ended
         sim.loop.now = now
         ctrl.start_handover("low_lq")
         assert kind_counts(sim.rows)["HANDOVER_START"] == attempts, now
@@ -420,7 +428,7 @@ def test_low_lq_handover_may_trigger_again_when_the_cooldown_ends():
 def test_failed_handover_with_tpc_resets_the_power_to_the_top_level(power, rows):
     sim, ctrl = tpc_sim()
     ctrl.node.power_dbm = power
-    ctrl.handover_state = "associating"
+    ctrl.candidate = 2  # associating
     ctrl.on_handover_timer(ctrl.handover_epoch)  # no AssocResponse in time
     assert [(r.event_kind, r.detail) for r in sim.rows] == rows
-    assert (ctrl.parent, ctrl.node.power_dbm) == (None, 6.0)
+    assert (ctrl.parent, ctrl.candidate, ctrl.node.power_dbm) == (None, None, 6.0)
