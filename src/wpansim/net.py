@@ -168,7 +168,10 @@ class MobileController:
         response window once sent; a broadcast probe that fails CCA fails
         the handover at once, while a scan poll waits out its full window,
         answered or not.  A delivered AssocRequest sets the guard against a
-        lost AssocResponse; an undelivered one fails the handover.
+        lost AssocResponse; an undelivered one fails the handover.  An
+        AssocRequest whose outcome comes after the commit changes nothing:
+        the candidate can send its AssocResponse before its ack of the
+        request, and that ack then arrives after the ack wait.
         """
         cfg = self.sim.cfg.handover
         kind = frame.kind
@@ -190,7 +193,7 @@ class MobileController:
                 self._handover_failed("probe_cca_fail")
             else:
                 self._set_timer(cfg.probe_window_us)
-        elif kind == FrameKind.ASSOC_REQ:
+        elif kind == FrameKind.ASSOC_REQ and frame.dst == self.candidate:
             if outcome != SendOutcome.DELIVERED:
                 self._handover_failed("assoc_req_lost")
             else:

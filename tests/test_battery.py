@@ -10,7 +10,7 @@ from pathlib import Path
 
 BATTERY = Path(__file__).resolve().parent.parent / "tools" / "battery.py"
 
-FAST_DIGEST = "57be4cf613ce5f65f5d70e9770ad3e4f1a744a91b70a54d9dc4b69fb45ecd53d"
+FAST_DIGEST = "1489f17c063ed709bedbf882e28541a3be9acb5e84ea26d12363e7a7e6a165bb"
 
 
 def _battery():

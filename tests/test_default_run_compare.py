@@ -19,7 +19,7 @@ RUN_GOLDEN = {
     "energy.csv":
         "e3a1390455671000061376aa399ec6b6f3f248807e41e9ed25e16a1379dccdc2",
     "summary.txt":
-        "dba9fd3425c18e279bc2024c905fc35a7a78731015d596e1d02f56ba57cf7ef4",
+        "f0e59d34648049500526c53d99a424890998ab2edefaa7fc2a91c9c6d0226bb9",
 }
 
 # sha256 of each file `harness.compare` writes for default.scenario (seed 42).

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from conftest import make_cfg
+from util_props import LoggedSimulation, check_invariants, random_scenario
 from wpansim.mac import BROADCAST, Frame, FrameKind
 from wpansim.phy import lq_from_rx_power
 from wpansim.scenario import NodeRole
@@ -229,6 +230,18 @@ def test_a_data_frame_queued_behind_a_control_frame_counts_without_a_row():
     assert not any(r.frame_kind == FrameKind.DATA for r in res.rows)
     s = res.stats
     assert (s.data_attempts, s.delivered, s.no_ack, s.cca_fail) == (1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("index", [1331, 1769, 2090, 2452, 2548])
+def test_an_assoc_request_outcome_after_the_commit_changes_nothing(index):
+    # In these scenarios the candidate sends its AssocResponse before its ack
+    # of the AssocRequest, so the mobile commits while the request is still
+    # retried.  Every retry's ack was missed too, and the request's no-ack
+    # outcome used to fail the handover just completed.
+    cfg = random_scenario(index)
+    sim = LoggedSimulation(cfg)
+    result = sim.run()
+    check_invariants(result, cfg, sim.delivery_log)
 
 
 def test_parent_is_always_router_or_coordinator(default_cfg):

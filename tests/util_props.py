@@ -174,6 +174,15 @@ def check_invariants(result, cfg, log) -> None:
                         if mode.tx_power_dbm is not None)
         assert ledger_tx == tx_time[nid], f"node {nid} transmit time"
 
+    # The mobile's handovers do not overlap: each HANDOVER_START is ended by
+    # one HANDOVER_DONE or HANDOVER_FAIL before the next starts.
+    searching = False
+    for r in rows:
+        if r.node_id == result.mobile_id and r.event_kind.startswith("HANDOVER_"):
+            starts = r.event_kind == "HANDOVER_START"
+            assert starts != searching, f"{r.event_kind} at {r.time_us} us"
+            searching = starts
+
     # The mobile's counts are consistent with each other.
     stats = result.stats
     assert stats.handovers - stats.completions - stats.failures in (0, 1)
