@@ -37,8 +37,9 @@ Range checks: a node id is a unicast short address, 0..0xFFFD (0xFFFE and
 the broadcast address 0xFFFF are reserved); every number is finite, every
 time and byte count is zero or more and the traffic period, move_tick and
 probe_retry are positive (waypoint arrival times need only strictly
-increase); mac_max_be is 3..8 and mac_min_be 0..mac_max_be (IEEE
-802.15.4-2006, Table 86); mac_header + payload (or the largest control
+increase); mac_max_be is 3..8, mac_min_be 0..mac_max_be,
+max_csma_backoffs 0..5 and max_frame_retries 0..7 (IEEE 802.15.4-2006,
+Table 86); mac_header + payload (or the largest control
 payload) <= 127 B, as is ack_header (aMaxPHYPacketSize); and no frame is
 empty: phy_overhead + ack_header and phy_overhead + mac_header + payload
 are at least 1 B; tx_power and every level of a [sweep] powers line are
@@ -469,9 +470,11 @@ def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> No
         if n.role is not NodeRole.END_DEVICE:
             raise ScenarioError(f"{source}: mobile node {n.node_id} must be an end_device",
                                 header_line(n))
-    max_be = cfg.csma.mac_max_be  # ranges of IEEE 802.15.4-2006, Table 86
-    for key, value, lo, hi in (("mac_max_be", max_be, 3, 8),
-                               ("mac_min_be", cfg.csma.mac_min_be, 0, max_be)):
+    csma = cfg.csma  # ranges of IEEE 802.15.4-2006, Table 86
+    for key, value, lo, hi in (("mac_max_be", csma.mac_max_be, 3, 8),
+                               ("mac_min_be", csma.mac_min_be, 0, csma.mac_max_be),
+                               ("max_csma_backoffs", csma.max_csma_backoffs, 0, 5),
+                               ("max_frame_retries", csma.max_frame_retries, 0, 7)):
         if not lo <= value <= hi:
             raise ScenarioError(f"{source}: {key} {value} outside {lo}..{hi}",
                                 key_lines.get(f"csma.{key}"))

@@ -498,6 +498,26 @@ def test_cli_negative_backoff_exponent_exit_2(tmp_path, capsys, monkeypatch):
     _cli_run_rejects(text, "mac_min_be = -1", tmp_path, capsys, monkeypatch)
 
 
+@pytest.mark.parametrize("value", ["-3", "6"])
+def test_cli_max_csma_backoffs_outside_0_to_5_exit_2(value, tmp_path, capsys,
+                                                     monkeypatch):
+    # Used to run: -3 failed every send at its first busy CCA.
+    bad = f"max_csma_backoffs = {value}"
+    text = TINY.format(duration="500 ms", seed=7) + f"\n[csma]\n{bad}\n"
+    err = _cli_run_rejects(text, bad, tmp_path, capsys, monkeypatch)
+    assert "outside 0..5" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "8"])
+def test_cli_max_frame_retries_outside_0_to_7_exit_2(value, tmp_path, capsys,
+                                                     monkeypatch):
+    # Used to run: -1 sent a frame once and never retried it.
+    bad = f"max_frame_retries = {value}"
+    text = TINY.format(duration="500 ms", seed=7) + f"\n[csma]\n{bad}\n"
+    err = _cli_run_rejects(text, bad, tmp_path, capsys, monkeypatch)
+    assert "outside 0..7" in err
+
+
 def test_cli_empty_ack_frame_exit_2(tmp_path, capsys, monkeypatch):
     # Used to end in "error: frame must be at least 1 byte" (exit 1).
     text = (TINY.format(duration="500 ms", seed=7).replace(

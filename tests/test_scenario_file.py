@@ -321,6 +321,8 @@ def _configs(draw):
         cfg.stationary_nodes()[0].role = NodeRole.COORDINATOR
     cfg.csma.mac_max_be = draw(st.integers(3, 8))
     cfg.csma.mac_min_be = draw(st.integers(0, cfg.csma.mac_max_be))
+    cfg.csma.max_csma_backoffs = draw(st.integers(0, 5))
+    cfg.csma.max_frame_retries = draw(st.integers(0, 7))
     if not cfg.phy.phy_overhead_bytes and 0 in (
             cfg.mac.ack_header_bytes, cfg.mac.mac_header_bytes + cfg.traffic.payload_bytes):
         cfg.phy.phy_overhead_bytes = 1  # no frame may be empty
