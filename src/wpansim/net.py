@@ -111,13 +111,7 @@ class StationaryController:
 
 
 class MobileController:
-    """Mobile end device: traffic source, handover initiator, TPC owner.
-
-    The handover's state is two fields: `responses`, the probe responses
-    heard so far, is a list only while probing, and `candidate`, the
-    responder asked to be the parent, is set only while associating.
-    Neither is set when idle.
-    """
+    """Mobile end device: traffic source, handover initiator, TPC owner."""
 
     def __init__(self, sim, node) -> None:
         self.sim = sim
@@ -141,7 +135,9 @@ class MobileController:
 
     @property
     def searching(self) -> bool:
-        """True while a handover probes or associates."""
+        """True while a handover runs: the handover's state is `responses`,
+        a list only while probing, and `candidate`, set only while
+        associating."""
         return self.responses is not None or self.candidate is not None
 
     def _degraded(self, lq: int) -> bool:
@@ -164,14 +160,12 @@ class MobileController:
     def on_send_outcome(self, frame: Frame, outcome: str) -> None:
         """How a queued send ended, by the kind of frame sent.
 
-        A data frame feeds the ack-failure streak.  A probe opens its
-        response window once sent; a broadcast probe that fails CCA fails
-        the handover at once, while a scan poll waits out its full window,
-        answered or not.  A delivered AssocRequest sets the guard against a
-        lost AssocResponse; an undelivered one fails the handover.  An
-        AssocRequest whose outcome comes after the commit changes nothing:
-        the candidate can send its AssocResponse before its ack of the
-        request, and that ack then arrives after the ack wait.
+        Data feeds the ack-failure streak.  A probe opens its response
+        window; a broadcast probe that fails CCA fails the handover, while a
+        scan poll waits out its window, answered or not.  An AssocRequest
+        sets the guard against a lost AssocResponse, or fails the handover
+        if lost.  Its outcome changes nothing after the commit: the
+        candidate can send its AssocResponse before its ack of the request.
         """
         cfg = self.sim.cfg.handover
         kind = frame.kind
