@@ -10,7 +10,7 @@ from pathlib import Path
 
 BATTERY = Path(__file__).resolve().parent.parent / "tools" / "battery.py"
 
-FAST_DIGEST = "1489f17c063ed709bedbf882e28541a3be9acb5e84ea26d12363e7a7e6a165bb"
+FAST_DIGEST = "c77e33aadf7844feb21b50304cdc1d8f1c6dec4d4b5743dd3cbab827ebbb18af"
 
 
 def _battery():

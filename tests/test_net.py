@@ -195,6 +195,32 @@ def test_scan_poll_cca_failure_waits_the_poll_window_then_polls_the_next():
         polls[-1][-1].time_us + sim.cfg.handover.scan_response_timeout_us)
 
 
+def test_a_lost_assoc_response_fails_after_the_probe_window_then_retries():
+    nodes = "[node 1]\nrole = coordinator\nclass = stationary\nx = 0 m\n"
+    sim = parked_sim(x=1.0, nodes=nodes, duration="500 ms")
+    handover = sim.cfg.handover
+    handover.probe_window_us = 70_000  # unlike the scan poll's
+    coordinator = sim.nodes[1].controller
+    on_frame = coordinator.on_frame
+
+    def acks_but_never_responds(frame, rx_power, lq):
+        if frame.kind != FrameKind.ASSOC_REQ:  # the MAC still acks it
+            on_frame(frame, rx_power, lq)
+
+    coordinator.on_frame = acks_but_never_responds
+    rows = [r for r in sim.run().rows if r.node_id == sim.mobile.node_id]
+    delivered = next(r for r in rows if r.event_kind == "SEND_OUTCOME"
+                     and r.frame_kind == "assoc_req")
+    assert delivered.detail == "delivered"
+    handovers = handover_rows(rows)
+    assert [r.event_kind for r in handovers[:3]] == [
+        "HANDOVER_START", "HANDOVER_FAIL", "HANDOVER_START"]
+    fail, retry = handovers[1:3]
+    assert (fail.detail, fail.time_us) == (
+        "assoc_resp_lost", delivered.time_us + handover.probe_window_us)
+    assert retry.time_us == fail.time_us + handover.probe_retry_us
+
+
 def test_orphan_outage_accrues_with_data_pending():
     sim = parked_sim(x=0.0, mode="broadcast", nodes="", duration="2 s",
                      period="100 ms")

@@ -7,6 +7,9 @@ Fast part (about 3 s):
 - `sweep` on the default scenario and `run` on the contention scenario, at
   seeds 1-5;
 - `run` on `util_props.random_scenario` 0-299;
+- `run` on `random_scenario` 0-59 with a 70 ms probe window and a 30 ms scan
+  poll timeout, so that the two handover timers differ (every other battery
+  scenario uses 50 ms for both);
 - `calibrate` on `tests/data/uncalibrated.scenario` (a search), on the
   default scenario (already on target: the early exit) and on a detuned
   default scenario (n 2.0, pl0 40 dB, sensitivity -90 dBm, stationary nodes
@@ -64,6 +67,11 @@ def write_fast(out: Path) -> None:
                        seed=seed)
     for index in range(300):
         run_simulation(random_scenario(index), out / f"random_{index}")
+    for index in range(60):
+        cfg = random_scenario(index)
+        cfg.handover.probe_window_us = 70_000
+        cfg.handover.scan_response_timeout_us = 30_000
+        run_simulation(cfg, out / f"random_timers_{index}")
     calibrate(load_scenario(UNCALIBRATED), out / "calibrate_uncalibrated")
     calibrate(scenarios["default"], out / "calibrate_default")
     detuned = load_scenario(default_scenario_path())  # far off the fit
