@@ -122,7 +122,7 @@ class MobileController:
         if cfg.tpc.enabled:
             node.power_dbm = max(cfg.phy.power_levels_dbm)
         self.ack_fail_streak = 0
-        self.handover_epoch = 0  # tags the handover timer
+        self._timer = None  # the pending handover timer's Event
         self.handover_started: SimTime = 0
         self.responses: list[tuple[int, int]] | None = None  # (reported lq, node id)
         # Probed in turn by every handover: the MAC-broadcast address, or for
@@ -252,7 +252,7 @@ class MobileController:
             if now < self._lq_block_until:
                 return
             self._lq_block_until = now + self.sim.cfg.handover.lq_retrigger_cooldown_us
-        self.handover_epoch += 1
+        self._cancel_timer()
         self.handover_started = now
         self.responses = []
         self.sim.emit(self.node, TraceKind.HANDOVER_START, detail=reason)
@@ -264,27 +264,25 @@ class MobileController:
             self._probe_next()
 
     def _set_timer(self, delay: SimTime) -> None:
-        """Fire on_handover_timer after `delay`, tagged with this epoch."""
-        self.sim.loop.schedule(self.sim.loop.now + delay, self.on_handover_timer,
-                               self.handover_epoch)
+        """Fire on_handover_timer after `delay`, in place of any pending timer."""
+        self._cancel_timer()
+        self._timer = self.sim.loop.schedule(self.sim.loop.now + delay,
+                                             self.on_handover_timer)
 
-    def on_handover_timer(self, epoch: int) -> None:
+    def _cancel_timer(self) -> None:
+        if self._timer is not None:
+            self.sim.loop.cancel(self._timer)
+            self._timer = None
+
+    def on_handover_timer(self) -> None:
         """The one handover timer; the state it meets says what it was set for.
 
-        The epoch lives on this timer only: each handover starts a new one,
-        and a timer from an earlier epoch is stale.  At most one timer of
-        the current epoch is pending at a time: probing sets the response
-        window of the address just probed, associating the guard against a
-        lost AssocResponse, and a failure, which leaves the mobile idle, the
-        retry.  A live one meets the state that set it: only the timer
-        moves probing on, to the next address or, after the last, to the
-        candidate; idle is left only through start_handover.  The one
-        exception is a guard that fires after the commit: it finds the
-        mobile idle with a parent, and the idle branch acts only on an
-        orphan, so it does nothing.
+        Probing sets the response window of the address just probed,
+        associating the guard against a lost AssocResponse, and a failure,
+        which leaves the mobile an orphan, the retry.  start_handover and the
+        commit cancel it, so it always meets the state that set it.
         """
-        if epoch != self.handover_epoch:
-            return
+        self._timer = None  # processed: no longer to be cancelled
         if self.responses is not None:  # the probed address's window has closed
             self.probe_index += 1
             if self.probe_index < len(self.probe_addrs):
@@ -293,7 +291,7 @@ class MobileController:
                 self._select_candidate()
         elif self.candidate is not None:  # no AssocResponse within the guard
             self._handover_failed("assoc_resp_lost")
-        elif self.parent is None:  # retry after a failure
+        else:  # retry after a failure
             self.start_handover("orphan")
 
     def _probe_next(self) -> None:
@@ -319,6 +317,7 @@ class MobileController:
         now = self.sim.loop.now
         self.parent = parent
         self.candidate = None
+        self._cancel_timer()  # the guard against a lost AssocResponse
         self.ack_fail_streak = 0
         latency = now - self.handover_started
         self.sim.emit(self.node, TraceKind.HANDOVER_DONE, detail=(parent, latency))

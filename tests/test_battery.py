@@ -10,7 +10,7 @@ from pathlib import Path
 
 BATTERY = Path(__file__).resolve().parent.parent / "tools" / "battery.py"
 
-FAST_DIGEST = "c77e33aadf7844feb21b50304cdc1d8f1c6dec4d4b5743dd3cbab827ebbb18af"
+FAST_DIGEST = "053db87d784bd23a7772fae462abdb62a4a5a2049c58bab654496c630e271cad"
 
 
 def _battery():

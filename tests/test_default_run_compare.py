@@ -19,7 +19,7 @@ RUN_GOLDEN = {
     "energy.csv":
         "e3a1390455671000061376aa399ec6b6f3f248807e41e9ed25e16a1379dccdc2",
     "summary.txt":
-        "f0e59d34648049500526c53d99a424890998ab2edefaa7fc2a91c9c6d0226bb9",
+        "4c99721c2d7f28bf842e93985b4c8a41e921e7840ef6a2ea4cabae8ec64db60e",
 }
 
 # sha256 of each file `harness.compare` writes for default.scenario (seed 42).

@@ -381,10 +381,9 @@ def test_tpc_average_power_never_exceeds_fixed_max(default_cfg):
 
 
 def _in_state(state, mode="broadcast", probe_index=0):
-    """A mobile in `state` of epoch 2, where a live timer would act."""
+    """A mobile in `state`, where a live timer would act."""
     sim = parked_sim(x=1.0, mode=mode)
     ctrl = sim.mobile.controller
-    ctrl.handover_epoch = 2
     if state == "probing":
         ctrl.responses = [(200, 1)]  # a candidate to select
     elif state == "associating":
@@ -415,36 +414,84 @@ def _queue(sim):
     pytest.param("associating", "broadcast", 0, "HANDOVER_FAIL", id="associating"),
 ])
 def test_stale_handover_timer_is_ignored(state, mode, probe_index, acts):
-    sim, ctrl = _in_state(state, mode, probe_index)
-    before = _handover(ctrl)
-    ctrl.on_handover_timer(1)
-    assert _handover(ctrl) == before
+    # Stale: the retry of a failed handover, when a data tick starts the
+    # next handover first.  start_handover cancels it, so it never runs.
+    sim = parked_sim(x=1.0, mode=mode)
+    ctrl = sim.mobile.controller
+    ctrl._handover_failed("no_responses")
+    retry = ctrl._timer
+    ctrl.on_data_due()  # no parent: a handover starts at once
+    assert retry.cancelled and ctrl._timer is None
+    sim.loop.run_until(retry.time, sim._dispatch)
     kinds = kind_counts(sim.rows)
-    assert ctrl.parent is None
-    assert kinds["HANDOVER_START"] == kinds["HANDOVER_FAIL"] == 0
-    queue = _queue(sim)
-    assert not sim.rows and queue.scheduled == queue.total_processed == 0
-    ctrl.on_handover_timer(2)  # the same timer, live, acts
+    assert (ctrl.searching, ctrl.parent) == (False, 1)  # it completed
+    assert kinds["HANDOVER_START"] == kinds["HANDOVER_FAIL"] == 1
+    assert kinds["HANDOVER_DONE"] == 1  # and no second one started
+    # Live: a timer meets the state that set it, and acts.
+    sim, ctrl = _in_state(state, mode, probe_index)
+    ctrl.on_handover_timer()
     first = sim.rows[0]
     assert acts in (first.event_kind, first.frame_kind)
     if acts == "probe_req":  # the next address is polled
         assert (first.dst, ctrl.probe_index) == (3, 2)
 
 
-def test_assoc_guard_after_the_commit_is_a_no_op():
+def test_the_commit_cancels_the_assoc_guard():
     sim, ctrl = _in_state("associating")
+    ctrl._set_timer(sim.cfg.handover.probe_window_us)  # as the request's ack sets it
+    guard, before = ctrl._timer, _queue(sim)
     ctrl.on_frame(Frame(FrameKind.ASSOC_RESP, 0, 1, ctrl.node.node_id), -54.0, 200)
     assert (ctrl.searching, ctrl.candidate, ctrl.parent) == (False, None, 1)
-    rows, before = len(sim.rows), _queue(sim)
-    ev = sim.loop.schedule(sim.cfg.handover.probe_window_us,
-                           ctrl.on_handover_timer, 2)
-    after = sim.loop.run_until(ev.time, sim._dispatch)
+    assert ctrl._timer is None and guard.cancelled
+    rows = len(sim.rows)
+    after = sim.loop.run_until(guard.time, sim._dispatch)
     assert (ctrl.searching, ctrl.parent) == (False, 1)
     kinds = kind_counts(sim.rows)
     assert kinds["HANDOVER_FAIL"] == 0 and kinds["HANDOVER_DONE"] == 1
-    assert len(sim.rows) == rows and after.total_processed == 1  # the guard alone
-    assert after.scheduled == before.scheduled + 1  # the guard scheduled nothing
-    assert after.unprocessed == before.unprocessed
+    assert len(sim.rows) == rows and after.total_processed == 0  # the guard never ran
+    assert after.cancelled == before.cancelled + 1
+    assert after.scheduled == before.scheduled  # the commit scheduled nothing
+    assert after.unprocessed == before.unprocessed - 1 == 0
+
+
+def test_setting_the_handover_timer_replaces_a_pending_one():
+    sim, ctrl = _in_state("probing")
+    ctrl._set_timer(10)
+    first = ctrl._timer
+    ctrl._set_timer(20)
+    assert first.cancelled and not ctrl._timer.cancelled
+    queue = sim.loop.run_until(20, sim._dispatch)
+    assert (queue.cancelled, queue.total_processed) == (1, 1)  # the second ran
+    assert ctrl.candidate == 1  # and selected the responder
+
+
+def _timer_no_ops(cfg):
+    """(handover-timer events, those that changed none of the mobile's
+    handover state, parent, rows or pending events) in one run of cfg."""
+    sim = Simulation(cfg)
+    ctrl = sim.mobile.controller
+    on_timer = ctrl.on_handover_timer
+    counts = [0, 0]
+
+    def snapshot():
+        return (_handover(ctrl), ctrl.parent, len(sim.rows), len(sim.loop._heap))
+
+    def counted(*args):
+        before = snapshot()
+        on_timer(*args)
+        counts[0] += 1
+        counts[1] += snapshot() == before
+
+    ctrl.on_handover_timer = counted
+    sim.run()
+    return tuple(counts)
+
+
+def test_every_handover_timer_event_changes_the_mobile(default_cfg):
+    assert _timer_no_ops(default_cfg) == (13, 0)
+    runs = [_timer_no_ops(random_scenario(index)) for index in range(300)]
+    assert sum(events for events, _ in runs) == 935
+    assert sum(no_ops for _, no_ops in runs) == 0
 
 
 def test_low_lq_handover_may_trigger_again_when_the_cooldown_ends():
@@ -468,6 +515,6 @@ def test_failed_handover_with_tpc_resets_the_power_to_the_top_level(power, rows)
     sim, ctrl = tpc_sim()
     ctrl.node.power_dbm = power
     ctrl.candidate = 2  # associating
-    ctrl.on_handover_timer(ctrl.handover_epoch)  # no AssocResponse in time
+    ctrl.on_handover_timer()  # no AssocResponse in time
     assert [(r.event_kind, r.detail) for r in sim.rows] == rows
     assert (ctrl.parent, ctrl.candidate, ctrl.node.power_dbm) == (None, None, 6.0)
