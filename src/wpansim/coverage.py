@@ -4,7 +4,7 @@ Gaps are meter-denominated: a stretch of the trajectory is a gap when the
 trace shows the mobile failing every exchange there (failed unicast sends,
 probe rounds with no responses, ticks with no parent) and succeeding in
 none.  Boundaries are reported at 0.1 m resolution.  The independent check
-is a brute-force in_range sampler along the trajectory at 0.01 m.
+is a brute-force link-budget sampler along the trajectory at 0.01 m.
 line_spans owns the static geometry, each station's chord of the trajectory's
 line; calibration's gaps and the sweep's overlaps read it, the sampler does not.
 """
@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .mac import SendOutcome
-from .phy import PhyParams, comm_range_m, in_range
+from .phy import PhyParams, comm_range_m, heard, link_rx_power
 from .scenario import NodeClass
 from .scenario_file import ScenarioError
 from .trace import TraceKind, TraceRecord
@@ -101,7 +101,7 @@ def _stationary_geometry(cfg) -> list[tuple[float, float, float]]:
 
 def static_gap_oracle(cfg, power_dbm: float,
                       step: float = ORACLE_STEP_M) -> list[tuple[float, float]]:
-    """Brute-force reference: sample in_range along the trajectory.
+    """Brute-force reference: sample reception along the trajectory.
 
     Walks x across the trajectory span in `step` increments and marks the
     positions where no stationary node is within communication range at the
@@ -122,7 +122,8 @@ def static_gap_oracle(cfg, power_dbm: float,
         covered = False
         for sx, sy, sgain in stations:
             dist = ((x - sx) ** 2 + (y - sy) ** 2) ** 0.5
-            if in_range(dist, power_dbm, sgain, gain_rx, params):
+            if heard(link_rx_power(dist, power_dbm, sgain, gain_rx, params),
+                     params):
                 covered = True
                 break
         if not covered and run_start is None:

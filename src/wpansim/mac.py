@@ -91,21 +91,17 @@ class SendOutcome:
 
 
 class Transmission:
-    __slots__ = ("src", "frame", "start", "end", "src_pos", "gain_tx_db",
-                 "src_stationary", "engaged", "audience")
+    __slots__ = ("node", "frame", "start", "end", "src_pos", "engaged", "audience")
 
-    def __init__(self, src: int, frame: Frame, start: SimTime, end: SimTime,
-                 src_pos: tuple[float, float], gain_tx_db: float,
-                 src_stationary: bool, engaged: list[int],
+    def __init__(self, node, frame: Frame, start: SimTime, end: SimTime,
+                 src_pos: tuple[float, float], engaged: list,
                  audience: dict | None = None) -> None:
-        self.src = src
+        self.node = node  # the sender
         self.frame = frame
         self.start = start
         self.end = end
         self.src_pos = src_pos  # snapshot at transmit start
-        self.gain_tx_db = gain_tx_db
-        self.src_stationary = src_stationary  # position fixed for the whole run
-        self.engaged = engaged  # listeners put into rx mode for this frame
+        self.engaged = engaged  # listener nodes put into rx mode for this frame
         # Fixed by Channel.add: node id -> (node, rx power, LQ) per listener
         # that hears the frame, in node order; a mobile listener is a (node,
         # None, None) placeholder, measured live because it moves during the
@@ -120,12 +116,12 @@ class Channel:
     """Shared medium: active transmission set plus the history still needed.
 
     History is needed because collisions are resolved at transmit end, when
-    shorter overlapping frames may already have finished.  `prune(now)`
+    shorter overlapping frames may already have finished.  `add(tx)` first
     keeps a transmission iff it ended at or after `now - longest_us`, where
-    `longest_us` is the longest frame added so far.  That drops nothing a
-    resolution can still ask for: an unresolved transmission X has
-    X.end >= now, so any t overlapping it has t.end > X.start >= now -
-    longest_us.
+    `now` is tx.start and `longest_us` the longest frame added before tx.
+    That drops nothing a resolution can still ask for: an unresolved
+    transmission X has X.end >= now, so any t overlapping it has t.end >
+    X.start >= now - longest_us.
 
     Listeners are nodes (`node_id`, `is_mobile`, `gain_db`, `position()`),
     given in node order.  `add` fixes each frame's audience at transmit
@@ -142,10 +138,16 @@ class Channel:
         self.transmissions: list[Transmission] = []
         self.longest_us: SimTime = 0
         self._first_end: SimTime | None = None  # earliest end in history
-        self.audiences: dict[int, dict] = {}  # by stationary source id
+        self.audiences: dict = {}  # by stationary source node
 
     def add(self, tx: Transmission) -> None:
-        """Put tx on the air and fix its audience."""
+        """Drop the history no resolution needs, put tx on the air and fix
+        its audience."""
+        oldest_end = tx.start - self.longest_us
+        if self._first_end is not None and self._first_end < oldest_end:
+            kept = [t for t in self.transmissions if t.end >= oldest_end]
+            self.transmissions = kept
+            self._first_end = min((t.end for t in kept), default=None)
         tx.audience = self.audience(tx)
         self.transmissions.append(tx)
         airtime = tx.end - tx.start
@@ -154,24 +156,17 @@ class Channel:
         if self._first_end is None or tx.end < self._first_end:
             self._first_end = tx.end
 
-    def prune(self, now: SimTime) -> None:
-        oldest_end = now - self.longest_us
-        if self._first_end is None or self._first_end >= oldest_end:
-            return  # nothing has expired
-        kept = [t for t in self.transmissions if t.end >= oldest_end]
-        self.transmissions = kept
-        self._first_end = min((t.end for t in kept), default=None)
-
     def audience(self, tx: Transmission) -> dict:
         """Listeners that hear tx: node id -> (node, rx power, LQ), in node order."""
-        if tx.src_stationary:
-            audience = self.audiences.get(tx.src)
+        src = tx.node
+        if not src.is_mobile:
+            audience = self.audiences.get(src)
             if audience is not None:
                 return audience
         params = self.params
         audience = {}
         for node in self.listeners:
-            if node.node_id == tx.src:
+            if node is src:
                 continue
             if node.is_mobile:
                 audience[node.node_id] = (node, None, None)
@@ -179,8 +174,8 @@ class Channel:
             rx = self.rx_power(tx, node)
             if heard(rx, params):
                 audience[node.node_id] = (node, rx, lq_from_rx_power(rx, params))
-        if tx.src_stationary:
-            self.audiences[tx.src] = audience
+        if not src.is_mobile:
+            self.audiences[src] = audience
         return audience
 
     def rx_power(self, tx: Transmission, node) -> float:
@@ -189,7 +184,7 @@ class Channel:
         dx = tx.src_pos[0] - x
         dy = tx.src_pos[1] - y
         return link_rx_power((dx * dx + dy * dy) ** 0.5, tx.frame.tx_power_dbm,
-                             tx.gain_tx_db, node.gain_db, self.params)
+                             tx.node.gain_db, node.gain_db, self.params)
 
     def audible(self, tx: Transmission, node) -> bool:
         """True iff tx arrives strictly above the listener's sensitivity."""
@@ -206,7 +201,7 @@ class Channel:
         """
         for t in self.transmissions:
             if t.start <= now < t.end:
-                if t.src == node.node_id:
+                if t.node is node:
                     return True
                 if self.audible(t, node):
                     return True

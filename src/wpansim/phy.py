@@ -65,16 +65,6 @@ def beacon_interval(bo: int, band: Band) -> SimTime:
     return _BEACON_BASE_US[band.data_rate_kbps] << bo
 
 
-def path_loss_db(distance_m: float, params: PhyParams) -> float:
-    d = max(distance_m, MIN_DISTANCE_M)
-    return params.pl0_db + 10.0 * params.path_loss_exponent * math.log10(d)
-
-
-def received_power(tx_dbm: float, gain_tx_db: float, gain_rx_db: float,
-                   pl_db: float) -> float:
-    return tx_dbm + gain_tx_db + gain_rx_db - pl_db
-
-
 def heard(rx_dbm: float, params: PhyParams) -> bool:
     """The one reception rule: heard iff rx strictly exceeds sensitivity."""
     return rx_dbm > params.rx_sensitivity_dbm
@@ -107,15 +97,10 @@ def frame_airtime(frame_bytes: int, band: Band) -> SimTime:
 
 def link_rx_power(distance_m: float, tx_dbm: float, gain_tx_db: float,
                   gain_rx_db: float, params: PhyParams) -> float:
-    return received_power(tx_dbm, gain_tx_db, gain_rx_db,
-                          path_loss_db(distance_m, params))
-
-
-def in_range(distance_m: float, tx_dbm: float, gain_tx_db: float,
-             gain_rx_db: float, params: PhyParams) -> bool:
-    """True iff a receiver at `distance_m` hears the sender."""
-    return heard(link_rx_power(distance_m, tx_dbm, gain_tx_db, gain_rx_db, params),
-                 params)
+    """The one link budget: received power in dBm at `distance_m`."""
+    d = max(distance_m, MIN_DISTANCE_M)
+    pl_db = params.pl0_db + 10.0 * params.path_loss_exponent * math.log10(d)
+    return tx_dbm + gain_tx_db + gain_rx_db - pl_db
 
 
 def comm_range_m(tx_dbm: float, gain_total_db: float, params: PhyParams) -> float:

@@ -133,9 +133,7 @@ class Simulation:
     def begin_transmission(self, node: Node, frame: Frame) -> None:
         now = self.loop.now
         airtime = self.airtime(frame)
-        tx = Transmission(node.node_id, frame, now, now + airtime,
-                          node.position(), node.gain_db, not node.is_mobile, [])
-        self.channel.prune(now)
+        tx = Transmission(node, frame, now, now + airtime, node.position(), [])
         self.channel.add(tx)
         node.set_mode(tx_mode(frame.tx_power_dbm))
         node.mac.tx_ends_at = tx.end
@@ -147,9 +145,9 @@ class Simulation:
                 other.rx_engagements += 1
                 if mode == LISTEN:
                     other.set_mode(RX)
-                tx.engaged.append(other.node_id)
+                tx.engaged.append(other)
         self.emit(node, TraceKind.TX_START, frame)
-        self.loop.schedule(tx.end, self._on_tx_end, node, tx)
+        self.loop.schedule(tx.end, self._on_tx_end, tx)
 
     def deliver(self, tx: Transmission) -> list[tuple[Node, float, int]]:
         """Resolve reception of a completed transmission (no-capture model).
@@ -179,11 +177,11 @@ class Simulation:
             self.emit(other, TraceKind.RX, tx.frame, rx_power=rx_power, lq=lq)
         return receivers
 
-    def _on_tx_end(self, node: Node, tx: Transmission) -> None:
+    def _on_tx_end(self, tx: Transmission) -> None:
+        node = tx.node
         receivers = self.deliver(tx)
         self.emit(node, TraceKind.TX_END, tx.frame)
-        for nid in tx.engaged:
-            other = self.nodes[nid]
+        for other in tx.engaged:
             other.rx_engagements -= 1
             if other.rx_engagements == 0 and other.ledger.mode == RX:
                 other.set_mode(LISTEN)

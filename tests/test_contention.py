@@ -32,7 +32,7 @@ GOLDEN = {
 }
 
 # Link budgets computed by the broadcast+tpc arm before the cache existed
-# (8,158 through phy.in_range plus 1,800 through Channel.rx_power).
+# (8,158 through the old phy.in_range plus 1,800 through Channel.rx_power).
 UNCACHED_LINK_BUDGETS = 9_958
 
 
@@ -65,7 +65,7 @@ def test_each_stationary_link_budget_is_computed_once(monkeypatch):
         return original_link(*args)
 
     def tracking_rx_power(channel, tx, node):
-        link.append((tx.src, node.node_id, tx.frame.tx_power_dbm))
+        link.append((tx.node.node_id, node.node_id, tx.frame.tx_power_dbm))
         try:
             return original_rx_power(channel, tx, node)
         finally:
@@ -100,7 +100,7 @@ def test_each_frame_reaches_each_stationary_listener_once(monkeypatch):
 
     def tracking_rx_power(channel, tx, node):
         frames.append(tx)
-        link.append((id(tx), tx.src, node.node_id))
+        link.append((id(tx), tx.node.node_id, node.node_id))
         try:
             return original_rx_power(channel, tx, node)
         finally:

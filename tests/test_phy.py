@@ -2,8 +2,8 @@ import pytest
 
 from reference import channel_center_frequency
 from wpansim.phy import (B868, B915, B2400, PhyParams, beacon_interval,
-                         comm_range_m, frame_airtime, in_range,
-                         lq_from_rx_power, path_loss_db, received_power)
+                         comm_range_m, frame_airtime, heard, link_rx_power,
+                         lq_from_rx_power)
 
 
 def test_channel_frequencies_full_plan():
@@ -42,24 +42,27 @@ def test_beacon_order_15_is_not_an_interval():
 
 def test_path_loss_reference_distance():
     p = PhyParams(pl0_db=47.0, path_loss_exponent=2.0)
-    assert path_loss_db(1.0, p) == 47.0
+    assert link_rx_power(1.0, 0.0, 0.0, 0.0, p) == -47.0
 
 
 def test_path_loss_doubling_distance():
     p = PhyParams(pl0_db=40.0, path_loss_exponent=2.0)
-    assert path_loss_db(2.0, p) - path_loss_db(1.0, p) == pytest.approx(6.0206, abs=1e-4)
+    loss = link_rx_power(1.0, 0.0, 0.0, 0.0, p) - link_rx_power(2.0, 0.0, 0.0, 0.0, p)
+    assert loss == pytest.approx(6.0206, abs=1e-4)
 
 
 def test_path_loss_clamps_tiny_distance():
     p = PhyParams()
-    assert path_loss_db(0.0, p) == path_loss_db(0.1, p)
-    assert path_loss_db(0.05, p) == path_loss_db(0.1, p)
+    at_clamp = link_rx_power(0.1, 0.0, 0.0, 0.0, p)
+    assert link_rx_power(0.0, 0.0, 0.0, 0.0, p) == at_clamp
+    assert link_rx_power(0.05, 0.0, 0.0, 0.0, p) == at_clamp
 
 
 def test_received_power_budget():
-    assert received_power(0.0, 0.0, 0.0, 85.0) == -85.0
-    assert received_power(4.0, 0.0, 0.0, 85.0) == -81.0
-    assert received_power(0.0, 3.0, 0.0, 85.0) == -82.0
+    p = PhyParams(pl0_db=85.0)  # 85 dB of path loss at 1 m
+    assert link_rx_power(1.0, 0.0, 0.0, 0.0, p) == -85.0
+    assert link_rx_power(1.0, 4.0, 0.0, 0.0, p) == -81.0
+    assert link_rx_power(1.0, 0.0, 3.0, 0.0, p) == -82.0
 
 
 def test_lq_endpoints_and_midpoint():
@@ -92,14 +95,14 @@ def test_frame_airtime():
 def test_in_range_strict_at_sensitivity():
     # rx exactly at sensitivity must be out of range
     p = PhyParams(pl0_db=85.0, path_loss_exponent=2.0, rx_sensitivity_dbm=-85.0)
-    assert in_range(1.0, 0.0, 0.0, 0.0, p) is False
-    assert in_range(0.999, 0.0, 0.0, 0.0, p) is True
+    assert heard(link_rx_power(1.0, 0.0, 0.0, 0.0, p), p) is False
+    assert heard(link_rx_power(0.999, 0.0, 0.0, 0.0, p), p) is True
 
 
 def test_in_range_monotone_in_power():
     p = PhyParams()
     d = 3.0
-    states = [in_range(d, power, 0.0, 0.0, p) for power in range(-10, 11)]
+    states = [heard(link_rx_power(d, power, 0.0, 0.0, p), p) for power in range(-10, 11)]
     # once true, stays true for every higher power
     first_true = states.index(True) if True in states else len(states)
     assert all(states[first_true:])
@@ -107,15 +110,15 @@ def test_in_range_monotone_in_power():
 
 def test_in_range_on_calibrated_defaults(default_cfg):
     p = default_cfg.phy
-    assert in_range(1.0, 0.0, 0.0, 0.0, p) is True
+    assert heard(link_rx_power(1.0, 0.0, 0.0, 0.0, p), p) is True
     # x = 3 m sits in the first coverage gap at 0 dBm: out of range of all three
     for node in default_cfg.stationary_nodes():
         dist = abs(3.0 - node.x)
-        assert in_range(dist, 0.0, node.antenna_gain_db, 0.0, p) is False
+        assert heard(link_rx_power(dist, 0.0, node.antenna_gain_db, 0.0, p), p) is False
 
 
 def test_comm_range_matches_in_range_threshold():
     p = PhyParams(pl0_db=54.0, path_loss_exponent=3.5, rx_sensitivity_dbm=-73.0)
     r = comm_range_m(0.0, 0.0, p)
-    assert in_range(r * 0.999, 0.0, 0.0, 0.0, p) is True
-    assert in_range(r * 1.001, 0.0, 0.0, 0.0, p) is False
+    assert heard(link_rx_power(r * 0.999, 0.0, 0.0, 0.0, p), p) is True
+    assert heard(link_rx_power(r * 1.001, 0.0, 0.0, 0.0, p), p) is False
