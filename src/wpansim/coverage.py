@@ -242,7 +242,6 @@ def association_map(rows: list[TraceRecord],
 
 
 class CoverageReport(NamedTuple):
-    power_dbm: float
     gaps: list[tuple[float, float]]
     overlaps: list[tuple[float, float]]
     associations: list[tuple[float, float, int]]  # (start, end, parent)

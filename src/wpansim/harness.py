@@ -121,8 +121,7 @@ def sweep(cfg: ScenarioConfig, powers=None,
         overlaps = overlap_intervals(run_cfg, power)  # rejects before the run
         run = Simulation(run_cfg).run()
         gaps = gap_analysis(run.rows, x_lo, x_hi, run.mobile_id)
-        report = CoverageReport(power, gaps, overlaps,
-                                association_map(run.rows, run.mobile_id))
+        report = CoverageReport(gaps, overlaps, association_map(run.rows, run.mobile_id))
         levels.append(SweepLevel(power, report, run))
         if outdir is not None:
             leveldir = Path(outdir) / f"power_{power:g}dBm"

@@ -94,19 +94,17 @@ class Transmission:
     __slots__ = ("node", "frame", "start", "end", "src_pos", "engaged", "audience")
 
     def __init__(self, node, frame: Frame, start: SimTime, end: SimTime,
-                 src_pos: tuple[float, float], engaged: list,
-                 audience: dict | None = None) -> None:
+                 src_pos: tuple[float, float]) -> None:
         self.node = node  # the sender
         self.frame = frame
         self.start = start
         self.end = end
         self.src_pos = src_pos  # snapshot at transmit start
-        self.engaged = engaged  # listener nodes put into rx mode for this frame
-        # Fixed by Channel.add: node id -> (node, rx power, LQ) per listener
-        # that hears the frame, in node order; a mobile listener is a (node,
-        # None, None) placeholder, measured live because it moves during the
-        # frame.
-        self.audience = audience
+        self.engaged: list = []  # listener nodes put into rx mode for this frame
+        # Fixed by Channel.add: listener node -> (rx power, LQ) per listener
+        # that hears the frame, in node order; the mobile listener maps to
+        # (None, None), measured live because it moves during the frame.
+        self.audience: dict = {}
 
     def overlaps(self, start: SimTime, end: SimTime) -> bool:
         return self.start < end and start < self.end
@@ -123,13 +121,13 @@ class Channel:
     transmission X has X.end >= now, so any t overlapping it has t.end >
     X.start >= now - longest_us.
 
-    Listeners are nodes (`node_id`, `is_mobile`, `gain_db`, `position()`),
-    given in node order.  `add` fixes each frame's audience at transmit
-    start.  A stationary listener's received power is then final: the
-    source position is a snapshot and the listener does not move.  So it is
-    computed once per frame, and once per source when the source is
-    stationary too: only the mobile's transmit power changes within a run,
-    never a stationary node's.  The mobile listener is measured live.
+    Listeners are nodes (`is_mobile`, `gain_db`, `position()`), given in
+    node order.  `add` fixes each frame's audience at transmit start.  A
+    stationary listener's received power is then final: the source position
+    is a snapshot and the listener does not move.  So it is computed once
+    per frame, and once per source when the source is stationary too: only
+    the mobile's transmit power changes within a run, never a stationary
+    node's.  The mobile listener is measured live.
     """
 
     def __init__(self, params: PhyParams, listeners) -> None:
@@ -137,27 +135,21 @@ class Channel:
         self.listeners = list(listeners)
         self.transmissions: list[Transmission] = []
         self.longest_us: SimTime = 0
-        self._first_end: SimTime | None = None  # earliest end in history
         self.audiences: dict = {}  # by stationary source node
 
     def add(self, tx: Transmission) -> None:
         """Drop the history no resolution needs, put tx on the air and fix
         its audience."""
         oldest_end = tx.start - self.longest_us
-        if self._first_end is not None and self._first_end < oldest_end:
-            kept = [t for t in self.transmissions if t.end >= oldest_end]
-            self.transmissions = kept
-            self._first_end = min((t.end for t in kept), default=None)
+        self.transmissions = [t for t in self.transmissions if t.end >= oldest_end]
         tx.audience = self.audience(tx)
         self.transmissions.append(tx)
         airtime = tx.end - tx.start
         if airtime > self.longest_us:
             self.longest_us = airtime
-        if self._first_end is None or tx.end < self._first_end:
-            self._first_end = tx.end
 
     def audience(self, tx: Transmission) -> dict:
-        """Listeners that hear tx: node id -> (node, rx power, LQ), in node order."""
+        """Listeners that hear tx: node -> (rx power, LQ), in node order."""
         src = tx.node
         if not src.is_mobile:
             audience = self.audiences.get(src)
@@ -169,11 +161,11 @@ class Channel:
             if node is src:
                 continue
             if node.is_mobile:
-                audience[node.node_id] = (node, None, None)
+                audience[node] = (None, None)
                 continue
             rx = self.rx_power(tx, node)
             if heard(rx, params):
-                audience[node.node_id] = (node, rx, lq_from_rx_power(rx, params))
+                audience[node] = (rx, lq_from_rx_power(rx, params))
         if not src.is_mobile:
             self.audiences[src] = audience
         return audience
@@ -190,7 +182,7 @@ class Channel:
         """True iff tx arrives strictly above the listener's sensitivity."""
         if node.is_mobile:
             return heard(self.rx_power(tx, node), self.params)
-        return node.node_id in tx.audience
+        return node in tx.audience
 
     def busy_for(self, node, now: SimTime) -> bool:
         """CCA result: busy while any audible transmission is in progress.

@@ -3,8 +3,9 @@
 Format: INI-like sections of `key = value` lines, `#` comments, blank lines
 ignored.  Every physical quantity carries a unit suffix (`100 ms`, `-70 dBm`,
 `7.5 m`, `30 mA`, `20 B`).  Unknown sections or keys are rejected with the
-offending line number; so are missing or wrong units.  A scenario file plus
-a seed fully determines a run.
+offending line number; so are missing or wrong units, and a key other than
+`waypoint` set twice in one section.  A scenario file plus a seed fully
+determines a run.
 
 Sections and keys (defaults in parentheses):
 
@@ -39,12 +40,13 @@ time and byte count is zero or more and the traffic period, move_tick and
 probe_retry are positive (waypoint arrival times need only strictly
 increase); mac_max_be is 3..8, mac_min_be 0..mac_max_be,
 max_csma_backoffs 0..5 and max_frame_retries 0..7 (IEEE 802.15.4-2006,
-Table 86); mac_header + payload (or the largest control
-payload) <= 127 B, as is ack_header (aMaxPHYPacketSize); and no frame is
-empty: phy_overhead + ack_header and phy_overhead + mac_header + payload
-are at least 1 B; tx_power and every level of a [sweep] powers line are
-among power_levels.  A file without that line leaves sweep_powers None, so
-custom power_levels need no [sweep] section.
+Table 86); lq_target and lq_hysteresis are 0..255, the LQ scale;
+mac_header + payload (or the largest control payload) <= 127 B, as is
+ack_header (aMaxPHYPacketSize); and no frame is empty: phy_overhead +
+ack_header and phy_overhead + mac_header + payload are at least 1 B;
+tx_power and every level of a [sweep] powers line are among power_levels.
+A file without that line leaves sweep_powers None, so custom power_levels
+need no [sweep] section.
 """
 
 from __future__ import annotations
@@ -387,6 +389,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
     section: str | None = None
     node: NodeConfig | None = None
     seen_sections: set[str] = set()
+    section_keys: dict[str, int] = {}  # key -> its line, since the last header
     # "section.key" -> the line that set it; "node <id>" -> its header line
     key_lines: dict[str, int] = {}
 
@@ -424,6 +427,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
                 node = None
             else:
                 raise ScenarioError(f"unknown section [{header}]", lineno)
+            section_keys = {}
             continue
         if "=" not in stripped:
             raise ScenarioError(f"expected 'key = value', got {stripped!r}", lineno)
@@ -434,6 +438,10 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         if key not in schema:
             raise ScenarioError(f"unknown key '{key}' in section [{section}]", lineno)
         path, kind = schema[key]
+        if key in section_keys and kind is not _WAYPOINT:
+            raise ScenarioError(f"key '{key}' already set at line "
+                                f"{section_keys[key]} of this section", lineno)
+        section_keys[key] = lineno
         parsed = kind.parse(value, key, lineno)
         if kind is _WAYPOINT:
             waypoints.append(parsed)
@@ -470,14 +478,19 @@ def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> No
         if n.role is not NodeRole.END_DEVICE:
             raise ScenarioError(f"{source}: mobile node {n.node_id} must be an end_device",
                                 header_line(n))
-    csma = cfg.csma  # ranges of IEEE 802.15.4-2006, Table 86
-    for key, value, lo, hi in (("mac_max_be", csma.mac_max_be, 3, 8),
-                               ("mac_min_be", csma.mac_min_be, 0, csma.mac_max_be),
-                               ("max_csma_backoffs", csma.max_csma_backoffs, 0, 5),
-                               ("max_frame_retries", csma.max_frame_retries, 0, 7)):
+    # The CSMA ranges of IEEE 802.15.4-2006, Table 86, and the LQ scale.
+    csma, tpc = cfg.csma, cfg.tpc
+    for key, value, lo, hi in (
+            ("csma.mac_max_be", csma.mac_max_be, 3, 8),
+            ("csma.mac_min_be", csma.mac_min_be, 0, csma.mac_max_be),
+            ("csma.max_csma_backoffs", csma.max_csma_backoffs, 0, 5),
+            ("csma.max_frame_retries", csma.max_frame_retries, 0, 7),
+            ("tpc.lq_target", tpc.lq_target, 0, 255),
+            ("tpc.lq_hysteresis", tpc.lq_hysteresis, 0, 255)):
         if not lo <= value <= hi:
-            raise ScenarioError(f"{source}: {key} {value} outside {lo}..{hi}",
-                                key_lines.get(f"csma.{key}"))
+            raise ScenarioError(
+                f"{source}: {key.partition('.')[2]} {value} outside {lo}..{hi}",
+                key_lines.get(key))
 
     def last_line(*keys: str) -> int | None:
         return max(key_lines.get(k, 0) for k in keys) or None

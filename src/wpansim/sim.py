@@ -33,6 +33,7 @@ class Node:
         self.rng = RngStream(sim.cfg.seed, config.node_id)
         start_mode = SLEEP if config.sleeps else LISTEN
         self.ledger = EnergyLedger(0, start_mode)  # the radio's mode and time
+        # Since when the radio has heard; None exactly while it does not.
         self.listen_since: SimTime | None = 0 if start_mode.hears else None
         self.rx_engagements = 0
         self.pending_acks = 0
@@ -133,12 +134,12 @@ class Simulation:
     def begin_transmission(self, node: Node, frame: Frame) -> None:
         now = self.loop.now
         airtime = self.airtime(frame)
-        tx = Transmission(node, frame, now, now + airtime, node.position(), [])
+        tx = Transmission(node, frame, now, now + airtime, node.position())
         self.channel.add(tx)
         node.set_mode(tx_mode(frame.tx_power_dbm))
         node.mac.tx_ends_at = tx.end
         # Listeners hearing this carrier switch to active reception.
-        for other, rx_power, _ in tx.audience.values():
+        for other, (rx_power, _) in tx.audience.items():
             mode = other.ledger.mode
             if mode.hears and (
                     rx_power is not None or self.channel.audible(tx, other)):
@@ -159,10 +160,9 @@ class Simulation:
         """
         phy = self.cfg.phy
         receivers: list[tuple[Node, float, int]] = []
-        for other, rx_power, lq in tx.audience.values():
-            if not other.ledger.mode.hears:
-                continue
-            if other.listen_since is None or other.listen_since > tx.start:
+        for other, (rx_power, lq) in tx.audience.items():
+            since = other.listen_since  # None while the radio does not hear
+            if since is None or since > tx.start:
                 continue
             if rx_power is None:
                 rx_power = self.channel.rx_power(tx, other)

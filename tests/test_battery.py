@@ -24,3 +24,27 @@ def test_fast_battery_digest_is_pinned(tmp_path):
     battery = _battery()
     battery.write_fast(tmp_path)
     assert battery.digest(tmp_path) == FAST_DIGEST
+
+
+def test_manifest_diff_names_only_the_groups_that_moved(tmp_path, capsys):
+    battery = _battery()
+    for tree in ("old", "new"):
+        for group, text in (("run_a", "1\n"), ("run_b", "2\n"), ("sweep_c", "3\n")):
+            path = tmp_path / tree / group / "power_0dBm" / "trace.csv"
+            path.parent.mkdir(parents=True)
+            path.write_text(text)
+    (tmp_path / "new" / "run_b" / "power_0dBm" / "trace.csv").write_text("2.0\n")
+    saved = []
+    for tree in ("old", "new"):
+        lines = battery.manifest(tmp_path / tree)
+        assert [line.split("  ") for line in lines] == [
+            [battery.digest(tmp_path / tree / group), group]
+            for group in ("run_a", "run_b", "sweep_c")]
+        saved.append(tmp_path / f"{tree}.manifest")
+        saved[-1].write_text("\n".join(lines) + "\n")
+    assert battery.main(["--diff", *map(str, saved)]) == 1
+    assert capsys.readouterr().out == "changed  run_b\n"
+    assert battery.main(["--diff", str(saved[0]), str(saved[0])]) == 0
+    assert capsys.readouterr().out == ""
+    old = saved[0].read_text().splitlines()
+    assert battery.diff(old[1:], old[:2]) == ["added  run_a", "removed  sweep_c"]

@@ -518,6 +518,35 @@ def test_cli_max_frame_retries_outside_0_to_7_exit_2(value, tmp_path, capsys,
     assert "outside 0..7" in err
 
 
+@pytest.mark.parametrize("bad", ["lq_target = 256", "lq_target = -1",
+                                 "lq_hysteresis = 256", "lq_hysteresis = -1"])
+def test_cli_lq_key_outside_the_lq_scale_exit_2(bad, tmp_path, capsys, monkeypatch):
+    # Used to run: lq_target 300 pinned TPC to the top level, as no LQ
+    # reaches it, and a negative hysteresis inverted the step-down guard.
+    text = TINY.format(duration="500 ms", seed=7).replace(
+        "enabled = off", f"enabled = on\n{bad}")
+    err = _cli_run_rejects(text, bad, tmp_path, capsys, monkeypatch)
+    assert "outside 0..255" in err
+
+
+def test_cli_repeated_run_key_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to be accepted: the last line won, so this ran at seed 7.
+    text = TINY.format(duration="500 ms", seed=7).replace(
+        "[run]\n", "[run]\nseed = 8\n")
+    err = _cli_run_rejects(text, "seed = 7", tmp_path, capsys, monkeypatch)
+    assert "key 'seed' already set at line 3" in err
+
+
+def test_cli_repeated_node_key_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to be accepted: the last line won.  Each node sets its own x once.
+    text = TINY.format(duration="500 ms", seed=7).replace(
+        "[node 4]", "[node 2]\nrole = router\nclass = stationary\nx = 2 m\n\n[node 4]")
+    assert [n.x for n in make_cfg(text).stationary_nodes()] == [0.0, 2.0]
+    text = text.replace("x = 0 m\n", "x = 0 m\nx = 3 m\n")
+    err = _cli_run_rejects(text, "x = 3 m", tmp_path, capsys, monkeypatch)
+    assert "key 'x' already set at line" in err
+
+
 def test_cli_empty_ack_frame_exit_2(tmp_path, capsys, monkeypatch):
     # Used to end in "error: frame must be at least 1 byte" (exit 1).
     text = (TINY.format(duration="500 ms", seed=7).replace(

@@ -309,7 +309,7 @@ def test_frames_that_touch_end_to_start_do_not_overlap():
     assert rows_of(sim, "COLLISION") == []
     assert [(r.src, r.time_us) for r in rows_of(sim, "RX", node=3)] == \
         [(1, airtime), (2, 2 * airtime)]
-    tx = Transmission(sim.nodes[1], first, 100, 200, (0.0, 0.0), [])
+    tx = Transmission(sim.nodes[1], first, 100, 200, (0.0, 0.0))
     assert not tx.overlaps(200, 300) and not tx.overlaps(0, 100)
     assert tx.overlaps(199, 300) and tx.overlaps(0, 101)
 

@@ -323,6 +323,8 @@ def _configs(draw):
     cfg.csma.mac_min_be = draw(st.integers(0, cfg.csma.mac_max_be))
     cfg.csma.max_csma_backoffs = draw(st.integers(0, 5))
     cfg.csma.max_frame_retries = draw(st.integers(0, 7))
+    cfg.tpc.lq_target = draw(st.integers(0, 255))
+    cfg.tpc.lq_hysteresis = draw(st.integers(0, 255))
     if not cfg.phy.phy_overhead_bytes and 0 in (
             cfg.mac.ack_header_bytes, cfg.mac.mac_header_bytes + cfg.traffic.payload_bytes):
         cfg.phy.phy_overhead_bytes = 1  # no frame may be empty

@@ -21,7 +21,16 @@ Fast part (about 3 s):
   no node sleeping;
 - `run` on `random_scenario` 300-2999.
 
-Usage: python tools/battery.py [--full]
+Usage: python tools/battery.py [--full] [--manifest]
+       python tools/battery.py --diff OLD NEW
+
+`--manifest` prints one `<sha256>  <group>` line per top-level output
+directory (`sweep_default_s1`, `random_17`, ...), each hashed as the digest
+hashes the whole tree, in place of the one digest.  `--diff` reads two saved
+manifests, prints `changed`, `added` or `removed` and the group for each
+group that differs between them, and exits 1 if there is any.  So when a
+change moves the digest, the manifests of the two checkouts name the
+outputs it moved.
 
 The files go to a temporary directory, removed afterwards; to keep them for
 diffing, call `write_fast(path)` or `write_full(path)` from Python.  Only the
@@ -110,14 +119,47 @@ def digest(out: Path) -> str:
     return h.hexdigest()
 
 
+def manifest(out: Path) -> list[str]:
+    """`<sha256>  <group>` per top-level directory of out, by name."""
+    return [f"{digest(group)}  {group.name}"
+            for group in sorted(out.iterdir()) if group.is_dir()]
+
+
+def diff(old: list[str], new: list[str]) -> list[str]:
+    """`changed|added|removed  <group>` per group that differs between two
+    manifests, by group name."""
+    before, after = ({group: sha for sha, group in map(str.split, lines)}
+                     for lines in (old, new))
+    out = []
+    for group in sorted(before.keys() | after.keys()):
+        if group not in after:
+            out.append(f"removed  {group}")
+        elif group not in before:
+            out.append(f"added  {group}")
+        elif before[group] != after[group]:
+            out.append(f"changed  {group}")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--full", action="store_true", help="run the full battery")
+    ap.add_argument("--manifest", action="store_true",
+                    help="print a sha256 per output group, not the one digest")
+    ap.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                    help="list the groups that differ between two saved "
+                         "manifests; exit 1 if any does")
     args = ap.parse_args(argv)
+    if args.diff:
+        old, new = (Path(path).read_text().splitlines() for path in args.diff)
+        changes = diff(old, new)
+        for line in changes:
+            print(line)
+        return 1 if changes else 0
     write = write_full if args.full else write_fast
     with tempfile.TemporaryDirectory() as tmp:
         write(Path(tmp))
-        print(digest(Path(tmp)))
+        print("\n".join(manifest(Path(tmp))) if args.manifest else digest(Path(tmp)))
     return 0
 
 
