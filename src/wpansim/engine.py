@@ -1,8 +1,10 @@
 """Deterministic discrete-event core: virtual clock, event queue, seeded RNG.
 
 An event is a delayed call: `schedule(time, action, *args)` queues
-`action(*args)` for `time`, and the loop hands each live event to the
-caller's dispatch in (time, seq) order.  Time is kept in integer
+`action(*args)` for `time`; `every(period, until, action, *args)` queues one
+event that the loop pushes again, `period` later, after each call while it
+stays at or before `until`.  The loop hands each live event to the caller's
+dispatch in (time, seq) order.  Time is kept in integer
 microseconds so MAC timings (320 us backoff unit, 15.36 ms beacon base) are
 exact and traces are platform-stable.
 """
@@ -20,15 +22,16 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    __slots__ = ("time", "seq", "action", "args", "cancelled")
+    __slots__ = ("time", "seq", "action", "args", "cancelled", "period", "until")
 
-    def __init__(self, time: SimTime, seq: int, action: Callable, args: tuple,
-                 cancelled: bool = False) -> None:
+    def __init__(self, time: SimTime, seq: int, action: Callable, args: tuple) -> None:
         self.time = time
         self.seq = seq
         self.action = action  # called as action(*args) when the event is due
         self.args = args
-        self.cancelled = cancelled
+        self.cancelled = False
+        self.period: SimTime = 0  # > 0: re-armed after each call, up to until
+        self.until: SimTime = 0
 
 
 class RunSummary(NamedTuple):
@@ -58,6 +61,19 @@ class EventLoop:
         heapq.heappush(self._heap, (time, ev.seq, ev))
         return ev
 
+    def every(self, period: SimTime, until: SimTime, action: Callable,
+              *args) -> Event | None:
+        """Call action(*args) each `period` from now on, up to `until`, as one
+        event (None if the first call would be after until): cancelling it
+        stops every later occurrence."""
+        if period <= 0:
+            raise SimulationError(f"{action.__qualname__} period must be > 0 us")
+        if self.now + period > until:
+            return None
+        ev = self.schedule(self.now + period, action, *args)
+        ev.period, ev.until = period, until
+        return ev
+
     def cancel(self, ev: Event) -> None:
         if not ev.cancelled:
             ev.cancelled = True
@@ -78,6 +94,11 @@ class EventLoop:
             last_time = ev.time
             processed += 1
             dispatch(ev)
+            if ev.period and not ev.cancelled and ev.time + ev.period <= ev.until:
+                ev.time += ev.period  # next seq: after what the call scheduled
+                ev.seq = self._seq
+                self._seq += 1
+                heapq.heappush(self._heap, (ev.time, ev.seq, ev))
         if self._heap:
             self.now = end
         else:

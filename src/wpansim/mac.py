@@ -1,9 +1,11 @@
 """Simplified 802.15.4 MAC: frames, unslotted CSMA/CA, collision semantics.
 
-Beacons and acknowledgements bypass CSMA (sent on schedule / after a fixed
-turnaround).  The channel applies a no-capture collision model: if two
-transmissions audible at a receiver overlap in time, that receiver gets
-neither.  CCA is instantaneous channel-state sampling.
+Beacons and acknowledgements bypass CSMA: `beacon_due` is the periodic
+beacon handler and `send_ack` acks a frame after a fixed turnaround; both
+wait out the radio's own frame, and beacons keep their cadence.  The
+channel applies a no-capture collision model: if two transmissions audible
+at a receiver overlap in time, that receiver gets neither.  CCA is
+instantaneous channel-state sampling.
 """
 
 from __future__ import annotations
@@ -233,6 +235,7 @@ class MacLayer:
         self.retries = 0
         self.seq_counter = 0
         self._ack_timeout_event = None
+        self.pending_acks = 0  # acks due but not yet sent
         self.tx_ends_at: SimTime = 0
 
     def next_seq(self) -> int:
@@ -268,6 +271,30 @@ class MacLayer:
             raise SimulationError(
                 f"node {self.node.node_id} cannot transmit while asleep")
         self._transmit(frame)
+
+    def send_ack(self, frame: Frame) -> None:
+        """Acknowledge a received frame after the turnaround."""
+        self.pending_acks += 1
+        ack = Frame(FrameKind.ACK, frame.seq, self.node.node_id, frame.src)
+        self.sim.loop.schedule(self.sim.loop.now + self.sim.csma.turnaround_us,
+                               self._ack_due, ack)
+
+    def _ack_due(self, ack: Frame) -> None:
+        if not self._after_own_frame(self._ack_due, ack):
+            self.pending_acks -= 1
+            self.send_immediate(ack)
+
+    def beacon_due(self) -> None:
+        if not self._after_own_frame(self.beacon_due):
+            self.node.wake()  # a sleeping node goes back to sleep after the frame
+            self.send_immediate(self.control_frame(FrameKind.BEACON, BROADCAST))
+
+    def _after_own_frame(self, action, *args) -> bool:
+        """Defer action(*args) to the end of the radio's own frame, if on air."""
+        if self.node.ledger.mode.tx_power_dbm is None:
+            return False
+        self.sim.loop.schedule(self.tx_ends_at, action, *args)
+        return True
 
     # -- CSMA state machine -------------------------------------------------
 
@@ -346,4 +373,4 @@ class MacLayer:
 
     @property
     def busy(self) -> bool:
-        return self.current is not None or bool(self.queue)
+        return self.current is not None or bool(self.queue) or self.pending_acks > 0

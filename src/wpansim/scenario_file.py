@@ -46,7 +46,11 @@ ack_header (aMaxPHYPacketSize); and no frame is empty: phy_overhead +
 ack_header and phy_overhead + mac_header + payload are at least 1 B;
 tx_power and every level of a [sweep] powers line are among power_levels.
 A file without that line leaves sweep_powers None, so custom power_levels
-need no [sweep] section.
+need no [sweep] section.  No energy is negative: the linear TX current is
+0 mA or more at every level of power_levels and at each node's tx_power
+override, the rx, idle and sleep currents are 0 mA or more and
+supply_voltage is positive.  lq_saturation_margin is positive, or every
+heard frame would map to LQ 255.
 """
 
 from __future__ import annotations
@@ -447,7 +451,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
             waypoints.append(parsed)
         else:
             _set(cfg if node is None else node, path, parsed)
-        key_lines[f"{section}.{key}"] = lineno
+        key_lines[f"{section}.{key}" if node is None
+                  else f"node {node.node_id}.{key}"] = lineno
 
     if waypoints:
         try:
@@ -505,6 +510,26 @@ def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> No
         raise ScenarioError(
             f"{source}: sweep powers {unknown} not in power_levels",
             last_line("sweep.powers", "phy.power_levels"))
+    currents = cfg.currents
+    powers = [(p, "phy.power_levels") for p in levels] + [
+        (n.tx_power_dbm, f"node {n.node_id}.tx_power") for n in cfg.nodes
+        if n.tx_power_dbm is not None]
+    for power, key in powers:
+        if currents.tx_current_ma(power) < 0:
+            raise ScenarioError(
+                f"{source}: tx current at {power:g} dBm is "
+                f"{currents.tx_current_ma(power):g} mA, below 0 mA",
+                last_line(key, "energy.tx_current_0dbm", "energy.tx_current_per_dbm"))
+    for key in ("rx_current", "idle_current", "sleep_current"):
+        if getattr(currents, f"{key}_ma") < 0:
+            raise ScenarioError(f"{source}: {key} below 0 mA",
+                                key_lines.get(f"energy.{key}"))
+    for key, value, unit in (
+            ("energy.supply_voltage", cfg.supply_voltage, "V"),
+            ("phy.lq_saturation_margin", cfg.phy.lq_saturation_margin_db, "dB")):
+        if value <= 0:
+            raise ScenarioError(f"{source}: {key.partition('.')[2]} {value:g} "
+                                f"{unit} is not positive", key_lines.get(key))
     if not 0 <= cfg.mac.beacon_order <= 15:
         raise ScenarioError(f"{source}: beacon_order must be 0..15",
                             key_lines.get("mac.beacon_order"))

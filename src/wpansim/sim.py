@@ -10,8 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .engine import EventLoop, RngStream, RunSummary, SimTime
-from .mac import (BROADCAST, Channel, CsmaParams, Frame, FrameKind, MacLayer,
-                  Transmission)
+from .mac import Channel, CsmaParams, Frame, FrameKind, MacLayer, Transmission
 from .net import MobileController, RunStats, StationaryController, run_stats
 from .phy import NO_BEACONS, beacon_interval, frame_airtime, heard, lq_from_rx_power
 from .scenario import (LISTEN, RX, SLEEP, EnergyLedger, NodeClass, NodeConfig,
@@ -36,7 +35,6 @@ class Node:
         # Since when the radio has heard; None exactly while it does not.
         self.listen_since: SimTime | None = 0 if start_mode.hears else None
         self.rx_engagements = 0
-        self.pending_acks = 0
         # The transmit power; TPC and a failed handover change the mobile's.
         self.power_dbm = (config.tx_power_dbm if config.tx_power_dbm is not None
                           else sim.cfg.phy.tx_power_dbm)
@@ -100,7 +98,6 @@ class Simulation:
         mobiles = [n for n in self.nodes.values() if n.is_mobile]
         self.mobile: Node | None = mobiles[0] if mobiles else None
         self.channel = Channel(cfg.phy, self.nodes.values())
-        self._airtimes: dict[tuple[str, int], SimTime] = {}
 
     # -- trace ----------------------------------------------------------------
 
@@ -120,16 +117,9 @@ class Simulation:
     # -- transmission lifecycle -------------------------------------------------
 
     def airtime(self, frame: Frame) -> SimTime:
-        """Frame airtime, computed once per (kind, payload length) in a run."""
-        key = (frame.kind, frame.payload_len)
-        airtime = self._airtimes.get(key)
-        if airtime is None:
-            size = self.cfg.phy.phy_overhead_bytes + (
-                self.cfg.mac.ack_header_bytes if frame.kind == FrameKind.ACK
-                else self.cfg.mac.mac_header_bytes + frame.payload_len)
-            airtime = frame_airtime(size, self.band)
-            self._airtimes[key] = airtime
-        return airtime
+        return frame_airtime(self.cfg.phy.phy_overhead_bytes + (
+            self.cfg.mac.ack_header_bytes if frame.kind == FrameKind.ACK
+            else self.cfg.mac.mac_header_bytes + frame.payload_len), self.band)
 
     def begin_transmission(self, node: Node, frame: Frame) -> None:
         now = self.loop.now
@@ -197,77 +187,39 @@ class Simulation:
             if frame.dst == node.node_id:
                 node.mac.on_ack_received(frame)
         elif frame.wants_ack() and frame.dst == node.node_id:
-            ack = Frame(FrameKind.ACK, frame.seq, node.node_id, frame.src)
-            node.pending_acks += 1
-            # Acks skip CCA but not the radio's own frame.
-            self.loop.schedule(self.loop.now + self.csma.turnaround_us,
-                               self._after_own_frame, node, self._send_ack,
-                               ack)
+            node.mac.send_ack(frame)
         node.controller.on_frame(frame, rx_power, lq)
 
     # -- radio idling ------------------------------------------------------------
 
     def maybe_sleep(self, node: Node) -> None:
-        if not node.config.sleeps:
-            return
-        if node.mac.busy or node.rx_engagements > 0 or node.pending_acks > 0:
-            return
-        if node.ledger.mode != LISTEN:
-            return
-        if node.controller.searching:
-            return
-        node.set_mode(SLEEP)
+        if (node.config.sleeps and not node.mac.busy and node.rx_engagements == 0
+                and node.ledger.mode == LISTEN and not node.controller.searching):
+            node.set_mode(SLEEP)
 
     # -- scheduled actions ------------------------------------------------------
 
     def _dispatch(self, ev) -> None:
         ev.action(*ev.args)
 
-    def _every(self, period: SimTime, action, *args) -> None:
-        """Call action(*args) each `period` from now on, up to the run's end."""
-        nxt = self.loop.now + period
-        if nxt <= self.cfg.duration_us:
-            self.loop.schedule(nxt, self._tick, period, action, args)
-
-    def _tick(self, period: SimTime, action, args: tuple) -> None:
-        action(*args)
-        self._every(period, action, *args)
-
-    def _after_own_frame(self, node: Node, send, *args) -> None:
-        """Call send(node, *args) now, or right after the radio's own frame if
-        it is transmitting one."""
-        if node.ledger.mode.tx_power_dbm is not None:
-            self.loop.schedule(node.mac.tx_ends_at, self._after_own_frame,
-                               node, send, *args)
-        else:
-            send(node, *args)
-
-    def _send_ack(self, node: Node, ack: Frame) -> None:
-        node.pending_acks -= 1
-        node.mac.send_immediate(ack)
-
-    def _send_beacon(self, node: Node) -> None:
-        node.wake()  # a sleeping node goes back to sleep after the frame
-        node.mac.send_immediate(node.mac.control_frame(FrameKind.BEACON, BROADCAST))
-
     # -- run ------------------------------------------------------------------------
 
     def setup(self) -> None:
-        if self.cfg.duration_us <= 0:
+        end = self.cfg.duration_us
+        if end <= 0:
             return
         if self.mobile is not None:
             # Initial association attempt, then periodic machinery.
             ctrl = self.mobile.controller
             self.loop.schedule(0, ctrl.start_handover, "orphan")
-            self._every(self.cfg.traffic.period_us, ctrl.on_data_due)
-            self._every(self.cfg.move_tick_us, self.emit, self.mobile, TraceKind.MOVE)
+            self.loop.every(self.cfg.traffic.period_us, end, ctrl.on_data_due)
+            self.loop.every(self.cfg.move_tick_us, end, self.emit, self.mobile,
+                            TraceKind.MOVE)
         if self.cfg.mac.beacon_order != NO_BEACONS:
             interval = beacon_interval(self.cfg.mac.beacon_order, self.band)
             for node in self.nodes.values():
                 if node.config.may_parent:
-                    # Beacons skip CCA, but keep their cadence past an own frame.
-                    self._every(interval, self._after_own_frame, node,
-                                self._send_beacon)
+                    self.loop.every(interval, end, node.mac.beacon_due)
 
     def run(self) -> RunResult:
         self.setup()

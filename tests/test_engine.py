@@ -78,6 +78,86 @@ def test_event_accounting_with_cancellation():
     assert summary.scheduled == summary.total_processed + summary.cancelled
 
 
+def _trampoline_every(loop, period, until, action, *args):
+    """Periodic calls as a self-rescheduling one-shot, one new event a call."""
+    def tick():
+        action(*args)
+        _trampoline_every(loop, period, until, action, *args)
+
+    if loop.now + period <= until:
+        loop.schedule(loop.now + period, tick)
+
+
+@pytest.mark.parametrize("every", [EventLoop.every, _trampoline_every])
+def test_every_runs_after_the_same_instant_events_its_call_scheduled(every):
+    # Each tick schedules a one-shot for the next tick's instant; the one-shot
+    # was queued first, so it runs first, as with the trampoline.
+    loop = EventLoop()
+    order = []
+
+    def tick():
+        order.append(("tick", loop.now))
+        loop.schedule(loop.now + 10, order.append, ("shot", loop.now + 10))
+        loop.schedule(loop.now, order.append, ("now", loop.now))
+
+    every(loop, 10, 30, tick)
+    loop.run_until(100, _call)
+    assert order == [("tick", 10), ("now", 10), ("shot", 20), ("tick", 20),
+                     ("now", 20), ("shot", 30), ("tick", 30), ("now", 30),
+                     ("shot", 40)]
+
+
+def test_every_stops_at_until_and_counts_each_rearm_once():
+    loop = EventLoop()
+    times = []
+    ev = loop.every(10, 50, lambda: times.append(loop.now))
+    assert (ev.time, ev.seq) == (10, 0)
+    summary = loop.run_until(1_000, _call)
+    assert times == [10, 20, 30, 40, 50]  # until itself is included
+    assert summary.scheduled == summary.total_processed == 5
+    assert (summary.cancelled, summary.unprocessed, summary.clock) == (0, 0, 50)
+
+
+def test_every_with_its_first_call_after_until_schedules_nothing():
+    loop = EventLoop()
+    loop.schedule(5, _noop)
+    loop.run_until(5, _call)
+    assert loop.every(10, 14, _noop) is None
+    assert loop.every(10, 15, _noop).time == 15
+    summary = loop.run_until(100, _call)  # the one-shot and one periodic call
+    assert (summary.scheduled, summary.total_processed, summary.clock) == (2, 1, 15)
+
+
+def test_every_period_must_be_positive():
+    loop = EventLoop()
+    for period in (0, -10):
+        with pytest.raises(SimulationError, match="_noop period must be > 0 us"):
+            loop.every(period, 100, _noop)
+    assert loop.run_until(100, _call).scheduled == 0
+
+
+@pytest.mark.parametrize("cancel_at", [0, 10, 15, 20])
+def test_cancelling_a_periodic_event_stops_every_later_occurrence(cancel_at):
+    # Cancelled before the first call, from its own call at 10 or 20, or from
+    # another event between two calls.
+    loop = EventLoop()
+    times = []
+
+    def tick():
+        times.append(loop.now)
+        if loop.now == cancel_at:
+            loop.cancel(ev)
+
+    ev = loop.every(10, 100, tick)
+    if cancel_at == 0:
+        loop.cancel(ev)
+    elif cancel_at % 10:
+        loop.schedule(cancel_at, loop.cancel, ev)
+    summary = loop.run_until(1_000, _call)
+    assert times == [t for t in (10, 20) if t <= cancel_at]
+    assert (summary.cancelled, summary.unprocessed) == (1, 0)
+
+
 def test_draw_uniform_degenerate_range():
     s = RngStream(1, 0)
     assert all(s.draw_uniform(1) == 0 for _ in range(5))

@@ -7,7 +7,7 @@ from wpansim.cli import main
 from wpansim.engine import SimulationError
 from wpansim.harness import calibrate, compare, energy_delta_pct, run_simulation, sweep
 from wpansim.scenario import SLEEP
-from wpansim.scenario_file import load_scenario
+from wpansim.scenario_file import ScenarioError, load_scenario
 from wpansim.sim import Simulation
 from wpansim.trace import HEADER, read_trace, write_trace
 
@@ -660,3 +660,66 @@ def test_cli_channel_not_in_band_names_the_later_line_exit_2(tmp_path, capsys,
         "tx_power = 0 dBm", "channel = 11\nband = 868\ntx_power = 0 dBm")
     err = _cli_run_rejects(text, "band = 868", tmp_path, capsys, monkeypatch)
     assert "channel 11 not in band" in err
+
+
+def _tiny_with(phy="", energy=""):
+    text = TINY.format(duration="500 ms", seed=7).replace(
+        "tx_power = 0 dBm", "tx_power = 0 dBm" + phy)
+    return text + ("\n[energy]" + energy + "\n" if energy else "")
+
+
+@pytest.mark.parametrize("phy, energy, bad_line", [
+    # Used to book tx@-30.0 at -3.6 mJ and less: 30 + 1.5 * -30 = -15 mA.
+    ("\npower_levels = -30 -25 0 2 3 4 5 6 dBm", "",
+     "power_levels = -30 -25 0 2 3 4 5 6 dBm"),
+    # The later of the level and current lines is named.
+    ("\npower_levels = -21 0 dBm", "\ntx_current_0dbm = 30 mA",
+     "tx_current_0dbm = 30 mA"),
+    ("", "\ntx_current_per_dbm = -6 mA", "tx_current_per_dbm = -6 mA"),
+    ("", "\ntx_current_0dbm = -1 mA\nrx_current = 30 mA", "tx_current_0dbm = -1 mA"),
+], ids=["levels_to_-30dBm", "levels_to_-21dBm", "negative_slope", "negative_at_0dBm"])
+def test_cli_negative_tx_current_exit_2(phy, energy, bad_line, tmp_path, capsys,
+                                        monkeypatch):
+    err = _cli_run_rejects(_tiny_with(phy, energy), bad_line, tmp_path, capsys,
+                           monkeypatch)
+    assert "mA, below 0 mA" in err
+
+
+def test_cli_node_tx_power_override_with_negative_current_exit_2(tmp_path, capsys,
+                                                                 monkeypatch):
+    # Used to book tx@-30.0 at -0.49 mJ for the mobile: the override is not
+    # one of the power_levels, and no check covered it.
+    text = _tiny_with().replace("class = mobile", "class = mobile\ntx_power = -30 dBm")
+    err = _cli_run_rejects(text, "tx_power = -30 dBm", tmp_path, capsys, monkeypatch)
+    assert "tx current at -30 dBm is -15 mA" in err
+
+
+@pytest.mark.parametrize("bad_line", [
+    "rx_current = -1 mA", "idle_current = -0.5 mA", "sleep_current = -3 uA"])
+def test_cli_negative_mode_current_exit_2(bad_line, tmp_path, capsys, monkeypatch):
+    # Used to be accepted, and booked negative energy for that radio mode.
+    text = _tiny_with(energy="\nsupply_voltage = 3 V\n" + bad_line)
+    err = _cli_run_rejects(text, bad_line, tmp_path, capsys, monkeypatch)
+    assert f"{bad_line.split()[0]} below 0 mA" in err
+
+
+@pytest.mark.parametrize("phy, energy, bad_line", [
+    ("", "\nsupply_voltage = 0 V", "supply_voltage = 0 V"),
+    ("", "\nsupply_voltage = -3 V", "supply_voltage = -3 V"),
+    # Used to map every heard frame to LQ 255, so TPC saw no link quality.
+    ("\nlq_saturation_margin = 0 dB", "", "lq_saturation_margin = 0 dB"),
+    ("\nlq_saturation_margin = -5 dB", "", "lq_saturation_margin = -5 dB"),
+], ids=["voltage_0V", "voltage_-3V", "lq_margin_0dB", "lq_margin_-5dB"])
+def test_cli_supply_voltage_and_lq_margin_not_positive_exit_2(
+        phy, energy, bad_line, tmp_path, capsys, monkeypatch):
+    err = _cli_run_rejects(_tiny_with(phy, energy), bad_line, tmp_path, capsys,
+                           monkeypatch)
+    assert f"{bad_line.split()[0]} " in err and "is not positive" in err
+
+
+def test_tx_current_of_exactly_zero_is_accepted():
+    # 30 mA + 1.5 mA/dBm * -20 dBm: the lowest level the defaults allow.
+    cfg = make_cfg(_tiny_with("\npower_levels = -20 0 dBm"))
+    assert cfg.currents.tx_current_ma(-20.0) == 0.0
+    with pytest.raises(ScenarioError):
+        make_cfg(_tiny_with("\npower_levels = -20.01 0 dBm"))

@@ -1,10 +1,11 @@
 import pytest
 
-from conftest import make_cfg
+from conftest import DATA, make_cfg
 from wpansim.engine import SimulationError
 from wpansim.mac import BROADCAST, Frame, FrameKind, SendOutcome, Transmission
 from wpansim.phy import link_rx_power
 from wpansim.scenario import LISTEN, RX, SLEEP
+from wpansim.scenario_file import load_scenario
 from wpansim.sim import Simulation
 
 # Communication range at these settings is ~3.49 m; node 3 sits in range of
@@ -431,7 +432,7 @@ def test_ack_due_during_own_frame_goes_out_right_after_it():
     assert rows_of(sim, "RX", node=3)[0].time_us == rx_at
     assert sent_at(sim, 3, "ack") == [own_end]
     assert own_end > rx_at + sim.cfg.csma.turnaround_us
-    assert sim.nodes[3].pending_acks == 0
+    assert sim.nodes[3].mac.pending_acks == 0
 
 
 def test_ack_deferred_twice_when_a_second_own_frame_follows_the_first():
@@ -454,3 +455,30 @@ def test_ack_deferred_twice_when_a_second_own_frame_follows_the_first():
     assert rows_of(sim, "RX", node=3)[0].time_us == rx_at
     assert sent_at(sim, 3, "beacon") == [own_end, 2 * 15_360, 3 * 15_360]
     assert sent_at(sim, 3, "ack") == [own_end + sim.airtime(beacon)]
+
+
+DEFAULT_HANDLERS = {
+    "MacLayer._ack_due", "MacLayer.on_ack_timeout", "MacLayer.on_backoff_expire",
+    "MobileController.on_data_due", "MobileController.on_handover_timer",
+    "MobileController.start_handover", "Simulation._on_tx_end", "Simulation.emit"}
+
+
+@pytest.mark.parametrize("scenario, handlers", [
+    ("default", DEFAULT_HANDLERS),
+    ("contention", DEFAULT_HANDLERS | {"MacLayer.beacon_due"}),
+])
+def test_each_event_action_is_its_handler(scenario, handlers, default_cfg):
+    # No trampoline: periodic events are re-armed by the loop, and the MAC
+    # defers its own acks and beacons, so every action names what it does.
+    cfg = (default_cfg if scenario == "default"
+           else load_scenario(DATA / "contention.scenario"))
+    sim = Simulation(cfg)
+    names = set()
+
+    def dispatch(ev):
+        names.add(ev.action.__qualname__)
+        ev.action(*ev.args)
+
+    sim._dispatch = dispatch
+    sim.run()
+    assert names == handlers

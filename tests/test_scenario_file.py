@@ -328,6 +328,19 @@ def _configs(draw):
     if not cfg.phy.phy_overhead_bytes and 0 in (
             cfg.mac.ack_header_bytes, cfg.mac.mac_header_bytes + cfg.traffic.payload_bytes):
         cfg.phy.phy_overhead_bytes = 1  # no frame may be empty
+    positive = KIND_VALUES[sf._POSITIVE_FLOAT]
+    cfg.phy.lq_saturation_margin_db = draw(positive)
+    cfg.supply_voltage = draw(positive)
+    currents = cfg.currents
+    for key in ("tx_current_0dbm", "rx_current", "idle_current", "sleep_current"):
+        setattr(currents, f"{key}_ma", draw(positive | st.just(0.0)))
+    # No level may draw a negative TX current; at 0 dBm it is tx_current_0dbm.
+    cfg.phy.power_levels_dbm = tuple(
+        p for p in cfg.phy.power_levels_dbm if currents.tx_current_ma(p) >= 0) or (0.0,)
+    for node in cfg.nodes:
+        power = node.tx_power_dbm
+        if power is not None and currents.tx_current_ma(power) < 0:
+            node.tx_power_dbm = None
     cfg.phy.tx_power_dbm = draw(st.sampled_from(cfg.phy.power_levels_dbm))
     cfg.sweep_powers = draw(st.none() | st.lists(  # None: no [sweep] powers line
         st.sampled_from(cfg.phy.power_levels_dbm), min_size=1, max_size=6).map(tuple))
