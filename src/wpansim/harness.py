@@ -109,6 +109,8 @@ def sweep(cfg: ScenarioConfig, powers=None,
     powers = list(powers)
     if not powers:
         raise ValueError("sweep needs at least one power level")
+    if len(set(powers)) != len(powers):  # each level's outputs are written once
+        raise ValueError(f"power levels {powers} name a level twice")
     # `_validate` checked a [sweep] powers line; this catches --powers and
     # the default levels, which no scenario line names.
     unknown = [p for p in powers if p not in cfg.phy.power_levels_dbm]

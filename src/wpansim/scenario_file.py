@@ -34,23 +34,28 @@ Sections and keys (defaults in parentheses):
     [compare]    reference_latency_delta (1.2 s),
                  reference_energy_delta (42.8 %)
 
-Range checks: a node id is a unicast short address, 0..0xFFFD (0xFFFE and
-the broadcast address 0xFFFF are reserved); every number is finite, every
-time and byte count is zero or more and the traffic period, move_tick and
-probe_retry are positive (waypoint arrival times need only strictly
-increase); mac_max_be is 3..8, mac_min_be 0..mac_max_be,
-max_csma_backoffs 0..5 and max_frame_retries 0..7 (IEEE 802.15.4-2006,
-Table 86); lq_target and lq_hysteresis are 0..255, the LQ scale;
-mac_header + payload (or the largest control payload) <= 127 B, as is
-ack_header (aMaxPHYPacketSize); and no frame is empty: phy_overhead +
-ack_header and phy_overhead + mac_header + payload are at least 1 B;
-tx_power and every level of a [sweep] powers line are among power_levels.
-A file without that line leaves sweep_powers None, so custom power_levels
-need no [sweep] section.  No energy is negative: the linear TX current is
+Rules: a node id is a unicast short address, 0..0xFFFD (0xFFFE and the
+broadcast address 0xFFFF are reserved).  A rule on one key alone is part of
+that key's kind in _SCHEMA and is checked at its line as it is parsed:
+every number is finite; every time and byte count is zero or more and a
+byte count is whole; the traffic period, move_tick and probe_retry are
+positive (waypoint arrival times need only strictly increase); mac_max_be
+is 3..8, mac_min_be 0 or more, max_csma_backoffs 0..5 and max_frame_retries
+0..7 (IEEE 802.15.4-2006, Table 86); beacon_order is 0..15; lq_target and
+lq_hysteresis are 0..255, the LQ scale; ack_header is at most 127 B
+(aMaxPHYPacketSize); a power list names each level once; the rx, idle and
+sleep currents are 0 mA or more; supply_voltage, path_loss_exponent and
+lq_saturation_margin are positive.  After the last line, _validate checks
+the rules that tie keys together, or that cover the node list, at a line at
+fault (of keys tied together, the last one set): the node roles, and a
+mobile node sets no x or y (its position comes from [trajectory]);
+mac_min_be <= mac_max_be; tx_power and every level of a [sweep] powers line
+are among power_levels (a file without that line leaves sweep_powers None,
+so custom power_levels need no [sweep] section); the linear TX current is
 0 mA or more at every level of power_levels and at each node's tx_power
-override, the rx, idle and sleep currents are 0 mA or more and
-supply_voltage is positive.  lq_saturation_margin is positive, or every
-heard frame would map to LQ 255.
+override; the channel is in its band; mac_header + payload (or the largest
+control payload) <= 127 B; and no frame is empty: phy_overhead + ack_header
+and phy_overhead + mac_header + payload are at least 1 B.
 """
 
 from __future__ import annotations
@@ -124,10 +129,11 @@ def _scaled(text: str, units: dict[str, float], key: str, line: int) -> float:
 
 
 def _parse_bytes(text: str, key: str, line: int) -> int:
-    count = int(_scaled(text, {"B": 1}, key, line))
-    if count < 0:
-        raise ScenarioError(f"key '{key}': must be zero or more, got {text!r}", line)
-    return count
+    count = _scaled(text, {"B": 1}, key, line)
+    if not count.is_integer():
+        raise ScenarioError(f"key '{key}': {text!r} is not a whole number of bytes",
+                            line)
+    return int(count)
 
 
 class MacConfig(Record):
@@ -260,23 +266,15 @@ def _fmt_time(us: int) -> str:
     return f"{us} us"
 
 
-def _time(floor: int | None) -> _Kind:
-    """A time in whole us, at least `floor` us unless `floor` is None."""
-    def parse(text: str, key: str, line: int) -> int:
-        us = int(round(_scaled(text, _TIME_UNITS, key, line)))
-        if floor is not None and us < floor:
-            raise ScenarioError(f"key '{key}': must be "
-                                f"{'positive' if floor else 'zero or more'}, "
-                                f"got {text!r}", line)
-        return us
-    return _Kind(parse, _fmt_time)
-
-
-def _parse_positive(text: str, key: str, line: int) -> float:
-    value = _number(text, key, line)
-    if value <= 0:
-        raise ScenarioError(f"key '{key}': must be positive, got {text!r}", line)
-    return value
+def _limited(kind: _Kind, ok: Callable[[Any], bool], message: str) -> _Kind:
+    """`kind` with a rule on its value alone, checked as the line is parsed:
+    a value that fails `ok` is rejected with `message`, its `{}` the key."""
+    def parse(text: str, key: str, line: int) -> Any:
+        value = kind.parse(text, key, line)
+        if not ok(value):
+            raise ScenarioError(f"{message.format(key)}, got {text!r}", line)
+        return value
+    return _Kind(parse, kind.render)
 
 
 def _quantity(unit: str) -> _Kind:
@@ -295,21 +293,37 @@ def _choice(choices: dict[str, Any], error: str) -> _Kind:
     return _Kind(parse, names.__getitem__)
 
 
-_TIME = _time(0)  # a time key is zero or more unless it uses one of the two below
-_POSITIVE_TIME = _time(1)  # rescheduled after itself: zero would stop the clock
-_ANY_TIME = _time(None)  # waypoint arrival times need only strictly increase
+_ZERO_OR_MORE, _POSITIVE = "key '{}': must be zero or more", "key '{}': must be positive"
+# Waypoint arrival times need only strictly increase; other times are zero
+# or more, and a time rescheduled after itself is positive, as zero would
+# stop the clock.
+_ANY_TIME = _Kind(lambda text, key, line: round(_scaled(text, _TIME_UNITS, key, line)),
+                  _fmt_time)
+_TIME = _limited(_ANY_TIME, lambda us: us >= 0, _ZERO_OR_MORE)
+_POSITIVE_TIME = _limited(_ANY_TIME, lambda us: us > 0, _POSITIVE)
 _DBM, _DB, _METRES, _VOLTS, _PERCENT = map(_quantity, ("dBm", "dB", "m", "V", "%"))
+# lq_saturation_margin is positive, or every heard frame would map to LQ 255.
+_POSITIVE_DB, _POSITIVE_VOLTS = (_limited(kind, lambda v: v > 0, "{} is not positive")
+                                 for kind in (_DB, _VOLTS))
 _CURRENT = _Kind(
     lambda text, key, line: _scaled(text, {"mA": 1.0, "uA": 0.001}, key, line),
     lambda value: f"{value:g} mA")
-_BYTES = _Kind(_parse_bytes, lambda value: f"{value} B")
+_MODE_CURRENT = _limited(_CURRENT, lambda ma: ma >= 0, "{} below 0 mA")
+_BYTES = _limited(_Kind(_parse_bytes, lambda value: f"{value} B"), lambda n: n >= 0,
+                  _ZERO_OR_MORE)
 _INT = _Kind(_parse_int, str)
+# The CSMA ranges of IEEE 802.15.4-2006, Table 86, and the LQ scale.
+_MAX_BE, _BACKOFFS, _RETRIES, _LQ = (
+    _limited(_INT, range(lo, hi + 1).__contains__, f"{{}} outside {lo}..{hi}")
+    for lo, hi in ((3, 8), (0, 5), (0, 7), (0, 255)))
 # A path-loss exponent of zero divides by zero in phy.comm_range_m, and a
 # negative one makes the loss fall with distance.
-_POSITIVE_FLOAT = _Kind(_parse_positive, lambda value: f"{value:g}")
+_POSITIVE_FLOAT = _limited(_Kind(_number, "{:g}".format), lambda v: v > 0, _POSITIVE)
 _BOOL = _Kind(_parse_bool, lambda value: "on" if value else "off")
-_POWERS = _Kind(_parse_power_list,
-                lambda value: " ".join(f"{p:g}" for p in value) + " dBm")
+_POWERS = _limited(_Kind(_parse_power_list,
+                         lambda value: " ".join(f"{p:g}" for p in value) + " dBm"),
+                   lambda levels: len(set(levels)) == len(levels),
+                   "key '{}': names a level twice")
 _BAND = _choice(BANDS, f"unknown band {{!r}} (choices: {', '.join(BANDS)})")
 _ROLE = _choice({r.value: r for r in NodeRole}, "unknown role {!r}")
 _CLASS = _choice({c.value: c for c in NodeClass}, "unknown class {!r}")
@@ -340,18 +354,22 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Kind]]] = {
             "rx_sensitivity": ("phy.rx_sensitivity_dbm", _DBM),
             "pl0": ("phy.pl0_db", _DB),
             "path_loss_exponent": ("phy.path_loss_exponent", _POSITIVE_FLOAT),
-            "lq_saturation_margin": ("phy.lq_saturation_margin_db", _DB),
+            "lq_saturation_margin": ("phy.lq_saturation_margin_db", _POSITIVE_DB),
             "phy_overhead": ("phy.phy_overhead_bytes", _BYTES)},
-    "csma": {"mac_min_be": ("csma.mac_min_be", _INT),
-             "mac_max_be": ("csma.mac_max_be", _INT),
-             "max_csma_backoffs": ("csma.max_csma_backoffs", _INT),
-             "max_frame_retries": ("csma.max_frame_retries", _INT),
+    "csma": {"mac_min_be": ("csma.mac_min_be",  # at most mac_max_be: _validate
+                            _limited(_INT, lambda v: v >= 0, _ZERO_OR_MORE)),
+             "mac_max_be": ("csma.mac_max_be", _MAX_BE),
+             "max_csma_backoffs": ("csma.max_csma_backoffs", _BACKOFFS),
+             "max_frame_retries": ("csma.max_frame_retries", _RETRIES),
              "unit_backoff": ("csma.unit_backoff_us", _TIME),
              "ack_wait": ("csma.ack_wait_us", _TIME),
              "turnaround": ("csma.turnaround_us", _TIME)},
-    "mac": {"beacon_order": ("mac.beacon_order", _INT),
+    "mac": {"beacon_order": ("mac.beacon_order", _limited(
+                _INT, range(16).__contains__, "{} must be 0..15")),
             "mac_header": ("mac.mac_header_bytes", _BYTES),
-            "ack_header": ("mac.ack_header_bytes", _BYTES)},
+            "ack_header": ("mac.ack_header_bytes", _limited(
+                _BYTES, lambda n: n <= MAX_FRAME_BYTES,
+                f"{{}} exceeds the {MAX_FRAME_BYTES} B frame limit"))},
     "node": {"role": ("role", _ROLE), "class": ("node_class", _CLASS),
              "x": ("x", _METRES), "y": ("y", _METRES),
              "antenna_gain": ("antenna_gain_db", _DB),
@@ -360,8 +378,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Kind]]] = {
                    "move_tick": ("move_tick_us", _POSITIVE_TIME)},
     "traffic": {"period": ("traffic.period_us", _POSITIVE_TIME),
                 "payload": ("traffic.payload_bytes", _BYTES)},
-    "tpc": {"enabled": ("tpc.enabled", _BOOL), "lq_target": ("tpc.lq_target", _INT),
-            "lq_hysteresis": ("tpc.lq_hysteresis", _INT)},
+    "tpc": {"enabled": ("tpc.enabled", _BOOL), "lq_target": ("tpc.lq_target", _LQ),
+            "lq_hysteresis": ("tpc.lq_hysteresis", _LQ)},
     "handover": {"mode": ("handover.mode", _MODE),
                  "probe_window": ("handover.probe_window_us", _TIME),
                  "probe_retry": ("handover.probe_retry_us", _POSITIVE_TIME),
@@ -370,12 +388,12 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Kind]]] = {
                  "ack_fail_threshold": ("handover.ack_fail_threshold", _INT),
                  "degraded_ack_fail_threshold":
                      ("handover.degraded_ack_fail_threshold", _INT)},
-    "energy": {"supply_voltage": ("supply_voltage", _VOLTS),
+    "energy": {"supply_voltage": ("supply_voltage", _POSITIVE_VOLTS),
                "tx_current_0dbm": ("currents.tx_current_0dbm_ma", _CURRENT),
                "tx_current_per_dbm": ("currents.tx_current_per_dbm_ma", _CURRENT),
-               "rx_current": ("currents.rx_current_ma", _CURRENT),
-               "idle_current": ("currents.idle_current_ma", _CURRENT),
-               "sleep_current": ("currents.sleep_current_ma", _CURRENT)},
+               "rx_current": ("currents.rx_current_ma", _MODE_CURRENT),
+               "idle_current": ("currents.idle_current_ma", _MODE_CURRENT),
+               "sleep_current": ("currents.sleep_current_ma", _MODE_CURRENT)},
     "sweep": {"powers": ("sweep_powers", _POWERS)},
     "compare": {"reference_latency_delta": ("reference_latency_delta_us", _TIME),
                 "reference_energy_delta": ("reference_energy_delta_pct", _PERCENT)},
@@ -393,7 +411,6 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
     section: str | None = None
     node: NodeConfig | None = None
     seen_sections: set[str] = set()
-    section_keys: dict[str, int] = {}  # key -> its line, since the last header
     # "section.key" -> the line that set it; "node <id>" -> its header line
     key_lines: dict[str, int] = {}
 
@@ -431,7 +448,6 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
                 node = None
             else:
                 raise ScenarioError(f"unknown section [{header}]", lineno)
-            section_keys = {}
             continue
         if "=" not in stripped:
             raise ScenarioError(f"expected 'key = value', got {stripped!r}", lineno)
@@ -442,17 +458,17 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         if key not in schema:
             raise ScenarioError(f"unknown key '{key}' in section [{section}]", lineno)
         path, kind = schema[key]
-        if key in section_keys and kind is not _WAYPOINT:
+        # A section or node id never repeats, so a name seen is a key set twice.
+        name = f"{section}.{key}" if node is None else f"node {node.node_id}.{key}"
+        if name in key_lines and kind is not _WAYPOINT:
             raise ScenarioError(f"key '{key}' already set at line "
-                                f"{section_keys[key]} of this section", lineno)
-        section_keys[key] = lineno
+                                f"{key_lines[name]} of this section", lineno)
         parsed = kind.parse(value, key, lineno)
         if kind is _WAYPOINT:
             waypoints.append(parsed)
         else:
             _set(cfg if node is None else node, path, parsed)
-        key_lines[f"{section}.{key}" if node is None
-                  else f"node {node.node_id}.{key}"] = lineno
+        key_lines[name] = lineno
 
     if waypoints:
         try:
@@ -483,23 +499,19 @@ def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> No
         if n.role is not NodeRole.END_DEVICE:
             raise ScenarioError(f"{source}: mobile node {n.node_id} must be an end_device",
                                 header_line(n))
-    # The CSMA ranges of IEEE 802.15.4-2006, Table 86, and the LQ scale.
-    csma, tpc = cfg.csma, cfg.tpc
-    for key, value, lo, hi in (
-            ("csma.mac_max_be", csma.mac_max_be, 3, 8),
-            ("csma.mac_min_be", csma.mac_min_be, 0, csma.mac_max_be),
-            ("csma.max_csma_backoffs", csma.max_csma_backoffs, 0, 5),
-            ("csma.max_frame_retries", csma.max_frame_retries, 0, 7),
-            ("tpc.lq_target", tpc.lq_target, 0, 255),
-            ("tpc.lq_hysteresis", tpc.lq_hysteresis, 0, 255)):
-        if not lo <= value <= hi:
-            raise ScenarioError(
-                f"{source}: {key.partition('.')[2]} {value} outside {lo}..{hi}",
-                key_lines.get(key))
+        xy_lines = [key_lines.get(f"node {n.node_id}.{k}") for k in "xy"]
+        if any(xy_lines):
+            raise ScenarioError(f"{source}: mobile node {n.node_id} takes its position "
+                                "from [trajectory], not x or y",
+                                min(filter(None, xy_lines)))
 
     def last_line(*keys: str) -> int | None:
         return max(key_lines.get(k, 0) for k in keys) or None
 
+    if cfg.csma.mac_min_be > cfg.csma.mac_max_be:
+        raise ScenarioError(f"{source}: mac_min_be {cfg.csma.mac_min_be} above "
+                            f"mac_max_be {cfg.csma.mac_max_be}",
+                            last_line("csma.mac_min_be", "csma.mac_max_be"))
     levels = cfg.phy.power_levels_dbm
     if cfg.phy.tx_power_dbm not in levels:
         raise ScenarioError(
@@ -520,19 +532,6 @@ def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> No
                 f"{source}: tx current at {power:g} dBm is "
                 f"{currents.tx_current_ma(power):g} mA, below 0 mA",
                 last_line(key, "energy.tx_current_0dbm", "energy.tx_current_per_dbm"))
-    for key in ("rx_current", "idle_current", "sleep_current"):
-        if getattr(currents, f"{key}_ma") < 0:
-            raise ScenarioError(f"{source}: {key} below 0 mA",
-                                key_lines.get(f"energy.{key}"))
-    for key, value, unit in (
-            ("energy.supply_voltage", cfg.supply_voltage, "V"),
-            ("phy.lq_saturation_margin", cfg.phy.lq_saturation_margin_db, "dB")):
-        if value <= 0:
-            raise ScenarioError(f"{source}: {key.partition('.')[2]} {value:g} "
-                                f"{unit} is not positive", key_lines.get(key))
-    if not 0 <= cfg.mac.beacon_order <= 15:
-        raise ScenarioError(f"{source}: beacon_order must be 0..15",
-                            key_lines.get("mac.beacon_order"))
     if cfg.channel not in cfg.band.channels:
         raise ScenarioError(
             f"{source}: channel {cfg.channel} not in band {cfg.band.name}",
@@ -545,10 +544,6 @@ def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> No
             f"{source}: largest frame, mac_header {header} B + payload "
             f"{payload} B, exceeds the {MAX_FRAME_BYTES} B frame limit",
             last_line("mac.mac_header", "traffic.payload"))
-    if cfg.mac.ack_header_bytes > MAX_FRAME_BYTES:
-        raise ScenarioError(
-            f"{source}: ack_header {cfg.mac.ack_header_bytes} B exceeds the "
-            f"{MAX_FRAME_BYTES} B frame limit", key_lines.get("mac.ack_header"))
     # Byte counts are never negative and control payloads are 1 B or more,
     # so only an ack or a data frame can be empty.
     overhead = cfg.phy.phy_overhead_bytes

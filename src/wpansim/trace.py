@@ -9,6 +9,7 @@ that spells it as text, for writing and for reading back.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .record import Record
@@ -82,6 +83,13 @@ def _word(text: str) -> str:
     return text
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # the writer never produces one
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_done(text: str) -> tuple[int, int]:
     parent, _, latency = text.removeprefix("parent=").partition(";latency_us=")
     return int(parent), int(latency)
@@ -103,7 +111,7 @@ _OUTCOMES = {
         lambda text: None if text == "exhausted"
         else int(text.removeprefix("retry="))),
     TraceKind.SEND_OUTCOME: _field("", _word),  # a mac.SendOutcome
-    TraceKind.TPC_SET: _field("level=", float, "{:.1f}".format),  # dBm
+    TraceKind.TPC_SET: _field("level=", _finite, "{:.1f}".format),  # dBm
     TraceKind.HANDOVER_START: _field("trigger=", _word),
     TraceKind.HANDOVER_DONE: (  # (parent, latency_us)
         lambda done: f"parent={done[0]};latency_us={done[1]}", _parse_done),
@@ -193,8 +201,8 @@ def read_trace(path: str | Path) -> list[TraceRecord]:
                 raise ValueError(f"malformed trace row {line!r}")
             rows.append(TraceRecord(
                 int(f[0]), int(f[1]), f[2], f[3], _opt(int, f[4]), _opt(int, f[5]),
-                _opt(int, f[6]), _opt(float, f[7]), _opt(float, f[8]),
-                _opt(int, f[9]), float(f[10]), _parse_outcome(f[2], f[11])))
+                _opt(int, f[6]), _opt(_finite, f[7]), _opt(_finite, f[8]),
+                _opt(int, f[9]), _finite(f[10]), _parse_outcome(f[2], f[11])))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return rows

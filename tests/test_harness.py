@@ -723,3 +723,114 @@ def test_tx_current_of_exactly_zero_is_accepted():
     assert cfg.currents.tx_current_ma(-20.0) == 0.0
     with pytest.raises(ScenarioError):
         make_cfg(_tiny_with("\npower_levels = -20.01 0 dBm"))
+
+
+def _tiny_setting(section, line):
+    """TINY with `line` in its [section], in place of the key's own line."""
+    key = line.split(" = ")[0]
+    text = "".join(kept for kept in TINY.format(duration="500 ms", seed=7)
+                   .splitlines(keepends=True) if not kept.startswith(f"{key} = "))
+    if f"[{section}]\n" in text:
+        return text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    return text + f"\n[{section}]\n{line}\n"
+
+
+_ZERO_OR_MORE_TIMES = [("run", "duration"), ("csma", "unit_backoff"),
+                       ("csma", "ack_wait"), ("csma", "turnaround"),
+                       ("handover", "probe_window"),
+                       ("handover", "scan_response_timeout"),
+                       ("handover", "lq_retrigger_cooldown"),
+                       ("compare", "reference_latency_delta")]
+_INT_RANGES = [("csma", "mac_max_be", 3, 8), ("csma", "max_csma_backoffs", 0, 5),
+               ("csma", "max_frame_retries", 0, 7), ("mac", "beacon_order", 0, 15),
+               ("tpc", "lq_target", 0, 255), ("tpc", "lq_hysteresis", 0, 255)]
+# (section, the last value accepted, the first value past it)
+SINGLE_KEY_BOUNDS = [
+    *[(s, f"{k} = 0 us", f"{k} = -1 us") for s, k in _ZERO_OR_MORE_TIMES],
+    *[(s, f"{k} = 1 us", f"{k} = 0 ms")
+      for s, k in (("traffic", "period"), ("trajectory", "move_tick"),
+                   ("handover", "probe_retry"))],
+    *[(s, f"{k} = 0 B", f"{k} = -1 B")
+      for s, k in (("phy", "phy_overhead"), ("mac", "mac_header"), ("mac", "ack_header"),
+                   ("traffic", "payload"))],
+    ("mac", "ack_header = 127 B", "ack_header = 128 B"),
+    *[(s, f"{k} = {lo}", f"{k} = {lo - 1}") for s, k, lo, _ in _INT_RANGES],
+    *[(s, f"{k} = {hi}", f"{k} = {hi + 1}") for s, k, _, hi in _INT_RANGES],
+    ("csma", "mac_min_be = 0", "mac_min_be = -1"),
+    *[("energy", f"{k} = 0 mA", f"{k} = -0.001 mA")
+      for k in ("rx_current", "idle_current", "sleep_current")],
+    ("energy", "supply_voltage = 0.001 V", "supply_voltage = 0 V"),
+    ("phy", "lq_saturation_margin = 0.001 dB", "lq_saturation_margin = 0 dB"),
+    ("phy", "path_loss_exponent = 0.001", "path_loss_exponent = 0"),
+]
+
+
+@pytest.mark.parametrize("section, ok, bad", SINGLE_KEY_BOUNDS,
+                         ids=[bad for _, _, bad in SINGLE_KEY_BOUNDS])
+def test_cli_single_key_rule_boundary(section, ok, bad, tmp_path, capsys, monkeypatch):
+    # Each rule that reads one key alone: its last accepted value parses, and
+    # the first value past it is rejected at its line, naming the key.
+    make_cfg(_tiny_setting(section, ok))
+    err = _cli_run_rejects(_tiny_setting(section, bad), bad, tmp_path, capsys,
+                           monkeypatch)
+    assert bad.split(" = ")[0] in err
+
+
+@pytest.mark.parametrize("bad", ["payload = -0.5 B", "payload = 20.7 B"])
+def test_cli_fractional_byte_count_exit_2(bad, tmp_path, capsys, monkeypatch):
+    # Used to be truncated: -0.5 B ran as 0 B, passing the zero-or-more
+    # rule, and 20.7 B as 20 B.
+    err = _cli_run_rejects(_tiny_setting("traffic", bad), bad, tmp_path, capsys,
+                           monkeypatch)
+    assert "is not a whole number of bytes" in err
+    cfg = make_cfg(_tiny_setting("traffic", "payload = 1e1 B"))
+    assert cfg.traffic.payload_bytes == 10
+
+
+@pytest.mark.parametrize("section, bad", [
+    ("phy", "power_levels = 0 0 2 3 4 5 6 6 dBm"), ("sweep", "powers = 4 4 0 dBm")])
+def test_cli_repeated_power_level_exit_2(section, bad, tmp_path, capsys, monkeypatch):
+    # Used to be accepted, and a sweep ran the repeated level twice.
+    err = _cli_run_rejects(_tiny_setting(section, bad), bad, tmp_path, capsys,
+                           monkeypatch)
+    assert "names a level twice" in err
+
+
+def test_sweep_repeated_power_level_exit_1(default_cfg, tmp_path, capsys):
+    # Used to run 4 dBm twice: two summary rows, each coverage.csv row of that
+    # level twice, and the second trace written over the first.
+    with pytest.raises(ValueError, match="name a level twice"):
+        sweep(default_cfg, [4.0, 4.0, 0.0])
+    assert main(["sweep", "--powers", "4,4,0", "--out", str(tmp_path / "o")]) == 1
+    assert "name a level twice" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("lines, bad", [
+    ("x = 7 m\ny = 3 m", "x = 7 m"), ("y = 3 m\nx = 7 m", "y = 3 m"),
+    ("y = 3 m", "y = 3 m")])
+def test_cli_mobile_node_x_or_y_exit_2(lines, bad, tmp_path, capsys, monkeypatch):
+    # Used to be accepted and ignored: the mobile moves along [trajectory],
+    # and render_scenario dropped both lines.
+    text = TINY.format(duration="500 ms", seed=7).replace(
+        "class = mobile\n", f"class = mobile\n{lines}\n")
+    err = _cli_run_rejects(text, bad, tmp_path, capsys, monkeypatch)
+    assert "mobile node 4 takes its position from [trajectory]" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400", "nan"])
+def test_cli_gaps_non_finite_position_exit_2(value, tmp_path, capsys):
+    # Used to end in an OverflowError traceback, or for nan in "error: cannot
+    # convert float NaN to integer" (exit 1).
+    lines = (DATA / "golden_tiny.csv").read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if ",4,RX," in line)
+    fields = lines[lineno - 1].split(",")
+    fields[10] = value  # pos_x_m of a mobile RX row
+    lines[lineno - 1] = ",".join(fields)
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(lines) + "\n")
+    code = main(["gaps", "--trace", str(trace),
+                 "--scenario", str(DATA / "golden_tiny.scenario")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace error: ") and f"line {lineno}: " in err

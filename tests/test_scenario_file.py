@@ -279,14 +279,28 @@ def _waypoints(draw):
     return [(draw(_G_EXACT), draw(_G_EXACT), t) for t in times]
 
 
+_G_POSITIVE = st.integers(1, 99_999).map(lambda i: i / 100)
+
+
+def _kind(section, key):
+    return sf._SCHEMA[section][key][1]
+
+
+# Each kind draws only values its own rule accepts.
 KIND_VALUES = {
     sf._TIME: st.integers(0, 10**8), sf._POSITIVE_TIME: st.integers(1, 10**8),
-    sf._DBM: _G_EXACT, sf._DB: _G_EXACT, sf._METRES: _G_EXACT, sf._VOLTS: _G_EXACT,
+    sf._DBM: _G_EXACT, sf._DB: _G_EXACT, sf._METRES: _G_EXACT,
     sf._PERCENT: _G_EXACT, sf._CURRENT: _G_EXACT,
-    sf._POSITIVE_FLOAT: st.integers(1, 99_999).map(lambda i: i / 100),
+    sf._MODE_CURRENT: _G_POSITIVE | st.just(0.0), sf._POSITIVE_DB: _G_POSITIVE,
+    sf._POSITIVE_VOLTS: _G_POSITIVE, sf._POSITIVE_FLOAT: _G_POSITIVE,
     sf._BYTES: st.integers(0, 60),  # header + payload stays under 127 B
+    _kind("mac", "ack_header"): st.integers(0, 60),
     sf._INT: st.integers(0, 1000), sf._BOOL: st.booleans(),
-    sf._POWERS: st.lists(_G_EXACT, min_size=1, max_size=6).map(tuple),
+    sf._MAX_BE: st.integers(3, 8), sf._BACKOFFS: st.integers(0, 5),
+    sf._RETRIES: st.integers(0, 7), sf._LQ: st.integers(0, 255),
+    _kind("csma", "mac_min_be"): st.integers(0, 8),  # at most mac_max_be: see below
+    _kind("mac", "beacon_order"): st.integers(0, 15),
+    sf._POWERS: st.lists(_G_EXACT, min_size=1, max_size=6, unique=True).map(tuple),
     sf._BAND: st.sampled_from(list(BANDS.values())),
     sf._ROLE: st.sampled_from(list(NodeRole)), sf._CLASS: st.sampled_from(list(NodeClass)),
     sf._MODE: st.sampled_from(["broadcast", "scan"]), sf._WAYPOINT: _waypoints(),
@@ -319,21 +333,12 @@ def _configs(draw):
         n.role = NodeRole.ROUTER
     if cfg.stationary_nodes() and not coordinators:
         cfg.stationary_nodes()[0].role = NodeRole.COORDINATOR
-    cfg.csma.mac_max_be = draw(st.integers(3, 8))
     cfg.csma.mac_min_be = draw(st.integers(0, cfg.csma.mac_max_be))
-    cfg.csma.max_csma_backoffs = draw(st.integers(0, 5))
-    cfg.csma.max_frame_retries = draw(st.integers(0, 7))
-    cfg.tpc.lq_target = draw(st.integers(0, 255))
-    cfg.tpc.lq_hysteresis = draw(st.integers(0, 255))
     if not cfg.phy.phy_overhead_bytes and 0 in (
             cfg.mac.ack_header_bytes, cfg.mac.mac_header_bytes + cfg.traffic.payload_bytes):
         cfg.phy.phy_overhead_bytes = 1  # no frame may be empty
-    positive = KIND_VALUES[sf._POSITIVE_FLOAT]
-    cfg.phy.lq_saturation_margin_db = draw(positive)
-    cfg.supply_voltage = draw(positive)
     currents = cfg.currents
-    for key in ("tx_current_0dbm", "rx_current", "idle_current", "sleep_current"):
-        setattr(currents, f"{key}_ma", draw(positive | st.just(0.0)))
+    currents.tx_current_0dbm_ma = draw(KIND_VALUES[sf._MODE_CURRENT])  # 0 mA or more
     # No level may draw a negative TX current; at 0 dBm it is tx_current_0dbm.
     cfg.phy.power_levels_dbm = tuple(
         p for p in cfg.phy.power_levels_dbm if currents.tx_current_ma(p) >= 0) or (0.0,)
@@ -343,8 +348,8 @@ def _configs(draw):
             node.tx_power_dbm = None
     cfg.phy.tx_power_dbm = draw(st.sampled_from(cfg.phy.power_levels_dbm))
     cfg.sweep_powers = draw(st.none() | st.lists(  # None: no [sweep] powers line
-        st.sampled_from(cfg.phy.power_levels_dbm), min_size=1, max_size=6).map(tuple))
-    cfg.mac.beacon_order = draw(st.integers(0, 15))
+        st.sampled_from(cfg.phy.power_levels_dbm), min_size=1, max_size=6,
+        unique=True).map(tuple))
     cfg.channel = draw(st.sampled_from(cfg.band.channels))
     return cfg
 
