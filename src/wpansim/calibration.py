@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 from . import kernels
 from .coverage import line_spans, uncovered_intervals
+from .kernels import _INVALID
 from .scenario_file import ScenarioConfig, ScenarioError
 
 N_RANGE = (1.5, 6.0, 0.1)
@@ -36,8 +37,6 @@ X_RANGE = (-3.0, 18.0, 0.5)
 # Tie-break weight: among layouts with equal boundary error, prefer less
 # coverage overlap at the gap-free level.
 OVERLAP_WEIGHT = 1e-3
-
-_INVALID = 1e300
 
 
 class CalibrationTargets(NamedTuple):

@@ -1,8 +1,10 @@
 """Simplified 802.15.4 MAC: frames, unslotted CSMA/CA, collision semantics.
 
-Beacons and acknowledgements bypass CSMA: `beacon_due` is the periodic
-beacon handler and `send_ack` acks a frame after a fixed turnaround; both
-wait out the radio's own frame, and beacons keep their cadence.  The
+`receive` takes each frame the radio gets and decides which it acks, and
+an idle MAC leaves sleep to `Node.maybe_sleep`.  Beacons and acks bypass
+CSMA: `beacon_due` is the periodic beacon handler and `send_ack` acks after
+a fixed turnaround; both wait out the radio's own frame, and beacons keep
+their cadence.  The backoff exponent is min(macMinBE + NB, macMaxBE).  The
 channel applies a no-capture collision model: if two transmissions audible
 at a receiver overlap in time, that receiver gets neither.  CCA is
 instantaneous channel-state sampling.
@@ -230,8 +232,7 @@ class MacLayer:
         self.node = node
         self.queue: deque[Frame] = deque()
         self.current: Frame | None = None
-        self.nb = 0
-        self.be = 0
+        self.nb = 0  # busy CCAs of the current attempt
         self.retries = 0
         self.seq_counter = 0
         self._ack_timeout_event = None
@@ -276,7 +277,7 @@ class MacLayer:
         """Acknowledge a received frame after the turnaround."""
         self.pending_acks += 1
         ack = Frame(FrameKind.ACK, frame.seq, self.node.node_id, frame.src)
-        self.sim.loop.schedule(self.sim.loop.now + self.sim.csma.turnaround_us,
+        self.sim.loop.schedule(self.sim.loop.now + self.sim.cfg.csma.turnaround_us,
                                self._ack_due, ack)
 
     def _ack_due(self, ack: Frame) -> None:
@@ -305,22 +306,21 @@ class MacLayer:
 
     def _begin_csma(self) -> None:
         self.nb = 0
-        self.be = self.sim.csma.mac_min_be
         self._schedule_backoff()
 
     def _schedule_backoff(self) -> None:
-        draw = self.node.rng.draw_uniform(1 << self.be)
-        delay = draw * self.sim.csma.unit_backoff_us
+        csma = self.sim.cfg.csma
+        be = min(csma.mac_min_be + self.nb, csma.mac_max_be)
+        delay = self.node.rng.draw_uniform(1 << be) * csma.unit_backoff_us
         self.sim.emit(self.node, TraceKind.BACKOFF, self.current, detail=delay)
         self.sim.loop.schedule(self.sim.loop.now + delay, self.on_backoff_expire)
 
     def on_backoff_expire(self) -> None:
         if self.sim.channel.busy_for(self.node, self.sim.loop.now):
             self.nb += 1
-            self.be = min(self.be + 1, self.sim.csma.mac_max_be)
             self.sim.emit(self.node, TraceKind.CCA_BUSY, self.current,
                           detail=self.nb)
-            if self.nb >= self.sim.csma.max_csma_backoffs:
+            if self.nb >= self.sim.cfg.csma.max_csma_backoffs:
                 self._finish(SendOutcome.CHANNEL_ACCESS_FAILURE)
             else:
                 self._schedule_backoff()
@@ -337,9 +337,18 @@ class MacLayer:
             return  # beacon/ack path, nothing to resolve
         if frame.wants_ack():
             self._ack_timeout_event = self.sim.loop.schedule(
-                self.sim.loop.now + self.sim.csma.ack_wait_us, self.on_ack_timeout)
+                self.sim.loop.now + self.sim.cfg.csma.ack_wait_us, self.on_ack_timeout)
         else:
             self._finish(SendOutcome.DELIVERED)
+
+    def receive(self, frame: Frame, rx_power: float, lq: int) -> None:
+        """Match an ack, ack a frame that wants one, pass every frame on."""
+        if frame.dst == self.node.node_id:
+            if frame.kind == FrameKind.ACK:
+                self.on_ack_received(frame)
+            elif frame.wants_ack():
+                self.send_ack(frame)
+        self.node.controller.on_frame(frame, rx_power, lq)
 
     def on_ack_received(self, ack: Frame) -> None:
         if (self._ack_timeout_event is not None
@@ -352,7 +361,7 @@ class MacLayer:
     def on_ack_timeout(self) -> None:
         self._ack_timeout_event = None
         self.retries += 1
-        if self.retries > self.sim.csma.max_frame_retries:
+        if self.retries > self.sim.cfg.csma.max_frame_retries:
             self.sim.emit(self.node, TraceKind.ACK_TIMEOUT, self.current)
             self._finish(SendOutcome.NO_ACK)
         else:
@@ -369,7 +378,7 @@ class MacLayer:
             if self.queue:
                 self._start_attempt()
             else:
-                self.sim.maybe_sleep(self.node)
+                self.node.maybe_sleep()
 
     @property
     def busy(self) -> bool:

@@ -93,10 +93,9 @@ class StationaryController:
     def __init__(self, sim, node) -> None:
         self.sim = sim
         self.node = node
-        self.may_parent = node.config.may_parent
 
     def on_frame(self, frame: Frame, rx_power: float, lq: int) -> None:
-        if not self.may_parent:
+        if not self.node.config.may_parent:
             return
         mac = self.node.mac
         if frame.kind == FrameKind.PROBE_REQ and (
@@ -339,4 +338,4 @@ class MobileController:
                 self.sim.emit(self.node, TraceKind.TPC_SET, detail=top)
         self.sim.emit(self.node, TraceKind.HANDOVER_FAIL, detail=why)
         self._set_timer(self.sim.cfg.handover.probe_retry_us)
-        self.sim.maybe_sleep(self.node)
+        self.node.maybe_sleep()

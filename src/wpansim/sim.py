@@ -2,7 +2,8 @@
 
 A run owns every piece of mutable state (event loop, channel, per-node RNG
 streams, ledgers); two runs never share anything, so a scenario file plus a
-seed reproduces the trace byte for byte.
+seed reproduces the trace byte for byte.  `MacLayer.receive` takes each
+received frame, and each `Node` decides itself when it sleeps.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .engine import EventLoop, RngStream, RunSummary, SimTime
-from .mac import Channel, CsmaParams, Frame, FrameKind, MacLayer, Transmission
+from .mac import Channel, Frame, FrameKind, MacLayer, Transmission
 from .net import MobileController, RunStats, StationaryController, run_stats
 from .phy import NO_BEACONS, beacon_interval, frame_airtime, heard, lq_from_rx_power
 from .scenario import (LISTEN, RX, SLEEP, EnergyLedger, NodeClass, NodeConfig,
@@ -73,6 +74,11 @@ class Node:
         if self.ledger.mode == SLEEP:
             self.set_mode(LISTEN)
 
+    def maybe_sleep(self) -> None:
+        if (self.config.sleeps and not self.mac.busy and self.rx_engagements == 0
+                and self.ledger.mode == LISTEN and not self.controller.searching):
+            self.set_mode(SLEEP)
+
 
 class RunResult(NamedTuple):
     cfg: ScenarioConfig
@@ -89,8 +95,6 @@ class Simulation:
     def __init__(self, cfg: ScenarioConfig) -> None:
         self.cfg = cfg
         self.loop = EventLoop()
-        self.csma: CsmaParams = cfg.csma
-        self.band = cfg.band
         self.rows: list[TraceRecord] = []
         self.nodes: dict[int, Node] = {}
         for nc in cfg.nodes:
@@ -119,7 +123,7 @@ class Simulation:
     def airtime(self, frame: Frame) -> SimTime:
         return frame_airtime(self.cfg.phy.phy_overhead_bytes + (
             self.cfg.mac.ack_header_bytes if frame.kind == FrameKind.ACK
-            else self.cfg.mac.mac_header_bytes + frame.payload_len), self.band)
+            else self.cfg.mac.mac_header_bytes + frame.payload_len), self.cfg.band)
 
     def begin_transmission(self, node: Node, frame: Frame) -> None:
         now = self.loop.now
@@ -177,25 +181,9 @@ class Simulation:
                 other.set_mode(LISTEN)
         node.set_mode(LISTEN)
         for other, rx_power, lq in receivers:
-            self._on_frame_received(other, tx.frame, rx_power, lq)
+            other.mac.receive(tx.frame, rx_power, lq)
         node.mac.on_tx_complete(tx.frame)
-        self.maybe_sleep(node)
-
-    def _on_frame_received(self, node: Node, frame: Frame, rx_power: float,
-                           lq: int) -> None:
-        if frame.kind == FrameKind.ACK:
-            if frame.dst == node.node_id:
-                node.mac.on_ack_received(frame)
-        elif frame.wants_ack() and frame.dst == node.node_id:
-            node.mac.send_ack(frame)
-        node.controller.on_frame(frame, rx_power, lq)
-
-    # -- radio idling ------------------------------------------------------------
-
-    def maybe_sleep(self, node: Node) -> None:
-        if (node.config.sleeps and not node.mac.busy and node.rx_engagements == 0
-                and node.ledger.mode == LISTEN and not node.controller.searching):
-            node.set_mode(SLEEP)
+        node.maybe_sleep()
 
     # -- scheduled actions ------------------------------------------------------
 
@@ -216,7 +204,7 @@ class Simulation:
             self.loop.every(self.cfg.move_tick_us, end, self.emit, self.mobile,
                             TraceKind.MOVE)
         if self.cfg.mac.beacon_order != NO_BEACONS:
-            interval = beacon_interval(self.cfg.mac.beacon_order, self.band)
+            interval = beacon_interval(self.cfg.mac.beacon_order, self.cfg.band)
             for node in self.nodes.values():
                 if node.config.may_parent:
                     self.loop.every(interval, end, node.mac.beacon_due)

@@ -243,7 +243,7 @@ def test_a_node_between_frames_with_one_queued_stays_awake():
     def on_outcome(frame, outcome):
         if frame is first:
             seen.append((outcome, mac.current, len(mac.queue)))
-            sim.maybe_sleep(node)
+            node.maybe_sleep()
             seen.append(node.ledger.mode)
         on_send_outcome(frame, outcome)
 
