@@ -16,7 +16,7 @@ from .coverage import gap_analysis, gap_bounds
 from .engine import SimulationError
 from .harness import calibrate, compare, run_simulation, sweep
 from .scenario_file import ScenarioError, load_scenario
-from .trace import read_trace
+from .trace import TraceKind, read_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,6 +102,24 @@ def _load(args):
     return cfg
 
 
+def _restore_mobile_x(rows, trajectory, path) -> None:
+    """Give each mobile row back the exact x that the trace rounded to 0.01 m.
+
+    The mobile's x is its trajectory's at the row's time, so gaps read off
+    the restored rows are the sweep's.  A row whose x the trajectory does
+    not give is not from this scenario: ValueError names its line.
+    """
+    mobiles = {r.node_id for r in rows if r.event_kind == TraceKind.MOVE}
+    for lineno, row in enumerate(rows, start=2):
+        if row.node_id in mobiles:
+            x = trajectory.position_at(row.time_us)[0]
+            if f"{x:.2f}" != f"{row.pos_x_m:.2f}":
+                raise ValueError(
+                    f"{path}: line {lineno}: pos_x_m {row.pos_x_m:.2f} is not the "
+                    f"scenario trajectory's x ({x:.2f} m at {row.time_us} us)")
+            row.pos_x_m = x
+
+
 def _outdir(args, command: str) -> Path:
     return args.out if args.out is not None else Path(f"out_{command}")
 
@@ -146,9 +164,11 @@ def _dispatch(args) -> int:
     if args.command == "gaps":
         scenario = args.scenario if args.scenario is not None \
             else default_scenario_path()
-        x_lo, x_hi = gap_bounds(load_scenario(scenario).trajectory)
+        trajectory = load_scenario(scenario).trajectory
+        x_lo, x_hi = gap_bounds(trajectory)
         try:
             rows = read_trace(args.trace)
+            _restore_mobile_x(rows, trajectory, args.trace)
         except (OSError, ValueError) as exc:
             print(f"trace error: {exc}", file=sys.stderr)
             return EXIT_SCENARIO

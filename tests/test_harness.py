@@ -1,13 +1,15 @@
 import pytest
 
 from conftest import DATA, TINY, make_cfg, oracle_meets_targets, tiny_cfg
+from util_props import random_scenario
 from wpansim import cli
 from wpansim.calibration import CalibrationTargets
 from wpansim.cli import main
+from wpansim.coverage import gap_analysis, gap_bounds
 from wpansim.engine import SimulationError
 from wpansim.harness import calibrate, compare, energy_delta_pct, run_simulation, sweep
 from wpansim.scenario import SLEEP
-from wpansim.scenario_file import ScenarioError, load_scenario
+from wpansim.scenario_file import ScenarioError, load_scenario, render_scenario
 from wpansim.sim import Simulation
 from wpansim.trace import HEADER, read_trace, write_trace
 
@@ -189,6 +191,34 @@ def test_cli_gaps_finds_gaps_in_low_power_trace(default_cfg, tmp_path, capsys):
 
 def test_cli_gaps_missing_trace_exit_2(tmp_path):
     assert main(["gaps", "--trace", str(tmp_path / "none.csv")]) == 2
+
+
+def test_cli_gaps_on_written_traces_agree_with_the_live_rows(tmp_path, capsys):
+    # trace.csv rounds pos_x_m to 0.01 m, which can move a row across a
+    # 0.1 m cell edge; `gaps` gives each mobile row its trajectory x back.
+    # Without that, run 75 read a gap 0.1 m short and run 83 lost its gap.
+    for index in range(100):
+        cfg = random_scenario(index)
+        rows = Simulation(cfg).run().rows
+        trace, scenario = tmp_path / f"{index}.csv", tmp_path / f"{index}.scenario"
+        write_trace(trace, rows)
+        scenario.write_text(render_scenario(cfg))
+        gaps = gap_analysis(rows, *gap_bounds(cfg.trajectory))
+        capsys.readouterr()
+        assert main(["gaps", "--trace", str(trace), "--scenario", str(scenario)]) == 0
+        assert capsys.readouterr().out.splitlines() == (
+            [f"gap: {a:.2f} m .. {b:.2f} m" for a, b in gaps]
+            or ["no coverage gaps"]), index
+
+
+def test_cli_gaps_on_a_trace_of_another_scenario_exit_2(capsys):
+    # golden_tiny's mobile starts at x = 1 m, the default scenario's at 0 m.
+    code = main(["gaps", "--trace", str(DATA / "golden_tiny.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace error: ")
+    assert "golden_tiny.csv: line 2: pos_x_m 1.00 is not the scenario " \
+           "trajectory's x (0.00 m at 0 us)" in err
 
 
 def test_cli_calibrate_writes_outputs(tmp_path):

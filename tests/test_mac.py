@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import DATA, make_cfg
-from wpansim.engine import SimulationError
+from wpansim.engine import RngStream, SimulationError
 from wpansim.mac import BROADCAST, Frame, FrameKind, SendOutcome, Transmission
 from wpansim.phy import link_rx_power
 from wpansim.scenario import LISTEN, RX, SLEEP
@@ -112,6 +112,25 @@ def test_backoff_exponent_escalates_and_stays_bounded():
     delays = [r.detail for r in rows_of(sim, "BACKOFF", node=1)]
     assert len(delays) == 4
     assert all(d <= (2 ** 5 - 1) * 320 for d in delays)
+
+
+@pytest.mark.parametrize("min_be, max_be", [(0, 3), (3, 3), (2, 5), (5, 8)])
+def test_backoff_exponent_is_min_be_plus_busy_ccas_capped_at_max_be(min_be, max_be):
+    # BE = min(macMinBE + NB, macMaxBE) (802.15.4-2006, 7.5.1.4).  The
+    # backoff is the only draw from a node's stream, so the delays replay.
+    sim = Simulation(make_cfg(LINE.format(seed=9) + (
+        f"\n[csma]\nmac_min_be = {min_be}\nmac_max_be = {max_be}\n"
+        "max_csma_backoffs = 5\n")))
+    blocker = Frame(FrameKind.DATA, 0, 3, 5, payload_len=10_000)  # 320 ms on air
+    sim.begin_transmission(sim.nodes[3], blocker)
+    sim.nodes[1].mac.csma_send(data_frame(sim, 1, 2))
+    drive(sim)
+    assert outcomes(sim, 1) == [SendOutcome.CHANNEL_ACCESS_FAILURE]
+    assert [r.detail for r in rows_of(sim, "CCA_BUSY", node=1)] == [1, 2, 3, 4, 5]
+    rng = RngStream(sim.cfg.seed, 1)
+    assert [r.detail for r in rows_of(sim, "BACKOFF", node=1)] == [
+        rng.draw_uniform(1 << min(min_be + k, max_be)) * sim.cfg.csma.unit_backoff_us
+        for k in range(5)]
 
 
 def test_send_immediate_rejects_non_exempt_kinds():
