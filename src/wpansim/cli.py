@@ -102,22 +102,27 @@ def _load(args):
     return cfg
 
 
-def _restore_mobile_x(rows, trajectory, path) -> None:
-    """Give each mobile row back the exact x that the trace rounded to 0.01 m.
+def _restore_mobile_x(rows, trajectory, path) -> int | None:
+    """The mobile's id, the lowest with MOVE rows (None without any), after
+    giving each of its rows back the exact x that the trace rounded to 0.01 m.
 
     The mobile's x is its trajectory's at the row's time, so gaps read off
     the restored rows are the sweep's.  A row whose x the trajectory does
     not give is not from this scenario: ValueError names its line.
     """
-    mobiles = {r.node_id for r in rows if r.event_kind == TraceKind.MOVE}
+    movers = {r.node_id for r in rows if r.event_kind == TraceKind.MOVE}
+    if not movers:
+        return None
+    mobile_id = min(movers)
     for lineno, row in enumerate(rows, start=2):
-        if row.node_id in mobiles:
+        if row.node_id == mobile_id:
             x = trajectory.position_at(row.time_us)[0]
             if f"{x:.2f}" != f"{row.pos_x_m:.2f}":
                 raise ValueError(
                     f"{path}: line {lineno}: pos_x_m {row.pos_x_m:.2f} is not the "
                     f"scenario trajectory's x ({x:.2f} m at {row.time_us} us)")
             row.pos_x_m = x
+    return mobile_id
 
 
 def _outdir(args, command: str) -> Path:
@@ -168,15 +173,14 @@ def _dispatch(args) -> int:
         x_lo, x_hi = gap_bounds(trajectory)
         try:
             rows = read_trace(args.trace)
-            _restore_mobile_x(rows, trajectory, args.trace)
+            mobile_id = _restore_mobile_x(rows, trajectory, args.trace)
         except (OSError, ValueError) as exc:
             print(f"trace error: {exc}", file=sys.stderr)
             return EXIT_SCENARIO
-        gaps = gap_analysis(rows, x_lo, x_hi)
-        if gaps:
-            for a, b in gaps:
-                print(f"gap: {a:.2f} m .. {b:.2f} m")
-        else:
+        gaps = [] if mobile_id is None else gap_analysis(rows, x_lo, x_hi, mobile_id)
+        for a, b in gaps:
+            print(f"gap: {a:.2f} m .. {b:.2f} m")
+        if not gaps:
             print("no coverage gaps")
         return EXIT_OK
 

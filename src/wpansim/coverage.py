@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from .mac import SendOutcome
 from .phy import PhyParams, comm_range_m, heard, link_rx_power
-from .scenario import NodeClass
 from .scenario_file import ScenarioError
 from .trace import TraceKind, TraceRecord
 
@@ -27,7 +26,7 @@ _FAIL_KINDS = (TraceKind.OUTAGE_LOSS, TraceKind.HANDOVER_FAIL)
 
 
 def gap_analysis(rows: list[TraceRecord], x_lo: float, x_hi: float,
-                 mobile_id: int | None = None) -> list[tuple[float, float]]:
+                 mobile_id: int) -> list[tuple[float, float]]:
     """Extract out-of-communication x-intervals from a run trace.
 
     Rasterizes mobile-node evidence onto 0.1 m cells: a cell is part of a
@@ -37,11 +36,6 @@ def gap_analysis(rows: list[TraceRecord], x_lo: float, x_hi: float,
     between failing cells are bridged; gap edges are trimmed to the
     outermost failing cells.
     """
-    if mobile_id is None:
-        movers = {r.node_id for r in rows if r.event_kind == TraceKind.MOVE}
-        if not movers:
-            return []
-        mobile_id = min(movers)
     n_cells = max(1, round((x_hi - x_lo) / CELL_M))
     # 0 = no evidence, 1 = success, 2 = failure (success wins in a cell)
     cells = [0] * n_cells
@@ -62,19 +56,15 @@ def gap_analysis(rows: list[TraceRecord], x_lo: float, x_hi: float,
                 cells[i] = 2
 
     gaps: list[tuple[float, float]] = []
-    i = 0
-    while i < n_cells:
-        if cells[i] == 1:
-            i += 1
-            continue
-        j = i
-        while j < n_cells and cells[j] != 1:
-            j += 1
-        fails = [k for k in range(i, j) if cells[k] == 2]
-        if fails:
-            gaps.append((x_lo + fails[0] * CELL_M,
-                         x_lo + (fails[-1] + 1) * CELL_M))
-        i = j
+    first = last = None  # the open gap's outermost failing cells
+    for k, cell in enumerate([*cells, 1]):  # a success past the end closes the last
+        if cell == 2:
+            if first is None:
+                first = k
+            last = k
+        elif cell == 1 and first is not None:
+            gaps.append((x_lo + first * CELL_M, x_lo + (last + 1) * CELL_M))
+            first = None
     return gaps
 
 
@@ -94,36 +84,30 @@ def gap_bounds(trajectory) -> tuple[float, float]:
     return trajectory.x_bounds()
 
 
-def _stationary_geometry(cfg) -> list[tuple[float, float, float]]:
-    return [(n.x, n.y, n.antenna_gain_db) for n in cfg.nodes
-            if n.node_class is NodeClass.STATIONARY]
-
-
-def static_gap_oracle(cfg, power_dbm: float,
-                      step: float = ORACLE_STEP_M) -> list[tuple[float, float]]:
+def static_gap_oracle(cfg, power_dbm: float) -> list[tuple[float, float]]:
     """Brute-force reference: sample reception along the trajectory.
 
-    Walks x across the trajectory span in `step` increments and marks the
+    Walks x across the trajectory span in ORACLE_STEP_M increments and marks the
     positions where no stationary node is within communication range at the
     given power.  Independent of the event-driven machinery.
     """
     params: PhyParams = cfg.phy
-    stations = _stationary_geometry(cfg)
+    stations = cfg.stationary_nodes()
     mobile = cfg.mobile_node()
     gain_rx = mobile.antenna_gain_db if mobile else 0.0
     x_lo, x_hi = cfg.trajectory.x_bounds()
-    n = round((x_hi - x_lo) / step)
+    n = round((x_hi - x_lo) / ORACLE_STEP_M)
     gaps: list[tuple[float, float]] = []
     run_start: float | None = None
     last_x = x_lo
     for k in range(n + 1):
-        x = x_lo + k * step
+        x = x_lo + k * ORACLE_STEP_M
         y = _trajectory_y_at(cfg.trajectory, x)
         covered = False
-        for sx, sy, sgain in stations:
-            dist = ((x - sx) ** 2 + (y - sy) ** 2) ** 0.5
-            if heard(link_rx_power(dist, power_dbm, sgain, gain_rx, params),
-                     params):
+        for node in stations:
+            dist = ((x - node.x) ** 2 + (y - node.y) ** 2) ** 0.5
+            if heard(link_rx_power(dist, power_dbm, node.antenna_gain_db, gain_rx,
+                                   params), params):
                 covered = True
                 break
         if not covered and run_start is None:
@@ -170,13 +154,13 @@ def line_spans(cfg, power_dbm: float) -> list[tuple[float, float]]:
                 f"waypoint at the same y")
     x_lo, x_hi = cfg.trajectory.x_bounds()
     spans: list[tuple[float, float]] = []
-    for sx, sy, sgain in _stationary_geometry(cfg):
-        dy = sy - line_y
-        r = comm_range_m(power_dbm, sgain + gain_rx, params)
+    for node in cfg.stationary_nodes():
+        dy = node.y - line_y
+        r = comm_range_m(power_dbm, node.antenna_gain_db + gain_rx, params)
         if r <= abs(dy):
             continue
         half = (r * r - dy * dy) ** 0.5
-        lo, hi = max(x_lo, sx - half), min(x_hi, sx + half)
+        lo, hi = max(x_lo, node.x - half), min(x_hi, node.x + half)
         if lo < hi:
             spans.append((lo, hi))
     return spans
@@ -195,15 +179,14 @@ def uncovered_intervals(spans, lo: float,
     return gaps
 
 
-def overlap_intervals(cfg, power_dbm: float,
-                      min_len: float = CELL_M) -> list[tuple[float, float]]:
+def overlap_intervals(cfg, power_dbm: float) -> list[tuple[float, float]]:
     """x-intervals where two or more stationary nodes are in range at once:
     pairwise overlaps of line_spans, merged, without those shorter than the
     0.1 m reporting resolution."""
     pairs = [(max(s[0], t[0]), min(s[1], t[1]))
              for s, t in combinations(line_spans(cfg, power_dbm), 2)]
     return [(a, b) for a, b in _merge([p for p in pairs if p[0] < p[1]])
-            if b - a >= min_len]
+            if b - a >= CELL_M]
 
 
 def _merge(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -245,11 +228,3 @@ class CoverageReport(NamedTuple):
     gaps: list[tuple[float, float]]
     overlaps: list[tuple[float, float]]
     associations: list[tuple[float, float, int]]  # (start, end, parent)
-
-    @property
-    def gap_free(self) -> bool:
-        return not self.gaps
-
-    @property
-    def overprovisioned(self) -> bool:
-        return bool(self.overlaps)

@@ -129,7 +129,7 @@ def sweep(cfg: ScenarioConfig, powers=None,
             leveldir = Path(outdir) / f"power_{power:g}dBm"
             leveldir.mkdir(parents=True, exist_ok=True)
             write_trace(leveldir / "trace.csv", run.rows)
-    gap_free = [lv.power_dbm for lv in levels if lv.report.gap_free]
+    gap_free = [lv.power_dbm for lv in levels if not lv.report.gaps]
     result = SweepResult(levels, min(gap_free) if gap_free else None)
     if outdir is not None:
         out = Path(outdir)
@@ -155,7 +155,7 @@ def _write_sweep_files(out: Path, result: SweepResult) -> None:
         flags = []
         if result.optimal_dbm is not None and lv.power_dbm == result.optimal_dbm:
             flags.append("OPTIMAL")
-        if lv.report.overprovisioned:
+        if lv.report.overlaps:
             flags.append("OVERPROVISIONED")
         lines.append(f"{lv.power_dbm:9g} | {_fmt_intervals(lv.report.gaps)} | "
                      f"{_fmt_intervals(lv.report.overlaps)} | "

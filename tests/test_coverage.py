@@ -1,5 +1,5 @@
 import copy
-from itertools import pairwise
+from itertools import combinations, pairwise
 
 import pytest
 from hypothesis import assume, given, settings
@@ -75,12 +75,6 @@ def test_broadcast_delivered_rows_are_not_success_evidence():
 
 def test_empty_trace_no_gaps():
     assert gap_analysis([], 0.0, 15.0, 9) == []
-    assert gap_analysis([], 0.0, 15.0, None) == []
-
-
-def test_mobile_autodetected_from_move_rows():
-    rows = [_row(0, "MOVE", 1.0), _row(1, "OUTAGE_LOSS", 1.0)]
-    assert gap_analysis(rows, 0.0, 15.0) == [(1.0, 1.1)]
 
 
 def test_association_map_segments_follow_the_handover_done_rows():
@@ -168,10 +162,18 @@ def test_overlap_intervals_analytic(default_cfg):
         assert hi - lo == pytest.approx(2 * (5.179 - 4.5), abs=0.01)
 
 
+def _pair_overlaps(cfg, power):
+    """The lengths of the chords' pairwise overlaps, slivers included."""
+    return [min(s[1], t[1]) - max(s[0], t[0])
+            for s, t in combinations(line_spans(cfg, power), 2)
+            if max(s[0], t[0]) < min(s[1], t[1])]
+
+
 def test_overlap_drops_subresolution_slivers(default_cfg):
     # at 4 dBm the calibrated layout overlaps by ~0.08 m, under the 0.1 m floor
     assert overlap_intervals(default_cfg, 4.0) == []
-    assert overlap_intervals(default_cfg, 4.0, min_len=0.0) != []
+    slivers = _pair_overlaps(default_cfg, 4.0)
+    assert slivers and all(0.0 < n < CELL_M for n in slivers)
 
 
 def _shifted_y(cfg, dy):
@@ -189,8 +191,8 @@ def test_overlap_intervals_cut_at_the_trajectory_line(default_cfg):
     # cutting the circles at y = 0 instead would shrink both overlaps away.
     moved = _shifted_y(default_cfg, 2.0)
     for power in (4.0, 6.0):
-        assert overlap_intervals(moved, power, min_len=0.0) == \
-            overlap_intervals(default_cfg, power, min_len=0.0)
+        assert line_spans(moved, power) == line_spans(default_cfg, power)
+        assert _pair_overlaps(moved, power)  # the 4 dBm slivers too
     assert len(overlap_intervals(moved, 6.0)) == 2
 
 

@@ -11,7 +11,7 @@ from wpansim.harness import calibrate, compare, energy_delta_pct, run_simulation
 from wpansim.scenario import SLEEP
 from wpansim.scenario_file import ScenarioError, load_scenario, render_scenario
 from wpansim.sim import Simulation
-from wpansim.trace import HEADER, read_trace, write_trace
+from wpansim.trace import HEADER, TraceRecord, read_trace, write_trace
 
 
 def test_run_writes_trace_energy_and_summary(tmp_path):
@@ -199,16 +199,38 @@ def test_cli_gaps_on_written_traces_agree_with_the_live_rows(tmp_path, capsys):
     # Without that, run 75 read a gap 0.1 m short and run 83 lost its gap.
     for index in range(100):
         cfg = random_scenario(index)
-        rows = Simulation(cfg).run().rows
+        run = Simulation(cfg).run()
         trace, scenario = tmp_path / f"{index}.csv", tmp_path / f"{index}.scenario"
-        write_trace(trace, rows)
+        write_trace(trace, run.rows)
         scenario.write_text(render_scenario(cfg))
-        gaps = gap_analysis(rows, *gap_bounds(cfg.trajectory))
+        gaps = gap_analysis(run.rows, *gap_bounds(cfg.trajectory), run.mobile_id)
         capsys.readouterr()
         assert main(["gaps", "--trace", str(trace), "--scenario", str(scenario)]) == 0
         assert capsys.readouterr().out.splitlines() == (
             [f"gap: {a:.2f} m .. {b:.2f} m" for a, b in gaps]
             or ["no coverage gaps"]), index
+
+
+def test_cli_gaps_reads_the_lowest_id_with_move_rows(tmp_path, capsys):
+    # Two nodes walk the default trajectory (1 m/s): node 7, first in the
+    # file, fails at 5 m, node 4 at 2 m.  The mobile is the lower id.
+    rows = []
+    for node, fail_s in ((7, 5), (4, 2)):
+        rows += [TraceRecord(s * 1_000_000, node, "MOVE", pos_x_m=float(s))
+                 for s in range(15)]
+        rows.append(TraceRecord(fail_s * 1_000_000 + 50_000, node, "OUTAGE_LOSS",
+                                pos_x_m=fail_s + 0.05))
+    trace = tmp_path / "trace.csv"
+    write_trace(trace, rows)
+    assert main(["gaps", "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == "gap: 2.00 m .. 2.10 m\n"
+
+
+def test_cli_gaps_without_move_rows_prints_no_coverage_gaps(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    write_trace(trace, [TraceRecord(1_000_000, 4, "OUTAGE_LOSS", pos_x_m=1.0)])
+    assert main(["gaps", "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == "no coverage gaps\n"
 
 
 def test_cli_gaps_on_a_trace_of_another_scenario_exit_2(capsys):
