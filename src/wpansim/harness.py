@@ -15,7 +15,7 @@ from .coverage import (CoverageReport, association_map, gap_analysis, gap_bounds
                        overlap_intervals)
 from .scenario import SLEEP
 from .scenario_file import (DEFAULT_SWEEP_POWERS, ScenarioConfig, ScenarioError,
-                            render_scenario)
+                            float_text, render_scenario)
 from .sim import RunResult, Simulation
 from .trace import write_trace
 
@@ -126,7 +126,7 @@ def sweep(cfg: ScenarioConfig, powers=None,
         report = CoverageReport(gaps, overlaps, association_map(run.rows, run.mobile_id))
         levels.append(SweepLevel(power, report, run))
         if outdir is not None:
-            leveldir = Path(outdir) / f"power_{power:g}dBm"
+            leveldir = Path(outdir) / f"power_{float_text(power)}dBm"
             leveldir.mkdir(parents=True, exist_ok=True)
             write_trace(leveldir / "trace.csv", run.rows)
     gap_free = [lv.power_dbm for lv in levels if not lv.report.gaps]
@@ -141,12 +141,13 @@ def sweep(cfg: ScenarioConfig, powers=None,
 def _write_sweep_files(out: Path, result: SweepResult) -> None:
     rows = ["power_dbm,kind,start_m,end_m"]
     for lv in result.levels:
+        level = float_text(lv.power_dbm)
         for a, b in lv.report.gaps:
-            rows.append(f"{lv.power_dbm:g},gap,{a:.2f},{b:.2f}")
+            rows.append(f"{level},gap,{a:.2f},{b:.2f}")
         for a, b in lv.report.overlaps:
-            rows.append(f"{lv.power_dbm:g},overlap,{a:.2f},{b:.2f}")
+            rows.append(f"{level},overlap,{a:.2f},{b:.2f}")
         for a, b, parent in lv.report.associations:
-            rows.append(f"{lv.power_dbm:g},assoc_{parent},{a:.2f},{b:.2f}")
+            rows.append(f"{level},assoc_{parent},{a:.2f},{b:.2f}")
     (out / "coverage.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
 
     lines = ["power sweep summary",
@@ -157,13 +158,14 @@ def _write_sweep_files(out: Path, result: SweepResult) -> None:
             flags.append("OPTIMAL")
         if lv.report.overlaps:
             flags.append("OVERPROVISIONED")
-        lines.append(f"{lv.power_dbm:9g} | {_fmt_intervals(lv.report.gaps)} | "
+        lines.append(f"{float_text(lv.power_dbm):>9} | "
+                     f"{_fmt_intervals(lv.report.gaps)} | "
                      f"{_fmt_intervals(lv.report.overlaps)} | "
                      f"{','.join(flags) or '-'}")
     if result.optimal_dbm is None:
         lines.append("no gap-free level in the swept set")
     else:
-        lines.append(f"minimum gap-free level: {result.optimal_dbm:g} dBm")
+        lines.append(f"minimum gap-free level: {float_text(result.optimal_dbm)} dBm")
     (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

@@ -37,8 +37,8 @@ Sections and keys (defaults in parentheses):
 Rules: a node id is a unicast short address, 0..0xFFFD (0xFFFE and the
 broadcast address 0xFFFF are reserved).  A rule on one key alone is part of
 that key's kind in _SCHEMA and is checked at its line as it is parsed:
-every number is finite; every time and byte count is zero or more and a
-byte count is whole; the traffic period, move_tick and probe_retry are
+every number is finite; every time and byte count is zero or more and
+whole (a time in us); the traffic period, move_tick and probe_retry are
 positive (waypoint arrival times need only strictly increase); mac_max_be
 is 3..8, mac_min_be 0 or more, max_csma_backoffs 0..5 and max_frame_retries
 0..7 (IEEE 802.15.4-2006, Table 86); beacon_order is 0..15; lq_target and
@@ -95,6 +95,12 @@ def _number(text: str, key: str, line: int, scale: float = 1.0) -> float:
     return value
 
 
+def float_text(value: float) -> str:
+    """`value` as `:g` text when that reads back as the same float, else repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def _parse_int(text: str, key: str, line: int) -> int:
     try:
         return int(text)
@@ -128,12 +134,16 @@ def _scaled(text: str, units: dict[str, float], key: str, line: int) -> float:
     return _number(parts[0], key, line, units[parts[1]])
 
 
-def _parse_bytes(text: str, key: str, line: int) -> int:
-    count = _scaled(text, {"B": 1}, key, line)
-    if not count.is_integer():
-        raise ScenarioError(f"key '{key}': {text!r} is not a whole number of bytes",
-                            line)
-    return int(count)
+def _whole(units: dict[str, int], what: str) -> Callable[[str, str, int], int]:
+    """Parses '<number> <unit>' that is a whole number of `what`.  The decimal
+    times the unit's scale may miss it by an ulp (1.001 ms: 1000.9999999999999)."""
+    def parse(text: str, key: str, line: int) -> int:
+        value = _scaled(text, units, key, line)
+        if abs(value - round(value)) > 4 * math.ulp(value):
+            raise ScenarioError(
+                f"key '{key}': {text!r} is not a whole number of {what}", line)
+        return round(value)
+    return parse
 
 
 class MacConfig(Record):
@@ -279,7 +289,7 @@ def _limited(kind: _Kind, ok: Callable[[Any], bool], message: str) -> _Kind:
 
 def _quantity(unit: str) -> _Kind:
     return _Kind(lambda text, key, line: _scaled(text, {unit: 1}, key, line),
-                 lambda value: f"{value:g} {unit}")
+                 lambda value: f"{float_text(value)} {unit}")
 
 
 def _choice(choices: dict[str, Any], error: str) -> _Kind:
@@ -297,8 +307,7 @@ _ZERO_OR_MORE, _POSITIVE = "key '{}': must be zero or more", "key '{}': must be 
 # Waypoint arrival times need only strictly increase; other times are zero
 # or more, and a time rescheduled after itself is positive, as zero would
 # stop the clock.
-_ANY_TIME = _Kind(lambda text, key, line: round(_scaled(text, _TIME_UNITS, key, line)),
-                  _fmt_time)
+_ANY_TIME = _Kind(_whole(_TIME_UNITS, "us"), _fmt_time)
 _TIME = _limited(_ANY_TIME, lambda us: us >= 0, _ZERO_OR_MORE)
 _POSITIVE_TIME = _limited(_ANY_TIME, lambda us: us > 0, _POSITIVE)
 _DBM, _DB, _METRES, _VOLTS, _PERCENT = map(_quantity, ("dBm", "dB", "m", "V", "%"))
@@ -307,10 +316,10 @@ _POSITIVE_DB, _POSITIVE_VOLTS = (_limited(kind, lambda v: v > 0, "{} is not posi
                                  for kind in (_DB, _VOLTS))
 _CURRENT = _Kind(
     lambda text, key, line: _scaled(text, {"mA": 1.0, "uA": 0.001}, key, line),
-    lambda value: f"{value:g} mA")
+    lambda value: f"{float_text(value)} mA")
 _MODE_CURRENT = _limited(_CURRENT, lambda ma: ma >= 0, "{} below 0 mA")
-_BYTES = _limited(_Kind(_parse_bytes, lambda value: f"{value} B"), lambda n: n >= 0,
-                  _ZERO_OR_MORE)
+_BYTES = _limited(_Kind(_whole({"B": 1}, "bytes"), lambda value: f"{value} B"),
+                  lambda n: n >= 0, _ZERO_OR_MORE)
 _INT = _Kind(_parse_int, str)
 # The CSMA ranges of IEEE 802.15.4-2006, Table 86, and the LQ scale.
 _MAX_BE, _BACKOFFS, _RETRIES, _LQ = (
@@ -318,10 +327,10 @@ _MAX_BE, _BACKOFFS, _RETRIES, _LQ = (
     for lo, hi in ((3, 8), (0, 5), (0, 7), (0, 255)))
 # A path-loss exponent of zero divides by zero in phy.comm_range_m, and a
 # negative one makes the loss fall with distance.
-_POSITIVE_FLOAT = _limited(_Kind(_number, "{:g}".format), lambda v: v > 0, _POSITIVE)
+_POSITIVE_FLOAT = _limited(_Kind(_number, float_text), lambda v: v > 0, _POSITIVE)
 _BOOL = _Kind(_parse_bool, lambda value: "on" if value else "off")
 _POWERS = _limited(_Kind(_parse_power_list,
-                         lambda value: " ".join(f"{p:g}" for p in value) + " dBm"),
+                         lambda value: " ".join(map(float_text, value)) + " dBm"),
                    lambda levels: len(set(levels)) == len(levels),
                    "key '{}': names a level twice")
 _BAND = _choice(BANDS, f"unknown band {{!r}} (choices: {', '.join(BANDS)})")
@@ -341,7 +350,8 @@ def _parse_waypoint(text: str, key: str, line: int) -> tuple[float, float, int]:
 
 
 _WAYPOINT = _Kind(_parse_waypoint,
-                  lambda w: f"{w[0]:g} m, {w[1]:g} m, {_fmt_time(w[2])}")
+                  lambda w: f"{float_text(w[0])} m, {float_text(w[1])} m, "
+                            f"{_fmt_time(w[2])}")
 
 # The whole schema, in file order: section -> key -> (attribute path, kind).
 # Paths are dotted attributes of ScenarioConfig, or of NodeConfig for

@@ -839,6 +839,42 @@ def test_cli_fractional_byte_count_exit_2(bad, tmp_path, capsys, monkeypatch):
     assert cfg.traffic.payload_bytes == 10
 
 
+@pytest.mark.parametrize("bad", ["unit_backoff = 1.5 us", "unit_backoff = 0.0004 ms"])
+def test_cli_fractional_time_exit_2(bad, tmp_path, capsys, monkeypatch):
+    # Used to be rounded: 1.5 us ran as 2 us, and 0.0004 ms as 0 us.
+    err = _cli_run_rejects(_tiny_setting("csma", bad), bad, tmp_path, capsys,
+                           monkeypatch)
+    assert "is not a whole number of us" in err
+
+
+def test_cli_time_whole_in_decimal_runs(tmp_path):
+    # 1.001 ms is 1,001 us, though float("1.001") * 1000 is 1000.9999999999999.
+    path = tmp_path / "s.scenario"
+    path.write_text(_tiny_setting("csma", "unit_backoff = 1.001 ms"))
+    assert load_scenario(path).csma.unit_backoff_us == 1001
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_cli_sweep_keeps_levels_apart_that_g_would_merge(tmp_path, capsys):
+    # `:g` printed 4.0000001 as 4: the rendered power_levels named a level
+    # twice, and both levels of the sweep wrote power_4dBm.
+    text = TINY.format(duration="500 ms", seed=7).replace(
+        "tx_power = 0 dBm", "tx_power = 0 dBm\npower_levels = 0 4 4.0000001 dBm")
+    path, out = tmp_path / "levels.scenario", tmp_path / "s"
+    path.write_text(text)
+    cfg = load_scenario(path)
+    assert "power_levels = 0 4 4.0000001 dBm" in render_scenario(cfg)
+    assert main(["sweep", "--scenario", str(path), "--out", str(out),
+                 "--powers", "4,4.0000001"]) == 0
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == \
+        ["power_4.0000001dBm", "power_4dBm"]
+    levels = [line.split(" | ")[0] for line in
+              (out / "summary.txt").read_text().splitlines()[2:4]]
+    assert levels == ["        4", "4.0000001"]
+    rows = (out / "coverage.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"4", "4.0000001"}
+
+
 @pytest.mark.parametrize("section, bad", [
     ("phy", "power_levels = 0 0 2 3 4 5 6 6 dBm"), ("sweep", "powers = 4 4 0 dBm")])
 def test_cli_repeated_power_level_exit_2(section, bad, tmp_path, capsys, monkeypatch):

@@ -270,7 +270,7 @@ def test_frame_longer_than_127_bytes_rejected():
 
 # -- render -> parse property, with values drawn per kind of the schema table ----
 
-_G_EXACT = st.integers(-99_999, 99_999).map(lambda i: i / 100)  # ":g" prints exactly
+_G_EXACT = st.floats(allow_nan=False, allow_infinity=False)  # any value renders exactly
 
 
 @st.composite
@@ -279,7 +279,7 @@ def _waypoints(draw):
     return [(draw(_G_EXACT), draw(_G_EXACT), t) for t in times]
 
 
-_G_POSITIVE = st.integers(1, 99_999).map(lambda i: i / 100)
+_G_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 def _kind(section, key):
