@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_cfg
 from util_props import LoggedSimulation, check_invariants, random_scenario
-from wpansim.mac import BROADCAST, Frame, FrameKind
+from wpansim.mac import BROADCAST, Frame, FrameKind, SendOutcome
 from wpansim.phy import lq_from_rx_power
 from wpansim.scenario import NodeRole
 from wpansim.sim import Simulation
@@ -518,3 +518,79 @@ def test_failed_handover_with_tpc_resets_the_power_to_the_top_level(power, rows)
     ctrl.on_handover_timer()  # no AssocResponse in time
     assert [(r.event_kind, r.detail) for r in sim.rows] == rows
     assert (ctrl.parent, ctrl.candidate, ctrl.node.power_dbm) == (None, None, 6.0)
+
+
+# -- the ack-failure handover trigger --------------------------------------------
+
+GOOD_LQ, DEGRADED_LQ = 200, 30  # degraded: below lq_target - lq_hysteresis = 48
+
+
+def _commit(ctrl, parent):
+    """The mobile, associating with `parent`, hears its AssocResponse."""
+    ctrl.candidate = parent
+    ctrl.node.wake()  # as start_handover leaves it
+    ctrl.on_frame(Frame(FrameKind.ASSOC_RESP, 0, parent, ctrl.node.node_id),
+                  -54.0, GOOD_LQ)
+    assert (ctrl.parent, ctrl.searching) == (parent, False)
+
+
+def _associated(default_cfg):
+    """The default scenario's mobile, just associated with node 1; the
+    commit holds off a low-LQ handover for lq_retrigger_cooldown."""
+    sim = Simulation(default_cfg)
+    _commit(sim.mobile.controller, 1)
+    return sim, sim.mobile.controller
+
+
+def _heard(ctrl, lq):
+    """A frame from the parent, heard at `lq`."""
+    ctrl.on_frame(Frame(FrameKind.ACK, 0, ctrl.parent, ctrl.node.node_id,
+                        tx_power_dbm=6.0), -54.0, lq)
+
+
+def _data_sent(ctrl, outcome):
+    ctrl.on_send_outcome(Frame(FrameKind.DATA, 0, ctrl.node.node_id, ctrl.parent),
+                         outcome)
+
+
+def _starts(sim):
+    return [r.detail for r in sim.rows if r.event_kind == "HANDOVER_START"]
+
+
+def test_at_good_lq_the_second_no_ack_in_a_row_starts_a_handover(default_cfg):
+    sim, ctrl = _associated(default_cfg)
+    _heard(ctrl, GOOD_LQ)
+    _data_sent(ctrl, SendOutcome.NO_ACK)
+    assert _starts(sim) == []
+    _data_sent(ctrl, SendOutcome.NO_ACK)
+    assert _starts(sim) == ["ack_failures"]
+
+
+def test_after_a_degraded_parent_frame_one_no_ack_starts_a_handover(default_cfg):
+    sim, ctrl = _associated(default_cfg)
+    _heard(ctrl, DEGRADED_LQ)
+    assert _starts(sim) == []  # the low-LQ trigger waits out the cooldown
+    _data_sent(ctrl, SendOutcome.NO_ACK)
+    assert _starts(sim) == ["ack_failures"]
+
+
+def test_a_delivered_data_frame_resets_the_no_ack_streak(default_cfg):
+    sim, ctrl = _associated(default_cfg)
+    _heard(ctrl, GOOD_LQ)
+    for outcome in (SendOutcome.NO_ACK, SendOutcome.DELIVERED, SendOutcome.NO_ACK):
+        _data_sent(ctrl, outcome)
+    assert _starts(sim) == []
+    _data_sent(ctrl, SendOutcome.NO_ACK)
+    assert _starts(sim) == ["ack_failures"]
+
+
+def test_a_commit_resets_the_no_ack_streak(default_cfg):
+    sim, ctrl = _associated(default_cfg)
+    _heard(ctrl, GOOD_LQ)
+    _data_sent(ctrl, SendOutcome.NO_ACK)
+    _commit(ctrl, 2)
+    _heard(ctrl, GOOD_LQ)
+    _data_sent(ctrl, SendOutcome.NO_ACK)
+    assert _starts(sim) == []
+    _data_sent(ctrl, SendOutcome.NO_ACK)
+    assert _starts(sim) == ["ack_failures"]
