@@ -5,6 +5,8 @@ trace shows the mobile failing every exchange there (failed unicast sends,
 probe rounds with no responses, ticks with no parent) and succeeding in
 none.  Boundaries are reported at 0.1 m resolution.  The independent check
 is a brute-force link-budget sampler along the trajectory at 0.01 m.
+gap_analysis reads the rows of the mobile its caller names: the sweep's
+run's mobile, or for `wpansim gaps` the lowest node id with MOVE rows.
 line_spans owns the static geometry, each station's chord of the trajectory's
 line; calibration's gaps and the sweep's overlaps read it, the sampler does not.
 """
