@@ -85,13 +85,12 @@ class EventLoop:
         `dispatch(event)` is called for each live event.  The clock ends at
         `end`, or at the last processed event when the queue drains early.
         """
-        processed = last_time = 0
+        processed = 0
         while self._heap and self._heap[0][0] <= end:
             _, _, ev = heapq.heappop(self._heap)
             if ev.cancelled:
                 continue
             self.now = ev.time
-            last_time = ev.time
             processed += 1
             dispatch(ev)
             if ev.period and not ev.cancelled and ev.time + ev.period <= ev.until:
@@ -99,10 +98,7 @@ class EventLoop:
                 ev.seq = self._seq
                 self._seq += 1
                 heapq.heappush(self._heap, (ev.time, ev.seq, ev))
-        if self._heap:
-            self.now = end
-        else:
-            self.now = min(end, last_time) if processed else min(end, self.now)
+        self.now = end if self._heap else min(end, self.now)
         unprocessed = sum(1 for _, _, ev in self._heap if not ev.cancelled)
         return RunSummary(processed, self._seq, self._cancelled,
                           unprocessed, self.now)

@@ -14,8 +14,7 @@ from .calibration import CalibrationResult, CalibrationTargets, apply_to_config,
 from .coverage import (CoverageReport, association_map, gap_analysis, gap_bounds,
                        overlap_intervals)
 from .scenario import SLEEP
-from .scenario_file import (DEFAULT_SWEEP_POWERS, ScenarioConfig, ScenarioError,
-                            float_text, render_scenario)
+from .scenario_file import ScenarioConfig, ScenarioError, float_text, render_scenario
 from .sim import RunResult, Simulation
 from .trace import write_trace
 
@@ -76,6 +75,20 @@ def _run_summary_lines(result: RunResult) -> list[str]:
     return lines
 
 
+# The levels `sweep` runs when neither --powers nor a [sweep] line names any.
+DEFAULT_SWEEP_POWERS = (0.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+
+
+def level_config(cfg: ScenarioConfig, power: float) -> ScenarioConfig:
+    """The scenario as `sweep` runs it at `power`: TPC off, every node at it."""
+    out = cfg.clone()
+    out.tpc.enabled = False
+    out.phy.tx_power_dbm = power
+    for node in out.nodes:
+        node.tx_power_dbm = None  # no override: each node sends at phy.tx_power_dbm
+    return out
+
+
 class SweepLevel(NamedTuple):
     power_dbm: float
     report: CoverageReport
@@ -97,8 +110,8 @@ def sweep(cfg: ScenarioConfig, powers=None,
           outdir: str | Path | None = None) -> SweepResult:
     """Run the scenario once per transmit power level, same seed throughout.
 
-    TPC is disabled and every node is pinned to the level under test, so
-    coverage differences come from power alone.
+    Each level runs `level_config(cfg, power)`, so coverage differences
+    come from power alone.
     """
     if cfg.mobile_node() is None:
         raise ScenarioError("sweep needs a mobile node in the scenario")
@@ -119,7 +132,7 @@ def sweep(cfg: ScenarioConfig, powers=None,
                          f"{sorted(cfg.phy.power_levels_dbm)}")
     levels = []
     for power in powers:
-        run_cfg = cfg.clone(power_override=power, tpc_enabled=False)
+        run_cfg = level_config(cfg, power)
         overlaps = overlap_intervals(run_cfg, power)  # rejects before the run
         run = Simulation(run_cfg).run()
         gaps = gap_analysis(run.rows, x_lo, x_hi, run.mobile_id)
@@ -216,6 +229,17 @@ class CompareResult(NamedTuple):
         return energy_delta_pct(self.baseline.run, self.proposed.run)
 
 
+def arm_config(cfg: ScenarioConfig, mode: str, tpc: bool) -> ScenarioConfig:
+    """The scenario as `compare` runs one arm: handover `mode`, TPC on or
+    off, and with TPC off the mobile pinned at the highest configured level."""
+    out = cfg.clone()
+    out.handover.mode = mode
+    out.tpc.enabled = tpc
+    if not tpc:
+        out.mobile_node().tx_power_dbm = max(out.phy.power_levels_dbm)
+    return out
+
+
 def compare(cfg: ScenarioConfig, outdir: str | Path | None = None) -> CompareResult:
     """Four paired runs: {broadcast, scan} x {tpc, fixed max power}.
 
@@ -224,14 +248,11 @@ def compare(cfg: ScenarioConfig, outdir: str | Path | None = None) -> CompareRes
     """
     if cfg.mobile_node() is None:
         raise ScenarioError("compare needs a mobile node in the scenario")
-    max_power = max(cfg.phy.power_levels_dbm)
     arms = {}
     for mode in ("broadcast", "scan"):
         for tpc in (True, False):
-            arm_cfg = cfg.clone(handover_mode=mode, tpc_enabled=tpc,
-                                mobile_power=None if tpc else max_power)
             name = f"{mode}+{'tpc' if tpc else 'fixed'}"
-            arms[name] = CompareArm(name, Simulation(arm_cfg).run())
+            arms[name] = CompareArm(name, Simulation(arm_config(cfg, mode, tpc)).run())
     result = CompareResult(arms)
     if outdir is not None:
         out = Path(outdir)

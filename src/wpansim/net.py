@@ -203,6 +203,7 @@ class MobileController:
             if self.responses is not None:
                 self.responses.append((frame.lq_report, frame.src))
         elif frame.kind == FrameKind.ASSOC_RESP and frame.src == self.candidate:
+            self.last_lq = lq  # the new parent's first frame: no TPC step on it
             self._commit_parent(frame.src)
         # A degraded parent link triggers a new search (the parent may be
         # the one just committed).

@@ -30,7 +30,7 @@ Sections and keys (defaults in parentheses):
     [energy]     supply_voltage (3.0 V), tx_current_0dbm (30 mA),
                  tx_current_per_dbm (1.5 mA), rx_current (30 mA),
                  idle_current (30 mA), sleep_current (0.003 mA)
-    [sweep]      powers (0 2 3 4 5 6 dBm, DEFAULT_SWEEP_POWERS)
+    [sweep]      powers (0 2 3 4 5 6 dBm, harness.DEFAULT_SWEEP_POWERS)
     [compare]    reference_latency_delta (1.2 s),
                  reference_energy_delta (42.8 %)
 
@@ -184,10 +184,6 @@ class TrafficConfig(Record):
         self.payload_bytes = payload_bytes
 
 
-# The levels `sweep` runs when neither --powers nor a [sweep] line names any.
-DEFAULT_SWEEP_POWERS = (0.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-
-
 class ScenarioConfig(Record):
     """A whole scenario.  A nested record or list left as None is a fresh
     default one, as is the trajectory: (0 m, 0 m) at 0 s to (15 m, 0 m) at
@@ -225,7 +221,7 @@ class ScenarioConfig(Record):
         self.handover = HandoverConfig() if handover is None else handover
         self.currents = CurrentModel() if currents is None else currents
         self.supply_voltage = supply_voltage
-        self.sweep_powers = sweep_powers  # None: DEFAULT_SWEEP_POWERS
+        self.sweep_powers = sweep_powers  # None: harness.DEFAULT_SWEEP_POWERS
         self.reference_latency_delta_us = reference_latency_delta_us
         self.reference_energy_delta_pct = reference_energy_delta_pct
 
@@ -236,25 +232,11 @@ class ScenarioConfig(Record):
         mobiles = [n for n in self.nodes if n.node_class is NodeClass.MOBILE]
         return mobiles[0] if mobiles else None
 
-    def clone(self, *, seed: int | None = None, power_override: float | None = None,
-              tpc_enabled: bool | None = None, handover_mode: str | None = None,
-              mobile_power: float | None = None) -> "ScenarioConfig":
-        """An independent copy (see Record.copy) with the given overrides."""
+    def clone(self, *, seed: int | None = None) -> "ScenarioConfig":
+        """An independent copy (see Record.copy), with `seed` if given."""
         cfg = self.copy()
         if seed is not None:
             cfg.seed = seed
-        if power_override is not None:
-            cfg.phy.tx_power_dbm = power_override
-            for node in cfg.nodes:
-                node.tx_power_dbm = None  # everyone follows the override
-        if tpc_enabled is not None:
-            cfg.tpc.enabled = tpc_enabled
-        if handover_mode is not None:
-            cfg.handover.mode = handover_mode
-        if mobile_power is not None:
-            for node in cfg.nodes:
-                if node.node_class is NodeClass.MOBILE:
-                    node.tx_power_dbm = mobile_power
         return cfg
 
 

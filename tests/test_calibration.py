@@ -11,12 +11,12 @@ import pytest
 from wpansim import kernels
 from wpansim.calibration import (CalibrationTargets, _score_floor,
                                  apply_to_config, layout_metrics, search)
-from wpansim.cli import default_scenario_path
 from wpansim.coverage import static_gap_oracle
 from wpansim.scenario_file import load_scenario
 
 import kernel_reference
 from conftest import oracle_meets_targets
+from util_props import detuned_scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -246,16 +246,6 @@ def test_score_floor_at_the_no_layout_edge():
         assert floor(quarter + 1e-3) == 1e300
 
 
-def detuned_cfg():
-    cfg = load_scenario(default_scenario_path())
-    cfg.phy.path_loss_exponent = 2.0
-    cfg.phy.pl0_db = 40.0
-    cfg.phy.rx_sensitivity_dbm = -90.0
-    for i, node in enumerate(cfg.stationary_nodes()):
-        node.x = 7.0 * i
-    return cfg
-
-
 DEFAULT_FIT = (
     True, 3.5, 54.0, -73.0, (-1.5, 7.5, 16.5), 0.00974512104041958,
     [(1.9902548789595804, 4.009745121040419),
@@ -272,8 +262,8 @@ def _fields(res):
 FIXTURE_CASES = [
     (lambda: load_scenario(DATA / "uncalibrated.scenario"),
      CalibrationTargets(), DEFAULT_FIT),
-    (detuned_cfg, CalibrationTargets(), DEFAULT_FIT),
-    (detuned_cfg, CalibrationTargets(gap1=(1.5, 3.5), gap2=(11.5, 13.5)),
+    (detuned_scenario, CalibrationTargets(), DEFAULT_FIT),
+    (detuned_scenario, CalibrationTargets(gap1=(1.5, 3.5), gap2=(11.5, 13.5)),
      (True, 4.0, 46.0, -70.0, (-2.5, 7.5, 17.5), 0.01892829446502775,
       [(1.4810717055349722, 3.5189282944650278),
        (11.481071705534973, 13.518928294465027)],
@@ -306,7 +296,7 @@ def _random_targets(rng):
 def long_track_cfg():
     # A 40 m trajectory: no grid layout of three nodes covers both ends
     # and still leaves two gaps, so no radius triple gives a valid layout.
-    cfg = detuned_cfg()
+    cfg = detuned_scenario()
     *_, (x, y, t) = cfg.trajectory.waypoints
     cfg.trajectory.waypoints[-1] = (40.0, y, t)
     return cfg
@@ -319,15 +309,15 @@ def test_search_matches_memo_only_reference():
     # seeded random target sets.  The benchmark's sets come again at
     # levels that are not whole dBm, where pairs with one pl0 + sens can
     # round to different radii and must still be scored apart.
-    cases = [(detuned_cfg, CalibrationTargets(gap1=g1, gap2=g2))
+    cases = [(detuned_scenario, CalibrationTargets(gap1=g1, gap2=g2))
              for g1, g2 in BENCH_TARGETS]
-    cases += [(detuned_cfg, CalibrationTargets(
+    cases += [(detuned_scenario, CalibrationTargets(
         gap1=g1, gap2=g2, gap_level_dbm=0.1, must_gap_dbm=3.3, gap_free_dbm=4.2))
         for g1, g2 in BENCH_TARGETS]
     cases += [(make_cfg, targets) for make_cfg, targets, _ in FIXTURE_CASES]
     cases.append((long_track_cfg, CalibrationTargets()))
     rng = random.Random(1105)
-    cases += [(detuned_cfg, _random_targets(rng)) for _ in range(36)]
+    cases += [(detuned_scenario, _random_targets(rng)) for _ in range(36)]
     verdicts = []
     for make_cfg, targets in cases:
         want = _fields(kernel_reference.search(make_cfg(), targets))
@@ -376,6 +366,6 @@ def test_search_kernel_calls_on_benchmark_targets(monkeypatch):
     counts = []
     for g1, g2 in BENCH_TARGETS:
         calls.clear()
-        search(detuned_cfg(), CalibrationTargets(gap1=g1, gap2=g2))
+        search(detuned_scenario(), CalibrationTargets(gap1=g1, gap2=g2))
         counts.append(len(calls))
     assert counts == BENCH_KERNEL_CALLS

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import DATA
 from wpansim import mac, phy
-from wpansim.harness import run_simulation
+from wpansim.harness import arm_config, run_simulation
 from wpansim.scenario import NodeClass
 from wpansim.scenario_file import load_scenario
 
@@ -38,11 +38,8 @@ UNCACHED_LINK_BUDGETS = 9_958
 
 def arm_cfg(name):
     """The scenario as harness.compare configures the named arm."""
-    cfg = load_scenario(DATA / "contention.scenario")
     mode, power = name.split("+")
-    tpc = power == "tpc"
-    return cfg.clone(handover_mode=mode, tpc_enabled=tpc,
-                     mobile_power=None if tpc else max(cfg.phy.power_levels_dbm))
+    return arm_config(load_scenario(DATA / "contention.scenario"), mode, power == "tpc")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

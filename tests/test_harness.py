@@ -7,7 +7,8 @@ from wpansim.calibration import CalibrationTargets
 from wpansim.cli import main
 from wpansim.coverage import gap_analysis, gap_bounds
 from wpansim.engine import SimulationError
-from wpansim.harness import calibrate, compare, energy_delta_pct, run_simulation, sweep
+from wpansim.harness import (arm_config, calibrate, compare, energy_delta_pct,
+                             level_config, run_simulation, sweep)
 from wpansim.scenario import SLEEP
 from wpansim.scenario_file import ScenarioError, load_scenario, render_scenario
 from wpansim.sim import Simulation
@@ -61,14 +62,41 @@ def test_sweep_writes_per_level_outputs(default_cfg, tmp_path):
     assert "OPTIMAL" in summary
     assert result.level(0.0).report.gaps
     assert not result.level(4.0).report.gaps
+    for lv in result.levels:
+        assert lv.run.cfg == level_config(default_cfg, lv.power_dbm)
+
+
+def test_level_config_runs_every_node_at_the_level_with_tpc_off(default_cfg):
+    cfg = level_config(default_cfg, 2.0)
+    assert cfg.phy.tx_power_dbm == 2.0
+    assert all(n.tx_power_dbm is None for n in cfg.nodes)
+    assert not cfg.tpc.enabled
+    assert default_cfg.phy.tx_power_dbm == 4.0  # original untouched
+    assert default_cfg.tpc.enabled
+    pinned = default_cfg.clone()
+    for node in pinned.nodes:
+        node.tx_power_dbm = 6.0
+    assert all(n.tx_power_dbm is None for n in level_config(pinned, 0.0).nodes)
+    assert all(n.tx_power_dbm == 6.0 for n in pinned.nodes)  # original untouched
+
+
+def test_arm_config_pins_the_mobile_at_max_power_only_with_tpc_off(default_cfg):
+    fixed = arm_config(default_cfg, "scan", False)
+    assert fixed.mobile_node().tx_power_dbm == 6.0  # max(power_levels)
+    assert all(n.tx_power_dbm is None for n in fixed.stationary_nodes())
+    assert (fixed.handover.mode, fixed.tpc.enabled) == ("scan", False)
+    tpc = arm_config(default_cfg, "scan", True)
+    assert all(n.tx_power_dbm is None for n in tpc.nodes)
+    assert (tpc.handover.mode, tpc.tpc.enabled) == ("scan", True)
+    # original untouched
+    assert all(n.tx_power_dbm is None for n in default_cfg.nodes)
+    assert (default_cfg.handover.mode, default_cfg.tpc.enabled) == ("broadcast", True)
 
 
 def test_compare_with_tpc_disabled_both_arms_is_energy_neutral(default_cfg):
     # same handover mode and both arms at fixed max power: identical runs
-    base = Simulation(default_cfg.clone(tpc_enabled=False,
-                                        mobile_power=6.0)).run()
-    again = Simulation(default_cfg.clone(tpc_enabled=False,
-                                         mobile_power=6.0)).run()
+    base = Simulation(arm_config(default_cfg, "broadcast", False)).run()
+    again = Simulation(arm_config(default_cfg, "broadcast", False)).run()
     assert energy_delta_pct(base, again) == 0.0
     assert ([led.mode_times for led in base.ledgers.values()]
             == [led.mode_times for led in again.ledgers.values()])
@@ -88,6 +116,8 @@ def test_compare_reports_all_four_arms(default_cfg, tmp_path):
     for arm in result.arms.values():
         times = arm.run.ledgers[arm.run.mobile_id].mode_times
         assert SLEEP in times
+        mode, power = arm.name.split("+")
+        assert arm.run.cfg == arm_config(default_cfg, mode, power == "tpc")
 
 
 def _mobile_mj(run):
@@ -103,8 +133,9 @@ def test_energy_delta_identity_is_zero():
 
 
 def test_energy_delta_positive_when_proposed_cheaper():
-    # Same run, but the baseline mobile transmits at 6 dBm instead of 0 dBm.
-    base = Simulation(tiny_cfg().clone(mobile_power=6.0)).run()
+    # Same run, but the baseline mobile transmits at 6 dBm instead of 0 dBm:
+    # tiny runs broadcast with TPC off, so only the baseline arm's pin differs.
+    base = Simulation(arm_config(tiny_cfg(), "broadcast", False)).run()
     prop = Simulation(tiny_cfg()).run()
     want = (_mobile_mj(base) - _mobile_mj(prop)) / _mobile_mj(base) * 100.0
     assert want > 0
@@ -179,7 +210,7 @@ def test_cli_gaps_on_run_trace(tmp_path, capsys):
 
 
 def test_cli_gaps_finds_gaps_in_low_power_trace(default_cfg, tmp_path, capsys):
-    low = default_cfg.clone(power_override=0.0, tpc_enabled=False)
+    low = level_config(default_cfg, 0.0)
     res = Simulation(low).run()
     trace = tmp_path / "trace.csv"
     write_trace(trace, res.rows)

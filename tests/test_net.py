@@ -4,6 +4,7 @@ import pytest
 
 from conftest import make_cfg
 from util_props import LoggedSimulation, check_invariants, random_scenario
+from wpansim.harness import arm_config
 from wpansim.mac import BROADCAST, Frame, FrameKind, SendOutcome
 from wpansim.phy import lq_from_rx_power
 from wpansim.scenario import NodeRole
@@ -282,7 +283,7 @@ def test_parent_is_always_router_or_coordinator(default_cfg):
 def test_stationary_end_device_never_becomes_the_parent(default_cfg, mode):
     # Used to fail in broadcast mode: node 2 answered the probe and the
     # association request whatever its role, and became a parent.
-    cfg = default_cfg.clone(handover_mode=mode)
+    cfg = arm_config(default_cfg, mode, tpc=True)
     next(n for n in cfg.nodes if n.node_id == 2).role = NodeRole.END_DEVICE
     res = Simulation(cfg).run()
     parents = {r.detail[0] for r in res.rows if r.event_kind == "HANDOVER_DONE"}
@@ -358,9 +359,8 @@ def test_tpc_acts_only_on_a_frame_from_the_parent():
 
 
 def test_tpc_average_power_never_exceeds_fixed_max(default_cfg):
-    tpc_run = Simulation(default_cfg.clone(tpc_enabled=True)).run()
-    fixed_run = Simulation(default_cfg.clone(tpc_enabled=False,
-                                             mobile_power=6.0)).run()
+    tpc_run = Simulation(arm_config(default_cfg, "broadcast", tpc=True)).run()
+    fixed_run = Simulation(arm_config(default_cfg, "broadcast", tpc=False)).run()
 
     def tx_powers(run):
         return [r.power_dbm for r in run.rows
@@ -579,6 +579,16 @@ def test_a_delivered_data_frame_resets_the_no_ack_streak(default_cfg):
     _heard(ctrl, GOOD_LQ)
     for outcome in (SendOutcome.NO_ACK, SendOutcome.DELIVERED, SendOutcome.NO_ACK):
         _data_sent(ctrl, outcome)
+    assert _starts(sim) == []
+    _data_sent(ctrl, SendOutcome.NO_ACK)
+    assert _starts(sim) == ["ack_failures"]
+
+
+def test_the_commit_records_the_assoc_responses_lq(default_cfg):
+    # Used to keep the old parent's LQ (0 on a first association) until the
+    # new parent's next frame, so one no-ack started a handover here.
+    sim, ctrl = _associated(default_cfg)  # on an AssocResponse at GOOD_LQ
+    _data_sent(ctrl, SendOutcome.NO_ACK)
     assert _starts(sim) == []
     _data_sent(ctrl, SendOutcome.NO_ACK)
     assert _starts(sim) == ["ack_failures"]

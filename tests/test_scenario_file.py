@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import DATA, make_cfg, tiny_cfg
 from wpansim import scenario_file as sf
 from wpansim.cli import default_scenario_path
+from wpansim.harness import arm_config, level_config
 from wpansim.phy import BANDS
 from wpansim.record import Record
 from wpansim.scenario import NodeClass, NodeConfig, NodeRole
@@ -179,23 +180,7 @@ def test_render_round_trips(cfg):
     assert parse_scenario(render_scenario(cfg, header="round trip")) == cfg
 
 
-def test_clone_power_override(default_cfg):
-    cfg = default_cfg.clone(power_override=2.0)
-    assert cfg.phy.tx_power_dbm == 2.0
-    assert all(n.tx_power_dbm is None for n in cfg.nodes)
-    assert default_cfg.phy.tx_power_dbm == 4.0  # original untouched
-
-
-def test_clone_mobile_power(default_cfg):
-    cfg = default_cfg.clone(mobile_power=6.0)
-    assert cfg.mobile_node().tx_power_dbm == 6.0
-    assert all(n.tx_power_dbm is None for n in cfg.stationary_nodes())
-
-
-# -- clone is an independent copy: equal to copy.deepcopy, sharing nothing mutable --
-
-CLONE_OVERRIDES = [{}, {"seed": 7}, {"power_override": 2.0}, {"tpc_enabled": False},
-                   {"handover_mode": "scan"}, {"mobile_power": 6.0}]
+# -- clone and the sweep-level and compare-arm recipes are independent copies --
 
 
 def _mutable_parts(value, found: dict) -> dict:
@@ -217,22 +202,33 @@ def _mutable_parts(value, found: dict) -> dict:
     return found
 
 
+def _copies(cfg):
+    """(label, copy of cfg) for clone, with and without a seed, and for each
+    sweep-level and compare-arm recipe (a fixed-power arm needs a mobile)."""
+    yield "clone()", cfg.clone()
+    yield "clone(seed=7)", cfg.clone(seed=7)
+    for power in cfg.phy.power_levels_dbm:
+        yield f"level_config {power}", level_config(cfg, power)
+    for mode, tpc in itertools.product(("broadcast", "scan"), (True, False)):
+        if tpc or cfg.mobile_node() is not None:
+            yield f"arm_config {mode} {tpc}", arm_config(cfg, mode, tpc)
+
+
 def _assert_clone_is_independent(cfg):
     before = copy.deepcopy(cfg)
-    clone = cfg.clone()
-    assert clone == before
+    assert cfg.clone() == before
     original = _mutable_parts(cfg, {})
-    shared = original.keys() & _mutable_parts(clone, {}).keys()
-    assert not shared, [original[i] for i in shared]
-    for overrides in CLONE_OVERRIDES:
-        out = cfg.clone(**overrides)
+    for label, out in _copies(cfg):
+        assert cfg == before, label  # the call left its input unchanged
+        shared = original.keys() & _mutable_parts(out, {}).keys()
+        assert not shared, (label, [original[i] for i in shared])
         out.phy.pl0_db += 1.0
         for node in out.nodes[:1]:
             node.x += 1.0
             node.role = NodeRole.END_DEVICE
         waypoints = out.trajectory.waypoints
         waypoints.append((waypoints[-1][0] + 1.0, 0.0, waypoints[-1][2] + 1))
-        assert cfg == before, overrides
+        assert cfg == before, label
 
 
 @pytest.mark.parametrize("cfg", [*(load_scenario(p) for p in SCENARIOS), ScenarioConfig()],

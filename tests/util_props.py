@@ -1,15 +1,17 @@
-"""Randomized small-scenario generator and MAC invariant checkers.
+"""Randomized small-scenario generator, MAC invariant checkers and the
+detuned default scenario.
 
-Shared between the fast property tests and the acceptance suite.  Scenarios
-are built from a seeded generator, so every failure is reproducible from
-the scenario index alone.
+Shared between the fast property tests, the acceptance suite, the
+calibration tests and `tools/battery.py`.  Scenarios are built from a seeded
+generator, so every failure is reproducible from the scenario index alone.
 """
 
 from __future__ import annotations
 
 import random
 
-from wpansim.scenario_file import parse_scenario
+from wpansim.cli import default_scenario_path
+from wpansim.scenario_file import load_scenario, parse_scenario
 from wpansim.sim import Simulation
 
 MAX_BACKOFF_US = (2 ** 5 - 1) * 320  # (2^macMaxBE - 1) unit backoffs
@@ -80,6 +82,18 @@ def random_scenario(index: int):
         mode=rng.choice(["broadcast", "scan"]),
     )
     return parse_scenario(text, source=f"<prop-{index}>")
+
+
+def detuned_scenario():
+    """The default scenario far off its calibrated fit: path-loss exponent
+    2.0, pl0 40 dB, sensitivity -90 dBm, stationary nodes at 0/7/14 m."""
+    cfg = load_scenario(default_scenario_path())
+    cfg.phy.path_loss_exponent = 2.0
+    cfg.phy.pl0_db = 40.0
+    cfg.phy.rx_sensitivity_dbm = -90.0
+    for i, node in enumerate(cfg.stationary_nodes()):
+        node.x = 7.0 * i
+    return cfg
 
 
 class LoggedSimulation(Simulation):

@@ -15,9 +15,9 @@ Fast part (about 3 s):
   poll timeout, so that the two handover timers differ (every other battery
   scenario uses 50 ms for both);
 - `calibrate` on `tests/data/uncalibrated.scenario` (a search), on the
-  default scenario (already on target: the early exit) and on a detuned
-  default scenario (n 2.0, pl0 40 dB, sensitivity -90 dBm, stationary nodes
-  at 0/7/14 m) for two target pairs.
+  default scenario (already on target: the early exit) and on
+  `util_props.detuned_scenario` (n 2.0, pl0 40 dB, sensitivity -90 dBm,
+  stationary nodes at 0/7/14 m) for two target pairs.
 
 `--full` adds:
 - `compare` on both scenarios at seeds 1, 42 and 99;
@@ -54,7 +54,7 @@ for _path in (str(ROOT / "tests"), str(ROOT / "src")):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from util_props import random_scenario  # noqa: E402
+from util_props import detuned_scenario, random_scenario  # noqa: E402
 from wpansim.cli import default_scenario_path  # noqa: E402
 from wpansim.calibration import CalibrationTargets  # noqa: E402
 from wpansim.harness import calibrate, compare, run_simulation, sweep  # noqa: E402
@@ -90,12 +90,7 @@ def write_fast(out: Path) -> None:
         run_simulation(cfg, out / f"random_timers_{index}")
     calibrate(load_scenario(UNCALIBRATED), out / "calibrate_uncalibrated")
     calibrate(scenarios["default"], out / "calibrate_default")
-    detuned = load_scenario(default_scenario_path())  # far off the fit
-    detuned.phy.path_loss_exponent = 2.0
-    detuned.phy.pl0_db = 40.0
-    detuned.phy.rx_sensitivity_dbm = -90.0
-    for n, node in enumerate(detuned.stationary_nodes()):
-        node.x = 7.0 * n
+    detuned = detuned_scenario()
     for index, targets in enumerate(DETUNED_TARGETS):
         calibrate(detuned, out / f"calibrate_detuned_{index}", targets)
 
