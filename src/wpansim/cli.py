@@ -61,7 +61,7 @@ def _build_parser() -> _Parser:
     common(p_sweep)
     p_sweep.add_argument("--powers", type=str, default=None,
                          help="comma-separated dBm levels "
-                              "(default: scenario [sweep] powers, else 0,2,3,4,5,6)")
+                              "(default: scenario [sweep] powers, else its power_levels)")
 
     p_cal = sub.add_parser("calibrate",
                            help="fit propagation constants to coverage targets")

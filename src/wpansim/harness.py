@@ -75,10 +75,6 @@ def _run_summary_lines(result: RunResult) -> list[str]:
     return lines
 
 
-# The levels `sweep` runs when neither --powers nor a [sweep] line names any.
-DEFAULT_SWEEP_POWERS = (0.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-
-
 def level_config(cfg: ScenarioConfig, power: float) -> ScenarioConfig:
     """The scenario as `sweep` runs it at `power`: TPC off, every node at it."""
     out = cfg.clone()
@@ -118,14 +114,14 @@ def sweep(cfg: ScenarioConfig, powers=None,
     x_lo, x_hi = gap_bounds(cfg.trajectory)
     if powers is None:
         powers = (cfg.sweep_powers if cfg.sweep_powers is not None
-                  else DEFAULT_SWEEP_POWERS)
+                  else cfg.phy.power_levels_dbm)
     powers = list(powers)
     if not powers:
         raise ValueError("sweep needs at least one power level")
     if len(set(powers)) != len(powers):  # each level's outputs are written once
         raise ValueError(f"power levels {powers} name a level twice")
-    # `_validate` checked a [sweep] powers line; this catches --powers and
-    # the default levels, which no scenario line names.
+    # `_validate` checked a [sweep] powers line; this catches --powers,
+    # which no scenario line names.
     unknown = [p for p in powers if p not in cfg.phy.power_levels_dbm]
     if unknown:
         raise ValueError(f"power levels {unknown} not in the configured set "

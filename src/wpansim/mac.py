@@ -74,17 +74,14 @@ class Frame:
 
 
 class CsmaParams(Record):
-    def __init__(self, mac_min_be: int = 3, mac_max_be: int = 5,
-                 max_csma_backoffs: int = 4, max_frame_retries: int = 3,
-                 unit_backoff_us: SimTime = 320, ack_wait_us: SimTime = 864,
-                 turnaround_us: SimTime = 192) -> None:
-        self.mac_min_be = mac_min_be
-        self.mac_max_be = mac_max_be
-        self.max_csma_backoffs = max_csma_backoffs
-        self.max_frame_retries = max_frame_retries
-        self.unit_backoff_us = unit_backoff_us
-        self.ack_wait_us = ack_wait_us
-        self.turnaround_us = turnaround_us
+    def __init__(self) -> None:
+        self.mac_min_be = 3
+        self.mac_max_be = 5
+        self.max_csma_backoffs = 4
+        self.max_frame_retries = 3
+        self.unit_backoff_us = 320
+        self.ack_wait_us = 864
+        self.turnaround_us = 192
 
 
 class SendOutcome:

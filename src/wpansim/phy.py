@@ -41,20 +41,14 @@ NO_BEACONS = 15  # beacon order value meaning non-beacon mode
 
 
 class PhyParams(Record):
-    def __init__(self, tx_power_dbm: float = 0.0,
-                 rx_sensitivity_dbm: float = -70.0, pl0_db: float = 52.0,
-                 path_loss_exponent: float = 3.3,
-                 lq_saturation_margin_db: float = 40.0,
-                 phy_overhead_bytes: int = 6,
-                 power_levels_dbm: tuple[float, ...] = (
-                     0.0, 2.0, 3.0, 4.0, 5.0, 6.0)) -> None:
-        self.tx_power_dbm = tx_power_dbm
-        self.rx_sensitivity_dbm = rx_sensitivity_dbm
-        self.pl0_db = pl0_db
-        self.path_loss_exponent = path_loss_exponent
-        self.lq_saturation_margin_db = lq_saturation_margin_db
-        self.phy_overhead_bytes = phy_overhead_bytes
-        self.power_levels_dbm = power_levels_dbm
+    def __init__(self) -> None:
+        self.tx_power_dbm = 0.0
+        self.rx_sensitivity_dbm = -70.0
+        self.pl0_db = 52.0
+        self.path_loss_exponent = 3.3
+        self.lq_saturation_margin_db = 40.0
+        self.phy_overhead_bytes = 6
+        self.power_levels_dbm = (0.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 
 
 def beacon_interval(bo: int, band: Band) -> SimTime:

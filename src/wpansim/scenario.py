@@ -21,20 +21,16 @@ class NodeClass(Enum):
 
 
 class NodeConfig(Record):
-    def __init__(self, node_id: int, role: NodeRole,
-                 node_class: NodeClass = NodeClass.STATIONARY, x: float = 0.0,
-                 y: float = 0.0, antenna_gain_db: float = 0.0,
-                 tx_power_dbm: float | None = None,
-                 sleep_when_idle: bool | None = None) -> None:
+    def __init__(self, node_id: int) -> None:
         self.node_id = node_id
-        self.role = role
-        self.node_class = node_class
-        self.x = x
-        self.y = y
-        self.antenna_gain_db = antenna_gain_db
-        self.tx_power_dbm = tx_power_dbm  # None -> scenario-wide default
+        self.role = NodeRole.ROUTER
+        self.node_class = NodeClass.STATIONARY
+        self.x = 0.0
+        self.y = 0.0
+        self.antenna_gain_db = 0.0
+        self.tx_power_dbm: float | None = None  # None -> scenario-wide default
         # None -> mobiles sleep, stationary nodes don't
-        self.sleep_when_idle = sleep_when_idle
+        self.sleep_when_idle: bool | None = None
 
     @property
     def may_parent(self) -> bool:
@@ -105,15 +101,12 @@ def tx_mode(power_dbm: float) -> RadioMode:
 class CurrentModel(Record):
     """Radio supply currents in mA; transmit current ramps linearly in dBm."""
 
-    def __init__(self, tx_current_0dbm_ma: float = 30.0,
-                 tx_current_per_dbm_ma: float = 1.5, rx_current_ma: float = 30.0,
-                 idle_current_ma: float = 30.0,
-                 sleep_current_ma: float = 0.003) -> None:
-        self.tx_current_0dbm_ma = tx_current_0dbm_ma
-        self.tx_current_per_dbm_ma = tx_current_per_dbm_ma
-        self.rx_current_ma = rx_current_ma
-        self.idle_current_ma = idle_current_ma
-        self.sleep_current_ma = sleep_current_ma
+    def __init__(self) -> None:
+        self.tx_current_0dbm_ma = 30.0
+        self.tx_current_per_dbm_ma = 1.5
+        self.rx_current_ma = 30.0
+        self.idle_current_ma = 30.0
+        self.sleep_current_ma = 0.003
 
     def tx_current_ma(self, power_dbm: float) -> float:
         return self.tx_current_0dbm_ma + self.tx_current_per_dbm_ma * power_dbm

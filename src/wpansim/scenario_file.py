@@ -30,7 +30,7 @@ Sections and keys (defaults in parentheses):
     [energy]     supply_voltage (3.0 V), tx_current_0dbm (30 mA),
                  tx_current_per_dbm (1.5 mA), rx_current (30 mA),
                  idle_current (30 mA), sleep_current (0.003 mA)
-    [sweep]      powers (0 2 3 4 5 6 dBm, harness.DEFAULT_SWEEP_POWERS)
+    [sweep]      powers (every level of power_levels, in its order)
     [compare]    reference_latency_delta (1.2 s),
                  reference_energy_delta (42.8 %)
 
@@ -42,7 +42,8 @@ whole (a time in us); the traffic period, move_tick and probe_retry are
 positive (waypoint arrival times need only strictly increase); mac_max_be
 is 3..8, mac_min_be 0 or more, max_csma_backoffs 0..5 and max_frame_retries
 0..7 (IEEE 802.15.4-2006, Table 86); beacon_order is 0..15; lq_target and
-lq_hysteresis are 0..255, the LQ scale; ack_header is at most 127 B
+lq_hysteresis are 0..255, the LQ scale; ack_fail_threshold and
+degraded_ack_fail_threshold are 1 or more; ack_header is at most 127 B
 (aMaxPHYPacketSize); a power list names each level once; the rx, idle and
 sleep currents are 0 mA or more; supply_voltage, path_loss_exponent and
 lq_saturation_margin are positive.  After the last line, _validate checks
@@ -51,7 +52,7 @@ fault (of keys tied together, the last one set): the node roles, and a
 mobile node sets no x or y (its position comes from [trajectory]);
 mac_min_be <= mac_max_be; tx_power and every level of a [sweep] powers line
 are among power_levels (a file without that line leaves sweep_powers None,
-so custom power_levels need no [sweep] section); the linear TX current is
+and sweep runs every level of power_levels); the linear TX current is
 0 mA or more at every level of power_levels and at each node's tx_power
 override; the channel is in its band; mac_header + payload (or the largest
 control payload) <= 127 B; and no frame is empty: phy_overhead + ack_header
@@ -66,7 +67,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .mac import CONTROL_PAYLOAD, CsmaParams
-from .phy import BANDS, Band, PhyParams
+from .phy import BANDS, PhyParams
 from .record import Record
 from .scenario import CurrentModel, NodeClass, NodeConfig, NodeRole, Trajectory
 
@@ -147,83 +148,59 @@ def _whole(units: dict[str, int], what: str) -> Callable[[str, str, int], int]:
 
 
 class MacConfig(Record):
-    def __init__(self, beacon_order: int = 15, mac_header_bytes: int = 9,
-                 ack_header_bytes: int = 5) -> None:
-        self.beacon_order = beacon_order
-        self.mac_header_bytes = mac_header_bytes
-        self.ack_header_bytes = ack_header_bytes
+    def __init__(self) -> None:
+        self.beacon_order = 15
+        self.mac_header_bytes = 9
+        self.ack_header_bytes = 5
 
 
 class TpcConfig(Record):
-    def __init__(self, enabled: bool = True, lq_target: int = 64,
-                 lq_hysteresis: int = 16) -> None:
-        self.enabled = enabled
-        self.lq_target = lq_target
-        self.lq_hysteresis = lq_hysteresis
+    def __init__(self) -> None:
+        self.enabled = True
+        self.lq_target = 64
+        self.lq_hysteresis = 16
 
 
 class HandoverConfig(Record):
-    def __init__(self, mode: str = "broadcast", probe_window_us: int = 50_000,
-                 probe_retry_us: int = 200_000,
-                 scan_response_timeout_us: int = 50_000,
-                 lq_retrigger_cooldown_us: int = 500_000,
-                 ack_fail_threshold: int = 2,
-                 degraded_ack_fail_threshold: int = 1) -> None:
-        self.mode = mode  # broadcast | scan
-        self.probe_window_us = probe_window_us
-        self.probe_retry_us = probe_retry_us
-        self.scan_response_timeout_us = scan_response_timeout_us
-        self.lq_retrigger_cooldown_us = lq_retrigger_cooldown_us
-        self.ack_fail_threshold = ack_fail_threshold
-        self.degraded_ack_fail_threshold = degraded_ack_fail_threshold
+    def __init__(self) -> None:
+        self.mode = "broadcast"  # broadcast | scan
+        self.probe_window_us = 50_000
+        self.probe_retry_us = 200_000
+        self.scan_response_timeout_us = 50_000
+        self.lq_retrigger_cooldown_us = 500_000
+        self.ack_fail_threshold = 2
+        self.degraded_ack_fail_threshold = 1
 
 
 class TrafficConfig(Record):
-    def __init__(self, period_us: int = 100_000, payload_bytes: int = 20) -> None:
-        self.period_us = period_us
-        self.payload_bytes = payload_bytes
+    def __init__(self) -> None:
+        self.period_us = 100_000
+        self.payload_bytes = 20
 
 
 class ScenarioConfig(Record):
-    """A whole scenario.  A nested record or list left as None is a fresh
-    default one, as is the trajectory: (0 m, 0 m) at 0 s to (15 m, 0 m) at
-    15 s."""
+    """A whole scenario, each value at its default until the parser sets it."""
 
-    def __init__(self, duration_us: int = 15_000_000, seed: int = 42,
-                 band: Band = BANDS["2400"], channel: int = 11,
-                 phy: PhyParams | None = None, csma: CsmaParams | None = None,
-                 mac: MacConfig | None = None,
-                 nodes: list[NodeConfig] | None = None,
-                 trajectory: Trajectory | None = None,
-                 move_tick_us: int = 100_000,
-                 traffic: TrafficConfig | None = None,
-                 tpc: TpcConfig | None = None,
-                 handover: HandoverConfig | None = None,
-                 currents: CurrentModel | None = None,
-                 supply_voltage: float = 3.0,
-                 sweep_powers: tuple[float, ...] | None = None,
-                 reference_latency_delta_us: int = 1_200_000,
-                 reference_energy_delta_pct: float = 42.8) -> None:
-        self.duration_us = duration_us
-        self.seed = seed
-        self.band = band
-        self.channel = channel
-        self.phy = PhyParams() if phy is None else phy
-        self.csma = CsmaParams() if csma is None else csma
-        self.mac = MacConfig() if mac is None else mac
-        self.nodes = [] if nodes is None else nodes
-        if trajectory is None:
-            trajectory = Trajectory([(0.0, 0.0, 0), (15.0, 0.0, 15_000_000)])
-        self.trajectory = trajectory
-        self.move_tick_us = move_tick_us
-        self.traffic = TrafficConfig() if traffic is None else traffic
-        self.tpc = TpcConfig() if tpc is None else tpc
-        self.handover = HandoverConfig() if handover is None else handover
-        self.currents = CurrentModel() if currents is None else currents
-        self.supply_voltage = supply_voltage
-        self.sweep_powers = sweep_powers  # None: harness.DEFAULT_SWEEP_POWERS
-        self.reference_latency_delta_us = reference_latency_delta_us
-        self.reference_energy_delta_pct = reference_energy_delta_pct
+    def __init__(self) -> None:
+        self.duration_us = 15_000_000
+        self.seed = 42
+        self.band = BANDS["2400"]
+        self.channel = 11
+        self.phy = PhyParams()
+        self.csma = CsmaParams()
+        self.mac = MacConfig()
+        self.nodes: list[NodeConfig] = []
+        self.trajectory = Trajectory([(0.0, 0.0, 0), (15.0, 0.0, 15_000_000)])
+        self.move_tick_us = 100_000
+        self.traffic = TrafficConfig()
+        self.tpc = TpcConfig()
+        self.handover = HandoverConfig()
+        self.currents = CurrentModel()
+        self.supply_voltage = 3.0
+        # None: no [sweep] powers line, and sweep runs phy.power_levels_dbm
+        self.sweep_powers: tuple[float, ...] | None = None
+        self.reference_latency_delta_us = 1_200_000
+        self.reference_energy_delta_pct = 42.8
 
     def stationary_nodes(self) -> list[NodeConfig]:
         return [n for n in self.nodes if n.node_class is NodeClass.STATIONARY]
@@ -310,6 +287,8 @@ _MAX_BE, _BACKOFFS, _RETRIES, _LQ = (
 # A path-loss exponent of zero divides by zero in phy.comm_range_m, and a
 # negative one makes the loss fall with distance.
 _POSITIVE_FLOAT = _limited(_Kind(_number, float_text), lambda v: v > 0, _POSITIVE)
+# The no-ack streak is counted before it is compared, so 0 or less acts as 1.
+_THRESHOLD = _limited(_INT, lambda v: v >= 1, "key '{}': must be 1 or more")
 _BOOL = _Kind(_parse_bool, lambda value: "on" if value else "off")
 _POWERS = _limited(_Kind(_parse_power_list,
                          lambda value: " ".join(map(float_text, value)) + " dBm"),
@@ -377,9 +356,9 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Kind]]] = {
                  "probe_retry": ("handover.probe_retry_us", _POSITIVE_TIME),
                  "scan_response_timeout": ("handover.scan_response_timeout_us", _TIME),
                  "lq_retrigger_cooldown": ("handover.lq_retrigger_cooldown_us", _TIME),
-                 "ack_fail_threshold": ("handover.ack_fail_threshold", _INT),
+                 "ack_fail_threshold": ("handover.ack_fail_threshold", _THRESHOLD),
                  "degraded_ack_fail_threshold":
-                     ("handover.degraded_ack_fail_threshold", _INT)},
+                     ("handover.degraded_ack_fail_threshold", _THRESHOLD)},
     "energy": {"supply_voltage": ("supply_voltage", _POSITIVE_VOLTS),
                "tx_current_0dbm": ("currents.tx_current_0dbm_ma", _CURRENT),
                "tx_current_per_dbm": ("currents.tx_current_per_dbm_ma", _CURRENT),
@@ -426,7 +405,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
                         f"(0..{MAX_NODE_ID:#x})", lineno)
                 if any(n.node_id == node_id for n in cfg.nodes):
                     raise ScenarioError(f"duplicate node id {node_id}", lineno)
-                node = NodeConfig(node_id=node_id, role=NodeRole.ROUTER)
+                node = NodeConfig(node_id)
                 cfg.nodes.append(node)
                 key_lines[f"node {node_id}"] = lineno
                 section = "node"

@@ -213,13 +213,15 @@ def _line_layouts(draw, base):
     """A scenario with 2-6 stations around one horizontal trajectory line."""
     cfg = copy.deepcopy(base)
     line_y = draw(st.floats(-5.0, 5.0))
-    cfg.nodes = [NodeConfig(k, NodeRole.ROUTER, NodeClass.STATIONARY,
-                            x=draw(st.floats(-3.0, 13.0)),
-                            y=line_y + draw(st.floats(-4.0, 4.0)),
-                            antenna_gain_db=draw(_gain()))
-                 for k in range(1, draw(st.integers(2, 6)) + 1)]
-    cfg.nodes.append(NodeConfig(9, NodeRole.END_DEVICE, NodeClass.MOBILE,
-                                antenna_gain_db=draw(_gain())))
+    cfg.nodes = [NodeConfig(k) for k in range(1, draw(st.integers(2, 6)) + 1)]
+    for node in cfg.nodes:  # routers, stationary by default
+        node.x = draw(st.floats(-3.0, 13.0))
+        node.y = line_y + draw(st.floats(-4.0, 4.0))
+        node.antenna_gain_db = draw(_gain())
+    mobile = NodeConfig(9)
+    mobile.role, mobile.node_class = NodeRole.END_DEVICE, NodeClass.MOBILE
+    mobile.antenna_gain_db = draw(_gain())
+    cfg.nodes.append(mobile)
     cfg.trajectory = Trajectory([(0.0, line_y, 0), (10.0, line_y, 10_000_000)])
     return cfg, draw(st.sampled_from(cfg.phy.power_levels_dbm))
 

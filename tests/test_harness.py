@@ -503,9 +503,10 @@ def test_cli_sweep_powers_outside_power_levels_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_custom_power_levels_without_sweep_line(tmp_path, capsys):
+def test_cli_custom_power_levels_without_sweep_line(tmp_path):
     # Only a [sweep] powers line is checked at parse time, so a file with its
-    # own power_levels and no [sweep] section runs, and sweeps with --powers.
+    # own power_levels and no [sweep] section runs, sweeps with --powers, and
+    # sweeps its own power_levels without.
     text = TINY.format(duration="500 ms", seed=7).replace(
         "tx_power = 0 dBm", "tx_power = 0 dBm\npower_levels = 0 5 10 dBm")
     path = tmp_path / "levels.scenario"
@@ -514,10 +515,20 @@ def test_cli_custom_power_levels_without_sweep_line(tmp_path, capsys):
     assert main(["run", *args, str(tmp_path / "run")]) == 0
     assert main(["sweep", *args, str(tmp_path / "s1"), "--powers", "0 5"]) == 0
     assert (tmp_path / "s1" / "power_5dBm").is_dir()
-    capsys.readouterr()
-    # the default levels 2, 3, 4 and 6 dBm are not among them: a usage error
-    assert main(["sweep", *args, str(tmp_path / "s2")]) == 1
-    assert "[2.0, 3.0, 4.0, 6.0] not in the configured set" in capsys.readouterr().err
+    # Used to run 0/2/3/4/5/6 dBm and exit 1: 2, 3, 4 and 6 dBm are not levels.
+    assert main(["sweep", *args, str(tmp_path / "s2")]) == 0
+    summary = (tmp_path / "s2" / "summary.txt").read_text().splitlines()
+    assert [row.split(" | ")[0].strip() for row in summary[2:5]] == ["0", "5", "10"]
+    for level in (0, 5, 10):
+        assert (tmp_path / "s2" / f"power_{level}dBm" / "trace.csv").is_file()
+
+
+def test_sweep_without_a_sweep_line_runs_power_levels_in_file_order():
+    # Used to run 0/2/3/4/5/6 dBm, which skipped 1 dBm and here failed on 2 dBm.
+    cfg = make_cfg(TINY.format(duration="500 ms", seed=7).replace(
+        "tx_power = 0 dBm", "tx_power = 0 dBm\npower_levels = 6 0 1 dBm"))
+    assert cfg.sweep_powers is None
+    assert [lv.power_dbm for lv in sweep(cfg).levels] == [6.0, 0.0, 1.0]
 
 
 def _write_tiny_without_mobile(tmp_path):
@@ -845,6 +856,8 @@ SINGLE_KEY_BOUNDS = [
     ("energy", "supply_voltage = 0.001 V", "supply_voltage = 0 V"),
     ("phy", "lq_saturation_margin = 0.001 dB", "lq_saturation_margin = 0 dB"),
     ("phy", "path_loss_exponent = 0.001", "path_loss_exponent = 0"),
+    *[("handover", f"{k} = 1", f"{k} = 0")
+      for k in ("ack_fail_threshold", "degraded_ack_fail_threshold")],
 ]
 
 

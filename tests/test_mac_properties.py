@@ -62,8 +62,8 @@ def test_pruned_history_answers_as_the_whole_history(sends, offsets):
     transmission that ended at or after `start - longest_us` of each add
     since its own, and busy_for and interferers give the same answers as on
     a channel that keeps everything."""
-    params = PhyParams(rx_sensitivity_dbm=-73.0, pl0_db=54.0,
-                       path_loss_exponent=3.5)
+    params = PhyParams()
+    params.rx_sensitivity_dbm, params.pl0_db, params.path_loss_exponent = -73.0, 54.0, 3.5
     clock = [0]
     listeners = [_Listener(0.0), _Listener(2.0, gain_db=1.0), _Listener(4.0),
                  _Listener(9.0), _Listener(1.0, clock=clock)]

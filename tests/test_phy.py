@@ -41,12 +41,14 @@ def test_beacon_order_15_is_not_an_interval():
 
 
 def test_path_loss_reference_distance():
-    p = PhyParams(pl0_db=47.0, path_loss_exponent=2.0)
+    p = PhyParams()
+    p.pl0_db, p.path_loss_exponent = 47.0, 2.0
     assert link_rx_power(1.0, 0.0, 0.0, 0.0, p) == -47.0
 
 
 def test_path_loss_doubling_distance():
-    p = PhyParams(pl0_db=40.0, path_loss_exponent=2.0)
+    p = PhyParams()
+    p.pl0_db, p.path_loss_exponent = 40.0, 2.0
     loss = link_rx_power(1.0, 0.0, 0.0, 0.0, p) - link_rx_power(2.0, 0.0, 0.0, 0.0, p)
     assert loss == pytest.approx(6.0206, abs=1e-4)
 
@@ -59,14 +61,16 @@ def test_path_loss_clamps_tiny_distance():
 
 
 def test_received_power_budget():
-    p = PhyParams(pl0_db=85.0)  # 85 dB of path loss at 1 m
+    p = PhyParams()
+    p.pl0_db = 85.0  # 85 dB of path loss at 1 m
     assert link_rx_power(1.0, 0.0, 0.0, 0.0, p) == -85.0
     assert link_rx_power(1.0, 4.0, 0.0, 0.0, p) == -81.0
     assert link_rx_power(1.0, 0.0, 3.0, 0.0, p) == -82.0
 
 
 def test_lq_endpoints_and_midpoint():
-    p = PhyParams(rx_sensitivity_dbm=-70.0, lq_saturation_margin_db=40.0)
+    p = PhyParams()
+    p.rx_sensitivity_dbm, p.lq_saturation_margin_db = -70.0, 40.0
     assert lq_from_rx_power(-70.0, p) == 0
     assert lq_from_rx_power(-30.0, p) == 255
     assert lq_from_rx_power(-50.0, p) == 128  # midpoint rounds half up
@@ -78,7 +82,8 @@ def test_lq_endpoints_and_midpoint():
 
 
 def test_lq_monotone():
-    p = PhyParams(rx_sensitivity_dbm=-70.0)
+    p = PhyParams()
+    p.rx_sensitivity_dbm = -70.0
     values = [lq_from_rx_power(-90.0 + 0.25 * k, p) for k in range(400)]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
@@ -94,7 +99,8 @@ def test_frame_airtime():
 
 def test_in_range_strict_at_sensitivity():
     # rx exactly at sensitivity must be out of range
-    p = PhyParams(pl0_db=85.0, path_loss_exponent=2.0, rx_sensitivity_dbm=-85.0)
+    p = PhyParams()
+    p.pl0_db, p.path_loss_exponent, p.rx_sensitivity_dbm = 85.0, 2.0, -85.0
     assert heard(link_rx_power(1.0, 0.0, 0.0, 0.0, p), p) is False
     assert heard(link_rx_power(0.999, 0.0, 0.0, 0.0, p), p) is True
 
@@ -118,7 +124,8 @@ def test_in_range_on_calibrated_defaults(default_cfg):
 
 
 def test_comm_range_matches_in_range_threshold():
-    p = PhyParams(pl0_db=54.0, path_loss_exponent=3.5, rx_sensitivity_dbm=-73.0)
+    p = PhyParams()
+    p.pl0_db, p.path_loss_exponent, p.rx_sensitivity_dbm = 54.0, 3.5, -73.0
     r = comm_range_m(0.0, 0.0, p)
     assert heard(link_rx_power(r * 0.999, 0.0, 0.0, 0.0, p), p) is True
     assert heard(link_rx_power(r * 1.001, 0.0, 0.0, 0.0, p), p) is False

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import itertools
 
 import pytest
@@ -9,9 +10,10 @@ from conftest import DATA, make_cfg, tiny_cfg
 from wpansim import scenario_file as sf
 from wpansim.cli import default_scenario_path
 from wpansim.harness import arm_config, level_config
-from wpansim.phy import BANDS
+from wpansim.mac import CsmaParams
+from wpansim.phy import BANDS, PhyParams
 from wpansim.record import Record
-from wpansim.scenario import NodeClass, NodeConfig, NodeRole
+from wpansim.scenario import CurrentModel, NodeClass, NodeConfig, NodeRole
 from wpansim.scenario_file import (ScenarioConfig, ScenarioError, load_scenario,
                                    parse_scenario, render_scenario)
 from wpansim.sim import Simulation
@@ -25,6 +27,15 @@ def test_defaults_parse(default_cfg):
     assert default_cfg.traffic.period_us == 100_000
     assert len(default_cfg.stationary_nodes()) == 3
     assert default_cfg.mobile_node().node_id == 4
+
+
+def test_config_records_take_no_values_but_a_node_id():
+    # The parser is the one way a scenario value is set, and each default is
+    # stated once, in its record's __init__.
+    records = [ScenarioConfig, PhyParams, CsmaParams, sf.MacConfig, sf.TpcConfig,
+               sf.HandoverConfig, sf.TrafficConfig, CurrentModel, NodeConfig]
+    assert {r.__name__: list(inspect.signature(r).parameters) for r in records} == {
+        **{r.__name__: [] for r in records}, "NodeConfig": ["node_id"]}
 
 
 def test_units_convert_to_microseconds():
@@ -70,8 +81,8 @@ def test_power_list_requires_unit():
 
 
 def test_custom_power_levels_need_no_sweep_line():
-    # The default sweep levels are not checked against power_levels: only a
-    # [sweep] powers line the file writes is.
+    # Only a [sweep] powers line the file writes is checked against
+    # power_levels; without one, sweep runs power_levels itself.
     cfg = parse_scenario("[phy]\ntx_power = 0 dBm\npower_levels = 0 5 10 dBm\n")
     assert cfg.sweep_powers is None
     text = render_scenario(cfg)
@@ -291,7 +302,8 @@ KIND_VALUES = {
     sf._POSITIVE_VOLTS: _G_POSITIVE, sf._POSITIVE_FLOAT: _G_POSITIVE,
     sf._BYTES: st.integers(0, 60),  # header + payload stays under 127 B
     _kind("mac", "ack_header"): st.integers(0, 60),
-    sf._INT: st.integers(0, 1000), sf._BOOL: st.booleans(),
+    sf._INT: st.integers(0, 1000), sf._THRESHOLD: st.integers(1, 1000),
+    sf._BOOL: st.booleans(),
     sf._MAX_BE: st.integers(3, 8), sf._BACKOFFS: st.integers(0, 5),
     sf._RETRIES: st.integers(0, 7), sf._LQ: st.integers(0, 255),
     _kind("csma", "mac_min_be"): st.integers(0, 8),  # at most mac_max_be: see below
@@ -313,7 +325,7 @@ def _configs(draw):
             for path, kind in schema.values():
                 sf._set(cfg, path, draw(KIND_VALUES[kind]))
     for node_id in draw(st.lists(st.integers(0, 99), max_size=4, unique=True)):
-        node = NodeConfig(node_id, NodeRole.ROUTER)
+        node = NodeConfig(node_id)
         for key, (path, kind) in sf._SCHEMA["node"].items():
             value = draw(KIND_VALUES[kind])
             optional = key in ("tx_power", "sleep")
