@@ -22,11 +22,12 @@ sensitivity -100..-70 dBm step 1, positions -3..18 m step 0.5.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import kernels
 from .coverage import line_spans, uncovered_intervals
 from .kernels import _INVALID
+from .phy import comm_range_m
 from .scenario_file import ScenarioConfig, ScenarioError
 
 N_RANGE = (1.5, 6.0, 0.1)
@@ -48,26 +49,22 @@ class CalibrationTargets(NamedTuple):
     tolerance_m: float = 0.5
 
 
-class CalibrationResult:
-    def __init__(self, ok: bool, path_loss_exponent: float = 0.0,
-                 pl0_db: float = 0.0, rx_sensitivity_dbm: float = 0.0,
-                 positions: tuple[float, ...] = (),
-                 max_boundary_error_m: float = float("inf"),
-                 achieved_gaps: list[tuple[float, float]] | None = None,
-                 range_at_gap_level_m: float = 0.0, searched: bool = True,
-                 candidates_scored: int = 0) -> None:
-        self.ok = ok
-        self.path_loss_exponent = path_loss_exponent
-        self.pl0_db = pl0_db
-        self.rx_sensitivity_dbm = rx_sensitivity_dbm
-        self.positions = positions
-        self.max_boundary_error_m = max_boundary_error_m
-        self.achieved_gaps = [] if achieved_gaps is None else achieved_gaps
-        self.range_at_gap_level_m = range_at_gap_level_m
-        self.searched = searched
-        self.candidates_scored = candidates_scored
+class CalibrationResult(NamedTuple):
+    """One fit and the targets it was judged against."""
 
-    def report_lines(self, targets: CalibrationTargets) -> list[str]:
+    ok: bool
+    targets: CalibrationTargets
+    path_loss_exponent: float = 0.0
+    pl0_db: float = 0.0
+    rx_sensitivity_dbm: float = 0.0
+    positions: tuple[float, ...] = ()
+    max_boundary_error_m: float = float("inf")
+    achieved_gaps: Sequence[tuple[float, float]] = ()
+    range_at_gap_level_m: float = 0.0
+    searched: bool = True
+    candidates_scored: int = 0
+
+    def report_lines(self) -> list[str]:
         lines = [
             "calibration report",
             "  mode: "
@@ -82,12 +79,11 @@ class CalibrationResult:
             f"  stationary x positions = "
             + ", ".join(f"{x:g} m" for x in self.positions),
             f"  max boundary error = {self.max_boundary_error_m:.3f} m "
-            f"(tolerance {targets.tolerance_m:g} m)",
-            "  achieved gaps at "
-            f"{targets.gap_level_dbm:g} dBm: "
+            f"(tolerance {self.targets.tolerance_m:g} m)",
+            f"  achieved gaps at {self.targets.gap_level_dbm:g} dBm: "
             + (", ".join(f"({a:.3f}, {b:.3f}) m" for a, b in self.achieved_gaps)
                or "none"),
-            f"  communication range at {targets.gap_level_dbm:g} dBm: "
+            f"  communication range at {self.targets.gap_level_dbm:g} dBm: "
             f"{self.range_at_gap_level_m:.2f} m",
         ]
         if not 10.0 <= self.range_at_gap_level_m <= 75.0:
@@ -95,10 +91,6 @@ class CalibrationResult:
                 "  note: fitted range sits outside the nominal 10-75 m "
                 "envelope; the coverage-trace geometry takes precedence")
         return lines
-
-
-def _radius(level: float, pl0: float, sens: float, n: float) -> float:
-    return 10.0 ** ((level - pl0 - sens) / (10.0 * n))
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
@@ -180,14 +172,14 @@ def _verdict(cfg: ScenarioConfig, n: float, pl0: float, sens: float, xs,
              targets: CalibrationTargets, searched: bool,
              scored: int) -> CalibrationResult:
     """The result for one fit, scored on the scenario apply_to_config writes."""
-    fit = CalibrationResult(
-        False, n, pl0, sens, tuple(xs),
-        range_at_gap_level_m=_radius(targets.gap_level_dbm, pl0, sens, n),
-        searched=searched, candidates_scored=scored)
-    valid, fit.max_boundary_error_m, fit.achieved_gaps = layout_metrics(
-        apply_to_config(cfg, fit, targets), targets)
-    fit.ok = valid and fit.max_boundary_error_m <= targets.tolerance_m
-    return fit
+    fit = CalibrationResult(False, targets, n, pl0, sens, tuple(xs),
+                            searched=searched, candidates_scored=scored)
+    fitted = apply_to_config(cfg, fit, targets)
+    valid, err, gaps = layout_metrics(fitted, targets)
+    return fit._replace(
+        ok=valid and err <= targets.tolerance_m, max_boundary_error_m=err,
+        achieved_gaps=gaps,
+        range_at_gap_level_m=comm_range_m(targets.gap_level_dbm, 0.0, fitted.phy))
 
 
 def search(cfg: ScenarioConfig,
@@ -214,8 +206,8 @@ def search(cfg: ScenarioConfig,
     replaced a worse best, or found nothing below best[0]), and best[0]
     only falls, so the triple can never win again.
 
-    Each pass groups its (pl0, sens) pairs by the three _radius numerators
-    level - pl0 - sens, computed as _radius computes them, and scores only
+    Each pass groups its (pl0, sens) pairs by the three radius numerators
+    level - pl0 - sens, as phy.comm_range_m computes them, and scores only
     the first pair of each group in scan order, with the same expressions.
     A later pair of a group has the same radius triple for every n: where
     the first pair was skipped by the floor, best[0] has only fallen since,
@@ -261,8 +253,9 @@ def search(cfg: ScenarioConfig,
 
     def scan(n_vals, pl0_vals, sens_vals):
         nonlocal best, best_params, scored
-        # The _radius numerators of each distinct split, with the first
-        # (pl0, sens) pair in scan order that gives them.
+        # The radius numerators of each distinct split, as phy.comm_range_m
+        # computes them, with the first (pl0, sens) pair in scan order that
+        # gives them.
         splits = {}
         for pl0 in pl0_vals:
             for sens in sens_vals:
@@ -303,7 +296,7 @@ def search(cfg: ScenarioConfig,
                    SENS_RANGE[2]))
 
     if best[0] >= _INVALID:
-        return CalibrationResult(False, candidates_scored=scored)
+        return CalibrationResult(False, targets, candidates_scored=scored)
 
     return _verdict(cfg, *best_params, best[1:], targets, searched=True,
                     scored=scored)

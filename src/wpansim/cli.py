@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .calibration import CalibrationTargets
 from .coverage import gap_analysis, gap_bounds
 from .engine import SimulationError
 from .harness import calibrate, compare, run_simulation, sweep
@@ -125,55 +124,13 @@ def _restore_mobile_x(rows, trajectory, path) -> int | None:
     return mobile_id
 
 
-def _outdir(args, command: str) -> Path:
-    return args.out if args.out is not None else Path(f"out_{command}")
-
-
 def _dispatch(args) -> int:
-    if args.command == "run":
-        cfg = _load(args)
-        out = _outdir(args, "run")
-        result = run_simulation(cfg, outdir=out)
-        print(f"run complete: {result.summary.total_processed} events, "
-              f"trace written to {out / 'trace.csv'}")
-        return EXIT_OK
-
-    if args.command == "sweep":
-        cfg = _load(args)
-        powers = None
-        if args.powers:
-            powers = [float(p) for p in args.powers.replace(",", " ").split()]
-        out = _outdir(args, "sweep")
-        result = sweep(cfg, powers, outdir=out)
-        print((out / "summary.txt").read_text(encoding="ascii"), end="")
-        return EXIT_OK
-
-    if args.command == "calibrate":
-        cfg = _load(args)
-        out = _outdir(args, "calibrate")
-        targets = CalibrationTargets()
-        result = calibrate(cfg, outdir=out, targets=targets)
-        print("\n".join(result.report_lines(targets)))
-        if not result.ok:
-            return EXIT_INFEASIBLE
-        print(f"calibrated scenario written to {out / 'calibrated.scenario'}")
-        return EXIT_OK
-
-    if args.command == "compare":
-        cfg = _load(args)
-        out = _outdir(args, "compare")
-        compare(cfg, outdir=out)
-        print((out / "compare_report.txt").read_text(encoding="ascii"), end="")
-        return EXIT_OK
-
+    cfg = _load(args)
     if args.command == "gaps":
-        scenario = args.scenario if args.scenario is not None \
-            else default_scenario_path()
-        trajectory = load_scenario(scenario).trajectory
-        x_lo, x_hi = gap_bounds(trajectory)
+        x_lo, x_hi = gap_bounds(cfg.trajectory)
         try:
             rows = read_trace(args.trace)
-            mobile_id = _restore_mobile_x(rows, trajectory, args.trace)
+            mobile_id = _restore_mobile_x(rows, cfg.trajectory, args.trace)
         except (OSError, ValueError) as exc:
             print(f"trace error: {exc}", file=sys.stderr)
             return EXIT_SCENARIO
@@ -182,9 +139,28 @@ def _dispatch(args) -> int:
             print(f"gap: {a:.2f} m .. {b:.2f} m")
         if not gaps:
             print("no coverage gaps")
-        return EXIT_OK
-
-    raise AssertionError(args.command)
+    else:
+        out = args.out if args.out is not None else Path(f"out_{args.command}")
+        if args.command == "run":
+            result = run_simulation(cfg, outdir=out)
+            print(f"run complete: {result.summary.total_processed} events, "
+                  f"trace written to {out / 'trace.csv'}")
+        elif args.command == "sweep":
+            powers = None
+            if args.powers is not None:
+                powers = [float(p) for p in args.powers.replace(",", " ").split()]
+            sweep(cfg, powers, outdir=out)
+            print((out / "summary.txt").read_text(encoding="ascii"), end="")
+        elif args.command == "calibrate":
+            result = calibrate(cfg, outdir=out)
+            print("\n".join(result.report_lines()))
+            if not result.ok:
+                return EXIT_INFEASIBLE
+            print(f"calibrated scenario written to {out / 'calibrated.scenario'}")
+        else:
+            compare(cfg, outdir=out)
+            print((out / "compare_report.txt").read_text(encoding="ascii"), end="")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -324,16 +324,20 @@ def compare_report_lines(cfg: ScenarioConfig, result: CompareResult) -> list[str
 
 def calibrate(cfg: ScenarioConfig, outdir: str | Path | None = None,
               targets: CalibrationTargets | None = None) -> CalibrationResult:
-    """Fit PHY constants to the coverage targets and emit the scenario."""
-    targets = targets or CalibrationTargets()
+    """Fit PHY constants to the coverage targets and emit the scenario, which
+    sends at the gap-free target level: power_levels must hold that level."""
     result = search(cfg, targets)
+    level = result.targets.gap_free_dbm
+    if level not in cfg.phy.power_levels_dbm:
+        raise ScenarioError(f"calibration sets tx_power to the gap-free target "
+                            f"level {float_text(level)} dBm, which power_levels lacks")
     if outdir is not None:
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "calibration_report.txt").write_text(
-            "\n".join(result.report_lines(targets)) + "\n", encoding="ascii")
+            "\n".join(result.report_lines()) + "\n", encoding="ascii")
         if result.ok:
-            calibrated = apply_to_config(cfg, result, targets)
+            calibrated = apply_to_config(cfg, result, result.targets)
             notes = {
                 "phy.pl0": "calibrated against the coverage targets",
                 "phy.path_loss_exponent": "calibrated against the coverage targets",

@@ -14,11 +14,15 @@ and calls the kernel with its default bound for every new triple.
 from wpansim import kernels
 from wpansim.calibration import (N_RANGE, OVERLAP_WEIGHT, PL0_RANGE,
                                  SENS_RANGE, X_RANGE, CalibrationResult,
-                                 CalibrationTargets, _grid, _radius, _verdict,
+                                 CalibrationTargets, _grid, _verdict,
                                  layout_metrics)
 from wpansim.scenario_file import ScenarioConfig, ScenarioError
 
 _INVALID = 1e300
+
+
+def _radius(level, pl0, sens, n):
+    return 10.0 ** ((level - pl0 - sens) / (10.0 * n))
 
 
 def best_layout(r0, r3, r4, x_lo, x_step, nx,
@@ -205,7 +209,7 @@ def search(cfg: ScenarioConfig,
                    SENS_RANGE[2]))
 
     if best[0] >= _INVALID:
-        return CalibrationResult(False, candidates_scored=scored)
+        return CalibrationResult(False, targets, candidates_scored=scored)
 
     return _verdict(cfg, *best_params, best[1:], targets, searched=True,
                     scored=scored)

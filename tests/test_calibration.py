@@ -66,6 +66,15 @@ def test_infeasible_targets_reported(uncalibrated_cfg):
     assert not res.ok
 
 
+def test_fit_carries_its_targets():
+    targets = CalibrationTargets(tolerance_m=0.25)
+    res = search(detuned_scenario(), targets)
+    assert res.targets == targets
+    assert any("(tolerance 0.25 m)" in line for line in res.report_lines())
+    with pytest.raises(AttributeError):
+        res.ok = False
+
+
 def _layout(cfg, n, pl0, sens, xs):
     out = copy.deepcopy(cfg)
     out.phy.path_loss_exponent = n

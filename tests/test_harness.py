@@ -384,6 +384,25 @@ def test_cli_calibrate_antenna_gain_exit_2(tmp_path, capsys):
         "node 2 has antenna_gain = 2 dB")
 
 
+def test_cli_calibrate_without_the_gap_free_level_exit_2(tmp_path, capsys):
+    # Used to exit 0 and write a calibrated.scenario with tx_power = 4 dBm,
+    # which `wpansim run` then refused: 4 dBm is not one of its power_levels.
+    cfg_text = (DATA / "uncalibrated.scenario").read_text()
+    for old, new in [("tx_power = 4 dBm\npower_levels = 0 2 3 4 5 6 dBm",
+                      "tx_power = 0 dBm\npower_levels = 0 3 5 6 dBm"),
+                     ("powers = 0 2 3 4 5 6 dBm", "powers = 0 3 5 6 dBm")]:
+        assert old in cfg_text
+        cfg_text = cfg_text.replace(old, new)
+    path = tmp_path / "levels.scenario"
+    path.write_text(cfg_text)
+    code = main(["calibrate", "--scenario", str(path),
+                 "--out", str(tmp_path / "cal")])
+    assert code == 2
+    assert "gap-free target level 4 dBm, which power_levels lacks" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "cal").exists()
+
+
 def test_cli_compare_writes_report(tmp_path):
     out = tmp_path / "cmp"
     code = main(["compare", "--out", str(out)])
@@ -398,6 +417,15 @@ def test_cli_sweep_default_and_summary(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "OPTIMAL" in printed
 
+
+
+def test_cli_sweep_empty_powers_is_a_usage_error(tmp_path, capsys):
+    # `--powers ""` used to run the scenario's own levels and exit 0.
+    for powers in ["", ","]:
+        code = main(["sweep", "--powers", powers, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "sweep needs at least one power level" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _cli_run_rejects(text, bad_line, tmp_path, capsys, monkeypatch):
