@@ -3,7 +3,7 @@ phy.py compares a power with the receiver sensitivity.
 
 Readers use a record's typed `detail` and the TraceKind, FrameKind and
 SendOutcome constants; the hot-path kinds are plain class attributes, not
-Enum members; test-only state stays out of the simulator.
+Enum members.
 """
 
 import os
@@ -24,7 +24,6 @@ RULES = [
     (r"\b(delay|nb|retry|level|trigger|parent|latency_us)=",
      "spells an outcome prefix", ("trace.py",)),
     (r"\bFRAME_KIND_TEXT\b", "keeps a frame-kind text table", ()),
-    (r"\bdelivery_log\b", "keeps test-only delivery state", ()),
     (r"(<=?|>=?|==|!=)\s*[\w.]*\brx_sensitivity_dbm\b|"
      r"\brx_sensitivity_dbm\s*(<|>|==|!=)",
      "compares with the sensitivity instead of calling phy.heard", ("phy.py",)),
@@ -57,7 +56,6 @@ def test_the_guard_catches_the_old_spellings():
         ("mac.py", 'self.sim.emit(node, kind, outcome=f"delay={delay}")'),
         ("engine.py", "from enum import Enum"),
         ("harness.py", "FRAME_KIND_TEXT[frame.kind]"),
-        ("phy.py", "self.delivery_log.append(tx)"),
         ("sim.py", "if not rx_power > phy.rx_sensitivity_dbm:"),
         ("mac.py", "if self.params.rx_sensitivity_dbm < rx:"),
         ("net.py", "if rx >= params.rx_sensitivity_dbm:"),

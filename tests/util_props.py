@@ -96,94 +96,93 @@ def detuned_scenario():
     return cfg
 
 
-class LoggedSimulation(Simulation):
-    """A run that also logs each transmission with the ids of its receivers."""
+def aired_frames(rows) -> list[list]:
+    """Every frame the rows put on air, in start order, as [sender id, start
+    us, end us, receiver ids]; end is None if the run ended first.
 
-    def __init__(self, cfg) -> None:
-        super().__init__(cfg)
-        self.delivery_log: list[tuple] = []
+    A frame is keyed by (src, frame_kind, seq) from its TX_START row to its
+    TX_END row, and each RX row with its key names a receiver.  A node sends
+    one frame at a time: its TX_START row comes after its last frame's
+    TX_END row, also when the two share a microsecond.
+    """
+    frames, on_air, sending = [], {}, set()
+    for r in rows:
+        key = (r.src, r.frame_kind, r.seq)
+        if r.event_kind == "TX_START":
+            assert r.node_id not in sending, f"node {r.node_id} sends two frames"
+            sending.add(r.node_id)
+            on_air[key] = [r.node_id, r.time_us, None, []]
+            frames.append(on_air[key])
+        elif r.event_kind == "RX":
+            on_air[key][3].append(r.node_id)
+        elif r.event_kind == "TX_END":
+            on_air.pop(key)[2] = r.time_us
+            sending.remove(r.node_id)
+    return frames
 
-    def deliver(self, tx):
-        receivers = super().deliver(tx)
-        self.delivery_log.append((tx, tuple(n.node_id for n, _, _ in receivers)))
-        return receivers
 
+def check_invariants(result) -> None:
+    """Check a `RunResult` against its own rows and `result.cfg`."""
+    cfg, rows = result.cfg, result.rows
 
-def check_invariants(result, cfg, log) -> None:
-    """Check a run's result; `log` is its LoggedSimulation.delivery_log."""
-    rows = result.rows
-
-    # Backoff delays never exceed (2^macMaxBE - 1) unit backoffs.
+    # Backoff delays never exceed (2^macMaxBE - 1) unit backoffs, beacons
+    # and acks never enter CSMA (no backoff or CCA rows), and transmitted
+    # seqs stay within the mod-256 counter range; counter contiguity and
+    # retry reuse are pinned by the dedicated MAC unit tests (frames that die
+    # in CSMA before airing leave legitimate holes here).
     for r in rows:
         if r.event_kind == "BACKOFF":
             assert r.detail <= MAX_BACKOFF_US, f"backoff {r.detail} us over bound"
-
-    # Beacons and acks never enter CSMA (no backoff or CCA rows).
-    for r in rows:
         if r.event_kind in ("BACKOFF", "CCA_BUSY"):
             assert r.frame_kind not in ("beacon", "ack"), \
                 f"{r.frame_kind} went through CSMA"
+        elif r.event_kind == "TX_START" and r.frame_kind != "ack":
+            assert 0 <= r.seq <= 255
 
-    # No capture: transmissions overlapping in time share no receiver.
-    for i in range(len(log)):
-        tx_a, recv_a = log[i]
-        for j in range(i + 1, len(log)):
-            tx_b, recv_b = log[j]
-            if tx_a.overlaps(tx_b.start, tx_b.end):
-                both = set(recv_a) & set(recv_b)
-                assert not both, \
-                    f"nodes {both} accepted two overlapping transmissions"
+    # No capture: frames overlapping in time share no receiver.  In start
+    # order, a frame overlaps only those that start before it ends.
+    frames = aired_frames(rows)
+    received = [f for f in frames if f[3]]
+    for i, (_, _, end, receivers) in enumerate(received):
+        for _, start, _, others in received[i + 1:]:
+            if start >= end:
+                break
+            both = set(receivers) & set(others)
+            assert not both, f"nodes {both} accepted two overlapping transmissions"
 
     # Every accepted unicast data frame is acked exactly once (the reply is
     # CSMA-exempt and leaves no earlier than one turnaround after the rx;
     # it slips later only when the radio was mid-transmission).  Receptions
     # too close to the end of the run cannot complete and are skipped.
     ack_slack_us = 10_000
-    groups: dict[tuple, list] = {}
+    rxs: dict[tuple, list] = {}  # (receiver, src, seq) -> data RX times
+    acks: dict[tuple, list] = {}  # (sender, dst, seq) -> ack TX_START times
     for r in rows:
         if (r.event_kind == "RX" and r.frame_kind == "data"
                 and r.dst == r.node_id):
-            groups.setdefault((r.node_id, r.src, r.seq), []).append(r.time_us)
-    for (nid, src, seq), rx_times in groups.items():
+            rxs.setdefault((r.node_id, r.src, r.seq), []).append(r.time_us)
+        elif r.event_kind == "TX_START" and r.frame_kind == "ack":
+            acks.setdefault((r.node_id, r.dst, r.seq), []).append(r.time_us)
+    for (nid, src, seq), rx_times in rxs.items():
         if max(rx_times) > cfg.duration_us - ack_slack_us:
             continue
-        acks = [r.time_us for r in rows
-                if r.event_kind == "TX_START" and r.frame_kind == "ack"
-                and r.node_id == nid and r.dst == src and r.seq == seq]
-        assert len(acks) == len(rx_times), \
-            f"data seq {seq} at node {nid}: {len(rx_times)} rx, {len(acks)} acks"
-        assert min(acks) >= min(rx_times) + cfg.csma.turnaround_us
-
-    # Transmitted seqs stay within the mod-256 counter range; counter
-    # contiguity and retry reuse are pinned by the dedicated MAC unit tests
-    # (frames that die in CSMA before airing leave legitimate holes here).
-    for nid in {r.node_id for r in rows}:
-        distinct = {r.seq for r in rows
-                    if r.event_kind == "TX_START" and r.src == nid
-                    and r.frame_kind != "ack"}
-        assert all(0 <= s <= 255 for s in distinct)
+        sent = acks.get((nid, src, seq), [])
+        assert len(sent) == len(rx_times), \
+            f"data seq {seq} at node {nid}: {len(rx_times)} rx, {len(sent)} acks"
+        assert min(sent) >= min(rx_times) + cfg.csma.turnaround_us
 
     # Event accounting: nothing lost.
     s = result.summary
     assert s.scheduled == s.total_processed + s.cancelled + s.unprocessed
 
-    # Mode times partition the run exactly.
+    # Mode times partition the run exactly, and each node's transmit time in
+    # its ledger is its frames' airtime; a frame still on air at the end is
+    # closed there.
+    tx_time = dict.fromkeys(result.ledgers, 0)
+    for nid, start, end, _ in frames:
+        tx_time[nid] += (cfg.duration_us if end is None else end) - start
     for nid, ledger in result.ledgers.items():
         assert ledger.total_time() == cfg.duration_us
-
-    # Each node's transmit time in its ledger is the sum of its TX_START ->
-    # TX_END intervals; a frame still on air at the end is closed there.
-    on_air: dict[int, int] = {}
-    tx_time = dict.fromkeys(result.ledgers, 0)
-    for r in rows:
-        if r.event_kind == "TX_START":
-            assert r.node_id not in on_air, f"node {r.node_id} sends two frames"
-            on_air[r.node_id] = r.time_us
-        elif r.event_kind == "TX_END":
-            tx_time[r.node_id] += r.time_us - on_air.pop(r.node_id)
-    for nid, start in on_air.items():
-        tx_time[nid] += cfg.duration_us - start
-    for nid, ledger in result.ledgers.items():
         ledger_tx = sum(t for mode, t in ledger.mode_times.items()
                         if mode.tx_power_dbm is not None)
         assert ledger_tx == tx_time[nid], f"node {nid} transmit time"
@@ -208,9 +207,7 @@ def check_invariants(result, cfg, log) -> None:
 def run_property_suite(count: int, offset: int = 0) -> int:
     total_events = 0
     for index in range(offset, offset + count):
-        cfg = random_scenario(index)
-        sim = LoggedSimulation(cfg)
-        result = sim.run()
-        check_invariants(result, cfg, sim.delivery_log)
+        result = Simulation(random_scenario(index)).run()
+        check_invariants(result)
         total_events += result.summary.total_processed
     return total_events
