@@ -1,7 +1,10 @@
 """Equivalence battery: write a fixed set of wpansim outputs, print one sha256.
 
 The digest covers the path and the bytes of every file written, so a change
-that leaves it as it was changed no output the battery reaches.
+that leaves it as it was changed no output the battery reaches.  Every run
+the battery builds (each `run`, each `sweep` level and each `compare` arm)
+must also pass `util_props.check_invariants`; the first that fails stops
+the battery with the group's name.
 
 Fast part (about 3 s):
 - `sweep` on the default scenario and `run` on the contention scenario, at
@@ -54,7 +57,7 @@ for _path in (str(ROOT / "tests"), str(ROOT / "src")):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from util_props import detuned_scenario, random_scenario  # noqa: E402
+from util_props import check_invariants, detuned_scenario, random_scenario  # noqa: E402
 from wpansim.cli import default_scenario_path  # noqa: E402
 from wpansim.calibration import CalibrationTargets  # noqa: E402
 from wpansim.harness import calibrate, compare, run_simulation, sweep  # noqa: E402
@@ -72,22 +75,35 @@ def _scenarios():
             "contention": load_scenario(CONTENTION)}
 
 
+def _checked(group: str, *runs) -> None:
+    """Check the MAC invariants of each run, naming the group that failed."""
+    for run in runs:
+        try:
+            check_invariants(run)
+        except AssertionError as exc:
+            raise AssertionError(f"{group}: {exc}") from exc
+
+
+def _run(cfg, out: Path, seed: int | None = None) -> None:
+    _checked(out.name, run_simulation(cfg, out, seed=seed))
+
+
 def write_fast(out: Path) -> None:
     scenarios = _scenarios()
     hidden_pair = load_scenario(HIDDEN_PAIR)
     for seed in range(1, 6):
-        sweep(scenarios["default"].clone(seed=seed),
-              outdir=out / f"sweep_default_s{seed}")
-        run_simulation(scenarios["contention"], out / f"run_contention_s{seed}",
-                       seed=seed)
-        run_simulation(hidden_pair, out / f"run_hidden_pair_s{seed}", seed=seed)
+        group = f"sweep_default_s{seed}"
+        result = sweep(scenarios["default"].clone(seed=seed), outdir=out / group)
+        _checked(group, *(level.run for level in result.levels))
+        _run(scenarios["contention"], out / f"run_contention_s{seed}", seed)
+        _run(hidden_pair, out / f"run_hidden_pair_s{seed}", seed)
     for index in (*range(300), 5811, 8120, 9266):
-        run_simulation(random_scenario(index), out / f"random_{index}")
+        _run(random_scenario(index), out / f"random_{index}")
     for index in range(60):
         cfg = random_scenario(index)
         cfg.handover.probe_window_us = 70_000
         cfg.handover.scan_response_timeout_us = 30_000
-        run_simulation(cfg, out / f"random_timers_{index}")
+        _run(cfg, out / f"random_timers_{index}")
     calibrate(load_scenario(UNCALIBRATED), out / "calibrate_uncalibrated")
     calibrate(scenarios["default"], out / "calibrate_default")
     detuned = detuned_scenario()
@@ -98,16 +114,18 @@ def write_fast(out: Path) -> None:
 def write_full(out: Path) -> None:
     write_fast(out)
     for name, cfg in _scenarios().items():
-        for seed in (1, 42, 99):
-            compare(cfg.clone(seed=seed), out / f"compare_{name}_s{seed}")
+        variants = {f"s{seed}": cfg.clone(seed=seed) for seed in (1, 42, 99)}
         for sleeps in (True, False):
             variant = cfg.clone()
             for node in variant.nodes:
                 node.sleep_when_idle = sleeps
-            tag = "all_sleep" if sleeps else "none_sleep"
-            compare(variant, out / f"compare_{name}_{tag}")
+            variants["all_sleep" if sleeps else "none_sleep"] = variant
+        for tag, variant in variants.items():
+            group = f"compare_{name}_{tag}"
+            result = compare(variant, out / group)
+            _checked(group, *(arm.run for arm in result.arms.values()))
     for index in range(300, 3000):
-        run_simulation(random_scenario(index), out / f"random_{index}")
+        _run(random_scenario(index), out / f"random_{index}")
 
 
 def digest(out: Path) -> str:
