@@ -4,10 +4,11 @@
 an idle MAC leaves sleep to `Node.maybe_sleep`.  Beacons and acks bypass
 CSMA: `beacon_due` is the periodic beacon handler and `send_ack` acks after
 a fixed turnaround; both wait out the radio's own frame, and beacons keep
-their cadence.  The backoff exponent is min(macMinBE + NB, macMaxBE).  The
-channel applies a no-capture collision model: if two transmissions audible
-at a receiver overlap in time, that receiver gets neither.  CCA is
-instantaneous channel-state sampling.
+their cadence.  A backoff that expires the instant the radio's own frame
+ends waits for that frame's end too.  The backoff exponent is
+min(macMinBE + NB, macMaxBE).  The channel applies a no-capture collision
+model: if two transmissions audible at a receiver overlap in time, that
+receiver gets neither.  CCA is instantaneous channel-state sampling.
 """
 
 from __future__ import annotations
@@ -313,7 +314,12 @@ class MacLayer:
         self.sim.loop.schedule(self.sim.loop.now + delay, self.on_backoff_expire)
 
     def on_backoff_expire(self) -> None:
-        if self.sim.channel.busy_for(self.node, self.sim.loop.now):
+        now = self.sim.loop.now
+        # The radio's own frame ends this instant: sample the channel after
+        # its TX_END, or the attempt would start under it.
+        if self.tx_ends_at == now and self._after_own_frame(self.on_backoff_expire):
+            return
+        if self.sim.channel.busy_for(self.node, now):
             self.nb += 1
             self.sim.emit(self.node, TraceKind.CCA_BUSY, self.current,
                           detail=self.nb)

@@ -476,6 +476,25 @@ def test_ack_deferred_twice_when_a_second_own_frame_follows_the_first():
     assert sent_at(sim, 3, "ack") == [own_end + sim.airtime(beacon)]
 
 
+def test_a_backoff_due_as_its_own_frame_ends_samples_the_channel_after_it():
+    # The backoff event was queued before the ack's end, so it runs first at
+    # that microsecond; the data frame used to start under the ack.
+    sim = line_sim()
+    sim.nodes[1].mac.csma_send(data_frame(sim, 1, 3))
+    due = rows_of(sim, "BACKOFF", node=1)[0].detail
+    ack = Frame(FrameKind.ACK, 7, 1, 3)
+    assert due > sim.airtime(ack)
+    sim.loop.schedule(due - sim.airtime(ack), sim.nodes[1].mac.send_immediate, ack)
+    drive(sim)
+    at_due = [r.event_kind for r in sim.rows if r.node_id == 1 and r.time_us == due]
+    assert at_due == ["TX_END", "TX_START"]
+    assert sent_at(sim, 1, "data") == [due]
+    ledger = sim.nodes[1].ledger.mode_times
+    data = Frame(FrameKind.DATA, 0, 1, 3, payload_len=10)
+    assert sum(t for mode, t in ledger.items() if mode.tx_power_dbm is not None) \
+        == sim.airtime(ack) + sim.airtime(data)
+
+
 DEFAULT_HANDLERS = {
     "MacLayer._ack_due", "MacLayer.on_ack_timeout", "MacLayer.on_backoff_expire",
     "MobileController.on_data_due", "MobileController.on_handover_timer",
