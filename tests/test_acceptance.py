@@ -119,8 +119,10 @@ def test_criterion_6_mac_property_suite():
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     print(f"\nACCEPTANCE 6 PASS: 1000 randomized scenarios ({events} events) "
-          f"hold no-capture, ack-pairing, backoff-bound and CSMA-exemption "
-          f"invariants in {elapsed:.1f} s")
+          f"pass check_invariants(result) in {elapsed:.1f} s: the CSMA limits "
+          f"on their BACKOFF, CCA_BUSY and ACK_TIMEOUT rows, and no capture, "
+          f"one frame at a time per node and ledger transmit time on the "
+          f"frames their TX_START, RX and TX_END rows describe")
 
 
 def test_criterion_7_determinism_and_golden_trace(default_cfg, tmp_path):

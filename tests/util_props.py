@@ -1,5 +1,12 @@
-"""Randomized small-scenario generator, MAC invariant checkers and the
+"""Randomized small-scenario generator, the MAC invariant checker and the
 detuned default scenario.
+
+`check_invariants(result)` checks any `RunResult` from its own rows and
+`result.cfg`, so a plain `Simulation(cfg).run()` or a run that `harness`
+returns is checked as it is.  It reads the CSMA limits off the BACKOFF,
+CCA_BUSY and ACK_TIMEOUT rows, and rebuilds every aired frame from its
+TX_START, RX and TX_END rows (`aired_frames`) for the no-capture,
+one-frame-at-a-time and ledger checks.
 
 Shared between the fast property tests, the acceptance suite, the
 calibration tests and `tools/battery.py`.  Scenarios are built from a seeded
@@ -13,8 +20,6 @@ import random
 from wpansim.cli import default_scenario_path
 from wpansim.scenario_file import load_scenario, parse_scenario
 from wpansim.sim import Simulation
-
-MAX_BACKOFF_US = (2 ** 5 - 1) * 320  # (2^macMaxBE - 1) unit backoffs
 
 _NODE_TMPL = """
 [node {nid}]
@@ -122,22 +127,44 @@ def aired_frames(rows) -> list[list]:
 
 
 def check_invariants(result) -> None:
-    """Check a `RunResult` against its own rows and `result.cfg`."""
+    """Check a `RunResult` against its own rows and `result.cfg`; the
+    first invariant it breaks fails an assert that names it."""
     cfg, rows = result.cfg, result.rows
 
-    # Backoff delays never exceed (2^macMaxBE - 1) unit backoffs, beacons
-    # and acks never enter CSMA (no backoff or CCA rows), and transmitted
-    # seqs stay within the mod-256 counter range; counter contiguity and
-    # retry reuse are pinned by the dedicated MAC unit tests (frames that die
-    # in CSMA before airing leave legitimate holes here).
+    # The 802.15.4 CSMA limits, from the run's own config.  A backoff is a
+    # whole number of unit backoffs below 2^BE, BE = min(macMinBE + NB,
+    # macMaxBE), where NB counts the busy CCAs so far in the attempt; a
+    # CCA_BUSY row reports that NB, at most macMaxCSMABackoffs, and a retry
+    # is at most macMaxFrameRetries.  An attempt ends when its frame goes on
+    # air or its send has an outcome.  Beacons and acks never enter CSMA.
+    # Transmitted seqs stay within the mod-256 counter range; counter
+    # contiguity and retry reuse are pinned by the dedicated MAC unit tests
+    # (frames that die in CSMA before airing leave legitimate holes here).
+    csma = cfg.csma
+    nb: dict[int, int] = {}  # node id -> busy CCAs of its current attempt
     for r in rows:
-        if r.event_kind == "BACKOFF":
-            assert r.detail <= MAX_BACKOFF_US, f"backoff {r.detail} us over bound"
-        if r.event_kind in ("BACKOFF", "CCA_BUSY"):
+        kind = r.event_kind
+        if kind in ("BACKOFF", "CCA_BUSY"):
             assert r.frame_kind not in ("beacon", "ack"), \
                 f"{r.frame_kind} went through CSMA"
-        elif r.event_kind == "TX_START" and r.frame_kind != "ack":
+        if kind == "BACKOFF":
+            be = min(csma.mac_min_be + nb.get(r.node_id, 0), csma.mac_max_be)
+            units, rest = divmod(r.detail, csma.unit_backoff_us)
+            assert rest == 0 and units < 1 << be, \
+                f"backoff {r.detail} us at node {r.node_id}, BE {be}"
+        elif kind == "CCA_BUSY":
+            nb[r.node_id] = nb.get(r.node_id, 0) + 1
+            assert r.detail == nb[r.node_id] <= csma.max_csma_backoffs, \
+                f"CCA_BUSY nb {r.detail} at node {r.node_id}"
+        elif kind == "ACK_TIMEOUT":
+            assert r.detail is None or r.detail <= csma.max_frame_retries, \
+                f"retry {r.detail} at node {r.node_id}"
+        elif kind == "SEND_OUTCOME":
+            nb.pop(r.node_id, None)
+        elif kind == "TX_START" and r.frame_kind != "ack":
             assert 0 <= r.seq <= 255
+            if r.frame_kind != "beacon":  # a queued frame aired
+                nb.pop(r.node_id, None)
 
     # No capture: frames overlapping in time share no receiver.  In start
     # order, a frame overlaps only those that start before it ends.
@@ -169,7 +196,7 @@ def check_invariants(result) -> None:
         sent = acks.get((nid, src, seq), [])
         assert len(sent) == len(rx_times), \
             f"data seq {seq} at node {nid}: {len(rx_times)} rx, {len(sent)} acks"
-        assert min(sent) >= min(rx_times) + cfg.csma.turnaround_us
+        assert min(sent) >= min(rx_times) + csma.turnaround_us
 
     # Event accounting: nothing lost.
     s = result.summary
