@@ -2,9 +2,7 @@
 
 The digests were recorded before the stationary-pair link cache existed,
 so they pin its output to the uncached computation.  `golden_tiny` has a
-single stationary pair and barely exercises the cache.  The two scan arms'
-digests moved once since, when node 2's AssocResponse, whose backoff
-expires the instant its own beacon ends, stopped starting under that beacon.
+single stationary pair and barely exercises the cache.
 """
 
 import hashlib
@@ -55,8 +53,8 @@ def test_compare_arm_outputs_match_golden_digests(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_compare_arms_at_seed_42_hold_the_mac_invariants(name):
-    # At seed 42 node 2's AssocResponse backoff expires the instant its own
-    # beacon ends; in both scan arms the response used to start under it.
+    # In both scan arms at seed 42, node 2's AssocResponse backoff expires
+    # the instant its own beacon ends: the response must start after it.
     cfg = arm_cfg(name)
     assert cfg.seed == 42
     check_invariants(run_simulation(cfg))

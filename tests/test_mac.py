@@ -478,7 +478,7 @@ def test_ack_deferred_twice_when_a_second_own_frame_follows_the_first():
 
 def test_a_backoff_due_as_its_own_frame_ends_samples_the_channel_after_it():
     # The backoff event was queued before the ack's end, so it runs first at
-    # that microsecond; the data frame used to start under the ack.
+    # that microsecond; the data frame must still start after the ack ends.
     sim = line_sim()
     sim.nodes[1].mac.csma_send(data_frame(sim, 1, 3))
     due = rows_of(sim, "BACKOFF", node=1)[0].detail
