@@ -28,7 +28,7 @@ def test_fast_battery_manifest_is_pinned(tmp_path):
     assert [path.name for path in tmp_path.iterdir() if not path.is_dir()] == []
     pinned = FAST_MANIFEST.read_text().splitlines()
     got = battery.manifest(tmp_path)
-    assert got == pinned, battery.diff(pinned, got)
+    assert got == pinned, "\n".join(battery.diff(pinned, got))
 
 
 def test_manifest_diff_names_only_the_groups_that_moved(tmp_path, capsys):

@@ -1,22 +1,15 @@
-"""Randomized MAC invariant suite over small scenarios.
+"""The channel's history pruning, against a channel that keeps every
+transmission.
 
-The full 1000-scenario battery runs in the acceptance module; this keeps a
-fast slice in the regular suite so MAC regressions surface immediately.
-The channel's history pruning is checked here too, against a channel that
-keeps every transmission.
+The MAC invariants of random small scenarios are checked by acceptance
+criterion 6 (`random_scenario` 0-999) and on every run of the battery.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from util_props import run_property_suite
 from wpansim.mac import BROADCAST, Channel, Frame, FrameKind, Transmission
 from wpansim.phy import PhyParams
-
-
-def test_randomized_small_scenarios_hold_mac_invariants():
-    events = run_property_suite(200)
-    assert events > 0
 
 
 # -- the channel's history rule against a channel that never prunes ------------

@@ -223,8 +223,11 @@ def check_invariants(result) -> None:
             assert starts != searching, f"{r.event_kind} at {r.time_us} us"
             searching = starts
 
-    # The mobile's counts are consistent with each other.
+    # The mobile's counts are consistent with each other.  A run without a
+    # mobile has none.
     stats = result.stats
+    if stats is None:
+        return
     assert stats.handovers - stats.completions - stats.failures in (0, 1)
     assert 0 <= stats.outage_us <= cfg.duration_us
     assert stats.completions == len(stats.latencies_us)

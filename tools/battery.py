@@ -1,14 +1,22 @@
 """Equivalence battery: write a fixed set of wpansim outputs, print one sha256.
 
 The digest covers the path and the bytes of every file written, so a change
-that leaves it as it was changed no output the battery reaches.  Every run
-the battery builds (each `run`, each `sweep` level and each `compare` arm)
-must also pass `util_props.check_invariants`; the first that fails stops
-the battery with the group's name.
+that leaves it as it was changed no output the battery reaches.  It is the
+one pin of these outputs: no test keeps a second table of their digests.
+Every run the battery builds (each `run`, each `sweep` level and each
+`compare` arm) must also pass `util_props.check_invariants`; the first run
+that raises or fails a check stops the battery with the group's name.
 
 Fast part (about 3 s):
 - `sweep` on the default scenario and `run` on the contention scenario, at
   seeds 1-5;
+- the paper's outputs, at default.scenario's own seed 42: `run`, `sweep` and
+  `compare` (`run_default_s42`, `sweep_default_s42`, `compare_default_s42`);
+- each compare arm of the contention scenario as its own `run`
+  (`arm_contention_{broadcast,scan}_{tpc,fixed}`, built by
+  `harness.arm_config`).  Their digests were first recorded before the
+  stationary-pair link cache existed, so they pin its output to the uncached
+  computation;
 - `run` on `util_props.random_scenario` 0-299, and on 5811, 8120 and 9266,
   the only indices in 3000-12999 whose trace moves when the channel drops a
   finished frame that a later collision check still needs;
@@ -17,13 +25,19 @@ Fast part (about 3 s):
 - `run` on `random_scenario` 0-59 with a 70 ms probe window and a 30 ms scan
   poll timeout, so that the two handover timers differ (every other battery
   scenario uses 50 ms for both);
+- three runs aimed at code no other group reaches:
+  `tests/data/lone_scan_mobile.scenario` (every scan fails with
+  "no_known_nodes", and the retry timer restarts some of them),
+  the contention scenario without its mobile (`run_contention_no_mobile`)
+  and the default scenario with `duration = 0 s` (`run_default_0s`);
 - `calibrate` on `tests/data/uncalibrated.scenario` (a search), on the
   default scenario (already on target: the early exit) and on
   `util_props.detuned_scenario` (n 2.0, pl0 40 dB, sensitivity -90 dBm,
   stationary nodes at 0/7/14 m) for two target pairs.
 
 `--full` adds:
-- `compare` on both scenarios at seeds 1, 42 and 99;
+- `compare` on both scenarios at seeds 1, 42 and 99 (the default scenario's
+  seed 42 is in the fast part);
 - `compare` on both scenarios with every node sleeping when idle, and with
   no node sleeping;
 - `run` on `random_scenario` 300-2999.
@@ -60,12 +74,14 @@ for _path in (str(ROOT / "tests"), str(ROOT / "src")):
 from util_props import check_invariants, detuned_scenario, random_scenario  # noqa: E402
 from wpansim.cli import default_scenario_path  # noqa: E402
 from wpansim.calibration import CalibrationTargets  # noqa: E402
-from wpansim.harness import calibrate, compare, run_simulation, sweep  # noqa: E402
+from wpansim.harness import (arm_config, calibrate, compare, run_simulation,  # noqa: E402
+                             sweep)
 from wpansim.scenario_file import load_scenario  # noqa: E402
 
 CONTENTION = ROOT / "tests" / "data" / "contention.scenario"
 HIDDEN_PAIR = ROOT / "tests" / "data" / "hidden_pair.scenario"
 UNCALIBRATED = ROOT / "tests" / "data" / "uncalibrated.scenario"
+LONE_SCAN_MOBILE = ROOT / "tests" / "data" / "lone_scan_mobile.scenario"
 DETUNED_TARGETS = (CalibrationTargets(gap1=(1.5, 3.5), gap2=(11.5, 13.5)),
                    CalibrationTargets(gap1=(2.5, 4.5), gap2=(10.5, 12.5)))
 
@@ -75,28 +91,45 @@ def _scenarios():
             "contention": load_scenario(CONTENTION)}
 
 
-def _checked(group: str, *runs) -> None:
-    """Check the MAC invariants of each run, naming the group that failed."""
-    for run in runs:
-        try:
+def _checked(group: str, build) -> None:
+    """Build a group's runs and check the MAC invariants of each; the first
+    run that raises or breaks an invariant stops the battery, naming the
+    group."""
+    try:
+        for run in build():
             check_invariants(run)
-        except AssertionError as exc:
-            raise AssertionError(f"{group}: {exc}") from exc
+    except Exception as exc:
+        raise AssertionError(f"{group}: {exc}") from exc
 
 
-def _run(cfg, out: Path, seed: int | None = None) -> None:
-    _checked(out.name, run_simulation(cfg, out, seed=seed))
+def _run(cfg, out: Path) -> None:
+    _checked(out.name, lambda: [run_simulation(cfg, out)])
+
+
+def _sweep(cfg, out: Path) -> None:
+    _checked(out.name, lambda: (level.run for level in sweep(cfg, outdir=out).levels))
+
+
+def _compare(cfg, out: Path) -> None:
+    _checked(out.name, lambda: (arm.run for arm in compare(cfg, out).arms.values()))
 
 
 def write_fast(out: Path) -> None:
     scenarios = _scenarios()
+    default, contention = scenarios["default"], scenarios["contention"]
     hidden_pair = load_scenario(HIDDEN_PAIR)
     for seed in range(1, 6):
-        group = f"sweep_default_s{seed}"
-        result = sweep(scenarios["default"].clone(seed=seed), outdir=out / group)
-        _checked(group, *(level.run for level in result.levels))
-        _run(scenarios["contention"], out / f"run_contention_s{seed}", seed)
-        _run(hidden_pair, out / f"run_hidden_pair_s{seed}", seed)
+        _sweep(default.clone(seed=seed), out / f"sweep_default_s{seed}")
+        _run(contention.clone(seed=seed), out / f"run_contention_s{seed}")
+        _run(hidden_pair.clone(seed=seed), out / f"run_hidden_pair_s{seed}")
+    # The paper's outputs: default.scenario at its own seed, 42.
+    _run(default, out / "run_default_s42")
+    _sweep(default, out / "sweep_default_s42")
+    _compare(default, out / "compare_default_s42")
+    for mode in ("broadcast", "scan"):
+        for tpc in (True, False):
+            _run(arm_config(contention, mode, tpc),
+                 out / f"arm_contention_{mode}_{'tpc' if tpc else 'fixed'}")
     for index in (*range(300), 5811, 8120, 9266):
         _run(random_scenario(index), out / f"random_{index}")
     for index in range(60):
@@ -104,8 +137,15 @@ def write_fast(out: Path) -> None:
         cfg.handover.probe_window_us = 70_000
         cfg.handover.scan_response_timeout_us = 30_000
         _run(cfg, out / f"random_timers_{index}")
+    _run(load_scenario(LONE_SCAN_MOBILE), out / "run_lone_scan_mobile")
+    no_mobile = contention.clone()
+    no_mobile.nodes = no_mobile.stationary_nodes()
+    _run(no_mobile, out / "run_contention_no_mobile")
+    no_time = default.clone()
+    no_time.duration_us = 0
+    _run(no_time, out / "run_default_0s")
     calibrate(load_scenario(UNCALIBRATED), out / "calibrate_uncalibrated")
-    calibrate(scenarios["default"], out / "calibrate_default")
+    calibrate(default, out / "calibrate_default")
     detuned = detuned_scenario()
     for index, targets in enumerate(DETUNED_TARGETS):
         calibrate(detuned, out / f"calibrate_detuned_{index}", targets)
@@ -114,16 +154,16 @@ def write_fast(out: Path) -> None:
 def write_full(out: Path) -> None:
     write_fast(out)
     for name, cfg in _scenarios().items():
-        variants = {f"s{seed}": cfg.clone(seed=seed) for seed in (1, 42, 99)}
+        # compare_default_s42 is in the fast part.
+        seeds = (1, 99) if name == "default" else (1, 42, 99)
+        variants = {f"s{seed}": cfg.clone(seed=seed) for seed in seeds}
         for sleeps in (True, False):
             variant = cfg.clone()
             for node in variant.nodes:
                 node.sleep_when_idle = sleeps
             variants["all_sleep" if sleeps else "none_sleep"] = variant
         for tag, variant in variants.items():
-            group = f"compare_{name}_{tag}"
-            result = compare(variant, out / group)
-            _checked(group, *(arm.run for arm in result.arms.values()))
+            _compare(variant, out / f"compare_{name}_{tag}")
     for index in range(300, 3000):
         _run(random_scenario(index), out / f"random_{index}")
 
