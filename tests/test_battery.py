@@ -53,3 +53,18 @@ def test_manifest_diff_names_only_the_groups_that_moved(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     old = saved[0].read_text().splitlines()
     assert battery.diff(old[1:], old[:2]) == ["added  run_a", "removed  sweep_c"]
+    # A line that is not `<sha256>  <group>` used to end in a ValueError
+    # traceback, exit 1, as if the groups differed.
+    # A group listed twice used to keep its last sha256 unremarked.
+    for number, bad, says in ((2, "", "expected '<sha256>  <group>'"),
+                              (3, f"{old[2]}  extra", "expected '<sha256>  <group>'"),
+                              (3, old[0], "group 'run_a' listed twice")):
+        malformed = tmp_path / "malformed.manifest"
+        lines = old[:number - 1] + [bad] + old[number:]
+        malformed.write_text("\n".join(lines) + "\n")
+        assert battery.main(["--diff", str(saved[0]), str(malformed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{malformed}:{number}: {says}" in captured.err
+    assert battery.main(["--diff", str(saved[0]), str(tmp_path / "missing")]) == 2
+    assert "missing" in capsys.readouterr().err

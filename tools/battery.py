@@ -25,11 +25,13 @@ Fast part (about 3 s):
 - `run` on `random_scenario` 0-59 with a 70 ms probe window and a 30 ms scan
   poll timeout, so that the two handover timers differ (every other battery
   scenario uses 50 ms for both);
-- three runs aimed at code no other group reaches:
+- four runs aimed at code no other group reaches:
   `tests/data/lone_scan_mobile.scenario` (every scan fails with
   "no_known_nodes", and the retry timer restarts some of them),
-  the contention scenario without its mobile (`run_contention_no_mobile`)
-  and the default scenario with `duration = 0 s` (`run_default_0s`);
+  the contention scenario without its mobile (`run_contention_no_mobile`),
+  the default scenario with `duration = 0 s` (`run_default_0s`) and the
+  default scenario with the mobile parked at 15 m from 10 s on
+  (`run_default_past_last_waypoint`);
 - `calibrate` on `tests/data/uncalibrated.scenario` (a search), on the
   default scenario (already on target: the early exit) and on
   `util_props.detuned_scenario` (n 2.0, pl0 40 dB, sensitivity -90 dBm,
@@ -49,9 +51,10 @@ Usage: python tools/battery.py [--full] [--manifest]
 directory (`sweep_default_s1`, `random_17`, ...), each hashed as the digest
 hashes the whole tree, in place of the one digest.  `--diff` reads two saved
 manifests, prints `changed`, `added` or `removed` and the group for each
-group that differs between them, and exits 1 if there is any.  So when a
-change moves the digest, the manifests of the two checkouts name the
-outputs it moved.
+group that differs between them, and exits 1 if there is any, 0 if there is
+none.  A manifest it cannot read, a line of one that is not
+`<sha256>  <group>`, or a group listed twice is named on stderr with exit 2.  So when a change moves
+the digest, the manifests of the two checkouts name the outputs it moved.
 
 The files go to a temporary directory, removed afterwards; to keep them for
 diffing, call `write_fast(path)` or `write_full(path)` from Python.  Only the
@@ -76,6 +79,7 @@ from wpansim.cli import default_scenario_path  # noqa: E402
 from wpansim.calibration import CalibrationTargets  # noqa: E402
 from wpansim.harness import (arm_config, calibrate, compare, run_simulation,  # noqa: E402
                              sweep)
+from wpansim.scenario import Trajectory  # noqa: E402
 from wpansim.scenario_file import load_scenario  # noqa: E402
 
 CONTENTION = ROOT / "tests" / "data" / "contention.scenario"
@@ -144,6 +148,9 @@ def write_fast(out: Path) -> None:
     no_time = default.clone()
     no_time.duration_us = 0
     _run(no_time, out / "run_default_0s")
+    parked = default.clone()
+    parked.trajectory = Trajectory([(0.0, 0.0, 0), (15.0, 0.0, 10_000_000)])
+    _run(parked, out / "run_default_past_last_waypoint")
     calibrate(load_scenario(UNCALIBRATED), out / "calibrate_uncalibrated")
     calibrate(default, out / "calibrate_default")
     detuned = detuned_scenario()
@@ -185,11 +192,30 @@ def manifest(out: Path) -> list[str]:
             for group in sorted(out.iterdir()) if group.is_dir()]
 
 
-def diff(old: list[str], new: list[str]) -> list[str]:
+class ManifestError(ValueError):
+    """A manifest line that is not `<sha256>  <group>`, or repeats a group."""
+
+
+def _groups(lines: list[str], source: str) -> dict[str, str]:
+    """group -> sha256 of a manifest's lines; `source` names it in errors."""
+    groups = {}
+    for number, line in enumerate(lines, 1):
+        fields = line.split()
+        if len(fields) != 2:
+            raise ManifestError(
+                f"{source}:{number}: expected '<sha256>  <group>', got {line!r}")
+        sha, group = fields
+        if group in groups:
+            raise ManifestError(f"{source}:{number}: group {group!r} listed twice")
+        groups[group] = sha
+    return groups
+
+
+def diff(old: list[str], new: list[str],
+         sources: tuple[str, str] = ("old", "new")) -> list[str]:
     """`changed|added|removed  <group>` per group that differs between two
-    manifests, by group name."""
-    before, after = ({group: sha for sha, group in map(str.split, lines)}
-                     for lines in (old, new))
+    manifests, by group name; `sources` names them in a ManifestError."""
+    before, after = (_groups(lines, source) for lines, source in zip((old, new), sources))
     out = []
     for group in sorted(before.keys() | after.keys()):
         if group not in after:
@@ -208,11 +234,15 @@ def main(argv: list[str] | None = None) -> int:
                     help="print a sha256 per output group, not the one digest")
     ap.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
                     help="list the groups that differ between two saved "
-                         "manifests; exit 1 if any does")
+                         "manifests; exit 1 if any does, 2 on an unreadable one")
     args = ap.parse_args(argv)
     if args.diff:
-        old, new = (Path(path).read_text().splitlines() for path in args.diff)
-        changes = diff(old, new)
+        try:
+            old, new = (Path(path).read_text().splitlines() for path in args.diff)
+            changes = diff(old, new, tuple(args.diff))
+        except (OSError, ManifestError) as exc:
+            print(f"battery.py --diff: {exc}", file=sys.stderr)
+            return 2
         for line in changes:
             print(line)
         return 1 if changes else 0
