@@ -446,6 +446,19 @@ def _cli_run_rejects(text, bad_line, tmp_path, capsys, monkeypatch):
     return err
 
 
+def test_cli_zero_traffic_period_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to run forever: the data tick rescheduled itself at the same instant.
+    text = TINY.format(duration="500 ms", seed=7) + "\n[traffic]\nperiod = 0 ms\n"
+    _cli_run_rejects(text, "period = 0 ms", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_zero_move_tick_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to run forever: the move tick rescheduled itself at the same instant.
+    text = TINY.format(duration="500 ms", seed=7).replace(
+        "waypoint = 1 m, 0 m, 0 s", "waypoint = 1 m, 0 m, 0 s\nmove_tick = 0 ms")
+    _cli_run_rejects(text, "move_tick = 0 ms", tmp_path, capsys, monkeypatch)
+
+
 def test_cli_tpc_window_key_exit_2(tmp_path, capsys, monkeypatch):
     # [tpc] window changed no run (TPC acts on the parent frame just heard),
     # so the key is gone; a file that still sets it is told so at its line.
@@ -459,6 +472,14 @@ def test_cli_empty_section_header_exit_2(tmp_path, capsys, monkeypatch):
     # Used to escape as an IndexError from parse_scenario.
     text = TINY.format(duration="500 ms", seed=7) + "\n[]\n"
     _cli_run_rejects(text, "[]", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_zero_probe_retry_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to run forever: a scan with no stationary node to poll fails at
+    # once, and the retry timer restarted it at the same instant.
+    text = ("[node 4]\nrole = end_device\nclass = mobile\n\n"
+            "[handover]\nmode = scan\nprobe_retry = 0 ms\n")
+    _cli_run_rejects(text, "probe_retry = 0 ms", tmp_path, capsys, monkeypatch)
 
 
 def test_cli_tx_power_outside_power_levels_exit_2(tmp_path, capsys, monkeypatch):
@@ -554,6 +575,43 @@ def test_cli_sweep_with_decreasing_x_exit_2(tmp_path, capsys):
                  "--scenario", str(path)])
     assert code == 2
     assert capsys.readouterr().err == err
+
+
+def test_cli_negative_backoff_exponent_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to end in "error: negative shift count" (exit 1).
+    text = TINY.format(duration="500 ms", seed=7) + "\n[csma]\nmac_min_be = -1\n"
+    _cli_run_rejects(text, "mac_min_be = -1", tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("value", ["-3", "6"])
+def test_cli_max_csma_backoffs_outside_0_to_5_exit_2(value, tmp_path, capsys,
+                                                     monkeypatch):
+    # Used to run: -3 failed every send at its first busy CCA.
+    bad = f"max_csma_backoffs = {value}"
+    text = TINY.format(duration="500 ms", seed=7) + f"\n[csma]\n{bad}\n"
+    err = _cli_run_rejects(text, bad, tmp_path, capsys, monkeypatch)
+    assert "outside 0..5" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "8"])
+def test_cli_max_frame_retries_outside_0_to_7_exit_2(value, tmp_path, capsys,
+                                                     monkeypatch):
+    # Used to run: -1 sent a frame once and never retried it.
+    bad = f"max_frame_retries = {value}"
+    text = TINY.format(duration="500 ms", seed=7) + f"\n[csma]\n{bad}\n"
+    err = _cli_run_rejects(text, bad, tmp_path, capsys, monkeypatch)
+    assert "outside 0..7" in err
+
+
+@pytest.mark.parametrize("bad", ["lq_target = 256", "lq_target = -1",
+                                 "lq_hysteresis = 256", "lq_hysteresis = -1"])
+def test_cli_lq_key_outside_the_lq_scale_exit_2(bad, tmp_path, capsys, monkeypatch):
+    # Used to run: lq_target 300 pinned TPC to the top level, as no LQ
+    # reaches it, and a negative hysteresis inverted the step-down guard.
+    text = TINY.format(duration="500 ms", seed=7).replace(
+        "enabled = off", f"enabled = on\n{bad}")
+    err = _cli_run_rejects(text, bad, tmp_path, capsys, monkeypatch)
+    assert "outside 0..255" in err
 
 
 def test_cli_repeated_run_key_exit_2(tmp_path, capsys, monkeypatch):
@@ -672,6 +730,13 @@ def test_cli_sweep_trajectory_off_one_line_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_beacon_order_out_of_range_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to exit 2 without a line number.
+    text = TINY.format(duration="500 ms", seed=7) + "\n[mac]\nbeacon_order = 16\n"
+    err = _cli_run_rejects(text, "beacon_order = 16", tmp_path, capsys, monkeypatch)
+    assert "beacon_order must be 0..15" in err
+
+
 def test_cli_channel_not_in_band_names_the_later_line_exit_2(tmp_path, capsys,
                                                               monkeypatch):
     # Used to exit 2 without a line number.  Band 868 has only channel 0, so
@@ -714,6 +779,20 @@ def test_cli_node_tx_power_override_with_negative_current_exit_2(tmp_path, capsy
     assert "tx current at -30 dBm is -15 mA" in err
 
 
+@pytest.mark.parametrize("phy, energy, bad_line", [
+    ("", "\nsupply_voltage = 0 V", "supply_voltage = 0 V"),
+    ("", "\nsupply_voltage = -3 V", "supply_voltage = -3 V"),
+    # Used to map every heard frame to LQ 255, so TPC saw no link quality.
+    ("\nlq_saturation_margin = 0 dB", "", "lq_saturation_margin = 0 dB"),
+    ("\nlq_saturation_margin = -5 dB", "", "lq_saturation_margin = -5 dB"),
+], ids=["voltage_0V", "voltage_-3V", "lq_margin_0dB", "lq_margin_-5dB"])
+def test_cli_supply_voltage_and_lq_margin_not_positive_exit_2(
+        phy, energy, bad_line, tmp_path, capsys, monkeypatch):
+    err = _cli_run_rejects(_tiny_with(phy, energy), bad_line, tmp_path, capsys,
+                           monkeypatch)
+    assert f"{bad_line.split()[0]} " in err and "is not positive" in err
+
+
 def test_tx_current_of_exactly_zero_is_accepted():
     # 30 mA + 1.5 mA/dBm * -20 dBm: the lowest level the defaults allow.
     cfg = make_cfg(_tiny_with("\npower_levels = -20 0 dBm"))
@@ -740,15 +819,9 @@ _ZERO_OR_MORE_TIMES = [("run", "duration"), ("csma", "unit_backoff"),
                        ("compare", "reference_latency_delta")]
 # (section, key, lowest, highest, what the error says)
 _INT_RANGES = [("csma", "mac_max_be", 3, 8, "outside 3..8"),
-               # 6 used to run, as -3 did (a row below).
                ("csma", "max_csma_backoffs", 0, 5, "outside 0..5"),
-               # -1 and 8 used to run: -1 sent a frame once and never retried it.
                ("csma", "max_frame_retries", 0, 7, "outside 0..7"),
-               # 16 used to exit 2 without a line number.
                ("mac", "beacon_order", 0, 15, "must be 0..15"),
-               # -1 and 256 used to run: lq_target 300 pinned TPC to the top
-               # level, as no LQ reaches it, and a negative hysteresis inverted
-               # the step-down guard.
                ("tpc", "lq_target", 0, 255, "outside 0..255"),
                ("tpc", "lq_hysteresis", 0, 255, "outside 0..255")]
 _NOT_FINITE = "is nan, infinite or out of range"
@@ -769,16 +842,8 @@ SINGLE_KEY_BOUNDS = [
     ("handover", "probe_window = 0 us", "probe_window = inf ms", _NOT_FINITE),
     ("run", "duration = 0 us", "duration = inf s", _NOT_FINITE),
     *[(s, f"{k} = 1 us", f"{k} = 0 ms", "must be positive")
-      for s, k in (
-          # 0 ms used to run forever: the data tick rescheduled itself at the
-          # same instant.
-          ("traffic", "period"),
-          # 0 ms used to run forever: the move tick rescheduled itself at the
-          # same instant.
-          ("trajectory", "move_tick"),
-          # 0 ms used to run forever: a scan with no stationary node to poll
-          # fails at once, and the retry timer restarted it at the same instant.
-          ("handover", "probe_retry"))],
+      for s, k in (("traffic", "period"), ("trajectory", "move_tick"),
+                   ("handover", "probe_retry"))],
     *[(s, f"{k} = 0 B", f"{k} = -1 B", "must be zero or more")
       for s, k in (("phy", "phy_overhead"), ("mac", "mac_header"), ("mac", "ack_header"),
                    ("traffic", "payload"))],
@@ -787,9 +852,6 @@ SINGLE_KEY_BOUNDS = [
     *[(s, f"{k} = {hi}", f"{k} = {hi + 1}", says) for s, k, _, hi, says in _INT_RANGES],
     # Used to hang: draw_uniform(2**65) could accept no 64-bit draw.
     ("csma", "mac_max_be = 8", "mac_max_be = 65", "outside 3..8"),
-    # Used to run, and failed every send at its first busy CCA.
-    ("csma", "max_csma_backoffs = 0", "max_csma_backoffs = -3", "outside 0..5"),
-    # -1 used to end in "error: negative shift count" (exit 1).
     ("csma", "mac_min_be = 0", "mac_min_be = -1", "must be zero or more"),
     *[("energy", f"{k} = 0 mA", f"{k} = -0.001 mA", "below 0 mA")
       for k in ("rx_current", "idle_current", "sleep_current")],
@@ -797,13 +859,9 @@ SINGLE_KEY_BOUNDS = [
     *[("energy", f"{k} = 0 mA", f"{k} = {value}", "below 0 mA")
       for k, value in (("rx_current", "-1 mA"), ("idle_current", "-0.5 mA"),
                        ("sleep_current", "-3 uA"))],
-    # 0 V and -3 V used to be accepted, and booked zero or negative energy.
-    *[("energy", "supply_voltage = 0.001 V", f"supply_voltage = {value}",
-       "is not positive") for value in ("0 V", "-3 V")],
-    # 0 dB and -5 dB used to map every heard frame to LQ 255, so TPC saw no
-    # link quality.
-    *[("phy", "lq_saturation_margin = 0.001 dB", f"lq_saturation_margin = {value}",
-       "is not positive") for value in ("0 dB", "-5 dB")],
+    ("energy", "supply_voltage = 0.001 V", "supply_voltage = 0 V", "is not positive"),
+    ("phy", "lq_saturation_margin = 0.001 dB", "lq_saturation_margin = 0 dB",
+     "is not positive"),
     ("phy", "path_loss_exponent = 0.001", "path_loss_exponent = 0", "must be positive"),
     *[("handover", f"{k} = 1", f"{k} = 0", "must be 1 or more")
       for k in ("ack_fail_threshold", "degraded_ack_fail_threshold")],
