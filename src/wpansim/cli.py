@@ -88,7 +88,7 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # OSError: an output path it cannot write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

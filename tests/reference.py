@@ -2,8 +2,7 @@
 
 ``to_csv`` formats one trace row at a time, the plain spelling of what
 ``wpansim.trace.write_trace`` writes in chunks with its formatted-value
-caches.  ``boundaries_match`` compares gap lists within a tolerance, and
-``channel_center_frequency`` is the 2.4 GHz channel plan.
+caches.  ``boundaries_match`` compares gap lists within a tolerance.
 """
 
 from wpansim.trace import TraceRecord
@@ -36,9 +35,3 @@ def boundaries_match(a: list[tuple[float, float]], b: list[tuple[float, float]],
     return all(abs(ga[0] - gb[0]) <= tol + eps and abs(ga[1] - gb[1]) <= tol + eps
                for ga, gb in zip(a, b))
 
-
-def channel_center_frequency(ch: int) -> float:
-    """Center frequency in MHz for a 2.4 GHz band channel: 2350 + 5*ch."""
-    if not 11 <= ch <= 26:
-        raise ValueError(f"channel {ch} outside the 2.4 GHz plan (11..26)")
-    return float(2350 + 5 * ch)

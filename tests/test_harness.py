@@ -428,6 +428,20 @@ def test_cli_sweep_empty_powers_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "compare", "calibrate"])
+def test_cli_unwritable_output_path_is_a_usage_error(command, tmp_path, capsys):
+    # Used to end in a NotADirectoryError traceback.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub"
+    code = main([command, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
+    assert "Traceback" not in err
+
+
 def _cli_run_rejects(text, bad_line, tmp_path, capsys, monkeypatch):
     """`wpansim run` exits 2 naming the line of the scenario that holds
     bad_line; returns what it printed to stderr."""
@@ -446,19 +460,6 @@ def _cli_run_rejects(text, bad_line, tmp_path, capsys, monkeypatch):
     return err
 
 
-def test_cli_zero_traffic_period_exit_2(tmp_path, capsys, monkeypatch):
-    # Used to run forever: the data tick rescheduled itself at the same instant.
-    text = TINY.format(duration="500 ms", seed=7) + "\n[traffic]\nperiod = 0 ms\n"
-    _cli_run_rejects(text, "period = 0 ms", tmp_path, capsys, monkeypatch)
-
-
-def test_cli_zero_move_tick_exit_2(tmp_path, capsys, monkeypatch):
-    # Used to run forever: the move tick rescheduled itself at the same instant.
-    text = TINY.format(duration="500 ms", seed=7).replace(
-        "waypoint = 1 m, 0 m, 0 s", "waypoint = 1 m, 0 m, 0 s\nmove_tick = 0 ms")
-    _cli_run_rejects(text, "move_tick = 0 ms", tmp_path, capsys, monkeypatch)
-
-
 def test_cli_tpc_window_key_exit_2(tmp_path, capsys, monkeypatch):
     # [tpc] window changed no run (TPC acts on the parent frame just heard),
     # so the key is gone; a file that still sets it is told so at its line.
@@ -472,14 +473,6 @@ def test_cli_empty_section_header_exit_2(tmp_path, capsys, monkeypatch):
     # Used to escape as an IndexError from parse_scenario.
     text = TINY.format(duration="500 ms", seed=7) + "\n[]\n"
     _cli_run_rejects(text, "[]", tmp_path, capsys, monkeypatch)
-
-
-def test_cli_zero_probe_retry_exit_2(tmp_path, capsys, monkeypatch):
-    # Used to run forever: a scan with no stationary node to poll fails at
-    # once, and the retry timer restarted it at the same instant.
-    text = ("[node 4]\nrole = end_device\nclass = mobile\n\n"
-            "[handover]\nmode = scan\nprobe_retry = 0 ms\n")
-    _cli_run_rejects(text, "probe_retry = 0 ms", tmp_path, capsys, monkeypatch)
 
 
 def test_cli_tx_power_outside_power_levels_exit_2(tmp_path, capsys, monkeypatch):
@@ -841,9 +834,13 @@ SINGLE_KEY_BOUNDS = [
     # Each used to escape as an OverflowError traceback.
     ("handover", "probe_window = 0 us", "probe_window = inf ms", _NOT_FINITE),
     ("run", "duration = 0 us", "duration = inf s", _NOT_FINITE),
-    *[(s, f"{k} = 1 us", f"{k} = 0 ms", "must be positive")
-      for s, k in (("traffic", "period"), ("trajectory", "move_tick"),
-                   ("handover", "probe_retry"))],
+    # Used to run forever: the data tick rescheduled itself at the same instant.
+    ("traffic", "period = 1 us", "period = 0 ms", "must be positive"),
+    # Used to run forever: the move tick rescheduled itself at the same instant.
+    ("trajectory", "move_tick = 1 us", "move_tick = 0 ms", "must be positive"),
+    # Used to run forever: a scan with no stationary node to poll fails at
+    # once, and the retry timer restarted it at the same instant.
+    ("handover", "probe_retry = 1 us", "probe_retry = 0 ms", "must be positive"),
     *[(s, f"{k} = 0 B", f"{k} = -1 B", "must be zero or more")
       for s, k in (("phy", "phy_overhead"), ("mac", "mac_header"), ("mac", "ack_header"),
                    ("traffic", "payload"))],

@@ -1,23 +1,8 @@
 import pytest
 
-from reference import channel_center_frequency
 from wpansim.phy import (B868, B915, B2400, PhyParams, beacon_interval,
                          comm_range_m, frame_airtime, heard, link_rx_power,
                          lq_from_rx_power)
-
-
-def test_channel_frequencies_full_plan():
-    assert channel_center_frequency(11) == 2405.0
-    assert channel_center_frequency(26) == 2480.0
-    freqs = [channel_center_frequency(ch) for ch in range(11, 27)]
-    assert len(freqs) == 16
-    assert all(b - a == 5.0 for a, b in zip(freqs, freqs[1:]))
-
-
-@pytest.mark.parametrize("ch", [10, 27, 0, -1])
-def test_channel_out_of_plan(ch):
-    with pytest.raises(ValueError):
-        channel_center_frequency(ch)
 
 
 def test_beacon_interval_extremes_exact_us():

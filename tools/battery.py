@@ -25,13 +25,18 @@ Fast part (about 3 s):
 - `run` on `random_scenario` 0-59 with a 70 ms probe window and a 30 ms scan
   poll timeout, so that the two handover timers differ (every other battery
   scenario uses 50 ms for both);
-- four runs aimed at code no other group reaches:
+- six runs aimed at code no other group reaches:
   `tests/data/lone_scan_mobile.scenario` (every scan fails with
   "no_known_nodes", and the retry timer restarts some of them),
+  the default scenario on 868 MHz with beacons, where a broadcast probe
+  meets a beacon on air with no CCA left (`run_default_probe_cca_fail`),
   the contention scenario without its mobile (`run_contention_no_mobile`),
-  the default scenario with `duration = 0 s` (`run_default_0s`) and the
+  the default scenario with `duration = 0 s` (`run_default_0s`), the
   default scenario with the mobile parked at 15 m from 10 s on
-  (`run_default_past_last_waypoint`);
+  (`run_default_past_last_waypoint`) and the default scenario with the
+  mobile jumping out of range at 7.5 m, where TPC has lowered its power,
+  so the handover fails and resets it to the top level
+  (`run_default_jump_out_of_range`);
 - `calibrate` on `tests/data/uncalibrated.scenario` (a search), on the
   default scenario (already on target: the early exit) and on
   `util_props.detuned_scenario` (n 2.0, pl0 40 dB, sensitivity -90 dBm,
@@ -79,6 +84,7 @@ from wpansim.cli import default_scenario_path  # noqa: E402
 from wpansim.calibration import CalibrationTargets  # noqa: E402
 from wpansim.harness import (arm_config, calibrate, compare, run_simulation,  # noqa: E402
                              sweep)
+from wpansim.phy import B868  # noqa: E402
 from wpansim.scenario import Trajectory  # noqa: E402
 from wpansim.scenario_file import load_scenario  # noqa: E402
 
@@ -151,6 +157,25 @@ def write_fast(out: Path) -> None:
     parked = default.clone()
     parked.trajectory = Trajectory([(0.0, 0.0, 0), (15.0, 0.0, 10_000_000)])
     _run(parked, out / "run_default_past_last_waypoint")
+    jump = default.clone()
+    jump.duration_us = 3_500_000
+    jump.trajectory = Trajectory([(0.0, 0.0, 0), (7.5, 0.0, 3_000_000),
+                                  (200.0, 0.0, 3_000_001)])
+    _run(jump, out / "run_default_jump_out_of_range")
+    # max_csma_backoffs = 1: the first busy CCA ends a send.  At 868 MHz a
+    # beacon is on air for 7.6 ms of every 48 ms (beacon_order = 0), and data
+    # is due at the instant each beacon starts.  Out of range, each handover
+    # fails and the next data tick starts one; from 200 ms on the mobile
+    # hears node 1, and its probes fail with "probe_cca_fail".
+    busy = default.clone()
+    busy.band, busy.channel = B868, 0
+    busy.duration_us = 500_000
+    busy.csma.max_csma_backoffs = 1
+    busy.mac.beacon_order = 0
+    busy.traffic.period_us = 48_000
+    busy.trajectory = Trajectory([(500.0, 0.0, 0), (500.0, 0.0, 200_000),
+                                  (0.0, 0.0, 200_001)])
+    _run(busy, out / "run_default_probe_cca_fail")
     calibrate(load_scenario(UNCALIBRATED), out / "calibrate_uncalibrated")
     calibrate(default, out / "calibrate_default")
     detuned = detuned_scenario()
