@@ -460,6 +460,27 @@ def _cli_run_rejects(text, bad_line, tmp_path, capsys, monkeypatch):
     return err
 
 
+def test_cli_zero_traffic_period_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to run forever: the data tick rescheduled itself at the same instant.
+    text = TINY.format(duration="500 ms", seed=7) + "\n[traffic]\nperiod = 0 ms\n"
+    _cli_run_rejects(text, "period = 0 ms", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_zero_move_tick_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to run forever: the move tick rescheduled itself at the same instant.
+    text = TINY.format(duration="500 ms", seed=7).replace(
+        "waypoint = 1 m, 0 m, 0 s", "waypoint = 1 m, 0 m, 0 s\nmove_tick = 0 ms")
+    _cli_run_rejects(text, "move_tick = 0 ms", tmp_path, capsys, monkeypatch)
+
+
+def test_cli_zero_probe_retry_exit_2(tmp_path, capsys, monkeypatch):
+    # Used to run forever: a scan with no stationary node to poll fails at
+    # once, and the retry timer restarted it at the same instant.
+    text = ("[node 4]\nrole = end_device\nclass = mobile\n\n"
+            "[handover]\nmode = scan\nprobe_retry = 0 ms\n")
+    _cli_run_rejects(text, "probe_retry = 0 ms", tmp_path, capsys, monkeypatch)
+
+
 def test_cli_tpc_window_key_exit_2(tmp_path, capsys, monkeypatch):
     # [tpc] window changed no run (TPC acts on the parent frame just heard),
     # so the key is gone; a file that still sets it is told so at its line.
