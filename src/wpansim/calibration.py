@@ -62,7 +62,6 @@ class CalibrationResult(NamedTuple):
     achieved_gaps: Sequence[tuple[float, float]] = ()
     range_at_gap_level_m: float = 0.0
     searched: bool = True
-    candidates_scored: int = 0
 
     def report_lines(self) -> list[str]:
         lines = [
@@ -169,11 +168,10 @@ def layout_metrics(cfg: ScenarioConfig, targets: CalibrationTargets):
 
 
 def _verdict(cfg: ScenarioConfig, n: float, pl0: float, sens: float, xs,
-             targets: CalibrationTargets, searched: bool,
-             scored: int) -> CalibrationResult:
+             targets: CalibrationTargets, searched: bool) -> CalibrationResult:
     """The result for one fit, scored on the scenario apply_to_config writes."""
     fit = CalibrationResult(False, targets, n, pl0, sens, tuple(xs),
-                            searched=searched, candidates_scored=scored)
+                            searched=searched)
     fitted = apply_to_config(cfg, fit, targets)
     valid, err, gaps = layout_metrics(fitted, targets)
     return fit._replace(
@@ -213,9 +211,9 @@ def search(cfg: ScenarioConfig,
     the first pair was skipped by the floor, best[0] has only fallen since,
     so the floor skips the later one too; otherwise the triple is in seen
     by then.  So the kernel is called on the same triples, in the same
-    order, as when every pair is scored.  candidates_scored still counts
-    every pair.  Keying on pl0 + sens would not do: at a level that is not
-    a whole dBm, pairs with one sum can round to different numerators.
+    order, as when every pair is scored.  Keying on pl0 + sens would not
+    do: at a level that is not a whole dBm, pairs with one sum can round to
+    different numerators.
     """
     targets = targets or CalibrationTargets()
     bounds = cfg.trajectory.x_bounds()
@@ -236,7 +234,7 @@ def search(cfg: ScenarioConfig,
     if valid and err <= targets.tolerance_m:
         supplied = _verdict(cfg, cfg.phy.path_loss_exponent, cfg.phy.pl0_db,
                             cfg.phy.rx_sensitivity_dbm, current, targets,
-                            searched=False, scored=0)
+                            searched=False)
         if supplied.ok:
             return supplied
 
@@ -245,14 +243,13 @@ def search(cfg: ScenarioConfig,
 
     best = (_INVALID, 0.0, 0.0, 0.0)  # score, x1, x2, x3
     best_params = (0.0, 0.0, 0.0)
-    scored = 0
     floor = _score_floor(x_lo, x_step, nx, b1, b2)
     seen = set()
     gap, must, free = (targets.gap_level_dbm, targets.must_gap_dbm,
                        targets.gap_free_dbm)
 
     def scan(n_vals, pl0_vals, sens_vals):
-        nonlocal best, best_params, scored
+        nonlocal best, best_params
         # The radius numerators of each distinct split, as phy.comm_range_m
         # computes them, with the first (pl0, sens) pair in scan order that
         # gives them.
@@ -262,7 +259,6 @@ def search(cfg: ScenarioConfig,
                 key = (gap - pl0 - sens, must - pl0 - sens, free - pl0 - sens)
                 if key not in splits:
                     splits[key] = (*key, pl0, sens)
-        scored += len(n_vals) * len(pl0_vals) * len(sens_vals)
         for n in n_vals:
             ten_n = 10.0 * n
             for e0, e3, e4, pl0, sens in splits.values():
@@ -296,10 +292,9 @@ def search(cfg: ScenarioConfig,
                    SENS_RANGE[2]))
 
     if best[0] >= _INVALID:
-        return CalibrationResult(False, targets, candidates_scored=scored)
+        return CalibrationResult(False, targets)
 
-    return _verdict(cfg, *best_params, best[1:], targets, searched=True,
-                    scored=scored)
+    return _verdict(cfg, *best_params, best[1:], targets, searched=True)
 
 
 def apply_to_config(cfg: ScenarioConfig, result: CalibrationResult,

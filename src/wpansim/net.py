@@ -90,8 +90,7 @@ class StationaryController:
 
     searching = False  # never runs a handover
 
-    def __init__(self, sim, node) -> None:
-        self.sim = sim
+    def __init__(self, node) -> None:
         self.node = node
 
     def on_frame(self, frame: Frame, rx_power: float, lq: int) -> None:
@@ -199,7 +198,7 @@ class MobileController:
             self.last_lq = lq
             if self.sim.cfg.tpc.enabled:
                 self.tpc_update(rx_power, frame.tx_power_dbm)
-        if frame.kind == FrameKind.PROBE_RESP and frame.lq_report is not None:
+        if frame.kind == FrameKind.PROBE_RESP:
             if self.responses is not None:
                 self.responses.append((frame.lq_report, frame.src))
         elif frame.kind == FrameKind.ASSOC_RESP and frame.src == self.candidate:

@@ -122,10 +122,10 @@ class EnergyLedger:
     """A node's radio: its current mode and its time per mode, exact in
     microseconds.  The only record of either; energy is derived from it."""
 
-    def __init__(self, start: SimTime = 0, mode: RadioMode = LISTEN) -> None:
+    def __init__(self, mode: RadioMode) -> None:
         self.mode_times: dict[RadioMode, int] = {}
         self.mode = mode
-        self._since: SimTime = start
+        self._since: SimTime = 0
         self._closed = False
 
     def transition(self, mode: RadioMode, t: SimTime) -> None:

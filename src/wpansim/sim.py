@@ -32,7 +32,7 @@ class Node:
         self._xy_time: SimTime | None = None
         self.rng = RngStream(sim.cfg.seed, config.node_id)
         start_mode = SLEEP if config.sleeps else LISTEN
-        self.ledger = EnergyLedger(0, start_mode)  # the radio's mode and time
+        self.ledger = EnergyLedger(start_mode)  # the radio's mode and time
         # Since when the radio has heard; None exactly while it does not.
         self.listen_since: SimTime | None = 0 if start_mode.hears else None
         self.rx_engagements = 0
@@ -44,7 +44,7 @@ class Node:
         if config.node_class is NodeClass.MOBILE:
             self.controller = MobileController(sim, self)
         else:
-            self.controller = StationaryController(sim, self)
+            self.controller = StationaryController(self)
 
     # -- geometry / radio ----------------------------------------------------
 
@@ -59,8 +59,6 @@ class Node:
 
     def set_mode(self, mode: RadioMode) -> None:
         ledger = self.ledger
-        if mode == ledger.mode:
-            return
         now = self.sim.loop.now
         was_listening = ledger.mode.hears
         ledger.transition(mode, now)

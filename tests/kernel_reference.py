@@ -160,7 +160,7 @@ def search(cfg: ScenarioConfig,
     if valid and err <= targets.tolerance_m:
         supplied = _verdict(cfg, cfg.phy.path_loss_exponent, cfg.phy.pl0_db,
                             cfg.phy.rx_sensitivity_dbm, current, targets,
-                            searched=False, scored=0)
+                            searched=False)
         if supplied.ok:
             return supplied
 
@@ -169,21 +169,19 @@ def search(cfg: ScenarioConfig,
 
     best = (_INVALID, 0.0, 0.0, 0.0)  # score, x1, x2, x3
     best_params = (0.0, 0.0, 0.0)
-    scored = 0
     # The radii repeat whenever (n, pl0 + sens) does, and best_layout is a
     # pure function of them, so each triple is scored once.  The strict "<"
     # below still keeps the first hit in (n, pl0, sens) scan order.
     layouts = {}
 
     def scan(n_vals, pl0_vals, sens_vals):
-        nonlocal best, best_params, scored
+        nonlocal best, best_params
         for n in n_vals:
             for pl0 in pl0_vals:
                 for sens in sens_vals:
                     r0 = _radius(targets.gap_level_dbm, pl0, sens, n)
                     r3 = _radius(targets.must_gap_dbm, pl0, sens, n)
                     r4 = _radius(targets.gap_free_dbm, pl0, sens, n)
-                    scored += 1
                     res = layouts.get((r0, r3, r4))
                     if res is None:
                         res = kernels.best_layout(
@@ -209,7 +207,6 @@ def search(cfg: ScenarioConfig,
                    SENS_RANGE[2]))
 
     if best[0] >= _INVALID:
-        return CalibrationResult(False, targets, candidates_scored=scored)
+        return CalibrationResult(False, targets)
 
-    return _verdict(cfg, *best_params, best[1:], targets, searched=True,
-                    scored=scored)
+    return _verdict(cfg, *best_params, best[1:], targets, searched=True)

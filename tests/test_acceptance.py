@@ -146,7 +146,7 @@ def test_criterion_8_energy_ledger(default_cfg):
     for node_id, ledger in run.ledgers.items():
         assert ledger.total_time() == default_cfg.duration_us, node_id
 
-    led = EnergyLedger(0, tx_mode(0.0))
+    led = EnergyLedger(tx_mode(0.0))
     led.close(1_000_000)
     mj = led.energy_mj(CurrentModel(), 3.0)
     assert round(mj, 3) == 90.0

@@ -259,13 +259,13 @@ DEFAULT_FIT = (
     True, 3.5, 54.0, -73.0, (-1.5, 7.5, 16.5), 0.00974512104041958,
     [(1.9902548789595804, 4.009745121040419),
      (10.99025487895958, 13.00974512104042)],
-    3.4902548789595804, True, 1903)
+    3.4902548789595804, True)
 
 
 def _fields(res):
     return (res.ok, res.path_loss_exponent, res.pl0_db, res.rx_sensitivity_dbm,
             res.positions, res.max_boundary_error_m, res.achieved_gaps,
-            res.range_at_gap_level_m, res.searched, res.candidates_scored)
+            res.range_at_gap_level_m, res.searched)
 
 
 FIXTURE_CASES = [
@@ -276,7 +276,7 @@ FIXTURE_CASES = [
      (True, 4.0, 46.0, -70.0, (-2.5, 7.5, 17.5), 0.01892829446502775,
       [(1.4810717055349722, 3.5189282944650278),
        (11.481071705534973, 13.518928294465027)],
-      3.9810717055349722, True, 1606)),
+      3.9810717055349722, True)),
 ]
 
 
@@ -350,8 +350,7 @@ def test_search_scores_each_radius_triple_once(uncalibrated_cfg, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(kernels, "best_layout", counting)
-    res = search(uncalibrated_cfg)
-    assert res.candidates_scored == 1903
+    search(uncalibrated_cfg)
     assert len(calls) == 11
     assert len(set(calls)) == 11
 

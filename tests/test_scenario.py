@@ -34,19 +34,19 @@ def test_waypoints_must_increase():
 
 
 def test_tx_one_second_at_0dbm_is_90mj():
-    led = EnergyLedger(0, tx_mode(0.0))
+    led = EnergyLedger(tx_mode(0.0))
     led.close(1_000_000)
     assert led.energy_mj(CurrentModel(), 3.0) == pytest.approx(90.0, abs=5e-4)
 
 
 def test_sleep_one_hour_is_32_4mj():
-    led = EnergyLedger(0, SLEEP)
+    led = EnergyLedger(SLEEP)
     led.close(3_600_000_000)
     assert led.energy_mj(CurrentModel(), 3.0) == pytest.approx(32.4, abs=5e-4)
 
 
 def test_zero_length_interval_adds_nothing():
-    led = EnergyLedger(0, LISTEN)
+    led = EnergyLedger(LISTEN)
     led.transition(tx_mode(0.0), 500)
     led.transition(LISTEN, 500)  # zero-length tx interval
     led.close(1_000)
@@ -55,7 +55,7 @@ def test_zero_length_interval_adds_nothing():
 
 
 def test_out_of_order_transition_is_fatal():
-    led = EnergyLedger(0, LISTEN)
+    led = EnergyLedger(LISTEN)
     led.transition(SLEEP, 100)
     with pytest.raises(SimulationError):
         led.transition(LISTEN, 50)
@@ -64,7 +64,7 @@ def test_out_of_order_transition_is_fatal():
 def test_mode_time_conservation_under_random_splits():
     rng = random.Random(5)
     for _ in range(50):
-        led = EnergyLedger(0, LISTEN)
+        led = EnergyLedger(LISTEN)
         t = 0
         for _ in range(40):
             t += rng.randint(0, 10_000)
@@ -76,9 +76,9 @@ def test_mode_time_conservation_under_random_splits():
 
 def test_energy_additive_regardless_of_splitting():
     model = CurrentModel()
-    one = EnergyLedger(0, LISTEN)
+    one = EnergyLedger(LISTEN)
     one.close(1_000_000)
-    split = EnergyLedger(0, LISTEN)
+    split = EnergyLedger(LISTEN)
     for t in range(100_000, 1_000_000, 100_000):
         split.transition(LISTEN, t)
     split.close(1_000_000)
@@ -86,7 +86,7 @@ def test_energy_additive_regardless_of_splitting():
 
 
 def test_doubling_voltage_doubles_energy():
-    led = EnergyLedger(0, LISTEN)
+    led = EnergyLedger(LISTEN)
     led.transition(tx_mode(4.0), 300_000)
     led.transition(SLEEP, 700_000)
     led.close(2_000_000)
@@ -107,7 +107,7 @@ def test_off_grid_power_is_charged_exactly():
     # (34.8 mA), and 3.2 and 3.25 dBm merged into one energy.csv row.
     assert tx_mode(4.0).name == "tx@4.0"
     assert CurrentModel().current_ma(tx_mode(3.25)) == 34.875
-    led = EnergyLedger(0, tx_mode(3.2))
+    led = EnergyLedger(tx_mode(3.2))
     led.transition(tx_mode(3.25), 100)
     led.close(300)
     assert led.mode_times == {tx_mode(3.2): 100, tx_mode(3.25): 200}
