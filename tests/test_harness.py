@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import DATA, TINY, make_cfg, oracle_meets_targets, tiny_cfg
-from util_props import random_scenario
+from util_props import check_invariants, random_scenario
 from wpansim import cli
 from wpansim.calibration import CalibrationTargets
 from wpansim.cli import main
@@ -64,6 +64,14 @@ def test_sweep_writes_per_level_outputs(default_cfg, tmp_path):
     assert not result.level(4.0).report.gaps
     for lv in result.levels:
         assert lv.run.cfg == level_config(default_cfg, lv.power_dbm)
+
+
+def test_cli_sweep_without_a_gap_free_level_says_so(tmp_path):
+    # The default scenario still has gaps at 0 and 2 dBm.
+    assert main(["sweep", "--powers", "0,2", "--out", str(tmp_path)]) == 0
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "OPTIMAL" not in summary
+    assert summary.endswith("\nno gap-free level in the swept set\n")
 
 
 def test_level_config_runs_every_node_at_the_level_with_tpc_off(default_cfg):
@@ -815,11 +823,12 @@ def test_tx_current_of_exactly_zero_is_accepted():
         make_cfg(_tiny_with("\npower_levels = -20.01 0 dBm"))
 
 
-def _tiny_setting(section, line):
-    """TINY with `line` in its [section], in place of the key's own line."""
+def _tiny_setting(section, line, scenario=TINY.format(duration="500 ms", seed=7)):
+    """The scenario text (TINY by default) with `line` in its [section], in
+    place of the key's own line."""
     key = line.split(" = ")[0]
-    text = "".join(kept for kept in TINY.format(duration="500 ms", seed=7)
-                   .splitlines(keepends=True) if not kept.startswith(f"{key} = "))
+    text = "".join(kept for kept in scenario.splitlines(keepends=True)
+                   if not kept.startswith(f"{key} = "))
     if f"[{section}]\n" in text:
         return text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
     return text + f"\n[{section}]\n{line}\n"
@@ -898,6 +907,58 @@ def test_cli_single_key_rule_boundary(section, ok, bad, says, tmp_path, capsys,
                            monkeypatch)
     assert bad.split(" = ")[0] in err
     assert says in err
+
+
+# Two parents 10 m apart and the mobile passing from one to the other, so
+# that each handover mode associates, loses its parent and hands over.
+TWO_PARENTS = """
+[run]
+duration = {duration}
+seed = 7
+
+[phy]
+rx_sensitivity = -73 dBm
+pl0 = 54 dB
+path_loss_exponent = 3.5
+
+[node 1]
+role = coordinator
+class = stationary
+x = 0 m
+y = 0 m
+
+[node 2]
+role = router
+class = stationary
+x = 10 m
+y = 0 m
+
+[node 4]
+role = end_device
+class = mobile
+
+[trajectory]
+waypoint = 0 m, 0 m, 0 s
+waypoint = 10 m, 0 m, {duration}
+
+[tpc]
+enabled = on
+
+[handover]
+mode = {mode}
+"""
+ACCEPTED_VALUES = sorted({(section, ok) for section, ok, _, _ in SINGLE_KEY_BOUNDS})
+
+
+@pytest.mark.parametrize("mode", ["broadcast", "scan"])
+@pytest.mark.parametrize("section, ok", ACCEPTED_VALUES,
+                         ids=[ok for _, ok in ACCEPTED_VALUES])
+def test_accepted_single_key_value_passes_the_mac_checks(section, ok, mode):
+    # Each value a single-key rule accepts runs, and the run passes the MAC
+    # checks.  A 1 us interval writes about a row per us, so it runs 200 ms.
+    duration = "200 ms" if ok.endswith(" = 1 us") else "1 s"
+    text = _tiny_setting(section, ok, TWO_PARENTS.format(duration=duration, mode=mode))
+    check_invariants(run_simulation(make_cfg(text)))
 
 
 @pytest.mark.parametrize("bad", ["payload = -0.5 B", "payload = 20.7 B"])

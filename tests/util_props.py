@@ -133,9 +133,11 @@ def check_invariants(result) -> None:
 
     # The 802.15.4 CSMA limits, from the run's own config.  A backoff is a
     # whole number of unit backoffs below 2^BE, BE = min(macMinBE + NB,
-    # macMaxBE), where NB counts the busy CCAs so far in the attempt; a
-    # CCA_BUSY row reports that NB, at most macMaxCSMABackoffs, and a retry
-    # is at most macMaxFrameRetries.  An attempt ends when its frame goes on
+    # macMaxBE), where NB counts the busy CCAs so far in the attempt (every
+    # backoff is 0 us with a zero unit); a CCA_BUSY row reports that NB, at
+    # most max(1, macMaxCSMABackoffs), since the MAC gives every attempt one
+    # CCA, also at 0 as 802.15.4 does; and a retry is at most
+    # macMaxFrameRetries.  An attempt ends when its frame goes on
     # air or its send has an outcome.  Beacons and acks never enter CSMA.
     # Transmitted seqs stay within the mod-256 counter range; counter
     # contiguity and retry reuse are pinned by the dedicated MAC unit tests
@@ -149,12 +151,13 @@ def check_invariants(result) -> None:
                 f"{r.frame_kind} went through CSMA"
         if kind == "BACKOFF":
             be = min(csma.mac_min_be + nb.get(r.node_id, 0), csma.mac_max_be)
-            units, rest = divmod(r.detail, csma.unit_backoff_us)
+            unit = csma.unit_backoff_us
+            units, rest = divmod(r.detail, unit) if unit else (0, r.detail)
             assert rest == 0 and units < 1 << be, \
                 f"backoff {r.detail} us at node {r.node_id}, BE {be}"
         elif kind == "CCA_BUSY":
             nb[r.node_id] = nb.get(r.node_id, 0) + 1
-            assert r.detail == nb[r.node_id] <= csma.max_csma_backoffs, \
+            assert r.detail == nb[r.node_id] <= max(1, csma.max_csma_backoffs), \
                 f"CCA_BUSY nb {r.detail} at node {r.node_id}"
         elif kind == "ACK_TIMEOUT":
             assert r.detail is None or r.detail <= csma.max_frame_retries, \
