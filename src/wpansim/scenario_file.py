@@ -10,8 +10,9 @@ determines a run.
 Sections and keys (defaults in parentheses):
 
     [run]        duration (15 s), seed (42)
-    [phy]        band (2400), channel (11), tx_power (dBm), power_levels,
-                 rx_sensitivity (dBm), pl0 (dB), path_loss_exponent,
+    [phy]        band (2400), channel (11), tx_power (0 dBm),
+                 power_levels (0 2 3 4 5 6 dBm), rx_sensitivity (-70 dBm),
+                 pl0 (52 dB), path_loss_exponent (3.3),
                  lq_saturation_margin (40 dB), phy_overhead (6 B)
     [csma]       mac_min_be (3), mac_max_be (5), max_csma_backoffs (4),
                  max_frame_retries (3), unit_backoff (320 us),
@@ -39,9 +40,10 @@ broadcast address 0xFFFF are reserved).  A rule on one key alone is part of
 that key's kind in _SCHEMA and is checked at its line as it is parsed:
 every number is finite; every time and byte count is zero or more and
 whole (a time in us); the traffic period, move_tick and probe_retry are
-positive (waypoint arrival times need only strictly increase); mac_max_be
-is 3..8, mac_min_be 0 or more, max_csma_backoffs 0..5 and max_frame_retries
-0..7 (IEEE 802.15.4-2006, Table 86); beacon_order is 0..15; lq_target and
+positive (waypoint arrival times need only strictly increase, checked
+after the last line at the last waypoint); mac_max_be is 3..8, mac_min_be
+0 or more, max_csma_backoffs 0..5 and max_frame_retries 0..7 (IEEE
+802.15.4-2006, Table 86); beacon_order is 0..15; lq_target and
 lq_hysteresis are 0..255, the LQ scale; ack_fail_threshold and
 degraded_ack_fail_threshold are 1 or more; ack_header is at most 127 B
 (aMaxPHYPacketSize); a power list names each level once; the rx, idle and
@@ -445,7 +447,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioConfig:
         try:
             cfg.trajectory = Trajectory(waypoints)
         except ValueError as exc:
-            raise ScenarioError(f"trajectory: {exc}") from None
+            raise ScenarioError(f"trajectory: {exc}",
+                                key_lines["trajectory.waypoint"]) from None
     _validate(cfg, source, key_lines)
     return cfg
 

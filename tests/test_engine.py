@@ -159,8 +159,11 @@ def test_cancelling_a_periodic_event_stops_every_later_occurrence(cancel_at):
 
 
 def test_draw_uniform_degenerate_range():
+    # Range 1 gives 0 and consumes no state: the next draw is the one a fresh
+    # stream would make first.
     s = RngStream(1, 0)
     assert all(s.draw_uniform(1) == 0 for _ in range(5))
+    assert s.draw_uniform(1000) == RngStream(1, 0).draw_uniform(1000)
 
 
 def test_draw_uniform_zero_is_fatal():

@@ -129,6 +129,35 @@ def test_key_outside_section_rejected():
     assert err.value.line == 1
 
 
+# Each parser error no other test raises: the text, the line the error names
+# and what it says.
+PARSE_ERRORS = [
+    ("[traffic]\nperiod = ten ms\n", 2, "key 'period': 'ten' is not a number"),
+    ("[run]\nseed = 4.5\n", 2, "key 'seed': '4.5' is not an integer"),
+    ("[tpc]\nenabled = maybe\n", 2, "key 'enabled': expected on/off, got 'maybe'"),
+    ("[handover]\nmode = flood\n", 2,
+     "key 'mode': expected broadcast|scan, got 'flood'"),
+    ("[run]\nseed = 1\n\n[node]\n", 4, "node section needs an id: [node <id>]"),
+    ("[run 2]\n", 1, "section [run 2] takes no argument"),
+    ("[run]\nseed 1\n", 2, "expected 'key = value', got 'seed 1'"),
+    # Checked after the last line, at the last waypoint.
+    ("[trajectory]\nwaypoint = 0 m, 0 m, 2 s\nwaypoint = 5 m, 0 m, 1 s\n"
+     "move_tick = 1 s\n", 3,
+     "trajectory: waypoint arrival offsets must strictly increase"),
+    ("[csma]\nmac_min_be = 5\nmac_max_be = 4\n", 3, "mac_min_be 5 above mac_max_be 4"),
+    ("[csma]\nmac_min_be = 6\n", 2, "mac_min_be 6 above mac_max_be 5"),
+]
+
+
+@pytest.mark.parametrize("text, line, says", PARSE_ERRORS,
+                         ids=[says for _, _, says in PARSE_ERRORS])
+def test_parse_error_names_its_line(text, line, says):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ") and says in str(err.value)
+
+
 def test_bad_waypoint_format():
     with pytest.raises(ScenarioError) as err:
         parse_scenario("[trajectory]\nwaypoint = 1 m, 2 m\n")

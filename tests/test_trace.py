@@ -91,6 +91,7 @@ def test_every_kind_and_detail_shape_round_trips(tmp_path):
     ("TELEPORT", ""), ("BACKOFF", "delay=x"), ("BACKOFF", "delay=007"),
     ("RX", "o"), ("ACK_TIMEOUT", "retry="), ("TPC_SET", "level=3.25"),
     ("HANDOVER_START", "trigger="), ("HANDOVER_DONE", "parent=2"),
+    ("MOVE", ","),  # one column too many
 ])
 def test_gaps_rejects_a_bad_row_at_its_line(tmp_path, capsys, kind, outcome):
     good = to_csv(TraceRecord(0, 9, "MOVE", pos_x_m=1.0))
