@@ -101,7 +101,6 @@ def static_gap_oracle(cfg, power_dbm: float) -> list[tuple[float, float]]:
     n = round((x_hi - x_lo) / ORACLE_STEP_M)
     gaps: list[tuple[float, float]] = []
     run_start: float | None = None
-    last_x = x_lo
     for k in range(n + 1):
         x = x_lo + k * ORACLE_STEP_M
         y = _trajectory_y_at(cfg.trajectory, x)
@@ -192,8 +191,6 @@ def overlap_intervals(cfg, power_dbm: float) -> list[tuple[float, float]]:
 
 
 def _merge(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    if not intervals:
-        return []
     out: list[tuple[float, float]] = []
     for lo, hi in sorted(intervals):
         if out and lo <= out[-1][1]:

@@ -140,10 +140,8 @@ def sweep(cfg: ScenarioConfig, powers=None,
             write_trace(leveldir / "trace.csv", run.rows)
     gap_free = [lv.power_dbm for lv in levels if not lv.report.gaps]
     result = SweepResult(levels, min(gap_free) if gap_free else None)
-    if outdir is not None:
-        out = Path(outdir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_sweep_files(out, result)
+    if outdir is not None:  # made by the first level's mkdir
+        _write_sweep_files(Path(outdir), result)
     return result
 
 

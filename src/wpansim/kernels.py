@@ -45,7 +45,8 @@ def best_layout(r0, r3, r4, x_lo, x_step, nx,
     finds its end by making the very comparison the full scan makes:
     bisect_left(v, t) counts the v[i] < t, bisect_right(v, t) the
     v[i] <= t.  A window is the meet of such ends; an x2 whose left or
-    right window is empty is skipped, as the full scan skips it.  Inside
+    right window is empty scores nothing there, and the pruning below
+    skips it, as the full scan skips it.  Inside
     a window the scores are the same expressions on the same values
     ((x1 + r4) - (x2 - r4) is p4[i1] - m4[i2]), scanned in the same order
     with the same strict "<", so the result is bit-identical, ties
@@ -100,8 +101,6 @@ def best_layout(r0, r3, r4, x_lo, x_step, nx,
         t4 = m4[i2]
         a = bisect_left(p4, t4)
         b = bisect_left(p0, m0[i2], 0, l_end)
-        if a >= b:
-            continue
         g = bisect_left(p3, m3[i2], a, b)
         l_any = _INVALID
         l_any_x = 0.0
@@ -124,8 +123,6 @@ def best_layout(r0, r3, r4, x_lo, x_step, nx,
         u4 = p4[i2]
         c = bisect_right(m0, p0[i2], r_start)
         d = bisect_right(m4, u4)
-        if c >= d:
-            continue
         h = bisect_right(m3, p3[i2], c, d)
         r_any = _INVALID
         r_any_x = 0.0
