@@ -96,6 +96,15 @@ def test_layout_metrics_validity_conditions(default_cfg):
     valid, err, _ = layout_metrics(
         _layout(default_cfg, 1.5, 30.0, -100.0, [-1.5, 7.5, 16.5]), targets)
     assert not valid and math.isinf(err)
+    # The shipped 0 dBm radius, 3.49 m, at another exponent: the 0 dBm gaps
+    # are the shipped ones, but at n = 6 a gap is left at 4 dBm, and at
+    # n = 1.5 none is left at 3 dBm -> invalid.
+    for n in (6.0, 1.5):
+        pl0 = 73.0 - 10.0 * n * math.log10(10.0 ** (19.0 / 35.0))
+        valid, err, gaps = layout_metrics(
+            _layout(default_cfg, n, pl0, -73.0, [-1.5, 7.5, 16.5]), targets)
+        assert not valid and math.isinf(err)
+        assert [round(x, 2) for gap in gaps for x in gap] == [1.99, 4.01, 10.99, 13.01]
 
 
 def test_search_scores_station_offsets_from_the_line(default_cfg):
@@ -119,13 +128,16 @@ def test_search_scores_station_offsets_from_the_line(default_cfg):
 def test_apply_to_config_rewrites_phy_and_positions(uncalibrated_cfg):
     targets = CalibrationTargets()
     res = search(uncalibrated_cfg, targets)
-    cfg = apply_to_config(uncalibrated_cfg, res, targets)
+    start = uncalibrated_cfg.clone()
+    start.phy.tx_power_dbm = 0.0
+    cfg = apply_to_config(start, res, targets)
     assert cfg.phy.path_loss_exponent == res.path_loss_exponent
     assert cfg.phy.tx_power_dbm == targets.gap_free_dbm
     assert tuple(n.x for n in cfg.stationary_nodes()) == \
            tuple(sorted(res.positions))
     # the input config is untouched
-    assert uncalibrated_cfg.phy.path_loss_exponent != res.path_loss_exponent
+    assert start.phy.path_loss_exponent != res.path_loss_exponent
+    assert start.phy.tx_power_dbm == 0.0
 
 
 def test_best_layout_matches_golden_table():

@@ -160,6 +160,12 @@ def test_overlap_intervals_analytic(default_cfg):
     for (lo, hi), mid in zip(at6, (3.0, 12.0)):
         assert lo < mid < hi
         assert hi - lo == pytest.approx(2 * (5.179 - 4.5), abs=0.01)
+    # Nodes 4 m apart: the three pairwise overlaps chain into one interval.
+    close = copy.deepcopy(default_cfg)
+    for node, x in zip(close.stationary_nodes(), (0.0, 4.0, 8.0)):
+        node.x = x
+    [(lo, hi)] = overlap_intervals(close, 6.0)
+    assert lo == 0.0 and hi == pytest.approx(4.0 + 5.179, abs=0.01)
 
 
 def _pair_overlaps(cfg, power):

@@ -171,11 +171,14 @@ def test_energy_delta_refuses_mismatched_runs():
 # -- command line ----------------------------------------------------------------
 
 
-def test_cli_run_and_golden_determinism(tmp_path):
+def test_cli_run_and_golden_determinism(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", "--scenario", str(DATA / "golden_tiny.scenario"),
                  "--out", str(out)])
     assert code == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("run complete: ")
+    assert printed.endswith(f" events, trace written to {out / 'trace.csv'}\n")
     golden = (DATA / "golden_tiny.csv").read_bytes()
     assert (out / "trace.csv").read_bytes() == golden
 
@@ -204,6 +207,9 @@ def test_cli_usage_error_exit_1(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: wpansim ")
+    assert "\nwpansim: error: argument command: invalid choice: 'frobnicate'" in err
     code = main(["sweep", "--powers", "7", "--out", str(tmp_path / "o")])
     assert code == 1  # level outside the configured set
 
@@ -228,8 +234,12 @@ def test_cli_gaps_finds_gaps_in_low_power_trace(default_cfg, tmp_path, capsys):
     assert printed.count("gap:") == 2
 
 
-def test_cli_gaps_missing_trace_exit_2(tmp_path):
+def test_cli_gaps_missing_trace_exit_2(tmp_path, capsys):
     assert main(["gaps", "--trace", str(tmp_path / "none.csv")]) == 2
+    headless = tmp_path / "headless.csv"
+    headless.write_text("0,9,MOVE,,,,,,,,1.00,\n")
+    assert main(["gaps", "--trace", str(headless)]) == 2
+    assert "not a trace file (bad or missing header)" in capsys.readouterr().err
 
 
 def test_cli_gaps_on_written_traces_agree_with_the_live_rows(tmp_path, capsys):
@@ -282,13 +292,15 @@ def test_cli_gaps_on_a_trace_of_another_scenario_exit_2(capsys):
            "trajectory's x (0.00 m at 0 us)" in err
 
 
-def test_cli_calibrate_writes_outputs(tmp_path):
+def test_cli_calibrate_writes_outputs(tmp_path, capsys):
     out = tmp_path / "cal"
     code = main(["calibrate", "--scenario",
                  str(DATA / "uncalibrated.scenario"), "--out", str(out)])
     assert code == 0
     assert (out / "calibrated.scenario").exists()
     report = (out / "calibration_report.txt").read_text()
+    assert capsys.readouterr().out == \
+        f"{report}calibrated scenario written to {out / 'calibrated.scenario'}\n"
     assert "status: ok" in report
     assert "mode: grid search" in report
     assert "pl0 + rx_sensitivity = -19 dBm (only this sum is identified" in report
@@ -411,11 +423,12 @@ def test_cli_calibrate_without_the_gap_free_level_exit_2(tmp_path, capsys):
     assert not (tmp_path / "cal").exists()
 
 
-def test_cli_compare_writes_report(tmp_path):
+def test_cli_compare_writes_report(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main(["compare", "--out", str(out)])
     assert code == 0
     assert (out / "compare_report.txt").exists()
+    assert capsys.readouterr().out == (out / "compare_report.txt").read_text()
 
 
 def test_cli_sweep_default_and_summary(tmp_path, capsys):

@@ -119,7 +119,7 @@ def test_node_id_is_a_unicast_short_address(node_id, ok):
 
 
 def test_duplicate_section_rejected():
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match=r"^line 3: duplicate section \[run\]$"):
         parse_scenario("[run]\nseed = 1\n[run]\nseed = 2\n")
 
 

@@ -85,13 +85,14 @@ def test_every_kind_and_detail_shape_round_trips(tmp_path):
     assert [(r.detail, r.outcome) for r in back] == \
         [(detail, text) for _, detail, text in SHAPES]
     assert back == rows
+    assert back != rows[1:] + rows[:1]  # records compare by field
 
 
 @pytest.mark.parametrize("kind,outcome", [
     ("TELEPORT", ""), ("BACKOFF", "delay=x"), ("BACKOFF", "delay=007"),
     ("RX", "o"), ("ACK_TIMEOUT", "retry="), ("TPC_SET", "level=3.25"),
     ("HANDOVER_START", "trigger="), ("HANDOVER_DONE", "parent=2"),
-    ("MOVE", ","),  # one column too many
+    ("TPC_SET", "level=nan"), ("MOVE", ","),  # ",": one column too many
 ])
 def test_gaps_rejects_a_bad_row_at_its_line(tmp_path, capsys, kind, outcome):
     good = to_csv(TraceRecord(0, 9, "MOVE", pos_x_m=1.0))
