@@ -134,7 +134,7 @@ def _dispatch(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"trace error: {exc}", file=sys.stderr)
             return EXIT_SCENARIO
-        gaps = [] if mobile_id is None else gap_analysis(rows, x_lo, x_hi, mobile_id)
+        gaps = gap_analysis(rows, x_lo, x_hi, mobile_id)  # none without a mobile
         for a, b in gaps:
             print(f"gap: {a:.2f} m .. {b:.2f} m")
         if not gaps:

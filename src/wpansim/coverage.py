@@ -32,11 +32,13 @@ def gap_analysis(rows: list[TraceRecord], x_lo: float, x_hi: float,
     """Extract out-of-communication x-intervals from a run trace.
 
     Rasterizes mobile-node evidence onto 0.1 m cells: a cell is part of a
-    gap iff it holds failure evidence and no successful exchange.  Success
-    means the mobile actually received a frame (broadcast or unacknowledged
-    sends prove nothing about reachability).  Cells with no evidence
-    between failing cells are bridged; gap edges are trimmed to the
-    outermost failing cells.
+    gap iff it holds failure evidence and no successful exchange.  Failure
+    means an OUTAGE_LOSS or HANDOVER_FAIL row, or a send that ended without
+    its ack (the SEND_OUTCOME row, the only one whose detail is no_ack).
+    Success means the mobile actually received a frame (broadcast or
+    unacknowledged sends prove nothing about reachability).  Cells with no
+    evidence between failing cells are bridged; gap edges are trimmed to
+    the outermost failing cells.
     """
     n_cells = max(1, round((x_hi - x_lo) / CELL_M))
     # 0 = no evidence, 1 = success, 2 = failure (success wins in a cell)
@@ -51,8 +53,7 @@ def gap_analysis(rows: list[TraceRecord], x_lo: float, x_hi: float,
             continue
         if r.event_kind == TraceKind.RX:
             cells[cell_of(r.pos_x_m)] = 1
-        elif r.event_kind in _FAIL_KINDS or (r.event_kind == TraceKind.SEND_OUTCOME
-                                             and r.detail == SendOutcome.NO_ACK):
+        elif r.event_kind in _FAIL_KINDS or r.detail == SendOutcome.NO_ACK:
             i = cell_of(r.pos_x_m)
             if cells[i] == 0:
                 cells[i] = 2
@@ -123,16 +124,15 @@ def static_gap_oracle(cfg, power_dbm: float) -> list[tuple[float, float]]:
 
 
 def _trajectory_y_at(trajectory, x: float) -> float:
-    """Interpolate y for a given x (trajectories here sweep x monotonically)."""
+    """y at x on the first segment whose x range holds x, whichever way it
+    runs; off every segment, the y of the waypoint nearest in x."""
     wp = trajectory.waypoints
-    if x <= wp[0][0]:
-        return wp[0][1]
     for (x0, y0, _), (x1, y1, _) in zip(wp, wp[1:]):
-        if x <= x1:
+        if min(x0, x1) <= x <= max(x0, x1):
             if x1 == x0:
                 return y1
             return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-    return wp[-1][1]
+    return min(wp, key=lambda w: abs(w[0] - x))[1]
 
 
 def line_spans(cfg, power_dbm: float) -> list[tuple[float, float]]:

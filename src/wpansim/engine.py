@@ -1,9 +1,9 @@
 """Deterministic discrete-event core: virtual clock, event queue, seeded RNG.
 
 An event is a delayed call: `schedule(time, action, *args)` queues
-`action(*args)` for `time`; `every(period, until, action, *args)` queues one
-event that the loop pushes again, `period` later, after each call while it
-stays at or before `until`.  The loop hands each live event to the caller's
+`action(*args)` for `time`; `every(period, action, *args)` queues one event
+that the loop pushes again, `period` later, after each call, so it repeats
+for as long as the loop runs.  The loop hands each live event to the caller's
 dispatch in (time, seq) order.  Time is kept in integer
 microseconds so MAC timings (320 us backoff unit, 15.36 ms beacon base) are
 exact and traces are platform-stable.
@@ -22,7 +22,7 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    __slots__ = ("time", "seq", "action", "args", "cancelled", "period", "until")
+    __slots__ = ("time", "seq", "action", "args", "cancelled", "period")
 
     def __init__(self, time: SimTime, seq: int, action: Callable, args: tuple) -> None:
         self.time = time
@@ -30,8 +30,7 @@ class Event:
         self.action = action  # called as action(*args) when the event is due
         self.args = args
         self.cancelled = False
-        self.period: SimTime = 0  # > 0: re-armed after each call, up to until
-        self.until: SimTime = 0
+        self.period: SimTime = 0  # > 0: re-armed after each call
 
 
 class RunSummary(NamedTuple):
@@ -61,17 +60,13 @@ class EventLoop:
         heapq.heappush(self._heap, (time, ev.seq, ev))
         return ev
 
-    def every(self, period: SimTime, until: SimTime, action: Callable,
-              *args) -> Event | None:
-        """Call action(*args) each `period` from now on, up to `until`, as one
-        event (None if the first call would be after until): cancelling it
-        stops every later occurrence."""
+    def every(self, period: SimTime, action: Callable, *args) -> Event:
+        """Call action(*args) each `period` from now on, as one event:
+        cancelling it stops every later occurrence."""
         if period <= 0:
             raise SimulationError(f"{action.__qualname__} period must be > 0 us")
-        if self.now + period > until:
-            return None
         ev = self.schedule(self.now + period, action, *args)
-        ev.period, ev.until = period, until
+        ev.period = period
         return ev
 
     def cancel(self, ev: Event) -> None:
@@ -93,7 +88,7 @@ class EventLoop:
             self.now = ev.time
             processed += 1
             dispatch(ev)
-            if ev.period and not ev.cancelled and ev.time + ev.period <= ev.until:
+            if ev.period and not ev.cancelled:
                 ev.time += ev.period  # next seq: after what the call scheduled
                 ev.seq = self._seq
                 self._seq += 1

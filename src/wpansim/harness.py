@@ -161,7 +161,7 @@ def _write_sweep_files(out: Path, result: SweepResult) -> None:
              "power_dbm | gaps_m | overlaps_m | flags"]
     for lv in result.levels:
         flags = []
-        if result.optimal_dbm is not None and lv.power_dbm == result.optimal_dbm:
+        if lv.power_dbm == result.optimal_dbm:  # never when there is none
             flags.append("OPTIMAL")
         if lv.report.overlaps:
             flags.append("OVERPROVISIONED")

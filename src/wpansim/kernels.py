@@ -53,12 +53,13 @@ def best_layout(r0, r3, r4, x_lo, x_step, nx,
     included, for finite arguments.
 
     Pruning by the best score: every layout with middle x2 scores at
-    least e2, at least l_any (sa >= l_g3 >= l_any, as the g3 window is
-    part of the left one, and sb >= l_any) and likewise at least r_any.
-    So an x2 whose e2, l_any or r_any is already >= best_score cannot win
-    under the strict "<" and is skipped; l_any is known before the right
-    window is scanned.  With bound <= 1e300 this also skips an x2 whose
-    left or right window scored nothing (l_any or r_any still 1e300).
+    least e2, so an x2 whose e2 is already >= best_score cannot win under
+    the strict "<" and is skipped before its windows are scanned.  (Every
+    such layout also scores at least l_any and r_any, as sa >= l_g3 >=
+    l_any, the g3 window being part of the left one, and sb >= l_any; but
+    skipping on those as well made the search no faster.)  An x2 whose
+    left or right window scored nothing (l_any or r_any still 1e300) wins
+    nothing either, as best_score <= bound <= 1e300.
     """
     xs = [x_lo + i * x_step for i in range(nx)]
     p0 = [x + r0 for x in xs]
@@ -114,8 +115,6 @@ def best_layout(r0, r3, r4, x_lo, x_step, nx,
             if i1 < g and s < l_g3:
                 l_g3 = s
                 l_g3_x = xs[i1]
-        if l_any >= best_score:
-            continue
 
         # Right node: boundary target b3, must cover the hi edge.  Window
         # [c, d): x3 - r0 > x2 + r0 and x3 - r4 <= x2 + r4; the gap stays
@@ -136,32 +135,30 @@ def best_layout(r0, r3, r4, x_lo, x_step, nx,
             if i3 >= h and s < r_g3:
                 r_g3 = s
                 r_g3_x = xs[i3]
-        if r_any >= best_score:
-            continue
 
         # The level below the gap-free one must keep a gap on at least one
         # side: take the better of (gap forced left) and (gap forced right).
-        if l_g3 < _INVALID:
-            sa = e2
-            if l_g3 > sa:
-                sa = l_g3
-            if r_any > sa:
-                sa = r_any
-            if sa < best_score:
-                best_score = sa
-                best_x1 = l_g3_x
-                best_x2 = xs[i2]
-                best_x3 = r_any_x
-        if r_g3 < _INVALID:
-            sb = e2
-            if l_any > sb:
-                sb = l_any
-            if r_g3 > sb:
-                sb = r_g3
-            if sb < best_score:
-                best_score = sb
-                best_x1 = l_any_x
-                best_x2 = xs[i2]
-                best_x3 = r_g3_x
+        # A side with no such layout scores _INVALID, which is never below
+        # best_score (at most bound).
+        sa = e2
+        if l_g3 > sa:
+            sa = l_g3
+        if r_any > sa:
+            sa = r_any
+        if sa < best_score:
+            best_score = sa
+            best_x1 = l_g3_x
+            best_x2 = xs[i2]
+            best_x3 = r_any_x
+        sb = e2
+        if l_any > sb:
+            sb = l_any
+        if r_g3 > sb:
+            sb = r_g3
+        if sb < best_score:
+            best_score = sb
+            best_x1 = l_any_x
+            best_x2 = xs[i2]
+            best_x3 = r_g3_x
 
     return best_score, best_x1, best_x2, best_x3

@@ -153,10 +153,9 @@ class Channel:
     def audience(self, tx: Transmission) -> dict:
         """Listeners that hear tx: node -> (rx power, LQ), in node order."""
         src = tx.node
-        if not src.is_mobile:
-            audience = self.audiences.get(src)
-            if audience is not None:
-                return audience
+        audience = self.audiences.get(src)  # only a stationary source's
+        if audience is not None:
+            return audience
         params = self.params
         audience = {}
         for node in self.listeners:

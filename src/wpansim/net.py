@@ -164,6 +164,9 @@ class MobileController:
         sets the guard against a lost AssocResponse, or fails the handover
         if lost.  Its outcome changes nothing after the commit: the
         candidate can send its AssocResponse before its ack of the request.
+        Nor does a Disassociation's: the commit queues it, and the MAC sends
+        in queue order, so it ends before the next handover's first probe,
+        while there is no candidate.
         """
         cfg = self.sim.cfg.handover
         kind = frame.kind
@@ -185,7 +188,7 @@ class MobileController:
                 self._handover_failed("probe_cca_fail")
             else:
                 self._set_timer(cfg.probe_window_us)
-        elif kind == FrameKind.ASSOC_REQ and frame.dst == self.candidate:
+        elif frame.dst == self.candidate:  # an AssocRequest
             if outcome != SendOutcome.DELIVERED:
                 self._handover_failed("assoc_req_lost")
             else:
@@ -205,9 +208,8 @@ class MobileController:
             self.last_lq = lq  # the new parent's first frame: no TPC step on it
             self._commit_parent(frame.src)
         # A degraded parent link triggers a new search (the parent may be
-        # the one just committed).
-        if (frame.src == self.parent and not self.searching
-                and self._degraded(lq)):
+        # the one just committed); start_handover ignores it mid-handover.
+        if frame.src == self.parent and self._degraded(lq):
             self.start_handover("low_lq")
 
     # -- transmission power control ------------------------------------------

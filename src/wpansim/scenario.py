@@ -140,9 +140,8 @@ class EnergyLedger:
         self._since = t
 
     def close(self, t: SimTime) -> None:
-        if not self._closed:
-            self.transition(self.mode, t)
-            self._closed = True
+        self.transition(self.mode, t)
+        self._closed = True
 
     def total_time(self) -> int:
         return sum(self.mode_times.values())

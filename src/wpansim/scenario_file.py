@@ -479,8 +479,10 @@ def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> No
                                 "from [trajectory], not x or y",
                                 min(filter(None, xy_lines)))
 
-    def last_line(*keys: str) -> int | None:
-        return max(key_lines.get(k, 0) for k in keys) or None
+    def last_line(*keys: str) -> int:
+        # Every default passes each rule below, so a rule that fails has a
+        # key of its own set in the file.
+        return max(key_lines.get(k, 0) for k in keys)
 
     if cfg.csma.mac_min_be > cfg.csma.mac_max_be:
         raise ScenarioError(f"{source}: mac_min_be {cfg.csma.mac_min_be} above "
@@ -539,11 +541,12 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     return parse_scenario(text, source=str(p))
 
 
-def _node_shows(node: NodeConfig, key: str, value: Any) -> bool:
-    """x/y only for stationary nodes, antenna_gain only when nonzero, and the
-    optional overrides only when set."""
+def _shows(target, key: str, value: Any) -> bool:
+    """A node's x/y only for a stationary node, its antenna_gain only when
+    nonzero, and an optional value (a node's override, [sweep] powers) only
+    when set."""
     if key in ("x", "y"):
-        return node.node_class is NodeClass.STATIONARY
+        return target.node_class is NodeClass.STATIONARY
     if key == "antenna_gain":
         return bool(value)
     return value is not None
@@ -563,8 +566,7 @@ def render_scenario(cfg: ScenarioConfig, header: str = "",
             out.append(f"[{title}]")
             for key, (path, kind) in schema.items():
                 value = attrgetter(path)(target)
-                if (not _node_shows(target, key, value) if section == "node"
-                        else value is None):  # an unset [sweep] powers
+                if not _shows(target, key, value):
                     continue
                 note = notes.get(f"{section}.{key}")
                 suffix = f"    # {note}" if note else ""

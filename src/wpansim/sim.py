@@ -131,13 +131,10 @@ class Simulation:
         node.set_mode(tx_mode(frame.tx_power_dbm))
         node.mac.tx_ends_at = tx.end
         # Listeners hearing this carrier switch to active reception.
-        for other, (rx_power, _) in tx.audience.items():
-            mode = other.ledger.mode
-            if mode.hears and (
-                    rx_power is not None or self.channel.audible(tx, other)):
+        for other in tx.audience:
+            if other.ledger.mode.hears and self.channel.audible(tx, other):
                 other.rx_engagements += 1
-                if mode == LISTEN:
-                    other.set_mode(RX)
+                other.set_mode(RX)
                 tx.engaged.append(other)
         self.emit(node, TraceKind.TX_START, frame)
         self.loop.schedule(tx.end, self._on_tx_end, tx)
@@ -191,21 +188,20 @@ class Simulation:
     # -- run ------------------------------------------------------------------------
 
     def setup(self) -> None:
-        end = self.cfg.duration_us
-        if end <= 0:
+        if self.cfg.duration_us <= 0:
             return
         if self.mobile is not None:
             # Initial association attempt, then periodic machinery.
             ctrl = self.mobile.controller
             self.loop.schedule(0, ctrl.start_handover, "orphan")
-            self.loop.every(self.cfg.traffic.period_us, end, ctrl.on_data_due)
-            self.loop.every(self.cfg.move_tick_us, end, self.emit, self.mobile,
+            self.loop.every(self.cfg.traffic.period_us, ctrl.on_data_due)
+            self.loop.every(self.cfg.move_tick_us, self.emit, self.mobile,
                             TraceKind.MOVE)
         if self.cfg.mac.beacon_order != NO_BEACONS:
             interval = beacon_interval(self.cfg.mac.beacon_order, self.cfg.band)
             for node in self.nodes.values():
                 if node.config.may_parent:
-                    self.loop.every(interval, end, node.mac.beacon_due)
+                    self.loop.every(interval, node.mac.beacon_due)
 
     def run(self) -> RunResult:
         self.setup()

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from wpansim import kernels
-from wpansim.calibration import (CalibrationTargets, _score_floor,
-                                 apply_to_config, layout_metrics, search)
+from wpansim.calibration import (CalibrationResult, CalibrationTargets,
+                                 _score_floor, apply_to_config, layout_metrics,
+                                 search)
 from wpansim.coverage import static_gap_oracle
 from wpansim.scenario_file import load_scenario
 
@@ -64,6 +65,12 @@ def test_infeasible_targets_reported(uncalibrated_cfg):
     targets = CalibrationTargets(gap1=(2.0, 4.0), gap2=(4.5, 13.0))
     res = search(uncalibrated_cfg, targets)
     assert not res.ok
+
+
+def test_a_result_without_a_layout_reports_no_gaps():
+    # What search returns when no layout leaves two gaps at the gap level.
+    lines = CalibrationResult(False, CalibrationTargets()).report_lines()
+    assert "  achieved gaps at 0 dBm: none" in lines
 
 
 def test_fit_carries_its_targets():
@@ -123,6 +130,42 @@ def test_search_scores_station_offsets_from_the_line(default_cfg):
     fitted = apply_to_config(offset, res, targets)
     assert [n.y for n in fitted.stationary_nodes()] == [0.0, 0.0, 0.0]
     assert oracle_meets_targets(fitted, targets)
+
+
+def _placed(cfg, n, pl0, xs, ys):
+    out = _layout(cfg, n, pl0, -73.0, xs)
+    for node, y in zip(out.stationary_nodes(), ys):
+        node.y = y
+    return out
+
+
+def test_early_exit_needs_the_targets_met_as_placed_and_on_the_line(default_cfg):
+    # The early exit needs the targets met as the scenario places the nodes
+    # and as calibrate writes them, on the trajectory's line; either alone
+    # leaves the search to run.
+    targets = CalibrationTargets()
+    shipped = 10.0 ** (19.0 / 35.0)  # the shipped 0 dBm range, m
+    # Every node 1.5 m off the line, at a range that gives each the shipped
+    # 0 dBm chord: met as placed, missed on the line.
+    dy = 1.5
+    pl0 = 54.0 - 17.5 * math.log10(1.0 + (dy / shipped) ** 2)
+    off = _placed(default_cfg, 3.5, pl0, [-1.5, 7.5, 16.5], [dy] * 3)
+    on = _placed(default_cfg, 3.5, pl0, [-1.5, 7.5, 16.5], [0.0] * 3)
+    assert layout_metrics(off, targets)[:2] == (True, pytest.approx(0.0097, abs=1e-4))
+    assert not layout_metrics(on, targets)[0]
+    # n = 2.5, a 3.01 m range at 0 dBm and node 2 0.5 m off the line: its
+    # chord misses gap 1's end by 0.53 m as placed, and by 0.49 m on the line.
+    r0 = 3.01
+    xs = [2.0 - r0, 7.5, 13.0 + r0]
+    pl0 = 73.0 - 25.0 * math.log10(r0)
+    off_by_one = _placed(default_cfg, 2.5, pl0, xs, [0.0, 0.5, 0.0])
+    assert layout_metrics(off_by_one, targets)[:2] == (True,
+                                                       pytest.approx(0.532, abs=1e-3))
+    assert layout_metrics(_placed(default_cfg, 2.5, pl0, xs, [0.0] * 3),
+                          targets)[:2] == (True, pytest.approx(0.49))
+    for cfg in (off, off_by_one):
+        res = search(cfg, targets)
+        assert res.searched and res.ok
 
 
 def test_apply_to_config_rewrites_phy_and_positions(uncalibrated_cfg):

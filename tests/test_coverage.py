@@ -73,6 +73,16 @@ def test_broadcast_delivered_rows_are_not_success_evidence():
     assert gaps and gaps[0][0] == pytest.approx(5.0)
 
 
+def test_only_a_send_that_ended_without_its_ack_is_failure_evidence():
+    # A data send that failed CCA, or was delivered, says nothing about
+    # coverage; one that ended without its ack is failure evidence.
+    rows = [TraceRecord(time_us=k, node_id=9, event_kind="SEND_OUTCOME",
+                        frame_kind="data", src=9, dst=1, pos_x_m=x, detail=outcome)
+            for k, (x, outcome) in enumerate(((5.05, "cca_fail"), (7.05, "delivered"),
+                                              (9.05, "no_ack")))]
+    assert gap_analysis(rows, 0.0, 15.0, 9) == [(pytest.approx(9.0), pytest.approx(9.1))]
+
+
 def test_empty_trace_no_gaps():
     assert gap_analysis([], 0.0, 15.0, 9) == []
 
@@ -150,6 +160,58 @@ waypoint = 10 m, 0 m, 10 s
     assert len(gaps) == 1
     assert gaps[0][0] == pytest.approx(3.50, abs=0.011)
     assert gaps[0][1] == pytest.approx(10.0)
+
+
+def test_static_oracle_follows_a_sloped_trajectory_run_right_to_left():
+    # From (10 m, 10 m) back to the origin: y = x.  Node 1 at the origin has
+    # range 3.4903 m, so the mobile is covered while x * sqrt(2) < 3.4903.
+    # The oracle's y model used to give every x the first waypoint's y here.
+    trajectory = Trajectory([(10.0, 10.0, 0), (0.0, 0.0, 10_000_000)])
+    assert [coverage._trajectory_y_at(trajectory, x) for x in (0.0, 5.0, 10.0)] \
+        == [0.0, 5.0, 10.0]
+    # Past the x range, as the oracle's last step can land: the nearer end's y.
+    assert coverage._trajectory_y_at(trajectory, 10.004) == 10.0
+    # A vertical first segment gives its end's y, and x then reads the next.
+    bent = Trajectory([(5.0, 10.0, 0), (5.0, 5.0, 5_000_000), (0.0, 0.0, 10_000_000)])
+    assert [coverage._trajectory_y_at(bent, x) for x in (5.0, 2.5, 0.0)] == [5.0, 2.5, 0.0]
+    cfg = make_cfg("""
+[phy]
+tx_power = 0 dBm
+rx_sensitivity = -73 dBm
+pl0 = 54 dB
+path_loss_exponent = 3.5
+
+[node 1]
+role = coordinator
+class = stationary
+x = 0 m
+
+[node 9]
+role = end_device
+class = mobile
+""")
+    cfg.trajectory = trajectory
+    gaps = static_gap_oracle(cfg, 0.0)
+    assert len(gaps) == 1
+    assert gaps[0][0] == pytest.approx(3.4903 / 2 ** 0.5, abs=0.011)
+    assert gaps[0][1] == pytest.approx(10.0)
+
+
+def test_line_spans_leave_out_a_chord_off_the_trajectory(default_cfg):
+    # Node 3 at 30 m covers none of the trajectory's 0..15 m.
+    far = default_cfg.clone()
+    far.nodes[2].x = 30.0
+    assert line_spans(far, 4.0) == line_spans(default_cfg, 4.0)[:2]
+    assert all(0.0 <= lo < hi <= 15.0 for lo, hi in line_spans(far, 4.0))
+
+
+def test_coverage_geometry_without_a_mobile_adds_no_receive_gain(default_cfg):
+    # The default mobile's antenna gain is 0 dB, the value used without one.
+    no_mobile = default_cfg.clone()
+    no_mobile.nodes = no_mobile.stationary_nodes()
+    for power in (0.0, 4.0):
+        assert line_spans(no_mobile, power) == line_spans(default_cfg, power)
+        assert static_gap_oracle(no_mobile, power) == static_gap_oracle(default_cfg, power)
 
 
 def test_overlap_intervals_analytic(default_cfg):

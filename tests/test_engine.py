@@ -78,14 +78,13 @@ def test_event_accounting_with_cancellation():
     assert summary.scheduled == summary.total_processed + summary.cancelled
 
 
-def _trampoline_every(loop, period, until, action, *args):
+def _trampoline_every(loop, period, action, *args):
     """Periodic calls as a self-rescheduling one-shot, one new event a call."""
     def tick():
         action(*args)
-        _trampoline_every(loop, period, until, action, *args)
+        _trampoline_every(loop, period, action, *args)
 
-    if loop.now + period <= until:
-        loop.schedule(loop.now + period, tick)
+    loop.schedule(loop.now + period, tick)
 
 
 @pytest.mark.parametrize("every", [EventLoop.every, _trampoline_every])
@@ -100,39 +99,33 @@ def test_every_runs_after_the_same_instant_events_its_call_scheduled(every):
         loop.schedule(loop.now + 10, order.append, ("shot", loop.now + 10))
         loop.schedule(loop.now, order.append, ("now", loop.now))
 
-    every(loop, 10, 30, tick)
-    loop.run_until(100, _call)
+    every(loop, 10, tick)
+    loop.run_until(35, _call)
     assert order == [("tick", 10), ("now", 10), ("shot", 20), ("tick", 20),
-                     ("now", 20), ("shot", 30), ("tick", 30), ("now", 30),
-                     ("shot", 40)]
+                     ("now", 20), ("shot", 30), ("tick", 30), ("now", 30)]
 
 
-def test_every_stops_at_until_and_counts_each_rearm_once():
+def test_every_rearms_past_the_run_end_and_counts_it_unprocessed():
+    # Each call re-arms the event once; the occurrence after the run's end
+    # stays queued, and the next run processes it.
     loop = EventLoop()
     times = []
-    ev = loop.every(10, 50, lambda: times.append(loop.now))
+    ev = loop.every(10, lambda: times.append(loop.now))
     assert (ev.time, ev.seq) == (10, 0)
-    summary = loop.run_until(1_000, _call)
-    assert times == [10, 20, 30, 40, 50]  # until itself is included
-    assert summary.scheduled == summary.total_processed == 5
-    assert (summary.cancelled, summary.unprocessed, summary.clock) == (0, 0, 50)
-
-
-def test_every_with_its_first_call_after_until_schedules_nothing():
-    loop = EventLoop()
-    loop.schedule(5, _noop)
-    loop.run_until(5, _call)
-    assert loop.every(10, 14, _noop) is None
-    assert loop.every(10, 15, _noop).time == 15
-    summary = loop.run_until(100, _call)  # the one-shot and one periodic call
-    assert (summary.scheduled, summary.total_processed, summary.clock) == (2, 1, 15)
+    summary = loop.run_until(50, _call)
+    assert times == [10, 20, 30, 40, 50]  # the end itself is included
+    assert (ev.time, ev.seq) == (60, 5)
+    assert (summary.scheduled, summary.total_processed) == (6, 5)
+    assert (summary.cancelled, summary.unprocessed, summary.clock) == (0, 1, 50)
+    assert loop.run_until(60, _call).total_processed == 1
+    assert times[-1] == 60
 
 
 def test_every_period_must_be_positive():
     loop = EventLoop()
     for period in (0, -10):
         with pytest.raises(SimulationError, match="_noop period must be > 0 us"):
-            loop.every(period, 100, _noop)
+            loop.every(period, _noop)
     assert loop.run_until(100, _call).scheduled == 0
 
 
@@ -148,7 +141,7 @@ def test_cancelling_a_periodic_event_stops_every_later_occurrence(cancel_at):
         if loop.now == cancel_at:
             loop.cancel(ev)
 
-    ev = loop.every(10, 100, tick)
+    ev = loop.every(10, tick)
     if cancel_at == 0:
         loop.cancel(ev)
     elif cancel_at % 10:
@@ -156,6 +149,9 @@ def test_cancelling_a_periodic_event_stops_every_later_occurrence(cancel_at):
     summary = loop.run_until(1_000, _call)
     assert times == [t for t in (10, 20) if t <= cancel_at]
     assert (summary.cancelled, summary.unprocessed) == (1, 0)
+    # The first occurrence and one per call that did not cancel, plus the
+    # one-shot that cancels at 15.
+    assert summary.scheduled == {0: 1, 10: 1, 15: 3, 20: 2}[cancel_at]
 
 
 def test_draw_uniform_degenerate_range():
@@ -164,6 +160,15 @@ def test_draw_uniform_degenerate_range():
     s = RngStream(1, 0)
     assert all(s.draw_uniform(1) == 0 for _ in range(5))
     assert s.draw_uniform(1000) == RngStream(1, 0).draw_uniform(1000)
+
+
+def test_draw_uniform_rejects_a_draw_in_the_biased_tail():
+    # 2**64 % 3 == 1: the top 64-bit value would make 0 one count likelier
+    # than 1 and 2, so it is drawn again.
+    s = RngStream(1, 0)
+    raw = iter([(1 << 64) - 1, 5])
+    s._next_u64 = lambda: next(raw)
+    assert s.draw_uniform(3) == 5 % 3
 
 
 def test_draw_uniform_zero_is_fatal():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA, TINY, make_cfg, oracle_meets_targets, tiny_cfg
 from util_props import check_invariants, random_scenario
@@ -183,6 +185,14 @@ def test_cli_run_and_golden_determinism(tmp_path, capsys):
     assert (out / "trace.csv").read_bytes() == golden
 
 
+def test_cli_run_without_out_writes_to_out_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--scenario", str(DATA / "golden_tiny.scenario")]) == 0
+    assert capsys.readouterr().out.endswith(" trace written to out_run/trace.csv\n")
+    golden = (DATA / "golden_tiny.csv").read_bytes()
+    assert (tmp_path / "out_run" / "trace.csv").read_bytes() == golden
+
+
 def test_cli_seed_override_changes_output(tmp_path):
     main(["run", "--scenario", str(DATA / "golden_tiny.scenario"),
           "--seed", "123", "--out", str(tmp_path / "s123")])
@@ -315,6 +325,13 @@ def _body(text):
     return "".join(lines)
 
 
+def test_calibrate_without_an_outdir_writes_nothing(default_cfg, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert calibrate(default_cfg).ok
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_calibrate_writes_the_shipped_default_scenario(uncalibrated_cfg, tmp_path):
     calibrate(uncalibrated_cfg, outdir=tmp_path)
     written = (tmp_path / "calibrated.scenario").read_text()
@@ -335,6 +352,7 @@ def test_cli_calibrate_infeasible_exit_3(tmp_path):
     assert code == 3
     report = (tmp_path / "cal/calibration_report.txt").read_text()
     assert "INFEASIBLE" in report
+    assert not (tmp_path / "cal/calibrated.scenario").exists()
 
 
 def test_cli_calibrate_two_stationary_nodes_exit_2(tmp_path):
@@ -522,6 +540,11 @@ def test_cli_tx_power_outside_power_levels_exit_2(tmp_path, capsys, monkeypatch)
     text = TINY.format(duration="500 ms", seed=7).replace(
         "tx_power = 0 dBm", "tx_power = 1 dBm")
     _cli_run_rejects(text, "tx_power = 1 dBm", tmp_path, capsys, monkeypatch)
+
+
+def test_sweep_runs_the_scenario_s_sweep_powers_in_their_order():
+    cfg = make_cfg(TINY.format(duration="200 ms", seed=7) + "\n[sweep]\npowers = 4 0 dBm\n")
+    assert [lv.power_dbm for lv in sweep(cfg).levels] == [4.0, 0.0]
 
 
 def test_cli_sweep_powers_outside_power_levels_exit_2(tmp_path, capsys):
@@ -972,6 +995,27 @@ def test_accepted_single_key_value_passes_the_mac_checks(section, ok, mode):
     duration = "200 ms" if ok.endswith(" = 1 us") else "1 s"
     text = _tiny_setting(section, ok, TWO_PARENTS.format(duration=duration, mode=mode))
     check_invariants(run_simulation(make_cfg(text)))
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sampled_from(ACCEPTED_VALUES), min_size=2, max_size=6,
+                unique_by=lambda value: (value[0], value[1].split(" = ")[0])),
+       st.sampled_from(["broadcast", "scan"]))
+def test_accepted_values_of_several_keys_run_clean_or_fail_at_a_line(values, mode):
+    # Two to six keys at once, each at a value its own rule accepts: a rule
+    # over several keys may reject the text, at a line; else it runs and
+    # passes the MAC checks.
+    duration = ("200 ms" if any(ok.endswith(" = 1 us") for _, ok in values)
+                else "1 s")
+    text = TWO_PARENTS.format(duration=duration, mode=mode)
+    for section, ok in values:
+        text = _tiny_setting(section, ok, text)
+    try:
+        cfg = make_cfg(text)
+    except ScenarioError as exc:
+        assert exc.line is not None, exc
+        return
+    check_invariants(run_simulation(cfg))
 
 
 @pytest.mark.parametrize("bad", ["payload = -0.5 B", "payload = 20.7 B"])

@@ -194,6 +194,27 @@ def test_a_duplicate_ack_after_delivery_is_ignored():
     assert outcomes(sim, 1) == [SendOutcome.DELIVERED]
 
 
+def test_only_the_matching_ack_ends_a_send_waiting_for_it():
+    # While node 1's frame waits for its ack, an ack with another seq, or
+    # from a node other than the frame's destination, leaves the send open;
+    # only an ack from the destination with the frame's seq ends it.  Node 5
+    # is out of range, so no real ack comes.
+    sim = line_sim()
+    mac = sim.nodes[1].mac
+    frame = data_frame(sim, 1, 5)
+    mac.csma_send(frame)
+    backoff = rows_of(sim, "BACKOFF", node=1)[0].detail
+    drive(sim, until=backoff + sim.airtime(frame))  # the frame has left the air
+    for seq, src in ((frame.seq + 1, 5), (frame.seq, 3)):
+        mac.receive(Frame(FrameKind.ACK, seq, src, 1), -60.0, 200)
+        assert mac.current is frame and mac._ack_timeout_event is not None
+    mac.receive(Frame(FrameKind.ACK, frame.seq, 5, 1), -60.0, 200)
+    assert mac.current is None
+    drive(sim)
+    assert outcomes(sim, 1) == [SendOutcome.DELIVERED]
+    assert rows_of(sim, "ACK_TIMEOUT", node=1) == []
+
+
 def test_deliver_single_listener():
     sim = line_sim()
     sim.nodes[1].mac.csma_send(data_frame(sim, 1, 3))
@@ -274,6 +295,76 @@ def test_a_node_between_frames_with_one_queued_stays_awake():
     assert seen == [(SendOutcome.DELIVERED, None, 1), LISTEN]
     assert outcomes(sim, 1) == [SendOutcome.DELIVERED] * 2
     assert node.ledger.mode == SLEEP  # asleep once both frames are done
+
+
+def test_a_send_the_controller_starts_on_an_outcome_keeps_the_queue_order():
+    # The controller may queue a frame while it hears an outcome, as the
+    # mobile queues a probe after a no-ack.  The MAC then starts the oldest
+    # queued frame, and every frame goes on air once, in queue order.
+    sim = line_sim()
+    node = sim.nodes[1]
+    mac = node.mac
+    first, second, third = (data_frame(sim, 1, 3) for _ in range(3))
+    on_send_outcome = node.controller.on_send_outcome
+
+    def on_outcome(frame, outcome):
+        if frame is first:
+            mac.csma_send(third)
+        on_send_outcome(frame, outcome)
+
+    node.controller.on_send_outcome = on_outcome
+    mac.csma_send(first)
+    mac.csma_send(second)
+    drive(sim)
+    assert [r.seq for r in rows_of(sim, "TX_START", node=1)
+            if r.frame_kind == "data"] == [first.seq, second.seq, third.seq]
+    assert outcomes(sim, 1) == [SendOutcome.DELIVERED] * 3
+
+
+def test_a_node_another_frame_engages_stays_awake_after_its_own_frame():
+    # Node 1 may sleep, but node 3's frame still engages it when its own
+    # beacon ends.
+    sim = Simulation(make_cfg(LINE.format(seed=1).replace(
+        "x = 0 m", "x = 0 m\nsleep = on")))
+    node = sim.nodes[1]
+    node.wake()
+    sim.begin_transmission(sim.nodes[3], Frame(FrameKind.DATA, 0, 3, 5,
+                                               payload_len=100))
+    assert (node.ledger.mode, node.rx_engagements) == (RX, 1)
+    node.mac.send_immediate(Frame(FrameKind.BEACON, 0, 1, BROADCAST, payload_len=4))
+    beacon_end = node.mac.tx_ends_at
+    assert beacon_end < sim.channel.transmissions[0].end
+    drive(sim, until=beacon_end)
+    assert (node.ledger.mode, node.rx_engagements) == (LISTEN, 1)
+
+
+def test_a_listener_keeps_listen_since_from_listen_to_rx_and_back():
+    # listen_since is when the radio began to hear; receiving a frame does
+    # not move it.  Node 3 has listened since 0.
+    sim = line_sim()
+    listener = sim.nodes[3]
+    frame = Frame(FrameKind.DATA, 0, 1, 5, payload_len=10)  # node 3 acks nothing
+    sim.loop.schedule(1_000, sim.begin_transmission, sim.nodes[1], frame)
+    drive(sim, until=1_000)
+    assert (listener.ledger.mode, listener.listen_since) == (RX, 0)
+    drive(sim)
+    assert [r.time_us for r in rows_of(sim, "RX", node=3)] == [1_000 + sim.airtime(frame)]
+    assert (listener.ledger.mode, listener.listen_since) == (LISTEN, 0)
+
+
+def test_a_sleeping_or_transmitting_listener_is_not_engaged():
+    # Only a radio that hears switches to reception: node 3 starts asleep
+    # under node 1's frame, then transmits under node 2's.
+    sim = Simulation(make_cfg(LINE.format(seed=1).replace(
+        "x = 2 m", "x = 2 m\nsleep = on")))
+    listener = sim.nodes[3]
+    sim.begin_transmission(sim.nodes[1], Frame(FrameKind.DATA, 0, 1, 5, payload_len=10))
+    assert (listener.ledger.mode, listener.rx_engagements) == (SLEEP, 0)
+    listener.wake()
+    sim.begin_transmission(listener, Frame(FrameKind.DATA, 0, 3, 5, payload_len=10))
+    sim.begin_transmission(sim.nodes[2], Frame(FrameKind.DATA, 0, 2, 5, payload_len=10))
+    assert listener.rx_engagements == 0
+    assert all(listener not in tx.engaged for tx in sim.channel.transmissions)
 
 
 def test_seq_counter_increments_and_wraps():

@@ -581,6 +581,17 @@ def test_a_delivered_data_frame_resets_the_no_ack_streak(default_cfg):
     assert _starts(sim) == ["ack_failures"]
 
 
+def test_a_data_cca_failure_neither_resets_nor_grows_the_no_ack_streak(default_cfg):
+    sim, ctrl = _associated(default_cfg)
+    _heard(ctrl, GOOD_LQ)
+    for outcome in (SendOutcome.CHANNEL_ACCESS_FAILURE, SendOutcome.NO_ACK,
+                    SendOutcome.CHANNEL_ACCESS_FAILURE):
+        _data_sent(ctrl, outcome)
+    assert _starts(sim) == []
+    _data_sent(ctrl, SendOutcome.NO_ACK)
+    assert _starts(sim) == ["ack_failures"]
+
+
 def test_the_commit_records_the_assoc_responses_lq(default_cfg):
     # Used to keep the old parent's LQ (0 on a first association) until the
     # new parent's next frame, so one no-ack started a handover here.

@@ -88,6 +88,7 @@ def test_custom_power_levels_need_no_sweep_line():
     text = render_scenario(cfg)
     assert "powers =" not in text.split("[sweep]")[1]
     assert parse_scenario(text) == cfg
+    assert text.startswith("[run]\n")  # no header: no comment, no blank line
 
 
 def test_sweep_line_outside_power_levels_names_its_line():
@@ -146,6 +147,11 @@ PARSE_ERRORS = [
      "trajectory: waypoint arrival offsets must strictly increase"),
     ("[csma]\nmac_min_be = 5\nmac_max_be = 4\n", 3, "mac_min_be 5 above mac_max_be 4"),
     ("[csma]\nmac_min_be = 6\n", 2, "mac_min_be 6 above mac_max_be 5"),
+    ("[phy]\npower_levels = dBm\n", 2,
+     "key 'power_levels': expected '<numbers...> dBm', got 'dBm'"),
+    # A section header both starts with [ and ends with ].
+    ("[run]\nseed = 1]\n", 2, "key 'seed': '1]' is not an integer"),
+    ("[run\n", 1, "expected 'key = value', got '[run'"),
 ]
 
 
@@ -156,6 +162,11 @@ def test_parse_error_names_its_line(text, line, says):
         parse_scenario(text)
     assert err.value.line == line
     assert str(err.value).startswith(f"line {line}: ") and says in str(err.value)
+
+
+def test_a_scenario_error_without_a_line_names_none():
+    err = ScenarioError("calibration fits exactly 3 stationary nodes")
+    assert (str(err), err.line) == ("calibration fits exactly 3 stationary nodes", None)
 
 
 def test_bad_waypoint_format():

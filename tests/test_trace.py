@@ -101,3 +101,11 @@ def test_gaps_rejects_a_bad_row_at_its_line(tmp_path, capsys, kind, outcome):
     assert main(["gaps", "--trace", str(path)]) == 2
     err = capsys.readouterr().err
     assert "trace error" in err and "line 3" in err and kind in err
+
+
+@pytest.mark.parametrize("text", ["", "time_us\n"])
+def test_gaps_rejects_a_file_without_the_trace_header(tmp_path, capsys, text):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    assert main(["gaps", "--trace", str(path)]) == 2
+    assert "not a trace file (bad or missing header)" in capsys.readouterr().err
