@@ -32,10 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def default_scenario_path() -> Path:
-    # Imported here, not at the top: on Python 3.12 importlib.resources
-    # loads inspect, which no other part of a command start needs.
-    from importlib import resources
-    return Path(str(resources.files("wpansim").joinpath("data/default.scenario")))
+    return Path(__file__).parent / "data" / "default.scenario"
 
 
 def _build_parser() -> _Parser:

@@ -2,11 +2,12 @@
 
 An event is a delayed call: `schedule(time, action, *args)` queues
 `action(*args)` for `time`; `every(period, action, *args)` queues one event
-that the loop pushes again, `period` later, after each call, so it repeats
-for as long as the loop runs.  The loop hands each live event to the caller's
-dispatch in (time, seq) order.  Time is kept in integer
-microseconds so MAC timings (320 us backoff unit, 15.36 ms beacon base) are
-exact and traces are platform-stable.
+that the loop pushes again, `period` later, after each call.
+`run_until(end, dispatch)` hands each live event due by `end` to dispatch in
+(time, seq) order, then sets the clock to `end`; its summary counts each
+event scheduled since the loop was made, once: processed, cancelled while
+still queued, or still queued.  Integer microseconds keep MAC timings (320 us
+backoff unit, 15.36 ms beacon base) exact and traces platform-stable.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class RunSummary(NamedTuple):
     scheduled: int
     cancelled: int
     unprocessed: int
-    clock: SimTime
 
 
 class EventLoop:
@@ -48,7 +48,8 @@ class EventLoop:
         self.now: SimTime = 0
         self._heap: list[tuple[int, int, Event]] = []
         self._seq = 0  # also the count of events scheduled
-        self._cancelled = 0
+        self._processed = 0
+        self._cancelled = 0  # taken off the queue without running
 
     def schedule(self, time: SimTime, action: Callable, *args) -> Event:
         if time < self.now:
@@ -70,20 +71,15 @@ class EventLoop:
         return ev
 
     def cancel(self, ev: Event) -> None:
-        if not ev.cancelled:
-            ev.cancelled = True
-            self._cancelled += 1
+        ev.cancelled = True
 
     def run_until(self, end: SimTime, dispatch) -> RunSummary:
-        """Process every event with time <= end, in (time, seq) order.
-
-        `dispatch(event)` is called for each live event.  The clock ends at
-        `end`, or at the last processed event when the queue drains early.
-        """
+        """Dispatch each live event with time <= end; see the module docstring."""
         processed = 0
         while self._heap and self._heap[0][0] <= end:
             _, _, ev = heapq.heappop(self._heap)
             if ev.cancelled:
+                self._cancelled += 1
                 continue
             self.now = ev.time
             processed += 1
@@ -93,10 +89,12 @@ class EventLoop:
                 ev.seq = self._seq
                 self._seq += 1
                 heapq.heappush(self._heap, (ev.time, ev.seq, ev))
-        self.now = end if self._heap else min(end, self.now)
-        unprocessed = sum(1 for _, _, ev in self._heap if not ev.cancelled)
-        return RunSummary(processed, self._seq, self._cancelled,
-                          unprocessed, self.now)
+        self.now = end
+        self._processed += processed
+        queued_cancelled = sum(ev.cancelled for _, _, ev in self._heap)
+        return RunSummary(self._processed, self._seq,
+                          self._cancelled + queued_cancelled,
+                          len(self._heap) - queued_cancelled)
 
 
 _GOLDEN = 0x9E3779B97F4A7C15

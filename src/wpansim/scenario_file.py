@@ -535,9 +535,13 @@ def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> No
 def load_scenario(path: str | Path) -> ScenarioConfig:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        data = p.read_bytes()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {p}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{p}: byte {data[exc.start]:#04x} is not UTF-8",
+                            data[:exc.start].count(b"\n") + 1) from None
     return parse_scenario(text, source=str(p))
 
 

@@ -190,13 +190,14 @@ def _opt(conv, text: str):
 
 def read_trace(path: str | Path) -> list[TraceRecord]:
     """The records of a trace file; a bad row raises ValueError naming its line."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines or lines[0] != HEADER:
+    lines = Path(path).read_bytes().splitlines()
+    if not lines or lines[0] != HEADER.encode("ascii"):
         raise ValueError(f"{path}: not a trace file (bad or missing header)")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        f = line.split(",")
+    for lineno, raw in enumerate(lines[1:], start=2):
         try:
+            line = raw.decode("ascii")
+            f = line.split(",")
             if len(f) != len(COLUMNS):
                 raise ValueError(f"malformed trace row {line!r}")
             rows.append(TraceRecord(

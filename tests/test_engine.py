@@ -42,15 +42,16 @@ def test_run_until_empty_queue():
     loop = EventLoop()
     summary = loop.run_until(10_000_000, _call)
     assert summary.total_processed == 0
-    assert summary.clock == 0
+    assert loop.now == 10_000_000
 
 
-def test_run_until_single_event_clock_stops_at_last():
+def test_run_until_single_event_clock_ends_at_end():
+    # The queue drains at 1 s; the clock still moves on to the run's end.
     loop = EventLoop()
     loop.schedule(1_000_000, _noop)
     summary = loop.run_until(10_000_000, _call)
     assert summary.total_processed == 1
-    assert summary.clock == 1_000_000
+    assert loop.now == 10_000_000
 
 
 def test_events_beyond_end_left_pending():
@@ -60,7 +61,7 @@ def test_events_beyond_end_left_pending():
     summary = loop.run_until(10, _call)
     assert summary.total_processed == 1
     assert summary.unprocessed == 1
-    assert summary.clock == 10
+    assert loop.now == 10
 
 
 def test_event_accounting_with_cancellation():
@@ -116,8 +117,8 @@ def test_every_rearms_past_the_run_end_and_counts_it_unprocessed():
     assert times == [10, 20, 30, 40, 50]  # the end itself is included
     assert (ev.time, ev.seq) == (60, 5)
     assert (summary.scheduled, summary.total_processed) == (6, 5)
-    assert (summary.cancelled, summary.unprocessed, summary.clock) == (0, 1, 50)
-    assert loop.run_until(60, _call).total_processed == 1
+    assert (summary.cancelled, summary.unprocessed, loop.now) == (0, 1, 50)
+    assert loop.run_until(60, _call).total_processed == 6  # since the loop was made
     assert times[-1] == 60
 
 
@@ -132,7 +133,9 @@ def test_every_period_must_be_positive():
 @pytest.mark.parametrize("cancel_at", [0, 10, 15, 20])
 def test_cancelling_a_periodic_event_stops_every_later_occurrence(cancel_at):
     # Cancelled before the first call, from its own call at 10 or 20, or from
-    # another event between two calls.
+    # another event between two calls.  Only a cancel that finds an
+    # occurrence still queued counts as cancelled: one from its own call
+    # comes after the occurrence ran.
     loop = EventLoop()
     times = []
 
@@ -148,10 +151,38 @@ def test_cancelling_a_periodic_event_stops_every_later_occurrence(cancel_at):
         loop.schedule(cancel_at, loop.cancel, ev)
     summary = loop.run_until(1_000, _call)
     assert times == [t for t in (10, 20) if t <= cancel_at]
-    assert (summary.cancelled, summary.unprocessed) == (1, 0)
+    assert summary.cancelled == {0: 1, 10: 0, 15: 1, 20: 0}[cancel_at]
+    assert summary.unprocessed == 0
     # The first occurrence and one per call that did not cancel, plus the
     # one-shot that cancels at 15.
     assert summary.scheduled == {0: 1, 10: 1, 15: 3, 20: 2}[cancel_at]
+    assert summary.scheduled == summary.total_processed + summary.cancelled
+
+
+def test_a_stepped_loop_ends_each_step_at_its_end_and_counts_each_event_once():
+    # `own` repeats every 10 and cancels itself from its call at 20; `other`
+    # repeats every 15, and a one-shot at 25 cancels it while its occurrence
+    # at 30 is queued.  The counts are since the loop was made.
+    loop = EventLoop()
+
+    def tick():
+        if loop.now == 20:
+            loop.cancel(own)
+
+    own = loop.every(10, tick)
+    other = loop.every(15, _noop)
+    loop.schedule(25, loop.cancel, other)
+    steps = []
+    for end in (5, 20, 27, 40):
+        s = loop.run_until(end, _call)
+        assert loop.now == end
+        assert s.scheduled == s.total_processed + s.cancelled + s.unprocessed
+        steps.append((end, s.scheduled, s.total_processed, s.cancelled,
+                      s.unprocessed))
+    # (end, scheduled, processed, cancelled, unprocessed): at 27 the
+    # occurrence at 30 is cancelled and still queued, at 40 it was skipped.
+    assert steps == [(5, 3, 0, 0, 3), (20, 5, 3, 0, 2), (27, 5, 4, 1, 0),
+                     (40, 5, 4, 1, 0)]
 
 
 def test_draw_uniform_degenerate_range():

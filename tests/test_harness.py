@@ -213,6 +213,14 @@ def test_cli_missing_scenario_exit_2(tmp_path):
     assert code == 2
 
 
+def test_cli_scenario_that_is_not_utf8_exit_2_at_its_line(capsys, tmp_path):
+    path = tmp_path / "bad.scenario"
+    path.write_bytes(b"[run]\nseed = 1 \xff\n")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"scenario error: line 2: {path}: byte 0xff is not UTF-8" in err
+
+
 def test_cli_usage_error_exit_1(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -103,6 +103,15 @@ def test_gaps_rejects_a_bad_row_at_its_line(tmp_path, capsys, kind, outcome):
     assert "trace error" in err and "line 3" in err and kind in err
 
 
+def test_gaps_rejects_a_row_that_is_not_ascii_at_its_line(tmp_path, capsys):
+    good = to_csv(TraceRecord(0, 9, "MOVE", pos_x_m=1.0))
+    path = tmp_path / "trace.csv"
+    path.write_bytes(f"{HEADER}\n{good}\n".encode("ascii") + b"0,9,MOVE,,,,,,,,1.\xff0,\n")
+    assert main(["gaps", "--trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "trace error" in err and "line 3: 'ascii' codec can't decode byte 0xff" in err
+
+
 @pytest.mark.parametrize("text", ["", "time_us\n"])
 def test_gaps_rejects_a_file_without_the_trace_header(tmp_path, capsys, text):
     path = tmp_path / "trace.csv"
