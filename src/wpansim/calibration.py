@@ -148,7 +148,7 @@ def _score_floor(x_lo: float, x_step: float, nx: int, b1: float, b2: float):
 
 def layout_metrics(cfg: ScenarioConfig, targets: CalibrationTargets):
     """(valid, max boundary error, achieved gaps) for the scenario as configured,
-    scored through coverage.line_spans, so y offsets and antenna gains count."""
+    scored through coverage.line_spans, so y offsets count."""
     lo, hi = cfg.trajectory.x_bounds()
 
     def gaps_at(level):
@@ -177,7 +177,7 @@ def _verdict(cfg: ScenarioConfig, n: float, pl0: float, sens: float, xs,
     return fit._replace(
         ok=valid and err <= targets.tolerance_m, max_boundary_error_m=err,
         achieved_gaps=gaps,
-        range_at_gap_level_m=comm_range_m(targets.gap_level_dbm, 0.0, fitted.phy))
+        range_at_gap_level_m=comm_range_m(targets.gap_level_dbm, fitted.phy))
 
 
 def search(cfg: ScenarioConfig,
@@ -185,8 +185,8 @@ def search(cfg: ScenarioConfig,
     """Fit propagation constants and placements to the coverage targets.
 
     Raises ScenarioError unless cfg has exactly three stationary nodes, the
-    layout the coverage targets describe, no antenna gain (the kernel's radii
-    are equal) and a trajectory on one line (checked by coverage.line_spans).
+    layout the coverage targets describe, and a trajectory on one line
+    (checked by coverage.line_spans).
     The search is skipped if the scenario as configured, and as written back,
     already meets the targets.  "ok" always describes the written scenario.
 
@@ -225,11 +225,6 @@ def search(cfg: ScenarioConfig,
         raise ScenarioError(
             f"calibration fits exactly 3 stationary nodes, the scenario "
             f"defines {len(current)}")
-    for node in cfg.nodes:
-        if node.antenna_gain_db:
-            raise ScenarioError(
-                f"calibration fits nodes without antenna gain, node "
-                f"{node.node_id} has antenna_gain = {node.antenna_gain_db:g} dB")
     valid, err, _ = layout_metrics(cfg, targets)
     if valid and err <= targets.tolerance_m:
         supplied = _verdict(cfg, cfg.phy.path_loss_exponent, cfg.phy.pl0_db,

@@ -96,8 +96,6 @@ def static_gap_oracle(cfg, power_dbm: float) -> list[tuple[float, float]]:
     """
     params: PhyParams = cfg.phy
     stations = cfg.stationary_nodes()
-    mobile = cfg.mobile_node()
-    gain_rx = mobile.antenna_gain_db if mobile else 0.0
     x_lo, x_hi = cfg.trajectory.x_bounds()
     n = round((x_hi - x_lo) / ORACLE_STEP_M)
     gaps: list[tuple[float, float]] = []
@@ -108,8 +106,7 @@ def static_gap_oracle(cfg, power_dbm: float) -> list[tuple[float, float]]:
         covered = False
         for node in stations:
             dist = ((x - node.x) ** 2 + (y - node.y) ** 2) ** 0.5
-            if heard(link_rx_power(dist, power_dbm, node.antenna_gain_db, gain_rx,
-                                   params), params):
+            if heard(link_rx_power(dist, power_dbm, params), params):
                 covered = True
                 break
         if not covered and run_start is None:
@@ -138,13 +135,10 @@ def _trajectory_y_at(trajectory, x: float) -> float:
 def line_spans(cfg, power_dbm: float) -> list[tuple[float, float]]:
     """Each stationary node's chord (x - h, x + h) of the trajectory's line.
 
-    h = sqrt(r^2 - dy^2) for range r (both antenna gains) and offset dy from
+    h = sqrt(r^2 - dy^2) for the one range r at power_dbm and offset dy from
     the line; chords are clipped to the trajectory's x bounds, empty ones
     dropped.  Waypoints that differ in y raise a ScenarioError.
     """
-    params: PhyParams = cfg.phy
-    mobile = cfg.mobile_node()
-    gain_rx = mobile.antenna_gain_db if mobile else 0.0
     waypoints = cfg.trajectory.waypoints
     line_y = waypoints[0][1]
     for k, (wx, wy, _) in enumerate(waypoints[1:], start=2):
@@ -154,10 +148,10 @@ def line_spans(cfg, power_dbm: float) -> list[tuple[float, float]]:
                 f"y = {line_y:g} m of waypoint 1; coverage geometry needs every "
                 f"waypoint at the same y")
     x_lo, x_hi = cfg.trajectory.x_bounds()
+    r = comm_range_m(power_dbm, cfg.phy)
     spans: list[tuple[float, float]] = []
     for node in cfg.stationary_nodes():
         dy = node.y - line_y
-        r = comm_range_m(power_dbm, node.antenna_gain_db + gain_rx, params)
         if r <= abs(dy):
             continue
         half = (r * r - dy * dy) ** 0.5

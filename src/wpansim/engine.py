@@ -4,10 +4,11 @@ An event is a delayed call: `schedule(time, action, *args)` queues
 `action(*args)` for `time`; `every(period, action, *args)` queues one event
 that the loop pushes again, `period` later, after each call.
 `run_until(end, dispatch)` hands each live event due by `end` to dispatch in
-(time, seq) order, then sets the clock to `end`; its summary counts each
-event scheduled since the loop was made, once: processed, cancelled while
-still queued, or still queued.  Integer microseconds keep MAC timings (320 us
-backoff unit, 15.36 ms beacon base) exact and traces platform-stable.
+(time, seq) order, then sets the clock to `end`, which may not be before the
+clock; its summary counts each event scheduled since the loop was made,
+once: processed, cancelled while still queued, or still queued.  Integer
+microseconds keep MAC timings (320 us backoff unit, 15.36 ms beacon base)
+exact and traces platform-stable.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ class EventLoop:
 
     def run_until(self, end: SimTime, dispatch) -> RunSummary:
         """Dispatch each live event with time <= end; see the module docstring."""
+        if end < self.now:
+            raise SimulationError(
+                f"run_until({end} us) ends before the clock ({self.now} us)")
         processed = 0
         while self._heap and self._heap[0][0] <= end:
             _, _, ev = heapq.heappop(self._heap)

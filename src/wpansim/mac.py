@@ -123,10 +123,10 @@ class Channel:
     transmission X has X.end >= now, so any t overlapping it has t.end >
     X.start >= now - longest_us.
 
-    Listeners are nodes (`is_mobile`, `gain_db`, `position()`), given in
-    node order.  `add` fixes each frame's audience at transmit start.  A
-    stationary listener's received power is then final: the source position
-    is a snapshot and the listener does not move.  So it is computed once
+    Listeners are nodes (`is_mobile`, `position()`), given in node order.
+    `add` fixes each frame's audience at transmit start.  A stationary
+    listener's received power is then final: the source position is a
+    snapshot and the listener does not move.  So it is computed once
     per frame, and once per source when the source is stationary too: only
     the mobile's transmit power changes within a run, never a stationary
     node's.  The mobile listener is measured live.
@@ -177,7 +177,7 @@ class Channel:
         dx = tx.src_pos[0] - x
         dy = tx.src_pos[1] - y
         return link_rx_power((dx * dx + dy * dy) ** 0.5, tx.frame.tx_power_dbm,
-                             tx.node.gain_db, node.gain_db, self.params)
+                             self.params)
 
     def audible(self, tx: Transmission, node) -> bool:
         """True iff tx arrives strictly above the listener's sensitivity."""

@@ -3,7 +3,7 @@
 Propagation is a deterministic log-distance model:
 
     PL(d) = pl0 + 10 * n * log10(d / 1 m)            [dB]
-    rx    = tx + gain_tx + gain_rx - PL(d)           [dBm]
+    rx    = tx - PL(d)                               [dBm]
 
 No fading or shadowing: coverage is a sharp threshold phenomenon, which is
 what makes gap boundaries exactly reproducible.  Link quality maps the
@@ -26,16 +26,14 @@ class Band(NamedTuple):
     name: str
     data_rate_kbps: int
     channels: range
+    beacon_base_us: SimTime  # the beacon interval at beacon order 0, exact
 
 
-B2400 = Band("2400", 250, range(11, 27))
-B915 = Band("915", 40, range(1, 11))
-B868 = Band("868", 20, range(0, 1))
+B2400 = Band("2400", 250, range(11, 27), 15_360)
+B915 = Band("915", 40, range(1, 11), 24_000)
+B868 = Band("868", 20, range(0, 1), 48_000)
 
 BANDS = {"2400": B2400, "915": B915, "868": B868}
-
-# Beacon base interval per band, exact in microseconds.
-_BEACON_BASE_US = {250: 15_360, 40: 24_000, 20: 48_000}
 
 NO_BEACONS = 15  # beacon order value meaning non-beacon mode
 
@@ -56,7 +54,7 @@ def beacon_interval(bo: int, band: Band) -> SimTime:
     if not 0 <= bo <= 14:
         raise ValueError(f"beacon order {bo} outside 0..14 "
                          "(15 means non-beacon mode, not an interval)")
-    return _BEACON_BASE_US[band.data_rate_kbps] << bo
+    return band.beacon_base_us << bo
 
 
 def heard(rx_dbm: float, params: PhyParams) -> bool:
@@ -89,15 +87,15 @@ def frame_airtime(frame_bytes: int, band: Band) -> SimTime:
     return -(-bits * 1000 // band.data_rate_kbps)
 
 
-def link_rx_power(distance_m: float, tx_dbm: float, gain_tx_db: float,
-                  gain_rx_db: float, params: PhyParams) -> float:
+def link_rx_power(distance_m: float, tx_dbm: float, params: PhyParams) -> float:
     """The one link budget: received power in dBm at `distance_m`."""
     d = max(distance_m, MIN_DISTANCE_M)
     pl_db = params.pl0_db + 10.0 * params.path_loss_exponent * math.log10(d)
-    return tx_dbm + gain_tx_db + gain_rx_db - pl_db
+    # + 0.0: -0 dBm over a 0 dB loss is 0.0, not -0.0, which traces print apart.
+    return (tx_dbm + 0.0) - pl_db
 
 
-def comm_range_m(tx_dbm: float, gain_total_db: float, params: PhyParams) -> float:
+def comm_range_m(tx_dbm: float, params: PhyParams) -> float:
     """Distance at which received power equals sensitivity exactly.
 
     Reception requires strictly more than sensitivity, so this radius is an
@@ -105,7 +103,7 @@ def comm_range_m(tx_dbm: float, gain_total_db: float, params: PhyParams) -> floa
     largest float (a tiny path-loss exponent) is math.inf: it covers the
     whole line.
     """
-    margin = tx_dbm + gain_total_db - params.pl0_db - params.rx_sensitivity_dbm
+    margin = tx_dbm - params.pl0_db - params.rx_sensitivity_dbm
     try:
         return 10.0 ** (margin / (10.0 * params.path_loss_exponent))
     except OverflowError:

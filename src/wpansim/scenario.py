@@ -27,7 +27,6 @@ class NodeConfig(Record):
         self.node_class = NodeClass.STATIONARY
         self.x = 0.0
         self.y = 0.0
-        self.antenna_gain_db = 0.0
         self.tx_power_dbm: float | None = None  # None -> scenario-wide default
         # None -> mobiles sleep, stationary nodes don't
         self.sleep_when_idle: bool | None = None

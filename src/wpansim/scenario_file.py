@@ -18,7 +18,7 @@ Sections and keys (defaults in parentheses):
                  max_frame_retries (3), unit_backoff (320 us),
                  ack_wait (864 us), turnaround (192 us)
     [mac]        beacon_order (15), mac_header (9 B), ack_header (5 B)
-    [node <id>]  role, class, x (m), y (m), antenna_gain (dB),
+    [node <id>]  role, class, x (m), y (m),
                  tx_power (dBm, optional override), sleep (on/off)
     [trajectory] waypoint = <x> m, <y> m, <t> s   (repeatable, ordered),
                  move_tick (100 ms)
@@ -345,7 +345,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Kind]]] = {
                 f"{{}} exceeds the {MAX_FRAME_BYTES} B frame limit"))},
     "node": {"role": ("role", _ROLE), "class": ("node_class", _CLASS),
              "x": ("x", _METRES), "y": ("y", _METRES),
-             "antenna_gain": ("antenna_gain_db", _DB),
              "tx_power": ("tx_power_dbm", _DBM), "sleep": ("sleep_when_idle", _BOOL)},
     "trajectory": {"waypoint": ("trajectory.waypoints", _WAYPOINT),
                    "move_tick": ("move_tick_us", _POSITIVE_TIME)},
@@ -546,13 +545,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def _shows(target, key: str, value: Any) -> bool:
-    """A node's x/y only for a stationary node, its antenna_gain only when
-    nonzero, and an optional value (a node's override, [sweep] powers) only
-    when set."""
+    """A node's x/y only for a stationary node, and an optional value (a
+    node's override, [sweep] powers) only when set."""
     if key in ("x", "y"):
         return target.node_class is NodeClass.STATIONARY
-    if key == "antenna_gain":
-        return bool(value)
     return value is not None
 
 

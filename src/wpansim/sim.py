@@ -25,7 +25,6 @@ class Node:
         self.sim = sim
         self.config = config
         self.node_id = config.node_id
-        self.gain_db = config.antenna_gain_db
         self.is_mobile = config.node_class is NodeClass.MOBILE
         # A stationary node's position; a mobile's as of time _xy_time.
         self.xy = (config.x, config.y)

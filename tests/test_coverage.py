@@ -206,7 +206,6 @@ def test_line_spans_leave_out_a_chord_off_the_trajectory(default_cfg):
 
 
 def test_coverage_geometry_without_a_mobile_adds_no_receive_gain(default_cfg):
-    # The default mobile's antenna gain is 0 dB, the value used without one.
     no_mobile = default_cfg.clone()
     no_mobile.nodes = no_mobile.stationary_nodes()
     for power in (0.0, 4.0):
@@ -272,10 +271,6 @@ def test_overlap_intervals_reject_a_trajectory_off_one_line(default_cfg):
         overlap_intervals(sloped, 6.0)
 
 
-def _gain():
-    return st.floats(-3.0, 3.0)
-
-
 @st.composite
 def _line_layouts(draw, base):
     """A scenario with 2-6 stations around one horizontal trajectory line."""
@@ -285,10 +280,8 @@ def _line_layouts(draw, base):
     for node in cfg.nodes:  # routers, stationary by default
         node.x = draw(st.floats(-3.0, 13.0))
         node.y = line_y + draw(st.floats(-4.0, 4.0))
-        node.antenna_gain_db = draw(_gain())
     mobile = NodeConfig(9)
     mobile.role, mobile.node_class = NodeRole.END_DEVICE, NodeClass.MOBILE
-    mobile.antenna_gain_db = draw(_gain())
     cfg.nodes.append(mobile)
     cfg.trajectory = Trajectory([(0.0, line_y, 0), (10.0, line_y, 10_000_000)])
     return cfg, draw(st.sampled_from(cfg.phy.power_levels_dbm))

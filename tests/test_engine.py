@@ -38,6 +38,19 @@ def test_schedule_in_past_is_fatal():
         loop.schedule(5, _noop)
 
 
+def test_run_until_before_the_clock_is_fatal():
+    # Used to wind the clock back to 5, after which an event at 7, already
+    # in the past, was accepted and ran.
+    loop = EventLoop()
+    loop.schedule(8, _noop)
+    loop.run_until(10, _call)
+    with pytest.raises(SimulationError, match=r"run_until\(5 us\) ends before "
+                                              r"the clock \(10 us\)"):
+        loop.run_until(5, _call)
+    assert loop.now == 10
+    assert loop.run_until(10, _call).total_processed == 1  # end == now is fine
+
+
 def test_run_until_empty_queue():
     loop = EventLoop()
     summary = loop.run_until(10_000_000, _call)

@@ -419,17 +419,6 @@ def test_cli_calibrate_sloped_trajectory_exit_2(tmp_path, capsys):
         "trajectory waypoint 2 (15 m, 1 m) leaves the line")
 
 
-def test_cli_calibrate_antenna_gain_exit_2(tmp_path, capsys):
-    # Used to report "status: ok" for a fit that ignores the gain: the
-    # independent oracle finds no gap left at 3 dBm.
-    _cli_calibrate_rejects(
-        tmp_path, capsys,
-        "[node 2]\nrole = router\nclass = stationary\nx = 7 m\ny = 0 m\n",
-        "[node 2]\nrole = router\nclass = stationary\nx = 7 m\ny = 0 m\n"
-        "antenna_gain = 2 dB\n",
-        "node 2 has antenna_gain = 2 dB")
-
-
 def test_cli_calibrate_without_the_gap_free_level_exit_2(tmp_path, capsys):
     # Used to exit 0 and write a calibrated.scenario with tx_power = 4 dBm,
     # which `wpansim run` then refused: 4 dBm is not one of its power_levels.

@@ -467,7 +467,7 @@ enabled = off
 
 def test_a_frame_at_exactly_the_sensitivity_is_not_heard():
     cfg = make_cfg(AT_SENSITIVITY)
-    assert link_rx_power(1.0, 0.0, 0.0, 0.0, cfg.phy) == cfg.phy.rx_sensitivity_dbm
+    assert link_rx_power(1.0, 0.0, cfg.phy) == cfg.phy.rx_sensitivity_dbm
     sim = Simulation(cfg)
     res = sim.run()
     assert len(sent_at(sim, 1, "beacon")) == 16  # every 61,440 us

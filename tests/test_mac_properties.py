@@ -17,9 +17,8 @@ from wpansim.phy import PhyParams
 class _Listener:
     """A channel listener on the x axis; the mobile one moves with `clock`."""
 
-    def __init__(self, x, gain_db=0.0, clock=None):
+    def __init__(self, x, clock=None):
         self.x = x
-        self.gain_db = gain_db
         self.clock = clock  # [now in us] for the mobile, None when stationary
         self.is_mobile = clock is not None
 
@@ -58,7 +57,7 @@ def test_pruned_history_answers_as_the_whole_history(sends, offsets):
     params = PhyParams()
     params.rx_sensitivity_dbm, params.pl0_db, params.path_loss_exponent = -73.0, 54.0, 3.5
     clock = [0]
-    listeners = [_Listener(0.0), _Listener(2.0, gain_db=1.0), _Listener(4.0),
+    listeners = [_Listener(0.0), _Listener(2.0), _Listener(4.0),
                  _Listener(9.0), _Listener(1.0, clock=clock)]
     pruned, whole = Channel(params, listeners), _Unpruned(params, listeners)
     sent = []  # (start, end, frame), in start order

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from wpansim.phy import (B868, B915, B2400, PhyParams, beacon_interval,
@@ -28,29 +30,37 @@ def test_beacon_order_15_is_not_an_interval():
 def test_path_loss_reference_distance():
     p = PhyParams()
     p.pl0_db, p.path_loss_exponent = 47.0, 2.0
-    assert link_rx_power(1.0, 0.0, 0.0, 0.0, p) == -47.0
+    assert link_rx_power(1.0, 0.0, p) == -47.0
 
 
 def test_path_loss_doubling_distance():
     p = PhyParams()
     p.pl0_db, p.path_loss_exponent = 40.0, 2.0
-    loss = link_rx_power(1.0, 0.0, 0.0, 0.0, p) - link_rx_power(2.0, 0.0, 0.0, 0.0, p)
+    loss = link_rx_power(1.0, 0.0, p) - link_rx_power(2.0, 0.0, p)
     assert loss == pytest.approx(6.0206, abs=1e-4)
 
 
 def test_path_loss_clamps_tiny_distance():
     p = PhyParams()
-    at_clamp = link_rx_power(0.1, 0.0, 0.0, 0.0, p)
-    assert link_rx_power(0.0, 0.0, 0.0, 0.0, p) == at_clamp
-    assert link_rx_power(0.05, 0.0, 0.0, 0.0, p) == at_clamp
+    at_clamp = link_rx_power(0.1, 0.0, p)
+    assert link_rx_power(0.0, 0.0, p) == at_clamp
+    assert link_rx_power(0.05, 0.0, p) == at_clamp
 
 
 def test_received_power_budget():
     p = PhyParams()
     p.pl0_db = 85.0  # 85 dB of path loss at 1 m
-    assert link_rx_power(1.0, 0.0, 0.0, 0.0, p) == -85.0
-    assert link_rx_power(1.0, 4.0, 0.0, 0.0, p) == -81.0
-    assert link_rx_power(1.0, 0.0, 3.0, 0.0, p) == -82.0
+    assert link_rx_power(1.0, 0.0, p) == -85.0
+    assert link_rx_power(1.0, 4.0, p) == -81.0
+
+
+def test_received_power_of_minus_zero_dbm_over_no_loss_is_plus_zero():
+    # The trace prints 0.0 and -0.0 differently; a bare tx - pl would give
+    # -0.0 here.
+    p = PhyParams()
+    p.pl0_db = 0.0
+    rx = link_rx_power(1.0, -0.0, p)
+    assert rx == 0.0 and math.copysign(1.0, rx) == 1.0
 
 
 def test_lq_endpoints_and_midpoint():
@@ -86,14 +96,14 @@ def test_in_range_strict_at_sensitivity():
     # rx exactly at sensitivity must be out of range
     p = PhyParams()
     p.pl0_db, p.path_loss_exponent, p.rx_sensitivity_dbm = 85.0, 2.0, -85.0
-    assert heard(link_rx_power(1.0, 0.0, 0.0, 0.0, p), p) is False
-    assert heard(link_rx_power(0.999, 0.0, 0.0, 0.0, p), p) is True
+    assert heard(link_rx_power(1.0, 0.0, p), p) is False
+    assert heard(link_rx_power(0.999, 0.0, p), p) is True
 
 
 def test_in_range_monotone_in_power():
     p = PhyParams()
     d = 3.0
-    states = [heard(link_rx_power(d, power, 0.0, 0.0, p), p) for power in range(-10, 11)]
+    states = [heard(link_rx_power(d, power, p), p) for power in range(-10, 11)]
     # once true, stays true for every higher power
     first_true = states.index(True) if True in states else len(states)
     assert all(states[first_true:])
@@ -101,16 +111,16 @@ def test_in_range_monotone_in_power():
 
 def test_in_range_on_calibrated_defaults(default_cfg):
     p = default_cfg.phy
-    assert heard(link_rx_power(1.0, 0.0, 0.0, 0.0, p), p) is True
+    assert heard(link_rx_power(1.0, 0.0, p), p) is True
     # x = 3 m sits in the first coverage gap at 0 dBm: out of range of all three
     for node in default_cfg.stationary_nodes():
         dist = abs(3.0 - node.x)
-        assert heard(link_rx_power(dist, 0.0, node.antenna_gain_db, 0.0, p), p) is False
+        assert heard(link_rx_power(dist, 0.0, p), p) is False
 
 
 def test_comm_range_matches_in_range_threshold():
     p = PhyParams()
     p.pl0_db, p.path_loss_exponent, p.rx_sensitivity_dbm = 54.0, 3.5, -73.0
-    r = comm_range_m(0.0, 0.0, p)
-    assert heard(link_rx_power(r * 0.999, 0.0, 0.0, 0.0, p), p) is True
-    assert heard(link_rx_power(r * 1.001, 0.0, 0.0, 0.0, p), p) is False
+    r = comm_range_m(0.0, p)
+    assert heard(link_rx_power(r * 0.999, 0.0, p), p) is True
+    assert heard(link_rx_power(r * 1.001, 0.0, p), p) is False

@@ -152,6 +152,7 @@ PARSE_ERRORS = [
     # A section header both starts with [ and ends with ].
     ("[run]\nseed = 1]\n", 2, "key 'seed': '1]' is not an integer"),
     ("[run\n", 1, "expected 'key = value', got '[run'"),
+    ("[node 1]\nantenna_gain = 2 dB\n", 2, "unknown key 'antenna_gain' in section [node]"),
 ]
 
 
