@@ -2,10 +2,10 @@
 
 Format: INI-like sections of `key = value` lines, `#` comments, blank lines
 ignored.  Every physical quantity carries a unit suffix (`100 ms`, `-70 dBm`,
-`7.5 m`, `30 mA`, `20 B`).  Unknown sections or keys are rejected with the
-offending line number; so are missing or wrong units, and a key other than
-`waypoint` set twice in one section.  A scenario file plus a seed fully
-determines a run.
+`7.5 m`, `30 mA`, `20 B`); a current is always in mA, and a switch is `on`
+or `off`.  Unknown sections or keys are rejected with the offending line
+number; so are missing or wrong units, and a key other than `waypoint` set
+twice in one section.  A scenario file plus a seed fully determines a run.
 
 Sections and keys (defaults in parentheses):
 
@@ -18,12 +18,12 @@ Sections and keys (defaults in parentheses):
                  max_frame_retries (3), unit_backoff (320 us),
                  ack_wait (864 us), turnaround (192 us)
     [mac]        beacon_order (15), mac_header (9 B), ack_header (5 B)
-    [node <id>]  role, class, x (m), y (m),
+    [node <id>]  role (router), class (stationary), x (m), y (m),
                  tx_power (dBm, optional override), sleep (on/off)
     [trajectory] waypoint = <x> m, <y> m, <t> s   (repeatable, ordered),
                  move_tick (100 ms)
     [traffic]    period (100 ms), payload (20 B)
-    [tpc]        enabled, lq_target (64), lq_hysteresis (16)
+    [tpc]        enabled (on), lq_target (64), lq_hysteresis (16)
     [handover]   mode (broadcast|scan), probe_window (50 ms),
                  probe_retry (200 ms), scan_response_timeout (50 ms),
                  lq_retrigger_cooldown (500 ms), ack_fail_threshold (2),
@@ -109,15 +109,6 @@ def _parse_int(text: str, key: str, line: int) -> int:
         return int(text)
     except ValueError:
         raise ScenarioError(f"key '{key}': {text!r} is not an integer", line) from None
-
-
-def _parse_bool(text: str, key: str, line: int) -> bool:
-    t = text.strip().lower()
-    if t in ("on", "true", "yes", "1"):
-        return True
-    if t in ("off", "false", "no", "0"):
-        return False
-    raise ScenarioError(f"key '{key}': expected on/off, got {text!r}", line)
 
 
 def _parse_power_list(text: str, key: str, line: int) -> tuple[float, ...]:
@@ -271,13 +262,11 @@ _ZERO_OR_MORE, _POSITIVE = "key '{}': must be zero or more", "key '{}': must be 
 _ANY_TIME = _Kind(_whole(_TIME_UNITS, "us"), _fmt_time)
 _TIME = _limited(_ANY_TIME, lambda us: us >= 0, _ZERO_OR_MORE)
 _POSITIVE_TIME = _limited(_ANY_TIME, lambda us: us > 0, _POSITIVE)
-_DBM, _DB, _METRES, _VOLTS, _PERCENT = map(_quantity, ("dBm", "dB", "m", "V", "%"))
+_DBM, _DB, _METRES, _VOLTS, _PERCENT, _CURRENT = map(
+    _quantity, ("dBm", "dB", "m", "V", "%", "mA"))
 # lq_saturation_margin is positive, or every heard frame would map to LQ 255.
 _POSITIVE_DB, _POSITIVE_VOLTS = (_limited(kind, lambda v: v > 0, "{} is not positive")
                                  for kind in (_DB, _VOLTS))
-_CURRENT = _Kind(
-    lambda text, key, line: _scaled(text, {"mA": 1.0, "uA": 0.001}, key, line),
-    lambda value: f"{float_text(value)} mA")
 _MODE_CURRENT = _limited(_CURRENT, lambda ma: ma >= 0, "{} below 0 mA")
 _BYTES = _limited(_Kind(_whole({"B": 1}, "bytes"), lambda value: f"{value} B"),
                   lambda n: n >= 0, _ZERO_OR_MORE)
@@ -291,7 +280,6 @@ _MAX_BE, _BACKOFFS, _RETRIES, _LQ = (
 _POSITIVE_FLOAT = _limited(_Kind(_number, float_text), lambda v: v > 0, _POSITIVE)
 # The no-ack streak is counted before it is compared, so 0 or less acts as 1.
 _THRESHOLD = _limited(_INT, lambda v: v >= 1, "key '{}': must be 1 or more")
-_BOOL = _Kind(_parse_bool, lambda value: "on" if value else "off")
 _POWERS = _limited(_Kind(_parse_power_list,
                          lambda value: " ".join(map(float_text, value)) + " dBm"),
                    lambda levels: len(set(levels)) == len(levels),
@@ -301,6 +289,7 @@ _ROLE = _choice({r.value: r for r in NodeRole}, "unknown role {!r}")
 _CLASS = _choice({c.value: c for c in NodeClass}, "unknown class {!r}")
 _MODE = _choice({"broadcast": "broadcast", "scan": "scan"},
                 "expected broadcast|scan, got {!r}")
+_BOOL = _choice({"on": True, "off": False}, "expected on/off, got {!r}")
 
 
 def _parse_waypoint(text: str, key: str, line: int) -> tuple[float, float, int]:
@@ -532,9 +521,12 @@ def _validate(cfg: ScenarioConfig, source: str, key_lines: dict[str, int]) -> No
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
+    """Parses a UTF-8 scenario file.  A leading byte-order mark, which some
+    editors write, is cut from the bytes before they are decoded, so a bad
+    byte's offset indexes `data` (utf-8-sig would count it past the mark)."""
     p = Path(path)
     try:
-        data = p.read_bytes()
+        data = p.read_bytes().removeprefix(b"\xef\xbb\xbf")
         text = data.decode("utf-8")
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {p}: {exc}") from None

@@ -158,8 +158,9 @@ def write_trace(path: str | Path, rows: list[TraceRecord]) -> None:
     """Write the rows as CSV, in chunks, byte for byte as the one-row-at-a-time
     reference formatter in tests/reference.py writes them.
 
-    Ids, sequence numbers, powers, positions and outcomes repeat across
-    rows, so each distinct value is formatted once per call.
+    Ids, sequence numbers, transmit powers, positions and outcomes repeat
+    across rows, so each distinct value is formatted once per call.  A
+    received power mostly differs from row to row, so it is formatted per row.
     """
     num = _Formatted(str)
     power = _Formatted("{:.1f}".format)
@@ -177,7 +178,7 @@ def write_trace(path: str | Path, rows: list[TraceRecord]) -> None:
                 "" if r.dst is None else num[r.dst],
                 "" if r.seq is None else num[r.seq],
                 "" if r.power_dbm is None else power[r.power_dbm],
-                "" if r.rx_power_dbm is None else power[r.rx_power_dbm],
+                "" if r.rx_power_dbm is None else f"{r.rx_power_dbm:.1f}",
                 "" if r.lq is None else num[r.lq],
                 pos[r.pos_x_m],
                 outcome[r.event_kind][r.detail],

@@ -918,7 +918,7 @@ SINGLE_KEY_BOUNDS = [
     # Used to be accepted, and booked negative energy for that radio mode.
     *[("energy", f"{k} = 0 mA", f"{k} = {value}", "below 0 mA")
       for k, value in (("rx_current", "-1 mA"), ("idle_current", "-0.5 mA"),
-                       ("sleep_current", "-3 uA"))],
+                       ("sleep_current", "-0.003 mA"))],
     ("energy", "supply_voltage = 0.001 V", "supply_voltage = 0 V", "is not positive"),
     ("phy", "lq_saturation_margin = 0.001 dB", "lq_saturation_margin = 0 dB",
      "is not positive"),

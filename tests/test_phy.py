@@ -7,15 +7,6 @@ from wpansim.phy import (B868, B915, B2400, PhyParams, beacon_interval,
                          lq_from_rx_power)
 
 
-def test_beacon_interval_extremes_exact_us():
-    assert beacon_interval(0, B2400) == 15_360
-    assert beacon_interval(14, B2400) == 251_658_240
-    assert beacon_interval(0, B915) == 24_000
-    assert beacon_interval(14, B915) == 393_216_000
-    assert beacon_interval(0, B868) == 48_000
-    assert beacon_interval(14, B868) == 786_432_000
-
-
 def test_beacon_interval_doubles_per_order():
     for band in (B2400, B915, B868):
         for bo in range(14):
@@ -92,7 +83,7 @@ def test_frame_airtime():
         frame_airtime(0, B2400)
 
 
-def test_in_range_strict_at_sensitivity():
+def test_heard_strict_at_sensitivity():
     # rx exactly at sensitivity must be out of range
     p = PhyParams()
     p.pl0_db, p.path_loss_exponent, p.rx_sensitivity_dbm = 85.0, 2.0, -85.0
@@ -100,7 +91,7 @@ def test_in_range_strict_at_sensitivity():
     assert heard(link_rx_power(0.999, 0.0, p), p) is True
 
 
-def test_in_range_monotone_in_power():
+def test_heard_monotone_in_power():
     p = PhyParams()
     d = 3.0
     states = [heard(link_rx_power(d, power, p), p) for power in range(-10, 11)]
@@ -109,7 +100,7 @@ def test_in_range_monotone_in_power():
     assert all(states[first_true:])
 
 
-def test_in_range_on_calibrated_defaults(default_cfg):
+def test_heard_on_calibrated_defaults(default_cfg):
     p = default_cfg.phy
     assert heard(link_rx_power(1.0, 0.0, p), p) is True
     # x = 3 m sits in the first coverage gap at 0 dBm: out of range of all three
@@ -118,7 +109,7 @@ def test_in_range_on_calibrated_defaults(default_cfg):
         assert heard(link_rx_power(dist, 0.0, p), p) is False
 
 
-def test_comm_range_matches_in_range_threshold():
+def test_comm_range_matches_heard_threshold():
     p = PhyParams()
     p.pl0_db, p.path_loss_exponent, p.rx_sensitivity_dbm = 54.0, 3.5, -73.0
     r = comm_range_m(0.0, p)

@@ -153,6 +153,14 @@ PARSE_ERRORS = [
     ("[run]\nseed = 1]\n", 2, "key 'seed': '1]' is not an integer"),
     ("[run\n", 1, "expected 'key = value', got '[run'"),
     ("[node 1]\nantenna_gain = 2 dB\n", 2, "unknown key 'antenna_gain' in section [node]"),
+    # A switch is on or off and a current is in mA: the one spelling of each
+    # that render_scenario writes.
+    ("[tpc]\nenabled = yes\n", 2, "key 'enabled': expected on/off, got 'yes'"),
+    ("[tpc]\nenabled = ON\n", 2, "key 'enabled': expected on/off, got 'ON'"),
+    ("[node 1]\nrole = coordinator\nsleep = true\n", 3,
+     "key 'sleep': expected on/off, got 'true'"),
+    ("[energy]\nsleep_current = 3 uA\n", 2,
+     "key 'sleep_current': expected '<number> mA', got '3 uA'"),
 ]
 
 
@@ -163,6 +171,25 @@ def test_parse_error_names_its_line(text, line, says):
         parse_scenario(text)
     assert err.value.line == line
     assert str(err.value).startswith(f"line {line}: ") and says in str(err.value)
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark some editors save a file with
+
+
+def test_a_byte_order_mark_is_not_part_of_the_scenario(default_cfg, tmp_path):
+    path = tmp_path / "bom.scenario"
+    path.write_bytes(BOM + default_scenario_path().read_bytes())
+    assert load_scenario(path) == default_cfg
+
+
+def test_a_bad_byte_after_a_byte_order_mark_names_its_own_line(tmp_path):
+    # utf-8-sig would count the offset past the mark and name the wrong byte.
+    path = tmp_path / "bom.scenario"
+    path.write_bytes(BOM + b"[run]\nseed = 1\n\xff\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert (err.value.line, str(err.value)) == (
+        3, f"line 3: {path}: byte 0xff is not UTF-8")
 
 
 def test_a_scenario_error_without_a_line_names_none():
